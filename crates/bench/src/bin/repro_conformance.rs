@@ -1,8 +1,7 @@
 //! Cross-backend conformance sweep for CI: run `--seeds N` seeded wiring
 //! plans (see `cellpilot::conformance`) on the sim backend (the oracle)
-//! and the native threads backend, diff every observable, and report the
-//! native backend's wall-clock event/message rates as an informational
-//! BENCH section.
+//! and the native threads backend, diff every observable, and print the
+//! native backend's wall-clock event/message rates.
 //!
 //! Usage: `repro_conformance [--seeds N] [--out DIR]`
 //!
@@ -12,7 +11,7 @@
 //! plan and both observation dumps — and 2 on usage errors.
 
 use cp_bench::cli::{parse_int_flag, parse_str_flag, unknown_flag};
-use cp_trace::{BenchReport, NativeRates, Recorder};
+use cp_trace::Recorder;
 
 use cellpilot::conformance::{diff, run_plan, run_plan_traced, WiringPlan};
 use cellpilot::Backend;
@@ -75,25 +74,13 @@ fn main() {
         }
     }
 
-    // Informational BENCH section: how fast the native backend replays the
-    // sweep in wall-clock terms. The perf gate ignores it.
+    // Informational: how fast the native backend replays the sweep in
+    // wall-clock terms.
     let wall_s = native_wall.as_secs_f64().max(1e-9);
-    let rates = NativeRates {
-        wall_ms: native_wall.as_secs_f64() * 1e3,
-        events_per_sec: native_events as f64 / wall_s,
-        msgs_per_sec: native_msgs as f64 / wall_s,
-    };
     println!("\nnative backend rates over the sweep:");
-    println!("  wall time     : {:>10.2} ms", rates.wall_ms);
-    println!("  events/sec    : {:>10.0}", rates.events_per_sec);
-    println!("  messages/sec  : {:>10.0}", rates.msgs_per_sec);
-    let mut report = BenchReport::new("conformance", seeds);
-    report.native_rates = Some(rates);
-    let path = format!("{out_dir}/BENCH_conformance.json");
-    match std::fs::write(&path, report.to_json_string()) {
-        Ok(()) => println!("  report        : {path}"),
-        Err(e) => eprintln!("  could not write {path}: {e}"),
-    }
+    println!("  wall time     : {:>10.2} ms", wall_s * 1e3);
+    println!("  events/sec    : {:>10.0}", native_events as f64 / wall_s);
+    println!("  messages/sec  : {:>10.0}", native_msgs as f64 / wall_s);
 
     if divergences == 0 {
         println!("\nverdict: all {seeds} seeds agree");

@@ -11,31 +11,26 @@
 //! incidents), and deliver everything it accepted, in order. A failing
 //! seed is a complete bug report: rerun with the same seed to replay it.
 //!
-//! Usage: `repro_overload [--seeds N] [--bench-out PATH] [--trace-out PATH]`
-//! (default: 32 seeds). `--bench-out` writes a `BENCH_overload.json`
-//! whose overload section the CI gate checks (a high watermark above
-//! capacity fails the gate). `--trace-out` writes the Chrome
-//! `trace_event` export of one shedding run — the artifact CI uploads
-//! when the campaign finds something.
+//! Usage: `repro_overload [--seeds N] [--trace-out PATH]` (default: 32
+//! seeds). `--trace-out` writes the Chrome `trace_event` export of one
+//! shedding run — the artifact CI uploads when the campaign finds
+//! something.
 //!
 //! Exit status: 0 when every seed passes, 3 when any invariant is
 //! violated (findings), 2 on usage errors.
 
 use cp_bench::cli::{parse_int_flag, parse_str_flag, unknown_flag};
-use cp_bench::{overload, overload_bench_rows, overload_traced};
-use cp_trace::BenchReport;
+use cp_bench::{overload, overload_traced};
 
-const USAGE: &str = "repro_overload [--seeds N] [--bench-out PATH] [--trace-out PATH]";
+const USAGE: &str = "repro_overload [--seeds N] [--trace-out PATH]";
 
 fn main() {
     let mut n_seeds: u64 = 32;
-    let mut bench_out: Option<String> = None;
     let mut trace_out: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
             "--seeds" => n_seeds = parse_int_flag(USAGE, "--seeds", args.next(), 1, 1_000_000),
-            "--bench-out" => bench_out = Some(parse_str_flag(USAGE, "--bench-out", args.next())),
             "--trace-out" => trace_out = Some(parse_str_flag(USAGE, "--trace-out", args.next())),
             other => unknown_flag(USAGE, other),
         }
@@ -74,24 +69,6 @@ fn main() {
     // Artifacts are written even when the campaign found something — a
     // failing CI run uploads them as the replay evidence.
     let mut artifacts_failed = false;
-    if let Some(path) = bench_out {
-        match overload_bench_rows() {
-            Ok(rows) => {
-                let mut report = BenchReport::new("overload", 1);
-                report.overload = rows;
-                if let Err(e) = std::fs::write(&path, report.to_json_string()) {
-                    eprintln!("error: cannot write {path}: {e}");
-                    artifacts_failed = true;
-                } else {
-                    println!("wrote overload BENCH section to {path}");
-                }
-            }
-            Err(e) => {
-                eprintln!("error: bench rows failed: {e}");
-                artifacts_failed = true;
-            }
-        }
-    }
     if let Some(path) = trace_out {
         // Seed 1 rotates onto Shed: the interesting trace, with the
         // backpressure waits and shed incidents marked.

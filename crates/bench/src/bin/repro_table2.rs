@@ -2,26 +2,22 @@
 //! channel types under CellPilot, hand-coded DMA, and hand-coded copy,
 //! for 1-byte (`%b`) and 1600-byte (`%100Lf`) payloads.
 //!
-//! With `--json PATH` the per-type medians (plus the type-2 PingPong
-//! payload sweep) are also written as a machine-readable
-//! `BENCH_<label>.json` report — the document the CI perf gate diffs
-//! against the committed `BENCH_baseline.json` (see `bench_gate`).
+//! With `--ablate-one-sided` the SPE-read scenarios (types 2–5) are
+//! re-measured over one-sided window-fabric channels and printed beside
+//! the relay medians. Type 1 is rank↔rank and has no window to target.
 
-use cp_bench::cli::{parse_int_flag, parse_str_flag, unknown_flag};
+use cp_bench::cellpilot_pingpong_one_sided;
+use cp_bench::cli::{parse_int_flag, unknown_flag};
 
-const USAGE: &str = "repro_table2 [--reps N] [--json PATH] [--label L] [--ablate-one-sided]";
+const USAGE: &str = "repro_table2 [--reps N] [--ablate-one-sided]";
 
 fn main() {
     let mut reps: usize = 50;
-    let mut json_path: Option<String> = None;
-    let mut label = "local".to_string();
     let mut ablate_one_sided = false;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
             "--reps" => reps = parse_int_flag(USAGE, "--reps", args.next(), 1, 100_000) as usize,
-            "--json" => json_path = Some(parse_str_flag(USAGE, "--json", args.next())),
-            "--label" => label = parse_str_flag(USAGE, "--label", args.next()),
             "--ablate-one-sided" => ablate_one_sided = true,
             other => unknown_flag(USAGE, other),
         }
@@ -51,41 +47,29 @@ fn main() {
         worst.1
     );
 
-    let one_sided = if ablate_one_sided {
-        let rows = cp_bench::one_sided_rows(reps);
+    if ablate_one_sided {
         println!("\nOne-sided (window fabric) vs relay, CellPilot medians:");
         println!("  type   1B relay  1B 1-sided  1600B relay  1600B 1-sided  speedup");
-        for row in &rows {
-            let relay = cells
-                .iter()
-                .find(|c| c.chan_type == row.chan_type && c.bytes == 1600)
-                .expect("Table II covers every type at 1600 B");
-            let relay_small = cells
-                .iter()
-                .find(|c| c.chan_type == row.chan_type && c.bytes == 1)
-                .expect("Table II covers every type at 1 B");
+        for ty in 2..=5u8 {
+            let relay_us = |bytes: usize| {
+                cells
+                    .iter()
+                    .find(|c| c.chan_type == ty && c.bytes == bytes)
+                    .expect("Table II covers every type at 1 B and 1600 B")
+                    .cellpilot_us
+            };
+            let relay_large = relay_us(1600);
+            let small = cellpilot_pingpong_one_sided(ty, 1, reps).one_way_us;
+            let large = cellpilot_pingpong_one_sided(ty, 1600, reps).one_way_us;
             println!(
                 "  {:>4} {:>9.2} {:>11.2} {:>12.2} {:>14.2} {:>7.2}x",
-                row.chan_type,
-                relay_small.cellpilot_us,
-                row.latency_us_small,
-                relay.cellpilot_us,
-                row.latency_us_large,
-                relay.cellpilot_us / row.latency_us_large,
+                ty,
+                relay_us(1),
+                small,
+                relay_large,
+                large,
+                relay_large / large,
             );
         }
-        rows
-    } else {
-        Vec::new()
-    };
-
-    if let Some(path) = json_path {
-        let mut report = cp_bench::bench_report(&label, reps);
-        report.one_sided = one_sided;
-        if let Err(e) = std::fs::write(&path, report.to_json_string()) {
-            eprintln!("error: cannot write {path}: {e}");
-            std::process::exit(1);
-        }
-        println!("\nwrote bench report '{label}' to {path}");
     }
 }

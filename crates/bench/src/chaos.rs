@@ -110,8 +110,8 @@ pub struct ChaosReport {
 
 /// splitmix64: the canonical 64-bit mixing PRNG — tiny, dependency-free,
 /// and deterministic across platforms, which is all a seeded campaign
-/// needs.
-struct SplitMix64(u64);
+/// needs. The overload campaign draws from it too.
+pub(crate) struct SplitMix64(pub(crate) u64);
 
 impl SplitMix64 {
     fn next(&mut self) -> u64 {
@@ -123,7 +123,7 @@ impl SplitMix64 {
     }
 
     /// Uniform-ish draw in `[0, n)`; modulo bias is irrelevant here.
-    fn below(&mut self, n: u64) -> u64 {
+    pub(crate) fn below(&mut self, n: u64) -> u64 {
         self.next() % n.max(1)
     }
 }

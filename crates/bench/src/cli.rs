@@ -1,5 +1,5 @@
-//! Strict, dependency-free argument parsing shared by the `repro_*` and
-//! `bench_gate` binaries.
+//! Strict, dependency-free argument parsing shared by the `repro_*`
+//! binaries.
 //!
 //! Every flag error prints the binary's usage line to stderr and exits
 //! with status 2 (the conventional "usage error" code, distinct from the

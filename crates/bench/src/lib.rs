@@ -10,8 +10,9 @@
 //!   the same data;
 //! * the `repro_*` binaries print each artifact with the paper's numbers
 //!   side by side;
-//! * the Criterion benches in `benches/` track the wall-clock cost of the
-//!   simulator itself.
+//! * `src/bin/cpbench/` is the one benchmark and perf gate: virtual and
+//!   host time of every path and layer (it uses nothing from this library;
+//!   see its README).
 
 pub mod chaos;
 pub mod check;
@@ -21,8 +22,6 @@ pub mod explore;
 pub mod imb;
 pub mod overload;
 pub mod pingpong;
-pub mod report;
-pub mod service;
 pub mod sweep;
 pub mod table2;
 
@@ -32,17 +31,10 @@ pub use chaos::{
 };
 pub use explore::{explore, fault_replay_outcome, FaultReplayOutcome, ScheduleDivergence};
 pub use imb::{exchange, pingping};
-pub use overload::{
-    overload, overload_bench_rows, overload_plan, overload_traced, OverloadFailure, OverloadReport,
-};
+pub use overload::{overload, overload_plan, overload_traced, OverloadFailure, OverloadReport};
 pub use pingpong::{
     cellpilot_pingpong, cellpilot_pingpong_one_sided, cellpilot_pingpong_with,
     cellpilot_pingpong_xeon_initiator, PingPong, WARMUP,
-};
-pub use report::{bench_report, one_sided_rows};
-pub use service::{
-    ablation, service, service_bench_rows, service_mpi_costs, service_spec, service_traced,
-    AblationReport, ServiceFailure, ServiceReport, ServiceScenario, POOL_WORKERS,
 };
 pub use sweep::{dma_copy_crossover, render_sweep, sweep, SweepPoint, DEFAULT_SIZES};
 pub use table2::{

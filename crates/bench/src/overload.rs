@@ -33,7 +33,8 @@ use cellpilot::{
 };
 use cp_des::{IncidentCategory, SimDuration, SimTime};
 use cp_simnet::ClusterSpec;
-use cp_trace::OverloadChannel;
+
+use crate::chaos::SplitMix64;
 
 /// How an overload run failed its invariants.
 #[derive(Debug, Clone)]
@@ -113,24 +114,6 @@ pub struct OverloadReport {
     pub incidents: Vec<(IncidentCategory, usize)>,
     /// Virtual completion time.
     pub end_time: SimTime,
-}
-
-/// splitmix64, as in the chaos module: tiny, dependency-free, and
-/// deterministic across platforms.
-struct SplitMix64(u64);
-
-impl SplitMix64 {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n.max(1)
-    }
 }
 
 /// The seed's drawn scenario: capacity, burst and policy. Seeds rotate
@@ -397,34 +380,6 @@ fn count_of(report: &cp_des::SimReport, cat: IncidentCategory) -> usize {
         .iter()
         .filter(|i| i.category == cat)
         .count()
-}
-
-/// The per-channel rows the `BENCH_overload.json` artifact carries: two
-/// representative saturation runs (one blocking, one shedding) re-run at
-/// fixed capacities, reported straight from the trace flow metrics. The
-/// CI gate fails any row whose high watermark exceeds its capacity.
-pub fn overload_bench_rows() -> Result<Vec<OverloadChannel>, OverloadFailure> {
-    let mut rows = Vec::new();
-    // Seeds 0 and 1 rotate onto Block and Shed respectively.
-    for seed in [0u64, 1] {
-        let (r, _) = overload_traced(seed)?;
-        let sheds = (r.burst - r.accepted) as u64;
-        rows.push(OverloadChannel {
-            chan: DATA as u32,
-            capacity: r.capacity as u64,
-            queue_high_watermark: r.data_high_watermark,
-            sheds,
-            backpressure_waits: r.backpressure_waits,
-        });
-        rows.push(OverloadChannel {
-            chan: SPE_IN as u32,
-            capacity: r.capacity as u64,
-            queue_high_watermark: r.spe_high_watermark,
-            sheds: 0,
-            backpressure_waits: 0,
-        });
-    }
-    Ok(rows)
 }
 
 #[cfg(test)]

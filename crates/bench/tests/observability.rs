@@ -1,11 +1,10 @@
 //! Observability-layer integration tests: the metrics pin the paper's
-//! routing claims (Table I), and the BENCH report schema is frozen by a
-//! golden file.
+//! routing claims (Table I).
 
 use cellpilot::CellPilotOpts;
 use cp_bench::cellpilot_pingpong_with;
 use cp_bench::WARMUP;
-use cp_trace::{BenchChannelType, BenchReport, MetricsSnapshot, Recorder, SweepRow};
+use cp_trace::{MetricsSnapshot, Recorder};
 
 fn traced_pingpong(chan_type: u8, bytes: usize, reps: usize) -> MetricsSnapshot {
     let rec = Recorder::enabled();
@@ -52,61 +51,4 @@ fn type5_pingpong_records_two_relay_hops_per_message() {
         snap.mpi.payload_bytes > 0,
         "remote SPE↔SPE traffic rides MPI between the Co-Pilots"
     );
-}
-
-fn schema_fixture() -> BenchReport {
-    let mut r = BenchReport::new("golden", 5);
-    r.channel_types = (1..=5u8)
-        .map(|t| BenchChannelType {
-            chan_type: t,
-            latency_us_small: 50.0 + f64::from(t) * 0.5,
-            latency_us_large: 150.0 + f64::from(t),
-            throughput_mb_s: 9.25,
-        })
-        .collect();
-    r.pingpong_sweep = vec![
-        SweepRow {
-            bytes: 1,
-            cellpilot_us: 51.5,
-            dma_us: 15.0,
-            copy_us: 14.5,
-        },
-        SweepRow {
-            bytes: 1024,
-            cellpilot_us: 120.25,
-            dma_us: 40.0,
-            copy_us: 75.5,
-        },
-    ];
-    r.metrics = Some(MetricsSnapshot::default());
-    r
-}
-
-/// The BENCH_*.json schema is a contract with the CI gate (and any
-/// dashboards reading the artifacts): its rendering is pinned byte for
-/// byte by a golden file. If this fails because of a deliberate schema
-/// change, bump [`cp_trace::BENCH_SCHEMA`] and regenerate the golden with
-/// `BLESS=1 cargo test -p cp-bench --test observability`.
-#[test]
-fn bench_json_schema_matches_golden_file() {
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/golden/bench_schema.json"
-    );
-    let rendered = schema_fixture().to_json_string();
-    if std::env::var_os("BLESS").is_some() {
-        std::fs::write(path, &rendered).unwrap();
-    }
-    let golden = std::fs::read_to_string(path).expect("golden file committed");
-    assert_eq!(
-        rendered, golden,
-        "BENCH json schema drifted from tests/golden/bench_schema.json"
-    );
-}
-
-#[test]
-fn bench_json_round_trips() {
-    let r = schema_fixture();
-    let back = BenchReport::parse(&r.to_json_string()).unwrap();
-    assert_eq!(back, r);
 }

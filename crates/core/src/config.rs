@@ -263,29 +263,6 @@ impl Default for SupervisionPolicy {
     }
 }
 
-/// Emit a deprecation note for `api` on stderr — once per process, not per
-/// call site. Large test suites hit the deprecated shims hundreds of times;
-/// one line per API is signal, 153 copies is noise.
-fn deprecation_note(api: &'static str, hint: &str) {
-    if deprecation_note_should_emit(api) {
-        eprintln!("cellpilot: `{api}` is deprecated: {hint}");
-    }
-}
-
-/// Whether `api`'s once-per-process deprecation note is still unsent
-/// (consuming the send). Split from [`deprecation_note`] so the
-/// once-semantics are unit-testable without capturing stderr.
-fn deprecation_note_should_emit(api: &'static str) -> bool {
-    static EMITTED: Mutex<Vec<&'static str>> = Mutex::new(Vec::new());
-    let mut emitted = EMITTED.lock();
-    if emitted.contains(&api) {
-        false
-    } else {
-        emitted.push(api);
-        true
-    }
-}
-
 type RankBody = Box<dyn FnOnce(&CellPilot, i32) + Send>;
 
 /// A CellPilot application under configuration.
@@ -417,41 +394,6 @@ impl CellPilotConfig {
         });
         self.bodies.push(None);
         Ok(id)
-    }
-
-    /// `PI_CreateChannel`: a unidirectional rendezvous channel between any
-    /// two processes, whatever their locations.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use the ChannelBuilder: `cfg.channel(from, to).build()`"
-    )]
-    pub fn create_channel(&mut self, from: CpProcess, to: CpProcess) -> Result<CpChannel, CpError> {
-        deprecation_note(
-            "create_channel",
-            "use the ChannelBuilder: `cfg.channel(from, to).build()`",
-        );
-        self.channel(from, to).build()
-    }
-
-    /// `PI_CreateChannel` with a legacy buffer-size hint. The rendezvous
-    /// relay does not buffer, so `len` is accepted and ignored.
-    #[deprecated(
-        since = "0.1.0",
-        note = "the relay does not buffer; use `cfg.channel(from, to).build()`, or \
-                `.one_sided().window_at(..)` to size a real window"
-    )]
-    pub fn create_channel_sized(
-        &mut self,
-        from: CpProcess,
-        to: CpProcess,
-        _len: usize,
-    ) -> Result<CpChannel, CpError> {
-        deprecation_note(
-            "create_channel_sized",
-            "the relay does not buffer; use `cfg.channel(from, to).build()`, or \
-             `.one_sided().window_at(..)` to size a real window",
-        );
-        self.channel(from, to).build()
     }
 
     /// Begin declaring a unidirectional channel between any two processes,
@@ -1272,30 +1214,6 @@ mod tests {
     }
 
     #[test]
-    fn deprecation_notes_emit_once_per_process_per_api() {
-        // First sighting of each API name emits; every later call — from
-        // any config in the process — is silent. (The note itself goes to
-        // stderr via `deprecation_note`; the predicate is what's testable.)
-        assert!(deprecation_note_should_emit("test-api-alpha"));
-        assert!(!deprecation_note_should_emit("test-api-alpha"));
-        assert!(deprecation_note_should_emit("test-api-beta"));
-        assert!(!deprecation_note_should_emit("test-api-beta"));
-        assert!(!deprecation_note_should_emit("test-api-alpha"));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_still_build_working_channels() {
-        let mut c = cfg();
-        let ppe1 = c.create_process("ppe1", 0, |_, _| {}).unwrap();
-        let a = c.create_channel(crate::CP_MAIN, ppe1).unwrap();
-        // `create_channel_sized`'s length hint is ignored: the relay does
-        // not buffer, so it must behave exactly like `create_channel`.
-        let b = c.create_channel_sized(ppe1, crate::CP_MAIN, 4096).unwrap();
-        assert_eq!((a, b), (CpChannel(0), CpChannel(1)));
-    }
-
-    #[test]
     fn spe_parent_must_be_on_cell_node() {
         let mut c = cfg();
         let _a = c.create_process("ppe1", 0, |_, _| {}).unwrap(); // node 1 (Cell)
@@ -1344,16 +1262,6 @@ mod tests {
         for t in [t1, t2, t3, t4, t5] {
             assert_eq!(c.channel_mode(t), Some(ChannelMode::Rendezvous));
         }
-    }
-
-    #[test]
-    fn deprecated_create_channel_still_works() {
-        let mut c = cfg();
-        let ppe1 = c.create_process("ppe1", 0, |_, _| {}).unwrap();
-        #[allow(deprecated)]
-        let ch = c.create_channel(crate::CP_MAIN, ppe1).unwrap();
-        assert_eq!(c.channel_kind(ch), Some(ChannelKind::Type1));
-        assert_eq!(c.channel_mode(ch), Some(ChannelMode::Rendezvous));
     }
 
     #[test]

@@ -8,46 +8,65 @@ use cellpilot::{CellPilotConfig, CellPilotOpts, CpChannel, SpeProgram, CP_MAIN};
 use cp_des::{Backend, SimTime};
 use cp_simnet::ClusterSpec;
 
-/// One rank↔SPE request/response ping carrying `words` payload words each
-/// way, with or without eager inlining on both channels. Returns the
-/// virtual completion time and the payload the rank read back.
-fn ping(eager: bool, words: usize, rounds: usize) -> (SimTime, Vec<i32>) {
-    ping_with(eager, words, rounds, cp_trace::Recorder::disabled())
+/// One request/response ping carrying `words` payload words each way to
+/// an echo SPE, with or without eager inlining on both channels. The
+/// initiator is the main rank (type 2 out, type 3 back) or, with
+/// `spe_initiator`, a second SPE on the same Cell node (type 4 both
+/// ways). Returns the virtual completion time and the payload the
+/// initiator read back.
+fn ping(eager: bool, words: usize, rounds: usize, spe_initiator: bool) -> (SimTime, Vec<i32>) {
+    let rec = cp_trace::Recorder::disabled();
+    ping_with(eager, words, rounds, spe_initiator, rec)
 }
 
 fn ping_with(
     eager: bool,
     words: usize,
     rounds: usize,
+    spe_initiator: bool,
     rec: cp_trace::Recorder,
 ) -> (SimTime, Vec<i32>) {
     let spec = ClusterSpec::two_cells_one_xeon();
     let mut cfg = CellPilotConfig::one_rank_per_node(spec, CellPilotOpts::new().with_tracing(rec));
+    let (req, rsp) = (CpChannel(0), CpChannel(1));
     let worker = SpeProgram::new("echo", 2048, move |spe, _, _| {
         for _ in 0..rounds {
-            let v = spe.read_vec::<i32>(CpChannel(0)).unwrap();
+            let v = spe.read_vec::<i32>(req).unwrap();
             let out: Vec<i32> = v.iter().map(|x| x + 1).collect();
-            spe.write_slice(CpChannel(1), &out).unwrap();
+            spe.write_slice(rsp, &out).unwrap();
         }
     });
+    let got: Arc<Mutex<Vec<i32>>> = Arc::new(Mutex::new(Vec::new()));
+    // The rank and SPE contexts share these calls but no trait.
+    macro_rules! initiate {
+        ($ctx:expr, $sink:expr) => {
+            for _ in 0..rounds {
+                let payload: Vec<i32> = (0..words as i32).collect();
+                $ctx.write_slice(req, &payload).unwrap();
+                *$sink.lock().unwrap() = $ctx.read_vec::<i32>(rsp).unwrap();
+            }
+        };
+    }
     let wk = cfg.create_spe_process(&worker, CP_MAIN, 0).unwrap();
-    let build = |cfg: &mut CellPilotConfig, from, to| {
+    let initiator = if spe_initiator {
+        let sink = got.clone();
+        let pinger = SpeProgram::new("ping", 2048, move |spe, _, _| initiate!(spe, sink));
+        cfg.create_spe_process(&pinger, CP_MAIN, 1).unwrap()
+    } else {
+        CP_MAIN
+    };
+    let mut build = |from, to| {
         let b = cfg.channel(from, to);
         if eager { b.eager() } else { b }.build().unwrap()
     };
-    let req = build(&mut cfg, CP_MAIN, wk);
-    let rsp = build(&mut cfg, wk, CP_MAIN);
-    assert_eq!((req.0, rsp.0), (0, 1));
+    assert_eq!((build(initiator, wk), build(wk, initiator)), (req, rsp));
 
-    let got: Arc<Mutex<Vec<i32>>> = Arc::new(Mutex::new(Vec::new()));
     let sink = got.clone();
     let report = cfg
         .run(move |cp| {
             let _t = cp.run_my_spes();
-            for _ in 0..rounds {
-                let payload: Vec<i32> = (0..words as i32).collect();
-                cp.write_slice(req, &payload).unwrap();
-                *sink.lock().unwrap() = cp.read_vec::<i32>(rsp).unwrap();
+            if !spe_initiator {
+                initiate!(cp, sink)
             }
         })
         .unwrap();
@@ -59,13 +78,32 @@ fn ping_with(
 fn eager_ping_is_faster_and_payload_identical() {
     // One i32 packs to 13 bytes (4-byte segment count, 1-byte dtype,
     // 4-byte length, 4 data bytes) — within the 16-byte mailbox budget.
-    let (t_eager, v_eager) = ping(true, 1, 4);
-    let (t_dma, v_dma) = ping(false, 1, 4);
+    let (t_eager, v_eager) = ping(true, 1, 4, false);
+    let (t_dma, v_dma) = ping(false, 1, 4, false);
     assert_eq!(v_eager, v_dma, "inline delivery must not change payloads");
     assert_eq!(v_eager, vec![1]);
     assert!(
         t_eager < t_dma,
         "a 13-byte ping must finish sooner with eager inlining: {t_eager} vs {t_dma}"
+    );
+}
+
+#[test]
+fn eager_at_least_halves_a_same_node_spe_to_spe_ping() {
+    // Type 4 is where per-message Co-Pilot protocol cost, not MPI transit,
+    // is the whole round trip (`cpbench` reads 113.3 vs 27.2 µs one way
+    // at 1 B under the default costs). Differencing two run lengths
+    // cancels SPE start-up.
+    let round_trip = |eager: bool| {
+        let (long, v) = ping(eager, 1, 9, true);
+        let (short, _) = ping(eager, 1, 1, true);
+        assert_eq!(v, vec![1]);
+        (long - short).as_nanos() / 8
+    };
+    let (eager, dma) = (round_trip(true), round_trip(false));
+    assert!(
+        dma >= 2 * eager,
+        "eager inlining must at least halve a 1-word type-4 ping: {eager} vs {dma} ns"
     );
 }
 
@@ -114,8 +152,8 @@ fn above_threshold_payloads_keep_the_dma_golden_digest() {
     // is the same.
     let rec_eager = cp_trace::Recorder::enabled();
     let rec_dma = cp_trace::Recorder::enabled();
-    let (t_eager, v_eager) = ping_with(true, 8, 4, rec_eager.clone());
-    let (t_dma, v_dma) = ping_with(false, 8, 4, rec_dma.clone());
+    let (t_eager, v_eager) = ping_with(true, 8, 4, false, rec_eager.clone());
+    let (t_dma, v_dma) = ping_with(false, 8, 4, false, rec_dma.clone());
     assert_eq!(v_eager, v_dma, "DMA fallback must not change payloads");
     assert_eq!(v_eager, (1..9).collect::<Vec<i32>>());
     assert_eq!(

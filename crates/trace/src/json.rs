@@ -1,11 +1,10 @@
 //! Minimal JSON tree, writer and parser.
 //!
 //! The offline build environment has no crates.io access, so serde is not
-//! available; this module carries just enough JSON to write the
-//! `BENCH_*.json` reports and Chrome traces and to parse reports back for
-//! the CI regression gate. Objects keep their keys in a `BTreeMap`, so a
-//! serialization is canonical (sorted keys) and golden-file tests can
-//! compare bytes.
+//! available; this module carries just enough JSON to write metrics
+//! snapshots, Chrome traces and `cpbench` result files and to parse them
+//! back. Objects keep their keys in a `BTreeMap`, so a serialization is
+//! canonical (sorted keys) and golden-file tests can compare bytes.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

@@ -4,12 +4,9 @@
 //! the MPI layer, the CellPilot runtime, the bench drivers) records what it
 //! does through one shared [`Recorder`]: spans and instants keyed on
 //! *simulated* time, plus always-cheap counters that aggregate into a
-//! [`MetricsSnapshot`]. Two exporters turn a recording into artifacts:
-//!
-//! * [`BenchReport`] — the machine-readable `BENCH_<label>.json` files the
-//!   CI perf gate diffs against a committed baseline (see [`gate`]);
-//! * [`chrome_trace`] — Chrome `trace_event` JSON that loads in
-//!   `about://tracing` / Perfetto, one lane per rank/SPE/Co-Pilot.
+//! [`MetricsSnapshot`]. [`chrome_trace`] exports a recording as Chrome
+//! `trace_event` JSON that loads in `about://tracing` / Perfetto, one lane
+//! per rank/SPE/Co-Pilot.
 //!
 //! The recorder follows the same handle pattern as the runtime's own
 //! `TraceSink`: a disabled recorder is a `None` inside and every recording
@@ -31,17 +28,12 @@ pub mod hb;
 pub mod json;
 pub mod metrics;
 pub mod recorder;
-pub mod report;
 
 pub use chrome::chrome_trace;
 pub use hb::{HbEvent, HbOp};
 pub use json::Json;
 pub use metrics::{
     ChannelTypeMetrics, DesMetrics, FlowMetrics, LatencyStats, MetricsSnapshot, MpiMetrics,
-    NetMetrics, OneSidedMetrics, PercentileStats, ServiceMetrics,
+    NetMetrics, OneSidedMetrics,
 };
 pub use recorder::{Event, Phase, Recorder};
-pub use report::{
-    gate, BenchChannelType, BenchReport, GateOutcome, NativeRates, OverloadChannel, ServiceRow,
-    SweepRow, BENCH_SCHEMA,
-};

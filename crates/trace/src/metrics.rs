@@ -16,28 +16,7 @@ pub(crate) struct MetricsState {
     pub(crate) net: NetState,
     pub(crate) des: DesState,
     pub(crate) flow: FlowState,
-    pub(crate) service: ServiceState,
     pub(crate) incidents: BTreeMap<String, u64>,
-}
-
-/// Per-request service-workload samples: end-to-end request latencies plus
-/// the virtual-time window they completed in (for the sustained rate).
-/// Empty for runs that never call `record_service_request`, so ordinary
-/// traces and their goldens are untouched.
-#[derive(Debug, Default)]
-pub(crate) struct ServiceState {
-    pub(crate) latencies_ns: Vec<u64>,
-    pub(crate) first_done_ns: Option<u64>,
-    pub(crate) last_done_ns: u64,
-}
-
-impl ServiceState {
-    pub(crate) fn note_request(&mut self, ts_ns: u64, latency_ns: u64) {
-        self.latencies_ns.push(latency_ns);
-        let first = self.first_done_ns.get_or_insert(ts_ns);
-        *first = (*first).min(ts_ns);
-        self.last_done_ns = self.last_done_ns.max(ts_ns);
-    }
 }
 
 #[derive(Debug, Default)]
@@ -151,29 +130,9 @@ impl MetricsState {
                 sheds: self.flow.sheds.clone(),
                 backpressure_waits: self.flow.backpressure_waits.clone(),
             },
-            service: ServiceMetrics {
-                requests: self.service.latencies_ns.len() as u64,
-                latency_us: PercentileStats::from_ns_samples(&self.service.latencies_ns),
-                sustained_req_s: sustained_req_s(
-                    self.service.latencies_ns.len() as u64,
-                    self.service.first_done_ns,
-                    self.service.last_done_ns,
-                ),
-            },
             incidents: self.incidents.clone(),
         }
     }
-}
-
-/// Completed requests over the virtual-time span they completed in. Zero
-/// until at least two requests give the window a nonzero width.
-fn sustained_req_s(count: u64, first_ns: Option<u64>, last_ns: u64) -> f64 {
-    let Some(first) = first_ns else { return 0.0 };
-    let window_ns = last_ns.saturating_sub(first);
-    if window_ns == 0 {
-        return 0.0;
-    }
-    count as f64 / (window_ns as f64 / 1e9)
 }
 
 /// Bytes over total operation latency, in MB/s (one byte per µs ≡ 1 MB/s —
@@ -195,7 +154,7 @@ pub struct LatencyStats {
     pub min: f64,
     /// Arithmetic mean.
     pub mean: f64,
-    /// 50th percentile (nearest rank) — the value the CI perf gate diffs.
+    /// 50th percentile (nearest rank).
     pub median: f64,
     /// 95th percentile (nearest rank).
     pub p95: f64,
@@ -245,100 +204,6 @@ impl LatencyStats {
             median: req_f64(j, "median")?,
             p95: req_f64(j, "p95")?,
             max: req_f64(j, "max")?,
-        })
-    }
-}
-
-/// Tail-focused order statistics over per-request latencies, in µs — the
-/// histogram shape a heavy-traffic service workload is judged by (p50 for
-/// the typical request, p99/p999 for the tail the SLO cares about).
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct PercentileStats {
-    /// Number of samples; all other fields are 0 when this is 0.
-    pub count: u64,
-    /// 50th percentile (nearest rank).
-    pub p50: f64,
-    /// 99th percentile (nearest rank) — the value the CI service gate
-    /// diffs.
-    pub p99: f64,
-    /// 99.9th percentile (nearest rank).
-    pub p999: f64,
-    /// Largest sample.
-    pub max: f64,
-}
-
-impl PercentileStats {
-    /// Collapse nanosecond samples into µs tail statistics.
-    pub fn from_ns_samples(samples: &[u64]) -> PercentileStats {
-        if samples.is_empty() {
-            return PercentileStats::default();
-        }
-        let mut sorted = samples.to_vec();
-        sorted.sort_unstable();
-        let us = |ns: u64| ns as f64 / 1000.0;
-        let rank = |p: f64| {
-            let idx = (p * (sorted.len() - 1) as f64).round() as usize;
-            us(sorted[idx])
-        };
-        PercentileStats {
-            count: sorted.len() as u64,
-            p50: rank(0.5),
-            p99: rank(0.99),
-            p999: rank(0.999),
-            max: us(*sorted.last().unwrap()),
-        }
-    }
-
-    fn to_json(&self) -> Json {
-        let mut o = Json::obj();
-        o.set("count", self.count);
-        o.set("p50", self.p50);
-        o.set("p99", self.p99);
-        o.set("p999", self.p999);
-        o.set("max", self.max);
-        o
-    }
-
-    fn from_json(j: &Json) -> Result<PercentileStats, String> {
-        Ok(PercentileStats {
-            count: req_u64(j, "count")?,
-            p50: req_f64(j, "p50")?,
-            p99: req_f64(j, "p99")?,
-            p999: req_f64(j, "p999")?,
-            max: req_f64(j, "max")?,
-        })
-    }
-}
-
-/// Aggregated service-workload request metrics. All-zero for runs that
-/// record no service requests (older snapshots omit the section).
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct ServiceMetrics {
-    /// Completed end-to-end requests.
-    pub requests: u64,
-    /// Per-request latency tail statistics, µs.
-    pub latency_us: PercentileStats,
-    /// Completed requests over the virtual-time window they completed in,
-    /// requests per second.
-    pub sustained_req_s: f64,
-}
-
-impl ServiceMetrics {
-    fn to_json(&self) -> Json {
-        let mut o = Json::obj();
-        o.set("requests", self.requests);
-        o.set("latency_us", self.latency_us.to_json());
-        o.set("sustained_req_s", self.sustained_req_s);
-        o
-    }
-
-    fn from_json(j: &Json) -> Result<ServiceMetrics, String> {
-        Ok(ServiceMetrics {
-            requests: req_u64(j, "requests")?,
-            latency_us: PercentileStats::from_json(
-                j.get("latency_us").ok_or("metrics: missing latency_us")?,
-            )?,
-            sustained_req_s: req_f64(j, "sustained_req_s")?,
         })
     }
 }
@@ -459,7 +324,7 @@ pub struct DesMetrics {
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct FlowMetrics {
     /// Largest observed in-flight depth per bounded channel — the number
-    /// the overload bench gate compares against the configured capacity.
+    /// the overload campaign compares against the configured capacity.
     pub queue_high_watermark: BTreeMap<u32, u64>,
     /// Messages shed (Shed or expired DeadlineDrop) per channel.
     pub sheds: BTreeMap<u32, u64>,
@@ -516,9 +381,6 @@ pub struct MetricsSnapshot {
     /// Flow-control counters; empty when no channel declared a capacity
     /// (older snapshots omit the section entirely).
     pub flow: FlowMetrics,
-    /// Service-workload request metrics; all-zero when no requests were
-    /// recorded (older snapshots omit the section entirely).
-    pub service: ServiceMetrics,
     /// Incident counts by `IncidentCategory` kebab-case name.
     pub incidents: BTreeMap<String, u64>,
 }
@@ -563,7 +425,6 @@ impl MetricsSnapshot {
         des.set("max_queue_depth", self.des.max_queue_depth);
         o.set("des", des);
         o.set("flow", self.flow.to_json());
-        o.set("service", self.service.to_json());
         o.set("incidents", counts_to_json(&self.incidents));
         o
     }
@@ -605,12 +466,6 @@ impl MetricsSnapshot {
             Some(f) => FlowMetrics::from_json(f)?,
             None => FlowMetrics::default(),
         };
-        // And for the service section (pre-service-bench snapshots omit
-        // it).
-        let service = match j.get("service") {
-            Some(s) => ServiceMetrics::from_json(s)?,
-            None => ServiceMetrics::default(),
-        };
         Ok(MetricsSnapshot {
             channel_types,
             one_sided,
@@ -636,7 +491,6 @@ impl MetricsSnapshot {
                 max_queue_depth: req_u64(des, "max_queue_depth")?,
             },
             flow,
-            service,
             incidents: counts_from_json(j.get("incidents").ok_or("metrics: missing incidents")?)?,
         })
     }
@@ -773,7 +627,7 @@ mod tests {
     #[test]
     fn missing_one_sided_section_parses_as_default() {
         // Snapshots committed before the window fabric existed have no
-        // one_sided key; they must keep parsing (BENCH_baseline.json).
+        // one_sided key; they must keep parsing.
         let snap = MetricsState::default().snapshot();
         let stripped = match snap.to_json() {
             Json::Obj(map) => {
@@ -787,55 +641,9 @@ mod tests {
     }
 
     #[test]
-    fn percentile_stats_tail_ranks() {
-        // 1..=1000 µs in ns.
-        let samples: Vec<u64> = (1..=1000u64).map(|v| v * 1000).collect();
-        let s = PercentileStats::from_ns_samples(&samples);
-        assert_eq!(s.count, 1000);
-        assert_eq!(s.p50, 501.0); // nearest-rank over 0-based indices
-        assert_eq!(s.p99, 990.0);
-        assert_eq!(s.p999, 999.0); // nearest-rank: index 998.001 rounds to 998
-        assert_eq!(s.max, 1000.0);
-        assert_eq!(
-            PercentileStats::from_ns_samples(&[]),
-            PercentileStats::default()
-        );
-    }
-
-    #[test]
-    fn service_section_aggregates_and_round_trips() {
-        let mut state = MetricsState::default();
-        // 3 requests finishing across a 2-second virtual window.
-        state.service.note_request(1_000_000_000, 150_000);
-        state.service.note_request(2_000_000_000, 90_000);
-        state.service.note_request(3_000_000_000, 3_000_000);
-        let snap = state.snapshot();
-        assert_eq!(snap.service.requests, 3);
-        assert_eq!(snap.service.latency_us.p50, 150.0);
-        assert_eq!(snap.service.latency_us.max, 3000.0);
-        assert_eq!(snap.service.sustained_req_s, 1.5); // 3 reqs / 2 s
-        let text = snap.to_json().to_pretty();
-        let back = MetricsSnapshot::from_json(&Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back.service, snap.service);
-    }
-
-    #[test]
-    fn missing_service_section_parses_as_default() {
-        // Snapshots committed before the service bench existed have no
-        // service key; they must keep parsing (BENCH_baseline.json).
-        let snap = MetricsState::default().snapshot();
-        let stripped = match snap.to_json() {
-            Json::Obj(map) => Json::Obj(map.into_iter().filter(|(k, _)| k != "service").collect()),
-            other => panic!("snapshot must serialize to an object, got {other:?}"),
-        };
-        let back = MetricsSnapshot::from_json(&stripped).unwrap();
-        assert_eq!(back.service, ServiceMetrics::default());
-    }
-
-    #[test]
     fn missing_flow_section_parses_as_default() {
         // Snapshots committed before flow control existed have no flow
-        // key; they must keep parsing (BENCH_baseline.json).
+        // key; they must keep parsing.
         let snap = MetricsState::default().snapshot();
         let stripped = match snap.to_json() {
             Json::Obj(map) => Json::Obj(map.into_iter().filter(|(k, _)| k != "flow").collect()),

@@ -325,7 +325,7 @@ impl Recorder {
 
     /// CellPilot runtime: a write on bounded channel `chan` was granted a
     /// credit at in-flight `depth`; tracks the per-channel queue-depth
-    /// high watermark the overload bench gate compares against capacity.
+    /// high watermark the overload campaign compares against capacity.
     pub fn record_queue_depth(&self, chan: u32, depth: u64) {
         let Some(inner) = &self.inner else { return };
         inner.lock().metrics.flow.note_depth(chan, depth);
@@ -350,14 +350,6 @@ impl Recorder {
             .backpressure_waits
             .entry(chan)
             .or_insert(0) += 1;
-    }
-
-    /// Service workload: one end-to-end request completed at virtual time
-    /// `ts_ns` after `latency_ns` of virtual time in flight. Aggregated
-    /// into the snapshot's `service` percentile histogram.
-    pub fn record_service_request(&self, ts_ns: u64, latency_ns: u64) {
-        let Some(inner) = &self.inner else { return };
-        inner.lock().metrics.service.note_request(ts_ns, latency_ns);
     }
 
     /// Happens-before stream: `actor` performed `op` at virtual time
