@@ -54,6 +54,8 @@ impl fmt::Display for LsError {
 impl std::error::Error for LsError {}
 
 struct LsInner {
+    /// Backing bytes of the written prefix only, grown on demand like
+    /// `MainMemory`'s: everything past `data.len()` reads as zero.
     data: Vec<u8>,
     /// Sorted, disjoint free regions `(start, len)`.
     free: Vec<(usize, usize)>,
@@ -81,7 +83,7 @@ impl LocalStore {
     pub fn new() -> LocalStore {
         LocalStore {
             inner: Mutex::new(LsInner {
-                data: vec![0; LS_SIZE],
+                data: Vec::new(),
                 free: vec![(0, LS_SIZE)],
                 allocated: Vec::new(),
                 reserved: 0,
@@ -194,7 +196,10 @@ impl LocalStore {
         if addr + len > LS_SIZE {
             return Err(LsError::OutOfBounds { addr, len });
         }
-        Ok(st.data[addr..addr + len].to_vec())
+        let backed_end = (addr + len).min(st.data.len());
+        let mut out = st.data.get(addr..backed_end).unwrap_or(&[]).to_vec();
+        out.resize(len, 0);
+        Ok(out)
     }
 
     /// Write `bytes` at `addr`.
@@ -206,7 +211,11 @@ impl LocalStore {
                 len: bytes.len(),
             });
         }
-        st.data[addr..addr + bytes.len()].copy_from_slice(bytes);
+        let end = addr + bytes.len();
+        if st.data.len() < end {
+            st.data.resize(end, 0);
+        }
+        st.data[addr..end].copy_from_slice(bytes);
         Ok(())
     }
 
@@ -321,5 +330,46 @@ mod tests {
         assert_eq!(ls.read(a, 16).unwrap(), vec![9; 16]);
         assert!(ls.write(LS_SIZE - 4, &[0; 8]).is_err());
         assert!(ls.read(LS_SIZE - 4, 8).is_err());
+    }
+
+    #[test]
+    fn never_written_bytes_read_as_zero() {
+        let ls = LocalStore::new();
+        assert_eq!(ls.read(0, 64).unwrap(), vec![0; 64]);
+        assert_eq!(ls.read(LS_SIZE - 64, 64).unwrap(), vec![0; 64]);
+        // A write further up leaves the gap below it zero.
+        ls.write(4096, &[5; 4]).unwrap();
+        assert_eq!(ls.read(4090, 6).unwrap(), vec![0; 6]);
+    }
+
+    #[test]
+    fn write_may_end_exactly_at_ls_size_and_not_one_byte_past() {
+        let ls = LocalStore::new();
+        ls.write(LS_SIZE - 8, &[7; 8]).unwrap();
+        assert_eq!(ls.read(LS_SIZE - 8, 8).unwrap(), vec![7; 8]);
+        assert_eq!(
+            ls.write(LS_SIZE - 8, &[7; 9]),
+            Err(LsError::OutOfBounds {
+                addr: LS_SIZE - 8,
+                len: 9
+            })
+        );
+        assert_eq!(
+            ls.read(LS_SIZE - 8, 9),
+            Err(LsError::OutOfBounds {
+                addr: LS_SIZE - 8,
+                len: 9
+            })
+        );
+    }
+
+    #[test]
+    fn read_straddling_the_written_prefix_is_prefix_then_zeros() {
+        let ls = LocalStore::new();
+        ls.write(0, &[1, 2, 3, 4]).unwrap();
+        assert_eq!(ls.read(2, 6).unwrap(), vec![3, 4, 0, 0, 0, 0]);
+        // Exactly at and past the end of the prefix: all zeros.
+        assert_eq!(ls.read(4, 3).unwrap(), vec![0; 3]);
+        assert_eq!(ls.read(100, 3).unwrap(), vec![0; 3]);
     }
 }

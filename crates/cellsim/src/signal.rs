@@ -24,13 +24,13 @@ struct SigInner {
     value: u32,
     pending: bool,
     waiters: VecDeque<Pid>,
-    label: String,
 }
 
 /// One signal-notification register.
 pub struct SignalReg {
     inner: Arc<Mutex<SigInner>>,
     mode: SignalMode,
+    label: Arc<str>,
 }
 
 impl Clone for SignalReg {
@@ -38,6 +38,7 @@ impl Clone for SignalReg {
         SignalReg {
             inner: self.inner.clone(),
             mode: self.mode,
+            label: self.label.clone(),
         }
     }
 }
@@ -50,9 +51,9 @@ impl SignalReg {
                 value: 0,
                 pending: false,
                 waiters: VecDeque::new(),
-                label: label.to_string(),
             })),
             mode,
+            label: label.into(),
         }
     }
 
@@ -92,7 +93,6 @@ impl SignalReg {
     pub fn spu_read(&self, ctx: &ProcCtx, costs: &CellCosts) -> u32 {
         ctx.advance(SimDuration::from_micros_f64(costs.spu_channel_op_us));
         loop {
-            let label;
             {
                 let mut st = self.inner.lock();
                 if st.pending {
@@ -101,9 +101,8 @@ impl SignalReg {
                 }
                 let me = ctx.pid();
                 st.waiters.push_back(me);
-                label = st.label.clone();
             }
-            ctx.block(&format!("{label}: signal read"));
+            ctx.block_on(&self.label, "signal read");
         }
     }
 

@@ -75,6 +75,16 @@ pub trait Executor: Send + Sync {
     /// Park `pid` until an unblock or the deadline, whichever first;
     /// `true` means woken (or pending wake consumed), `false` timed out.
     fn block_timeout(&self, pid: Pid, reason: &str, timeout: SimDuration) -> bool;
+    /// [`Executor::block`] with the reason in two parts, rendered as
+    /// `"{label}: {what}"`. A substrate that keeps the reason can override
+    /// this to skip the intermediate `String`.
+    fn block_on(&self, pid: Pid, label: &str, what: &str) {
+        self.block(pid, &format!("{label}: {what}"));
+    }
+    /// [`Executor::block_timeout`] with the reason in two parts.
+    fn block_on_timeout(&self, pid: Pid, label: &str, what: &str, timeout: SimDuration) -> bool {
+        self.block_timeout(pid, &format!("{label}: {what}"), timeout)
+    }
     /// Wake `pid` no earlier than `delay` from now (banked if not blocked).
     fn unblock(&self, pid: Pid, delay: SimDuration);
     /// Record a non-fatal degradation incident on behalf of `pid`.
@@ -107,6 +117,47 @@ mod tests {
         assert_eq!(Backend::default(), Backend::Sim);
         assert_eq!(Backend::Sim.to_string(), "sim");
         assert_eq!(Backend::Native.to_string(), "native");
+    }
+
+    /// An executor that overrides nothing optional and records the reasons
+    /// it is asked to block on.
+    struct Plain(parking_lot::Mutex<Vec<String>>);
+
+    impl Executor for Plain {
+        fn backend(&self) -> Backend {
+            Backend::Native
+        }
+        fn proc_name(&self, _: Pid) -> String {
+            String::new()
+        }
+        fn now(&self) -> SimTime {
+            SimTime::ZERO
+        }
+        fn advance(&self, _: Pid, _: SimDuration) {}
+        fn block(&self, _: Pid, reason: &str) {
+            self.0.lock().push(reason.to_string());
+        }
+        fn block_timeout(&self, _: Pid, reason: &str, _: SimDuration) -> bool {
+            self.0.lock().push(reason.to_string());
+            false
+        }
+        fn unblock(&self, _: Pid, _: SimDuration) {}
+        fn report_incident(&self, _: Pid, _: IncidentCategory, _: &str) {}
+        fn spawn_boxed(&self, _: &str, _: ProcBody) -> Pid {
+            0
+        }
+        fn join(&self, _: Pid, _: Pid) {}
+        fn abort(&self, _: Pid, message: &str) -> ! {
+            panic!("{message}")
+        }
+    }
+
+    #[test]
+    fn two_part_block_defaults_to_the_rendered_single_reason() {
+        let exec = Plain(parking_lot::Mutex::new(Vec::new()));
+        exec.block_on(0, "inbox", "pop (queue empty)");
+        assert!(!exec.block_on_timeout(0, "", "recv", SimDuration::ZERO));
+        assert_eq!(*exec.0.lock(), ["inbox: pop (queue empty)", ": recv"]);
     }
 
     #[test]

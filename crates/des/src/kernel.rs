@@ -15,6 +15,23 @@
 //! them is blocked with no possible waker: the kernel reports a
 //! [`SimError::Deadlock`] naming each process and its blocking reason.
 //!
+//! # Hand-off protocol
+//!
+//! 1. Every `advance` / `block` / `block_timeout` / process exit takes
+//!    `Kernel::state` **once**, decides the next owner of the virtual CPU
+//!    under it, releases it, and only then unparks that owner's thread — the
+//!    woken thread never collides with the lock it needs.
+//! 2. Only `dispatch` (under the lock) sets `Status::Running`; a caller whose
+//!    own event is the earliest keeps the CPU and returns without parking.
+//! 3. Everybody else calls `std::thread::park()` and confirms `Running` /
+//!    `Poisoned` under the lock only after waking. `unpark` leaves a token
+//!    when it beats the `park`, so a grant delivered early is not lost.
+//! 4. A spurious wake, a stray `unpark` or a stale token finds the status
+//!    still `Waiting` / `Blocked` and simply parks again.
+//! 5. A thread registers its handle under the lock before its first park and
+//!    checks its status in the same critical section, so a dispatch or a
+//!    teardown that beat the registration is seen there, without any wake.
+//!
 //! The kernel is one implementation of the [`Executor`] seam; `cp-native`
 //! provides a wall-clock thread implementation of the same trait, and
 //! [`ProcCtx`] dispatches to whichever substrate spawned the process.
@@ -23,25 +40,28 @@ use crate::backend::{Backend, Executor, ProcBody, Spawner};
 use crate::error::{Incident, IncidentCategory, Pid, SimError, SimReport};
 use crate::time::{SimDuration, SimTime};
 use cp_trace::Recorder;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Mutex, MutexGuard};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::fmt::Write as _;
 use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
-use std::thread::JoinHandle;
+use std::thread::{JoinHandle, Thread};
 
 /// Payload used to unwind a simulated process when the simulation is torn
 /// down early (deadlock, abort, or another process panicking).
 struct SimUnwind;
 
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Status {
     /// Has an event in the queue; parked until that event is dispatched.
     Waiting,
     /// Currently owns the virtual CPU.
     Running,
-    /// Parked with no queued event; needs an `unblock` to become Waiting.
-    Blocked(String),
+    /// Parked with no queued event (or only a `block_timeout` deadline);
+    /// needs an `unblock` to become Waiting. Why is in [`ProcSlot::reason`].
+    Blocked,
     /// Thread has exited.
     Finished,
     /// Simulation is tearing down; parked threads must unwind on wake.
@@ -64,7 +84,30 @@ struct ProcSlot {
     timed_out: bool,
     /// Processes blocked in `join` on this process.
     join_waiters: Vec<Pid>,
-    cv: Arc<Condvar>,
+    /// What the process is blocked on, for the deadlock report. Refilled in
+    /// place by every block; meaningful only while `status` is `Blocked`.
+    reason: String,
+    /// The OS thread behind the process, registered by that thread itself
+    /// before its first park. `None` until then: a dispatch that beats the
+    /// registration wakes nobody and is seen by the thread's first check.
+    thread: Option<Thread>,
+}
+
+/// Threads to unpark once `Kernel::state` has been released.
+#[derive(Default)]
+struct Wake {
+    /// The next owner of the virtual CPU.
+    next: Option<Thread>,
+    /// End of the run: every poisoned process and the `run()` caller.
+    rest: Vec<Thread>,
+}
+
+impl Wake {
+    fn fire(self) {
+        for t in self.next.iter().chain(&self.rest) {
+            t.unpark();
+        }
+    }
 }
 
 enum Outcome {
@@ -97,6 +140,8 @@ struct KState {
     /// Observability hook; disabled by default, so recording costs one
     /// branch per dispatch unless [`Simulation::set_recorder`] arms it.
     recorder: Recorder,
+    /// The thread inside [`Simulation::run`], woken when `outcome` is set.
+    runner: Option<Thread>,
 }
 
 /// SplitMix64 finalizer: a cheap, high-quality 64-bit mixing function used to
@@ -110,7 +155,11 @@ fn splitmix64(mut z: u64) -> u64 {
 
 pub(crate) struct Kernel {
     state: Mutex<KState>,
-    done_cv: Condvar,
+    /// Mirror of `KState::now`, written by `dispatch` under the lock. A
+    /// process reads the clock only while it owns the CPU, and the hand-off
+    /// that gave it the CPU already ordered the store before it, so
+    /// `Relaxed` is enough and `now()` needs no lock.
+    now: AtomicU64,
     handles: Mutex<Vec<JoinHandle<()>>>,
     /// Self-reference so `Executor::spawn_boxed` can hand each new process a
     /// `ProcCtx` holding an owning handle on this kernel.
@@ -134,8 +183,9 @@ impl Kernel {
                 trace: if trace { Some(Vec::new()) } else { None },
                 incidents: Vec::new(),
                 recorder: Recorder::disabled(),
+                runner: None,
             }),
-            done_cv: Condvar::new(),
+            now: AtomicU64::new(0),
             handles: Mutex::new(Vec::new()),
             me: me.clone(),
         })
@@ -164,11 +214,13 @@ impl Kernel {
 
     /// Hand the virtual CPU to the owner of the earliest event, or end the
     /// simulation (completion or deadlock). Caller must have already released
-    /// the CPU (`cpu_busy == false`).
-    fn dispatch(&self, st: &mut KState) {
+    /// the CPU (`cpu_busy == false`). Returns `true` when that owner is `me`,
+    /// who then keeps running; otherwise whoever has to be woken is left in
+    /// `wake`, to be fired after the lock is released.
+    fn dispatch(&self, st: &mut KState, me: Option<Pid>, wake: &mut Wake) -> bool {
         debug_assert!(!st.cpu_busy);
         if st.outcome.is_some() {
-            return;
+            return false;
         }
         while let Some(Reverse((t, _tie, seq, pid))) = st.queue.pop() {
             // A popped event is live only if it is the most recent one pushed
@@ -182,18 +234,19 @@ impl Kernel {
             // `block_timeout` deadline: plain `block` queues nothing.
             let timed_wake = match st.procs[pid].status {
                 Status::Waiting => false,
-                Status::Blocked(_) => true,
+                Status::Blocked => true,
                 _ => continue,
             };
             debug_assert!(t >= st.now.0, "event queue went backwards");
             if let Some(limit) = st.limit {
                 if SimTime(t) > limit {
                     let err = SimError::TimeLimitExceeded { limit };
-                    self.fail(st, err);
-                    return;
+                    Kernel::finish(st, Outcome::Failed(err), wake);
+                    return false;
                 }
             }
             st.now = SimTime(t);
+            self.now.store(t, Ordering::Relaxed);
             st.procs[pid].status = Status::Running;
             st.procs[pid].timed_out = timed_wake;
             st.cpu_busy = true;
@@ -202,74 +255,123 @@ impl Kernel {
             if let Some(trace) = st.trace.as_mut() {
                 trace.push((st.now, pid));
             }
-            st.procs[pid].cv.notify_one();
-            return;
+            if me == Some(pid) {
+                return true;
+            }
+            wake.next = st.procs[pid].thread.clone();
+            return false;
         }
         // No runnable event. Either everything finished or we are deadlocked.
-        if st.live == 0 {
-            st.outcome = Some(Outcome::Completed);
+        let outcome = if st.live == 0 {
+            Outcome::Completed
         } else {
             let blocked = st
                 .procs
                 .iter()
                 .enumerate()
-                .filter_map(|(pid, p)| match &p.status {
-                    Status::Blocked(reason) => Some((pid, p.name.clone(), reason.clone())),
-                    _ => None,
-                })
+                .filter(|(_, p)| p.status == Status::Blocked)
+                .map(|(pid, p)| (pid, p.name.clone(), p.reason.clone()))
                 .collect();
-            st.outcome = Some(Outcome::Failed(SimError::Deadlock {
+            Outcome::Failed(SimError::Deadlock {
                 at: st.now,
                 blocked,
-            }));
-            self.poison(st);
-        }
-        self.done_cv.notify_all();
-    }
-
-    /// Mark all parked processes poisoned and wake them so their threads can
-    /// unwind and exit.
-    fn poison(&self, st: &mut KState) {
-        for p in st.procs.iter_mut() {
-            match p.status {
-                Status::Waiting | Status::Blocked(_) => {
-                    p.status = Status::Poisoned;
-                    p.cv.notify_one();
-                }
-                _ => {}
-            }
-        }
-    }
-
-    /// Park the calling process until it is granted the CPU. Must be called
-    /// with `pid`'s status already set to Waiting/Blocked and the CPU
-    /// released. Unwinds if the simulation is tearing down.
-    fn park(&self, pid: Pid) {
-        let cv = {
-            let st = self.state.lock();
-            st.procs[pid].cv.clone()
+            })
         };
-        let mut st = self.state.lock();
+        Kernel::finish(st, outcome, wake);
+        false
+    }
+
+    /// End the run with `outcome` (the first one stands): mark every parked
+    /// process poisoned and queue its thread, and the `run()` caller, for a
+    /// wake so they can unwind and exit. A process whose thread has not
+    /// registered yet finds `Poisoned` at its first check instead.
+    fn finish(st: &mut KState, outcome: Outcome, wake: &mut Wake) {
+        st.outcome.get_or_insert(outcome);
+        for p in st.procs.iter_mut() {
+            if matches!(p.status, Status::Waiting | Status::Blocked) {
+                p.status = Status::Poisoned;
+                wake.rest.extend(p.thread.clone());
+            }
+        }
+        wake.rest.extend(st.runner.clone());
+    }
+
+    /// `Some(timed_out)` once `pid` owns the CPU, `None` while it still has
+    /// to wait. Unwinds if the simulation is tearing down.
+    fn granted(st: MutexGuard<'_, KState>, pid: Pid) -> Option<bool> {
+        match st.procs[pid].status {
+            Status::Running => Some(st.procs[pid].timed_out),
+            Status::Poisoned => {
+                drop(st);
+                // resume_unwind skips the panic hook: teardown unwinds are
+                // expected control flow, not reportable panics.
+                panic::resume_unwind(Box::new(SimUnwind));
+            }
+            _ => None,
+        }
+    }
+
+    /// Park the calling process until it is granted the CPU, and say whether
+    /// the grant was a `block_timeout` deadline. Must be called with `pid`'s
+    /// status already set to Waiting/Blocked, the CPU released and the state
+    /// lock dropped. The status is confirmed under the lock after every
+    /// wake, so spurious wake-ups and stale tokens only cost another round.
+    fn park(&self, pid: Pid) -> bool {
         loop {
-            match &st.procs[pid].status {
-                Status::Running => return,
-                Status::Poisoned => {
-                    drop(st);
-                    // resume_unwind skips the panic hook: teardown unwinds are
-                    // expected control flow, not reportable panics.
-                    panic::resume_unwind(Box::new(SimUnwind));
-                }
-                _ => cv.wait(&mut st),
+            std::thread::park();
+            if let Some(timed_out) = Kernel::granted(self.state.lock(), pid) {
+                return timed_out;
             }
         }
     }
 
-    fn fail(&self, st: &mut KState, err: SimError) {
-        if st.outcome.is_none() {
-            st.outcome = Some(Outcome::Failed(err));
+    /// The one body behind `block`, `block_timeout`, their two-part forms
+    /// and `join`: consume a pending wake, or write the reason into the
+    /// slot's buffer, give up the CPU and park. `true` means woken (or
+    /// pending wake consumed), `false` that the deadline fired.
+    fn block_with(
+        &self,
+        mut st: MutexGuard<'_, KState>,
+        pid: Pid,
+        timeout: Option<SimDuration>,
+        reason: impl FnOnce(&mut String),
+    ) -> bool {
+        debug_assert_eq!(st.procs[pid].status, Status::Running);
+        let slot = &mut st.procs[pid];
+        if slot.pending_wakes > 0 {
+            slot.pending_wakes -= 1;
+            return true;
         }
-        self.poison(st);
-        self.done_cv.notify_all();
+        slot.status = Status::Blocked;
+        slot.reason.clear();
+        reason(&mut slot.reason);
+        if let Some(timeout) = timeout {
+            let at = st.now + timeout;
+            Kernel::push_event(&mut st, at, pid);
+        }
+        st.cpu_busy = false;
+        let mut wake = Wake::default();
+        if self.dispatch(&mut st, Some(pid), &mut wake) {
+            // Nothing else was due before our own deadline.
+            return !st.procs[pid].timed_out;
+        }
+        drop(st);
+        wake.fire();
+        !self.park(pid)
+    }
+}
+
+/// A blocked-on reason given whole.
+fn one_part(reason: &str) -> impl FnOnce(&mut String) + '_ {
+    move |r| r.push_str(reason)
+}
+
+/// The two-part blocked-on reason, rendered as `label: what`.
+fn two_part<'a>(label: &'a str, what: &'a str) -> impl FnOnce(&mut String) + 'a {
+    move |r| {
+        r.push_str(label);
+        r.push_str(": ");
+        r.push_str(what);
     }
 }
 
@@ -283,10 +385,11 @@ impl Executor for Kernel {
     }
 
     fn now(&self) -> SimTime {
-        self.state.lock().now
+        SimTime(self.now.load(Ordering::Relaxed))
     }
 
     fn advance(&self, pid: Pid, d: SimDuration) {
+        let mut wake = Wake::default();
         {
             let mut st = self.state.lock();
             debug_assert_eq!(st.procs[pid].status, Status::Running);
@@ -294,53 +397,35 @@ impl Executor for Kernel {
             Kernel::push_event(&mut st, at, pid);
             st.procs[pid].status = Status::Waiting;
             st.cpu_busy = false;
-            self.dispatch(&mut st);
+            if self.dispatch(&mut st, Some(pid), &mut wake) {
+                return;
+            }
         }
+        wake.fire();
         self.park(pid);
     }
 
     fn block(&self, pid: Pid, reason: &str) {
-        {
-            let mut st = self.state.lock();
-            debug_assert_eq!(st.procs[pid].status, Status::Running);
-            if st.procs[pid].pending_wakes > 0 {
-                st.procs[pid].pending_wakes -= 1;
-                return;
-            }
-            st.procs[pid].status = Status::Blocked(reason.to_string());
-            st.cpu_busy = false;
-            self.dispatch(&mut st);
-        }
-        self.park(pid);
+        self.block_with(self.state.lock(), pid, None, one_part(reason));
+    }
+
+    fn block_on(&self, pid: Pid, label: &str, what: &str) {
+        self.block_with(self.state.lock(), pid, None, two_part(label, what));
     }
 
     fn block_timeout(&self, pid: Pid, reason: &str, timeout: SimDuration) -> bool {
-        {
-            let mut st = self.state.lock();
-            debug_assert_eq!(st.procs[pid].status, Status::Running);
-            if st.procs[pid].pending_wakes > 0 {
-                st.procs[pid].pending_wakes -= 1;
-                return true;
-            }
-            let at = st.now + timeout;
-            st.procs[pid].status = Status::Blocked(reason.to_string());
-            st.procs[pid].timed_out = false;
-            Kernel::push_event(&mut st, at, pid);
-            st.cpu_busy = false;
-            self.dispatch(&mut st);
-        }
-        self.park(pid);
-        let mut st = self.state.lock();
-        let timed_out = st.procs[pid].timed_out;
-        st.procs[pid].timed_out = false;
-        !timed_out
+        self.block_with(self.state.lock(), pid, Some(timeout), one_part(reason))
+    }
+
+    fn block_on_timeout(&self, pid: Pid, label: &str, what: &str, timeout: SimDuration) -> bool {
+        self.block_with(self.state.lock(), pid, Some(timeout), two_part(label, what))
     }
 
     fn unblock(&self, pid: Pid, delay: SimDuration) {
         let mut st = self.state.lock();
         let at = st.now + delay;
         match st.procs[pid].status {
-            Status::Blocked(_) => {
+            Status::Blocked => {
                 st.procs[pid].status = Status::Waiting;
                 Kernel::push_event(&mut st, at, pid);
             }
@@ -370,18 +455,19 @@ impl Executor for Kernel {
 
     fn join(&self, me: Pid, target: Pid) {
         loop {
-            {
-                let mut st = self.state.lock();
-                if st.procs[target].status == Status::Finished {
-                    return;
-                }
-                st.procs[target].join_waiters.push(me);
+            let mut st = self.state.lock();
+            if st.procs[target].status == Status::Finished {
+                return;
             }
-            self.block(me, &format!("join(pid={target})"));
+            st.procs[target].join_waiters.push(me);
+            self.block_with(st, me, None, |r| {
+                let _ = write!(r, "join(pid={target})");
+            });
         }
     }
 
     fn abort(&self, pid: Pid, message: &str) -> ! {
+        let mut wake = Wake::default();
         {
             let mut st = self.state.lock();
             let err = SimError::Aborted {
@@ -389,8 +475,9 @@ impl Executor for Kernel {
                 name: st.procs[pid].name.clone(),
                 message: message.to_string(),
             };
-            self.fail(&mut st, err);
+            Kernel::finish(&mut st, Outcome::Failed(err), &mut wake);
         }
+        wake.fire();
         panic::resume_unwind(Box::new(SimUnwind));
     }
 }
@@ -474,6 +561,20 @@ impl ProcCtx {
         self.exec.block_timeout(self.pid, reason, timeout)
     }
 
+    /// [`ProcCtx::block`] with the reason given as a `label` (the object
+    /// waited on) and `what` (the operation); diagnostics show
+    /// `"{label}: {what}"`. The blocking primitives use this form so a block
+    /// formats nothing unless a deadlock report asks.
+    pub fn block_on(&self, label: &str, what: &str) {
+        self.exec.block_on(self.pid, label, what);
+    }
+
+    /// [`ProcCtx::block_timeout`] with the two-part reason of
+    /// [`ProcCtx::block_on`].
+    pub fn block_on_timeout(&self, label: &str, what: &str, timeout: SimDuration) -> bool {
+        self.exec.block_on_timeout(self.pid, label, what, timeout)
+    }
+
     /// Record a non-fatal degradation [`Incident`] (e.g. "peer rank died,
     /// abandoning channel 3"). Incidents are collected in
     /// [`SimReport::incidents`] so fault-injection harnesses can assert on
@@ -524,7 +625,8 @@ fn spawn_process(kernel: &Arc<Kernel>, name: &str, f: ProcBody) -> Pid {
             expected_seq: None,
             timed_out: false,
             join_waiters: Vec::new(),
-            cv: Arc::new(Condvar::new()),
+            reason: String::new(),
+            thread: None,
         });
         st.live += 1;
         let now = st.now;
@@ -537,9 +639,17 @@ fn spawn_process(kernel: &Arc<Kernel>, name: &str, f: ProcBody) -> Pid {
         .spawn(move || {
             let ctx = ProcCtx::from_executor(kern.clone(), pid);
             let result = panic::catch_unwind(AssertUnwindSafe(|| {
-                kern.park(pid);
+                // Register, and look before the first park: the dispatcher
+                // may already have made us Running (or poisoned us) while no
+                // handle was there to wake.
+                let mut st = kern.state.lock();
+                st.procs[pid].thread = Some(std::thread::current());
+                if Kernel::granted(st, pid).is_none() {
+                    kern.park(pid);
+                }
                 f(&ctx)
             }));
+            let mut wake = Wake::default();
             let mut st = kern.state.lock();
             st.procs[pid].status = Status::Finished;
             st.live -= 1;
@@ -547,7 +657,7 @@ fn spawn_process(kernel: &Arc<Kernel>, name: &str, f: ProcBody) -> Pid {
             let now = st.now;
             for w in waiters {
                 match st.procs[w].status {
-                    Status::Blocked(_) => {
+                    Status::Blocked => {
                         st.procs[w].status = Status::Waiting;
                         Kernel::push_event(&mut st, now, w);
                     }
@@ -564,11 +674,14 @@ fn spawn_process(kernel: &Arc<Kernel>, name: &str, f: ProcBody) -> Pid {
                         .or_else(|| payload.downcast_ref::<String>().cloned())
                         .unwrap_or_else(|| "<non-string panic payload>".into());
                     let name = st.procs[pid].name.clone();
-                    kern.fail(&mut st, SimError::ProcessPanicked { pid, name, message });
+                    let err = SimError::ProcessPanicked { pid, name, message };
+                    Kernel::finish(&mut st, Outcome::Failed(err), &mut wake);
                 }
             }
             st.cpu_busy = false;
-            kern.dispatch(&mut st);
+            kern.dispatch(&mut st, None, &mut wake);
+            drop(st);
+            wake.fire();
         })
         .expect("failed to spawn simulation thread");
     kernel.handles.lock().push(handle);
@@ -653,12 +766,16 @@ impl Simulation {
     /// Drive the simulation to completion, returning the report or the first
     /// failure (deadlock, panic, or abort).
     pub fn run(self) -> Result<SimReport, SimError> {
+        let mut wake = Wake::default();
         {
             let mut st = self.kernel.state.lock();
-            self.kernel.dispatch(&mut st);
-            while st.outcome.is_none() {
-                self.kernel.done_cv.wait(&mut st);
-            }
+            st.runner = Some(std::thread::current());
+            self.kernel.dispatch(&mut st, None, &mut wake);
+        }
+        wake.fire();
+        // Same protocol as a process: park, then confirm under the lock.
+        while self.kernel.state.lock().outcome.is_none() {
+            std::thread::park();
         }
         // All processes are finished or poisoned; join their threads.
         let handles = std::mem::take(&mut *self.kernel.handles.lock());

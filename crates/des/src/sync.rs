@@ -18,7 +18,6 @@ struct QueueState<T> {
     items: VecDeque<(SimTime, T)>,
     pop_waiters: VecDeque<Pid>,
     push_waiters: VecDeque<Pid>,
-    label: String,
 }
 
 /// A FIFO message queue between simulated processes.
@@ -30,6 +29,9 @@ struct QueueState<T> {
 pub struct MsgQueue<T> {
     state: Arc<Mutex<QueueState<T>>>,
     capacity: Option<usize>,
+    /// Outside the state lock, so a blocking call borrows it for the
+    /// two-part reason instead of cloning it.
+    label: Arc<str>,
 }
 
 impl<T> Clone for MsgQueue<T> {
@@ -37,6 +39,7 @@ impl<T> Clone for MsgQueue<T> {
         MsgQueue {
             state: self.state.clone(),
             capacity: self.capacity,
+            label: self.label.clone(),
         }
     }
 }
@@ -49,9 +52,9 @@ impl<T> MsgQueue<T> {
                 items: VecDeque::new(),
                 pop_waiters: VecDeque::new(),
                 push_waiters: VecDeque::new(),
-                label: label.to_string(),
             })),
             capacity,
+            label: label.into(),
         }
     }
 
@@ -70,7 +73,6 @@ impl<T> MsgQueue<T> {
     pub fn push(&self, ctx: &ProcCtx, item: T, latency: SimDuration) {
         let mut item = Some(item);
         loop {
-            let label;
             {
                 let mut st = self.state.lock();
                 if self.capacity.is_none_or(|c| st.items.len() < c) {
@@ -83,9 +85,8 @@ impl<T> MsgQueue<T> {
                 }
                 let me = ctx.pid();
                 st.push_waiters.push_back(me);
-                label = st.label.clone();
             }
-            ctx.block(&format!("{label}: push (queue full)"));
+            ctx.block_on(&self.label, "push (queue full)");
         }
     }
 
@@ -108,7 +109,6 @@ impl<T> MsgQueue<T> {
     /// advancing virtual time to the message's availability instant.
     pub fn pop(&self, ctx: &ProcCtx) -> T {
         loop {
-            let label;
             {
                 let mut st = self.state.lock();
                 if let Some(&(avail, _)) = st.items.front() {
@@ -127,9 +127,8 @@ impl<T> MsgQueue<T> {
                 }
                 let me = ctx.pid();
                 st.pop_waiters.push_back(me);
-                label = st.label.clone();
             }
-            ctx.block(&format!("{label}: pop (queue empty)"));
+            ctx.block_on(&self.label, "pop (queue empty)");
         }
     }
 
@@ -159,18 +158,19 @@ impl<T> MsgQueue<T> {
 /// A counting semaphore for simulated processes.
 pub struct SimSemaphore {
     state: Arc<Mutex<SemState>>,
+    label: Arc<str>,
 }
 
 struct SemState {
     permits: u64,
     waiters: VecDeque<Pid>,
-    label: String,
 }
 
 impl Clone for SimSemaphore {
     fn clone(&self) -> Self {
         SimSemaphore {
             state: self.state.clone(),
+            label: self.label.clone(),
         }
     }
 }
@@ -182,15 +182,14 @@ impl SimSemaphore {
             state: Arc::new(Mutex::new(SemState {
                 permits,
                 waiters: VecDeque::new(),
-                label: label.to_string(),
             })),
+            label: label.into(),
         }
     }
 
     /// Take one permit, blocking until one is available.
     pub fn acquire(&self, ctx: &ProcCtx) {
         loop {
-            let label;
             {
                 let mut st = self.state.lock();
                 if st.permits > 0 {
@@ -199,9 +198,8 @@ impl SimSemaphore {
                 }
                 let me = ctx.pid();
                 st.waiters.push_back(me);
-                label = st.label.clone();
             }
-            ctx.block(&format!("{label}: acquire"));
+            ctx.block_on(&self.label, "acquire");
         }
     }
 
@@ -224,13 +222,13 @@ impl SimSemaphore {
 pub struct SimBarrier {
     state: Arc<Mutex<BarrierState>>,
     parties: usize,
+    label: Arc<str>,
 }
 
 struct BarrierState {
     arrived: usize,
     generation: u64,
     waiters: Vec<Pid>,
-    label: String,
 }
 
 impl Clone for SimBarrier {
@@ -238,6 +236,7 @@ impl Clone for SimBarrier {
         SimBarrier {
             state: self.state.clone(),
             parties: self.parties,
+            label: self.label.clone(),
         }
     }
 }
@@ -251,9 +250,9 @@ impl SimBarrier {
                 arrived: 0,
                 generation: 0,
                 waiters: Vec::new(),
-                label: label.to_string(),
             })),
             parties,
+            label: label.into(),
         }
     }
 
@@ -261,7 +260,6 @@ impl SimBarrier {
     /// per generation (the "leader", the last to arrive).
     pub fn wait(&self, ctx: &ProcCtx) -> bool {
         let my_gen;
-        let label;
         {
             let mut st = self.state.lock();
             st.arrived += 1;
@@ -277,10 +275,9 @@ impl SimBarrier {
             }
             let me = ctx.pid();
             st.waiters.push(me);
-            label = st.label.clone();
         }
         loop {
-            ctx.block(&format!("{label}: barrier wait"));
+            ctx.block_on(&self.label, "barrier wait");
             let st = self.state.lock();
             if st.generation != my_gen {
                 return false;

@@ -114,7 +114,6 @@ struct StoreInner {
     arrived: Vec<(SimTime, u64, Envelope)>,
     next_arrival: u64,
     waiters: VecDeque<Pid>,
-    label: String,
     /// Set when the owning rank is killed by a fault plan: deliveries are
     /// discarded and the owner's receives unwind with [`RankDeadUnwind`].
     poisoned: bool,
@@ -130,12 +129,14 @@ struct StoreInner {
 /// The matching store of one rank.
 pub struct MailStore {
     inner: Arc<Mutex<StoreInner>>,
+    label: Arc<str>,
 }
 
 impl Clone for MailStore {
     fn clone(&self) -> Self {
         MailStore {
             inner: self.inner.clone(),
+            label: self.label.clone(),
         }
     }
 }
@@ -148,11 +149,11 @@ impl MailStore {
                 arrived: Vec::new(),
                 next_arrival: 0,
                 waiters: VecDeque::new(),
-                label: label.to_string(),
                 poisoned: false,
                 seen: HashSet::new(),
                 forward_to: None,
             })),
+            label: label.into(),
         }
     }
 
@@ -263,7 +264,6 @@ impl MailStore {
         F: Fn(&Envelope) -> bool,
     {
         loop {
-            let label;
             {
                 let mut st = self.inner.lock();
                 if st.poisoned || st.forward_to.is_some() {
@@ -289,9 +289,8 @@ impl MailStore {
                 }
                 let me = ctx.pid();
                 st.waiters.push_back(me);
-                label = st.label.clone();
             }
-            ctx.block(&format!("{label}: {what}"));
+            ctx.block_on(&self.label, what);
         }
     }
 
@@ -311,7 +310,6 @@ impl MailStore {
     {
         let deadline_at = ctx.now() + deadline;
         loop {
-            let label;
             {
                 let mut st = self.inner.lock();
                 if st.poisoned || st.forward_to.is_some() {
@@ -347,10 +345,9 @@ impl MailStore {
                 }
                 let me = ctx.pid();
                 st.waiters.push_back(me);
-                label = st.label.clone();
             }
             let remaining = deadline_at - ctx.now();
-            if !ctx.block_timeout(&format!("{label}: {what}"), remaining) {
+            if !ctx.block_on_timeout(&self.label, what, remaining) {
                 // Deadline fired while parked: deregister and give up.
                 let me = ctx.pid();
                 self.inner.lock().waiters.retain(|&p| p != me);
@@ -366,7 +363,6 @@ impl MailStore {
         F: Fn(&Envelope) -> bool,
     {
         loop {
-            let label;
             {
                 let mut st = self.inner.lock();
                 if st.poisoned || st.forward_to.is_some() {
@@ -390,9 +386,8 @@ impl MailStore {
                 }
                 let me = ctx.pid();
                 st.waiters.push_back(me);
-                label = st.label.clone();
             }
-            ctx.block(&format!("{label}: {what}"));
+            ctx.block_on(&self.label, what);
         }
     }
 
