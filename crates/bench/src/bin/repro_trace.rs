@@ -33,8 +33,11 @@ fn main() {
     let (report, trace) = cfg.run_traced(move |cp| cp.run_and_wait_my_spes()).unwrap();
     print!("{}", render_trace(&trace));
     println!(
-        "\ncompleted at virtual t = {:.1} us",
-        report.end_time.as_micros_f64()
+        "\ncompleted at virtual t = {:.1} us ({} processes, {} dispatches, {} of them thread hand-offs)",
+        report.end_time.as_micros_f64(),
+        report.processes,
+        report.dispatches,
+        report.handoffs
     );
     println!("(spe-write completes only after its Co-Pilot's MPI send; spe-read only");
     println!("after the remote Co-Pilot deposits into the local store.)");

@@ -11,8 +11,8 @@
 //! SPE-connected channel types in Table II.
 
 use crate::costs::CellCosts;
-use cp_des::sync::MsgQueue;
-use cp_des::{ProcCtx, SimDuration};
+use cp_des::sync::{MsgQueue, Poll};
+use cp_des::{ProcCtx, SimDuration, Step};
 use cp_trace::{HbOp, Recorder};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -164,6 +164,24 @@ impl Mailboxes {
         self.outbound.note_recv(&self.rec(), ctx);
         ctx.advance(SimDuration::from_micros_f64(costs.ppe_mmio_op_us));
         word
+    }
+
+    /// PPE: one round of [`Mailboxes::ppe_read_outbox`] without its kernel
+    /// calls, for a component (see [`MsgQueue::poll_pop`]). After
+    /// [`Poll::Ready`] the caller charges `ppe_mmio_op_us`, as the blocking
+    /// read does; after [`Poll::Empty`] it blocks with
+    /// [`Mailboxes::ppe_outbox_empty`].
+    pub fn ppe_poll_outbox(&self, ctx: &ProcCtx) -> Poll<u32> {
+        let polled = self.outbound.q.poll_pop(ctx);
+        if let Poll::Ready(_) = polled {
+            self.outbound.note_recv(&self.rec(), ctx);
+        }
+        polled
+    }
+
+    /// The block a read of the empty outbound mailbox makes.
+    pub fn ppe_outbox_empty(&self) -> Step {
+        self.outbound.q.pop_empty()
     }
 
     /// PPE: non-blocking read of the SPE's outbound mailbox

@@ -25,7 +25,15 @@
 //! **mailbox watcher** per SPE (modelling the real Co-Pilot's polling of
 //! the SPEs' outbound mailboxes), one **MPI pump** (its blocking
 //! `MPI_Recv(ANY_SOURCE)`), and the **service loop** consuming both event
-//! streams in arrival order.
+//! streams in arrival order. Only the service loop has a thread. The
+//! watchers and the pump — and, under a fault plan, the heartbeat and the
+//! kill timer — are `cp-des` *components*: state machines with a pid and a
+//! name of their own that return each wait as a [`Step`], which the
+//! simulator runs on whichever thread is dispatching (`cp-native` drives
+//! each from an ordinary thread). A step runs while some other process —
+//! often this node's service loop, holding `ns.co_state` — sits in a kernel
+//! call, so a component touches only locks that are never held across one:
+//! the mailbox and event queues, the local store, the recorders.
 
 use crate::location::Location;
 use crate::protocol::{
@@ -36,8 +44,9 @@ use crate::protocol::{
 use crate::runtime::AppShared;
 use crate::tables::{CoEvent, NodeShared, PendingReq};
 use cp_cellsim::{ls_ea, CellNode};
-use cp_des::{IncidentCategory, ProcCtx, SimDuration};
-use cp_mpisim::{Comm, Datatype, MpiWorld, Msg};
+use cp_des::sync::Poll;
+use cp_des::{IncidentCategory, ProcCtx, SimDuration, Step};
+use cp_mpisim::{Comm, Datatype, MpiWorld, Msg, Recv, RecvPoll};
 use cp_simnet::{NodeId, HEARTBEAT_PERIOD, WATCHDOG_TIMEOUT};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -54,7 +63,7 @@ pub(crate) fn copilot_body(
         let cell = ns.cell.clone();
         let ctx = comm.ctx().clone();
         for hw in 0..cell.spe_count() {
-            sim_spawn_watcher(&ctx, ns.clone(), hw);
+            spawn_watcher(&ctx, ns.clone(), hw);
         }
         spawn_pump(&ctx, &world, rank, ns.clone());
         if let Some(kill_at) = shared.faults.copilot_kill_of(node) {
@@ -63,11 +72,12 @@ pub(crate) fn copilot_body(
             // pair). The watchdog in `standby_body` polls the same cell.
             {
                 let hb = ns.hb.clone();
-                ctx.spawn(&format!("copilot{}-heartbeat", node.0), move |bctx| {
-                    while !hb.is_stopped() && bctx.now() < kill_at {
-                        hb.beat(bctx.now());
-                        bctx.advance(HEARTBEAT_PERIOD);
+                ctx.spawn_component(&format!("copilot{}-heartbeat", node.0), move |bctx| {
+                    if hb.is_stopped() || bctx.now() >= kill_at {
+                        return Step::Done;
                     }
+                    hb.beat(bctx.now());
+                    Step::Advance(HEARTBEAT_PERIOD)
                 });
             }
             // Deliver the death at exactly the scripted instant as a queue
@@ -75,10 +85,14 @@ pub(crate) fn copilot_body(
             // later stay behind the marker for the standby to service).
             {
                 let ns = ns.clone();
-                ctx.spawn(&format!("copilot{}-kill", node.0), move |kctx| {
-                    kctx.advance(SimDuration::from_nanos(kill_at.as_nanos()));
-                    ns.note_queue_push(&kctx.name(), kctx.now().as_nanos());
+                let mut slept = false;
+                ctx.spawn_component(&format!("copilot{}-kill", node.0), move |kctx| {
+                    if !std::mem::replace(&mut slept, true) {
+                        return Step::Advance(SimDuration::from_nanos(kill_at.as_nanos()));
+                    }
+                    ns.note_queue_push(kctx);
                     ns.queue.push(kctx, CoEvent::Die, SimDuration::ZERO);
+                    Step::Done
                 });
             }
         }
@@ -132,68 +146,104 @@ pub(crate) fn standby_body(
 }
 
 /// Spawn the Co-Pilot's MPI pump (its blocking `MPI_Recv(ANY_SOURCE)`),
-/// feeding the node's shared event queue. A takeover retires the rank's
-/// mailbox mid-recv; the pump absorbs that unwind and exits — the
-/// standby's own pump owns the wire from then on.
+/// feeding the node's shared event queue: a component stepping one
+/// wildcard [`Recv`] after another. A takeover retires the rank's mailbox
+/// mid-receive; the pump sees it dead and finishes — the standby's own pump
+/// owns the wire from then on. (The event queue is unbounded, so a push
+/// never blocks.)
 fn spawn_pump(ctx: &ProcCtx, world: &MpiWorld, rank: usize, ns: Arc<NodeShared>) {
     let world = world.clone();
     let node = ns.cell.id;
-    ctx.spawn(&format!("copilot{node}-pump-r{rank}"), move |pctx| {
-        let _ = cp_mpisim::absorb_rank_death(|| {
-            let pcomm = world.attach(pctx, rank);
-            loop {
-                let m = pcomm.recv(None, None);
-                ns.note_queue_push(&pctx.name(), pctx.now().as_nanos());
-                if m.tag == CP_SHUTDOWN_TAG {
-                    ns.queue.push(pctx, CoEvent::Shutdown, SimDuration::ZERO);
-                    return;
-                }
-                ns.queue.push(pctx, CoEvent::Mpi(m), SimDuration::ZERO);
+    let mut pump: Option<(Comm, Recv)> = None;
+    ctx.spawn_component(&format!("copilot{node}-pump-r{rank}"), move |pctx| {
+        let (pcomm, recv) =
+            pump.get_or_insert_with(|| (world.attach(pctx, rank), Recv::new(None, None)));
+        loop {
+            let m = match recv.poll(pcomm) {
+                RecvPoll::Ready(m) => m,
+                RecvPoll::Wait(step) => return step,
+                RecvPoll::Dead => return Step::Done,
+            };
+            *recv = Recv::new(None, None);
+            ns.note_queue_push(pctx);
+            if m.tag == CP_SHUTDOWN_TAG {
+                ns.queue.push(pctx, CoEvent::Shutdown, SimDuration::ZERO);
+                return Step::Done;
             }
-        });
+            ns.queue.push(pctx, CoEvent::Mpi(m), SimDuration::ZERO);
+        }
     });
 }
 
-fn sim_spawn_watcher(ctx: &ProcCtx, ns: Arc<NodeShared>, hw: usize) {
+/// Where a mailbox watcher is in servicing one outbound word.
+enum Watch {
+    /// Reading the outbound mailbox.
+    Outbox,
+    /// The MMIO read of this word is paid for: fetch its request block.
+    Word(u32),
+    /// The block at this word is fetched and decoded: fetch any inline
+    /// payload staged behind it.
+    Block(u32, Request),
+    /// Everything is in hand: queue the event.
+    Event(Request, Option<Vec<u8>>),
+}
+
+/// What the PPE pays to read `n` bytes through a local store's mapping.
+fn mapped_read_cost(cell: &CellNode, n: usize) -> SimDuration {
+    SimDuration::from_micros_f64(cell.costs.memcpy_us(n, 1))
+}
+
+/// Spawn the watcher of SPE `hw`'s outbound mailbox: a component with one
+/// state per virtual cost the real Co-Pilot's poll-and-fetch pays.
+fn spawn_watcher(ctx: &ProcCtx, ns: Arc<NodeShared>, hw: usize) {
     let cell = ns.cell.clone();
-    ctx.spawn(
+    let mut state = Watch::Outbox;
+    ctx.spawn_component(
         &format!("copilot{}-watch-spe{}", cell.id, hw),
-        move |wctx| {
-            loop {
-                let word = cell.spes[hw].mbox.ppe_read_outbox(wctx, &cell.costs);
-                if word == POISON_WORD {
-                    return;
+        move |wctx| loop {
+            match std::mem::replace(&mut state, Watch::Outbox) {
+                Watch::Outbox => {
+                    let mbox = &cell.spes[hw].mbox;
+                    match mbox.ppe_poll_outbox(wctx) {
+                        Poll::Ready(word) => {
+                            state = Watch::Word(word);
+                            let mmio = cell.costs.ppe_mmio_op_us;
+                            return Step::Advance(SimDuration::from_micros_f64(mmio));
+                        }
+                        Poll::InFlight(wait) => return Step::Advance(wait),
+                        Poll::Empty => return mbox.ppe_outbox_empty(),
+                    }
                 }
-                // Fetch the 16-byte request block through the problem-state
-                // mapping (an uncached read, charged accordingly).
-                let block = cell
-                    .ea_read(ls_ea(hw, word as usize), REQ_BLOCK_BYTES)
-                    .expect("request block within local store");
-                wctx.advance(SimDuration::from_micros_f64(
-                    cell.costs.memcpy_us(REQ_BLOCK_BYTES, 1),
-                ));
-                let req = Request::decode(&block);
+                Watch::Word(POISON_WORD) => return Step::Done,
+                Watch::Word(word) => {
+                    // Fetch the 16-byte request block through the problem-state
+                    // mapping (an uncached read, charged accordingly).
+                    let block = cell
+                        .ea_read(ls_ea(hw, word as usize), REQ_BLOCK_BYTES)
+                        .expect("request block within local store");
+                    state = Watch::Block(word, Request::decode(&block));
+                    return Step::Advance(mapped_read_cost(&cell, REQ_BLOCK_BYTES));
+                }
                 // An eager inline write stages its payload immediately after
                 // the header: fetch it in the same mapped read (the block is
                 // contiguous in the local store), charging only the extra
                 // bytes — no second MMIO exchange.
-                let inline = if req.op == OP_WRITE_INLINE {
+                Watch::Block(word, req) if req.op == OP_WRITE_INLINE => {
                     let payload = cell
                         .ea_read(ls_ea(hw, word as usize + REQ_BLOCK_BYTES), req.len as usize)
                         .expect("inline payload within local store");
-                    wctx.advance(SimDuration::from_micros_f64(
-                        cell.costs.memcpy_us(req.len as usize, 1),
-                    ));
-                    Some(payload)
-                } else {
-                    None
-                };
-                ns.note_queue_push(&wctx.name(), wctx.now().as_nanos());
-                ns.queue.push(
-                    wctx,
-                    CoEvent::Request { hw, req, inline },
-                    SimDuration::ZERO,
-                );
+                    state = Watch::Event(req, Some(payload));
+                    return Step::Advance(mapped_read_cost(&cell, req.len as usize));
+                }
+                Watch::Block(_, req) => state = Watch::Event(req, None),
+                Watch::Event(req, inline) => {
+                    ns.note_queue_push(wctx);
+                    ns.queue.push(
+                        wctx,
+                        CoEvent::Request { hw, req, inline },
+                        SimDuration::ZERO,
+                    );
+                }
             }
         },
     );
@@ -210,7 +260,7 @@ fn service_loop(comm: &Comm, shared: &Arc<AppShared>, ns: &Arc<NodeShared>, stan
     let stall = shared.faults.stall_of(NodeId(cell.id));
     loop {
         let event = queue.pop(ctx);
-        ns.note_queue_pop(&ctx.name(), ctx.now().as_nanos());
+        ns.note_queue_pop(ctx);
         // Only this service loop touches the proxy tables while it runs —
         // a standby starts only after the primary retired — so holding the
         // guard across an event's (possibly blocking) handling is safe.

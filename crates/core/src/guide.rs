@@ -8,8 +8,9 @@
 //! ## The cast
 //!
 //! A running CellPilot application consists of these simulated processes
-//! (each an OS thread scheduled one-at-a-time in virtual-time order by
-//! `cp-des`):
+//! (each an OS thread — the Co-Pilot's helpers excepted, which are
+//! thread-less `cp-des` components — scheduled one-at-a-time in
+//! virtual-time order by `cp-des`):
 //!
 //! * **Application ranks** — `main` (`CP_MAIN`, MPI rank 0) and every
 //!   process made with [`CellPilotConfig::create_process`]. They hold a

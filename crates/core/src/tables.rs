@@ -5,6 +5,7 @@ use crate::program::SpeProgram;
 use crate::protocol::Request;
 use cp_cellsim::CellNode;
 use cp_des::sync::MsgQueue;
+use cp_des::ProcCtx;
 use cp_mpisim::Msg;
 use cp_simnet::{Heartbeat, NodeId};
 use cp_trace::{HbOp, Recorder};
@@ -246,12 +247,12 @@ impl NodeShared {
     /// immediately before `queue.push`: the queue is unbounded, so the
     /// push inserts without yielding and the sequence number matches
     /// insertion (hence pop) order.
-    pub(crate) fn note_queue_push(&self, actor: &str, ts_ns: u64) {
+    pub(crate) fn note_queue_push(&self, actor: &ProcCtx) {
         if let Some(r) = self.hb_recorder() {
             let seq = self.queue_sent.fetch_add(1, Ordering::Relaxed);
             r.record_hb(
-                actor,
-                ts_ns,
+                &actor.name(),
+                actor.now().as_nanos(),
                 HbOp::MsgSend {
                     queue: format!("co-queue-{}", self.cell.id),
                     seq,
@@ -264,12 +265,12 @@ impl NodeShared {
     /// after `queue.pop` returns; the service loop is the queue's only
     /// consumer (a standby starts only after the primary retired), so pops
     /// consume sequence numbers in push order.
-    pub(crate) fn note_queue_pop(&self, actor: &str, ts_ns: u64) {
+    pub(crate) fn note_queue_pop(&self, actor: &ProcCtx) {
         if let Some(r) = self.hb_recorder() {
             let seq = self.queue_received.fetch_add(1, Ordering::Relaxed);
             r.record_hb(
-                actor,
-                ts_ns,
+                &actor.name(),
+                actor.now().as_nanos(),
                 HbOp::MsgRecv {
                     queue: format!("co-queue-{}", self.cell.id),
                     seq,

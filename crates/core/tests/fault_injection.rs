@@ -530,3 +530,108 @@ fn backpressure_and_faults_classify_distinctly() {
         .count();
     assert_eq!(sheds, 4, "one message-shed incident per refused write");
 }
+
+/// Six 64 KB round trips (past `MpiCosts::eager_limit`, so every leg over
+/// the wire is an MPI rendezvous) between an SPE under `CP_MAIN` on node 0
+/// and either an SPE under a rank on the other Cell (type 5) or that rank
+/// itself (type 3), with node 0's Co-Pilot killed at `kill_us`. The run's
+/// whole outcome as text: end time, dispatch count and incident log, or
+/// the error with its per-process blocked-on report.
+fn bulk_failover_outcome(type5: bool, kill_us: u64) -> String {
+    use cellpilot::PiValue;
+    use cp_simnet::RetryPolicy;
+    const ROUNDS: u8 = 6;
+    const FMT: &str = "%65536b";
+    fn payload(i: u8) -> Vec<PiValue> {
+        vec![PiValue::Byte((0..65536u32).map(|k| k as u8 ^ i).collect())]
+    }
+
+    let at = SimTime::ZERO + SimDuration::from_micros(kill_us);
+    let opts = CellPilotOpts::new()
+        .with_time_limit(SimDuration::from_millis(500))
+        .with_faults(Arc::new(FaultPlan::new().kill_copilot(NodeId(0), at)))
+        .with_retry(RetryPolicy::default());
+    let mut cfg = CellPilotConfig::one_rank_per_node(ClusterSpec::two_cells_one_xeon(), opts);
+    let ping = SpeProgram::new("ping", 2048, |spe, _, _| {
+        for i in 0..ROUNDS {
+            spe.write(CpChannel(0), FMT, &payload(i)).unwrap();
+            assert_eq!(spe.read(CpChannel(1), FMT).unwrap(), payload(i));
+        }
+    });
+    let echo = SpeProgram::new("echo", 2048, |spe, _, _| {
+        for _ in 0..ROUNDS {
+            let v = spe.read(CpChannel(0), FMT).unwrap();
+            spe.write(CpChannel(1), FMT, &v).unwrap();
+        }
+    });
+    let peer = cfg
+        .create_process("peer", 0, move |cp, _| {
+            if type5 {
+                return cp.run_and_wait_my_spes();
+            }
+            for _ in 0..ROUNDS {
+                let v = cp.read(CpChannel(0), FMT).unwrap();
+                cp.write(CpChannel(1), FMT, &v).unwrap();
+            }
+        })
+        .unwrap();
+    let near = cfg.create_spe_process(&ping, CP_MAIN, 0).unwrap();
+    let far = if type5 {
+        cfg.create_spe_process(&echo, peer, 0).unwrap()
+    } else {
+        peer
+    };
+    cfg.channel(near, far).build().unwrap();
+    cfg.channel(far, near).build().unwrap();
+    match cfg.run(|cp| cp.run_and_wait_my_spes()) {
+        Ok(r) => {
+            let log: Vec<String> = r.incidents.iter().map(|i| i.to_string()).collect();
+            format!("ok end={} dispatches={} {log:#?}", r.end_time, r.dispatches)
+        }
+        Err(e) => format!("failed: {e}"),
+    }
+}
+
+/// A Co-Pilot kill with a 64 KB type-3 / type-5 transfer in flight ends
+/// exactly as it did before the Co-Pilot's helpers became components — the
+/// same end time, dispatch count and incident log, or the same deadlock
+/// report, process by process. Two instants per type: one where the standby
+/// recovers the run, one where the rendezvous the primary had started is
+/// lost and the run ends diagnosed as a deadlock (ROADMAP item 1 owns
+/// fixing that; this test only holds the behaviour still until it does).
+#[test]
+fn copilot_kill_with_64k_rendezvous_in_flight_ends_as_before() {
+    fn fnv1a(s: &str) -> u64 {
+        s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+    for (type5, kill_us, starts, pinned) in [
+        (true, 7_000, "ok end=", 0x524d_8712_4a52_7e1a_u64),
+        (
+            true,
+            4_000,
+            "failed: simulation deadlock at ",
+            0x487e_0812_df19_2607,
+        ),
+        (false, 7_000, "ok end=", 0x246e_caf9_c299_6564),
+        (
+            false,
+            4_000,
+            "failed: simulation deadlock at ",
+            0xd680_e2c3_66c8_5da1,
+        ),
+    ] {
+        let got = bulk_failover_outcome(type5, kill_us);
+        assert!(
+            got.starts_with(starts),
+            "type5={type5} kill={kill_us}us: {got}"
+        );
+        assert_eq!(
+            fnv1a(&got),
+            pinned,
+            "type5={type5} kill={kill_us}us moved (digest {:#018x}):\n{got}",
+            fnv1a(&got)
+        );
+    }
+}

@@ -13,6 +13,8 @@
 use crate::error::{IncidentCategory, Pid};
 use crate::kernel::ProcCtx;
 use crate::time::{SimDuration, SimTime};
+use std::borrow::Cow;
+use std::sync::Arc;
 
 /// Which execution substrate runs the process/channel program.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -50,6 +52,52 @@ impl std::fmt::Display for Backend {
 /// A process body as handed to an executor: the type-erased form of the
 /// closures passed to [`crate::Simulation::spawn`].
 pub type ProcBody = Box<dyn FnOnce(&ProcCtx) + Send + 'static>;
+
+/// What a component asks of its scheduler at the end of one step: exactly
+/// the kernel call a thread-backed process would have made at that point.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Step {
+    /// [`ProcCtx::advance`]: run the next step `d` from now.
+    Advance(SimDuration),
+    /// [`ProcCtx::block_on`]: run the next step once somebody unblocks the
+    /// component (at once, if a wake is already banked).
+    Block {
+        /// The object waited on.
+        label: Arc<str>,
+        /// The operation, as it appears in deadlock reports.
+        what: Cow<'static, str>,
+    },
+    /// Process exit: the component is finished and its joiners are released.
+    Done,
+}
+
+impl Step {
+    /// Make this step's kernel call as the blocking call of `ctx`'s own
+    /// thread; `false` for [`Step::Done`]. How a thread-backed process
+    /// drives a state machine written for a component.
+    pub fn block_here(&self, ctx: &ProcCtx) -> bool {
+        match self {
+            Step::Advance(d) => ctx.advance(*d),
+            Step::Block { label, what } => ctx.block_on(label, what),
+            Step::Done => return false,
+        }
+        true
+    }
+}
+
+/// A component body as handed to an executor: a state machine that runs from
+/// one kernel call to the next each time it is called and returns that call
+/// as a [`Step`]. It must not make a blocking call (`advance`, `block*`,
+/// `join`) on its own [`ProcCtx`], and may take only locks that are never
+/// held across a kernel call.
+pub type ComponentBody = Box<dyn FnMut(&ProcCtx) -> Step + Send + 'static>;
+
+/// The thread driver: a process body that runs `body` to completion with
+/// each [`Step`] made as a blocking call. The default behind
+/// [`Executor::spawn_component`] and [`Spawner::spawn_component`].
+pub fn drive_component(mut body: ComponentBody) -> ProcBody {
+    Box::new(move |ctx| while body(ctx).block_here(ctx) {})
+}
 
 /// The substrate beneath [`ProcCtx`]: everything a simulated (or native)
 /// process can ask of its scheduler.
@@ -91,6 +139,12 @@ pub trait Executor: Send + Sync {
     fn report_incident(&self, pid: Pid, category: IncidentCategory, detail: &str);
     /// Spawn a new process runnable now; returns its pid.
     fn spawn_boxed(&self, name: &str, body: ProcBody) -> Pid;
+    /// Spawn a component: a process whose body is a [`Step`] state machine.
+    /// By default an ordinary process drives it ([`drive_component`]); a
+    /// substrate that owns the schedule can run the steps itself.
+    fn spawn_component(&self, name: &str, body: ComponentBody) -> Pid {
+        self.spawn_boxed(name, drive_component(body))
+    }
     /// Block `me` until `target` finishes.
     fn join(&self, me: Pid, target: Pid);
     /// Abort the whole run with a diagnostic; unwinds the calling process.
@@ -106,6 +160,10 @@ pub trait Executor: Send + Sync {
 pub trait Spawner {
     /// Spawn a root process.
     fn spawn_boxed(&mut self, name: &str, body: ProcBody) -> Pid;
+    /// Spawn a root component (see [`Executor::spawn_component`]).
+    fn spawn_component(&mut self, name: &str, body: ComponentBody) -> Pid {
+        self.spawn_boxed(name, drive_component(body))
+    }
 }
 
 #[cfg(test)]

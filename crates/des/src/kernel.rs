@@ -1,10 +1,11 @@
 //! The discrete-event kernel: virtual clock, event queue, and cooperative
-//! scheduling of thread-backed simulated processes.
+//! scheduling of simulated processes — thread-backed ones and components.
 //!
 //! # Execution model
 //!
-//! Every simulated process runs on its own OS thread, but the kernel grants
-//! the CPU to **exactly one** process at a time, always the one owning the
+//! A simulated process runs on its own OS thread (or, as a component, on
+//! whichever thread dispatches it — see below), but the kernel grants the
+//! CPU to **exactly one** process at a time, always the one owning the
 //! earliest `(virtual_time, sequence)` event in the queue. A process gives up
 //! the CPU only inside kernel calls ([`ProcCtx::advance`], [`ProcCtx::block`],
 //! [`ProcCtx::join`], or process exit), so between kernel calls a process may
@@ -14,6 +15,26 @@
 //! If the event queue drains while unfinished processes remain, every one of
 //! them is blocked with no possible waker: the kernel reports a
 //! [`SimError::Deadlock`] naming each process and its blocking reason.
+//!
+//! # Components
+//!
+//! A **component** ([`ProcCtx::spawn_component`]) is a process without a
+//! thread: it owns a pid, a name, a blocked-on reason and events in the
+//! queue like any other, but its body is a state machine that runs from one
+//! kernel call to the next and *returns* that call as a [`Step`]. When
+//! `dispatch` grants a component the CPU, the thread doing the dispatching —
+//! an `advance` / `block` caller, an exiting process, or
+//! [`Simulation::run`] — releases `Kernel::state`, runs one step, takes the
+//! lock again, applies the step by the rules a thread's call would have hit
+//! (`push_event`, the pending-wake bank, `Blocked` + reason, exit), and
+//! dispatches again, in a loop, until a thread-backed owner comes up
+//! (possibly itself). The kernel calls and their order are the same as the
+//! thread form's, so the `(time, pid)` trace does not change; only the
+//! wake-ups do ([`SimReport::handoffs`]). A step runs on somebody else's
+//! thread while that thread's own process is `Waiting` or `Blocked`, so it
+//! may take only locks that are never held across a kernel call, and a
+//! blocking call on its own pid aborts the run instead of parking the
+//! dispatcher.
 //!
 //! # Hand-off protocol
 //!
@@ -36,11 +57,12 @@
 //! provides a wall-clock thread implementation of the same trait, and
 //! [`ProcCtx`] dispatches to whichever substrate spawned the process.
 
-use crate::backend::{Backend, Executor, ProcBody, Spawner};
+use crate::backend::{Backend, ComponentBody, Executor, ProcBody, Spawner, Step};
 use crate::error::{Incident, IncidentCategory, Pid, SimError, SimReport};
 use crate::time::{SimDuration, SimTime};
 use cp_trace::Recorder;
 use parking_lot::{Mutex, MutexGuard};
+use std::any::Any;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt::Write as _;
@@ -90,7 +112,28 @@ struct ProcSlot {
     /// The OS thread behind the process, registered by that thread itself
     /// before its first park. `None` until then: a dispatch that beats the
     /// registration wakes nobody and is seen by the thread's first check.
+    /// Always `None` for a component.
     thread: Option<Thread>,
+    /// True for a component: whoever dispatches it runs its step.
+    component: bool,
+    /// A component's state machine; taken out while a step runs, gone once
+    /// it is done. Holds a `ProcCtx`, hence this kernel: `run()` clears it.
+    body: Option<Component>,
+}
+
+struct Component {
+    ctx: ProcCtx,
+    body: ComponentBody,
+}
+
+/// What `dispatch` decided.
+enum Next {
+    /// The caller's own event was the earliest: it keeps the CPU.
+    Me,
+    /// This component owns the CPU; the caller has to run its step.
+    Component(Pid),
+    /// Another thread owns the CPU, or the run ended: fire `wake`.
+    Other,
 }
 
 /// Threads to unpark once `Kernel::state` has been released.
@@ -135,6 +178,8 @@ struct KState {
     cpu_busy: bool,
     outcome: Option<Outcome>,
     dispatches: u64,
+    /// Dispatches that had to wake another OS thread.
+    handoffs: u64,
     trace: Option<Vec<(SimTime, Pid)>>,
     incidents: Vec<Incident>,
     /// Observability hook; disabled by default, so recording costs one
@@ -180,6 +225,7 @@ impl Kernel {
                 cpu_busy: false,
                 outcome: None,
                 dispatches: 0,
+                handoffs: 0,
                 trace: if trace { Some(Vec::new()) } else { None },
                 incidents: Vec::new(),
                 recorder: Recorder::disabled(),
@@ -214,13 +260,13 @@ impl Kernel {
 
     /// Hand the virtual CPU to the owner of the earliest event, or end the
     /// simulation (completion or deadlock). Caller must have already released
-    /// the CPU (`cpu_busy == false`). Returns `true` when that owner is `me`,
-    /// who then keeps running; otherwise whoever has to be woken is left in
-    /// `wake`, to be fired after the lock is released.
-    fn dispatch(&self, st: &mut KState, me: Option<Pid>, wake: &mut Wake) -> bool {
+    /// the CPU (`cpu_busy == false`). When the owner is neither `me` nor a
+    /// component, whoever has to be woken is left in `wake`, to be fired
+    /// after the lock is released.
+    fn dispatch(&self, st: &mut KState, me: Option<Pid>, wake: &mut Wake) -> Next {
         debug_assert!(!st.cpu_busy);
         if st.outcome.is_some() {
-            return false;
+            return Next::Other;
         }
         while let Some(Reverse((t, _tie, seq, pid))) = st.queue.pop() {
             // A popped event is live only if it is the most recent one pushed
@@ -242,7 +288,7 @@ impl Kernel {
                 if SimTime(t) > limit {
                     let err = SimError::TimeLimitExceeded { limit };
                     Kernel::finish(st, Outcome::Failed(err), wake);
-                    return false;
+                    return Next::Other;
                 }
             }
             st.now = SimTime(t);
@@ -251,15 +297,21 @@ impl Kernel {
             st.procs[pid].timed_out = timed_wake;
             st.cpu_busy = true;
             st.dispatches += 1;
-            st.recorder.record_dispatch(st.now.0, st.queue.len());
+            let handoff = me != Some(pid) && !st.procs[pid].component;
+            st.handoffs += u64::from(handoff);
+            st.recorder
+                .record_dispatch(st.now.0, st.queue.len(), handoff);
             if let Some(trace) = st.trace.as_mut() {
                 trace.push((st.now, pid));
             }
             if me == Some(pid) {
-                return true;
+                return Next::Me;
+            }
+            if st.procs[pid].component {
+                return Next::Component(pid);
             }
             wake.next = st.procs[pid].thread.clone();
-            return false;
+            return Next::Other;
         }
         // No runnable event. Either everything finished or we are deadlocked.
         let outcome = if st.live == 0 {
@@ -278,7 +330,121 @@ impl Kernel {
             })
         };
         Kernel::finish(st, outcome, wake);
-        false
+        Next::Other
+    }
+
+    /// Give the CPU away (the caller has released it) and keep dispatching,
+    /// running the step of every component that comes up on this thread,
+    /// until a thread-backed process owns it. `Some(timed_out)` when that is
+    /// `me`, which keeps running; otherwise the lock has been dropped, `wake`
+    /// fired, and a caller that is a process has to park.
+    fn hand_off<'a>(
+        &'a self,
+        mut st: MutexGuard<'a, KState>,
+        me: Option<Pid>,
+        mut wake: Wake,
+    ) -> Option<bool> {
+        loop {
+            match self.dispatch(&mut st, me, &mut wake) {
+                Next::Me => return me.map(|me| st.procs[me].timed_out),
+                Next::Component(pid) => st = self.run_component(st, pid, &mut wake),
+                Next::Other => {
+                    drop(st);
+                    wake.fire();
+                    return None;
+                }
+            }
+        }
+    }
+
+    /// Run component `pid`, which `dispatch` just made `Running`, until it
+    /// gives up the CPU: each step with the lock released, then applied
+    /// under it exactly as the same call from a thread would have been.
+    fn run_component<'a>(
+        &'a self,
+        mut st: MutexGuard<'a, KState>,
+        pid: Pid,
+        wake: &mut Wake,
+    ) -> MutexGuard<'a, KState> {
+        let mut comp = st.procs[pid].body.take();
+        loop {
+            drop(st);
+            let step = {
+                let c = comp.as_mut().expect("a runnable component has a body");
+                panic::catch_unwind(AssertUnwindSafe(|| (c.body)(&c.ctx)))
+            };
+            if !matches!(step, Ok(Step::Advance(_) | Step::Block { .. })) {
+                // Finished one way or another: drop the body (and whatever
+                // it captured) before the lock is taken again.
+                comp = None;
+            }
+            st = self.state.lock();
+            match step {
+                Ok(Step::Advance(d)) => {
+                    let at = st.now + d;
+                    Kernel::push_event(&mut st, at, pid);
+                    st.procs[pid].status = Status::Waiting;
+                }
+                Ok(Step::Block { label, what }) => {
+                    let slot = &mut st.procs[pid];
+                    if slot.pending_wakes > 0 {
+                        slot.pending_wakes -= 1;
+                        continue;
+                    }
+                    slot.status = Status::Blocked;
+                    slot.reason.clear();
+                    two_part(&label, &what)(&mut slot.reason);
+                }
+                Ok(Step::Done) => Kernel::retire(&mut st, pid, None, wake),
+                Err(payload) => Kernel::retire(&mut st, pid, Some(payload), wake),
+            }
+            st.procs[pid].body = comp;
+            st.cpu_busy = false;
+            return st;
+        }
+    }
+
+    /// Process exit: mark `pid` finished and release its joiners. A payload
+    /// that is not the teardown unwind is a genuine panic and fails the run.
+    fn retire(st: &mut KState, pid: Pid, panicked: Option<Box<dyn Any + Send>>, wake: &mut Wake) {
+        st.procs[pid].status = Status::Finished;
+        st.live -= 1;
+        let waiters = std::mem::take(&mut st.procs[pid].join_waiters);
+        let now = st.now;
+        for w in waiters {
+            match st.procs[w].status {
+                Status::Blocked => {
+                    st.procs[w].status = Status::Waiting;
+                    Kernel::push_event(st, now, w);
+                }
+                Status::Finished | Status::Poisoned => {}
+                _ => st.procs[w].pending_wakes += 1,
+            }
+        }
+        if let Some(payload) = panicked.filter(|p| !p.is::<SimUnwind>()) {
+            let message = payload
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "<non-string panic payload>".into());
+            let name = st.procs[pid].name.clone();
+            let err = SimError::ProcessPanicked { pid, name, message };
+            Kernel::finish(st, Outcome::Failed(err), wake);
+        }
+    }
+
+    /// A component step made a blocking call on its own pid. Parking here
+    /// would park the dispatcher for good; end the run and say who and what.
+    fn blocking_call_in_step(&self, st: MutexGuard<'_, KState>, pid: Pid, op: &str) -> ! {
+        let name = st.procs[pid].name.clone();
+        drop(st);
+        self.abort(
+            pid,
+            &format!(
+                "component '{name}' called the blocking kernel operation `{op}` \
+                 inside a step; a component returns it as a `Step` instead"
+            ),
+        )
     }
 
     /// End the run with `outcome` (the first one stands): mark every parked
@@ -337,6 +503,9 @@ impl Kernel {
         reason: impl FnOnce(&mut String),
     ) -> bool {
         debug_assert_eq!(st.procs[pid].status, Status::Running);
+        if st.procs[pid].component {
+            self.blocking_call_in_step(st, pid, "block");
+        }
         let slot = &mut st.procs[pid];
         if slot.pending_wakes > 0 {
             slot.pending_wakes -= 1;
@@ -350,14 +519,9 @@ impl Kernel {
             Kernel::push_event(&mut st, at, pid);
         }
         st.cpu_busy = false;
-        let mut wake = Wake::default();
-        if self.dispatch(&mut st, Some(pid), &mut wake) {
-            // Nothing else was due before our own deadline.
-            return !st.procs[pid].timed_out;
-        }
-        drop(st);
-        wake.fire();
-        !self.park(pid)
+        // `Some`: nothing thread-backed was due before our own wake-up.
+        let timed_out = self.hand_off(st, Some(pid), Wake::default());
+        !timed_out.unwrap_or_else(|| self.park(pid))
     }
 }
 
@@ -389,20 +553,18 @@ impl Executor for Kernel {
     }
 
     fn advance(&self, pid: Pid, d: SimDuration) {
-        let mut wake = Wake::default();
-        {
-            let mut st = self.state.lock();
-            debug_assert_eq!(st.procs[pid].status, Status::Running);
-            let at = st.now + d;
-            Kernel::push_event(&mut st, at, pid);
-            st.procs[pid].status = Status::Waiting;
-            st.cpu_busy = false;
-            if self.dispatch(&mut st, Some(pid), &mut wake) {
-                return;
-            }
+        let mut st = self.state.lock();
+        debug_assert_eq!(st.procs[pid].status, Status::Running);
+        if st.procs[pid].component {
+            self.blocking_call_in_step(st, pid, "advance");
         }
-        wake.fire();
-        self.park(pid);
+        let at = st.now + d;
+        Kernel::push_event(&mut st, at, pid);
+        st.procs[pid].status = Status::Waiting;
+        st.cpu_busy = false;
+        if self.hand_off(st, Some(pid), Wake::default()).is_none() {
+            self.park(pid);
+        }
     }
 
     fn block(&self, pid: Pid, reason: &str) {
@@ -453,9 +615,17 @@ impl Executor for Kernel {
         spawn_process(&kernel, name, body)
     }
 
+    fn spawn_component(&self, name: &str, body: ComponentBody) -> Pid {
+        let kernel = self.me.upgrade().expect("kernel alive while spawning");
+        new_slot(&kernel, name, Some(body))
+    }
+
     fn join(&self, me: Pid, target: Pid) {
         loop {
             let mut st = self.state.lock();
+            if st.procs[me].component {
+                self.blocking_call_in_step(st, me, "join");
+            }
             if st.procs[target].status == Status::Finished {
                 return;
             }
@@ -600,6 +770,18 @@ impl ProcCtx {
         self.exec.spawn_boxed(name, Box::new(f))
     }
 
+    /// Spawn a component: a process whose body is a state machine returning
+    /// one [`Step`] per call instead of blocking. On [`Backend::Sim`] no
+    /// thread is created — whichever thread dispatches the component runs
+    /// its step; elsewhere an ordinary process drives it. Same pid, name and
+    /// schedule either way.
+    pub fn spawn_component<F>(&self, name: &str, f: F) -> Pid
+    where
+        F: FnMut(&ProcCtx) -> Step + Send + 'static,
+    {
+        self.exec.spawn_component(name, Box::new(f))
+    }
+
     /// Block until process `pid` finishes.
     pub fn join(&self, pid: Pid) {
         self.exec.join(self.pid, pid);
@@ -613,25 +795,33 @@ impl ProcCtx {
     }
 }
 
+/// Register a new process, runnable at the current instant.
+fn new_slot(kernel: &Arc<Kernel>, name: &str, body: Option<ComponentBody>) -> Pid {
+    let mut st = kernel.state.lock();
+    let pid = st.procs.len();
+    st.procs.push(ProcSlot {
+        name: name.to_string(),
+        status: Status::Waiting,
+        pending_wakes: 0,
+        expected_seq: None,
+        timed_out: false,
+        join_waiters: Vec::new(),
+        reason: String::new(),
+        thread: None,
+        component: body.is_some(),
+        body: body.map(|body| Component {
+            ctx: ProcCtx::from_executor(kernel.clone(), pid),
+            body,
+        }),
+    });
+    st.live += 1;
+    let now = st.now;
+    Kernel::push_event(&mut st, now, pid);
+    pid
+}
+
 fn spawn_process(kernel: &Arc<Kernel>, name: &str, f: ProcBody) -> Pid {
-    let pid;
-    {
-        let mut st = kernel.state.lock();
-        pid = st.procs.len();
-        st.procs.push(ProcSlot {
-            name: name.to_string(),
-            status: Status::Waiting,
-            pending_wakes: 0,
-            expected_seq: None,
-            timed_out: false,
-            join_waiters: Vec::new(),
-            reason: String::new(),
-            thread: None,
-        });
-        st.live += 1;
-        let now = st.now;
-        Kernel::push_event(&mut st, now, pid);
-    }
+    let pid = new_slot(kernel, name, None);
     let kern = kernel.clone();
     let tname = name.to_string();
     let handle = std::thread::Builder::new()
@@ -651,37 +841,9 @@ fn spawn_process(kernel: &Arc<Kernel>, name: &str, f: ProcBody) -> Pid {
             }));
             let mut wake = Wake::default();
             let mut st = kern.state.lock();
-            st.procs[pid].status = Status::Finished;
-            st.live -= 1;
-            let waiters = std::mem::take(&mut st.procs[pid].join_waiters);
-            let now = st.now;
-            for w in waiters {
-                match st.procs[w].status {
-                    Status::Blocked => {
-                        st.procs[w].status = Status::Waiting;
-                        Kernel::push_event(&mut st, now, w);
-                    }
-                    Status::Finished | Status::Poisoned => {}
-                    _ => st.procs[w].pending_wakes += 1,
-                }
-            }
-            if let Err(payload) = result {
-                if payload.downcast_ref::<SimUnwind>().is_none() {
-                    // A genuine panic in user/library code: fail the run.
-                    let message = payload
-                        .downcast_ref::<&str>()
-                        .map(|s| s.to_string())
-                        .or_else(|| payload.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "<non-string panic payload>".into());
-                    let name = st.procs[pid].name.clone();
-                    let err = SimError::ProcessPanicked { pid, name, message };
-                    Kernel::finish(&mut st, Outcome::Failed(err), &mut wake);
-                }
-            }
+            Kernel::retire(&mut st, pid, result.err(), &mut wake);
             st.cpu_busy = false;
-            kern.dispatch(&mut st, None, &mut wake);
-            drop(st);
-            wake.fire();
+            kern.hand_off(st, None, wake);
         })
         .expect("failed to spawn simulation thread");
     kernel.handles.lock().push(handle);
@@ -763,16 +925,23 @@ impl Simulation {
         spawn_process(&self.kernel, name, Box::new(f))
     }
 
+    /// Spawn a root component (see [`ProcCtx::spawn_component`]), runnable
+    /// at t = 0.
+    pub fn spawn_component<F>(&mut self, name: &str, f: F) -> Pid
+    where
+        F: FnMut(&ProcCtx) -> Step + Send + 'static,
+    {
+        new_slot(&self.kernel, name, Some(Box::new(f)))
+    }
+
     /// Drive the simulation to completion, returning the report or the first
     /// failure (deadlock, panic, or abort).
     pub fn run(self) -> Result<SimReport, SimError> {
-        let mut wake = Wake::default();
         {
             let mut st = self.kernel.state.lock();
             st.runner = Some(std::thread::current());
-            self.kernel.dispatch(&mut st, None, &mut wake);
+            self.kernel.hand_off(st, None, Wake::default());
         }
-        wake.fire();
         // Same protocol as a process: park, then confirm under the lock.
         while self.kernel.state.lock().outcome.is_none() {
             std::thread::park();
@@ -782,6 +951,14 @@ impl Simulation {
         for h in handles {
             let _ = h.join();
         }
+        // A component body left in its slot (blocked at a deadlock, waiting
+        // at an abort) holds a `ProcCtx`, hence this kernel: a cycle that
+        // would leak the whole run. Nothing can step it any more; drop it,
+        // and whatever it captured, outside the lock.
+        let mut st = self.kernel.state.lock();
+        let bodies: Vec<Component> = st.procs.iter_mut().filter_map(|p| p.body.take()).collect();
+        drop(st);
+        drop(bodies);
         let mut st = self.kernel.state.lock();
         match st.outcome.take().expect("outcome present") {
             Outcome::Completed => {
@@ -791,6 +968,7 @@ impl Simulation {
                     end_time: st.now,
                     processes: st.procs.len(),
                     dispatches: st.dispatches,
+                    handoffs: st.handoffs,
                     trace: st.trace.take(),
                     incidents,
                 })
@@ -803,6 +981,10 @@ impl Simulation {
 impl Spawner for Simulation {
     fn spawn_boxed(&mut self, name: &str, body: ProcBody) -> Pid {
         spawn_process(&self.kernel, name, body)
+    }
+
+    fn spawn_component(&mut self, name: &str, body: ComponentBody) -> Pid {
+        new_slot(&self.kernel, name, Some(body))
     }
 }
 

@@ -4,9 +4,11 @@
 //!
 //! The foundation of the CellPilot reproduction: a virtual-time kernel in
 //! which every simulated process (a PPE thread, an SPE program, an MPI rank,
-//! a Co-Pilot service) runs as a real OS thread, yet execution is serialized
-//! in strict `(virtual_time, sequence)` order, so every run is deterministic
-//! and every latency is an explicit, modelled quantity.
+//! a Co-Pilot service) runs as a real OS thread — or, for a helper written
+//! as a [`Step`] state machine, as a *component* on whichever thread is
+//! dispatching — yet execution is serialized in strict
+//! `(virtual_time, sequence)` order, so every run is deterministic and
+//! every latency is an explicit, modelled quantity.
 //!
 //! Layers above this crate:
 //!
@@ -42,7 +44,7 @@ mod kernel;
 pub mod sync;
 mod time;
 
-pub use backend::{Backend, Executor, ProcBody, Spawner};
+pub use backend::{drive_component, Backend, ComponentBody, Executor, ProcBody, Spawner, Step};
 pub use error::{sort_incidents, Incident, IncidentCategory, Pid, SimError, SimReport};
 pub use kernel::{ProcCtx, Simulation};
 pub use time::{SimDuration, SimTime};

@@ -7,12 +7,28 @@
 //! blocking operations park the calling process with a descriptive reason
 //! that shows up in deadlock diagnostics.
 
+use crate::backend::Step;
 use crate::error::Pid;
 use crate::kernel::ProcCtx;
 use crate::time::{SimDuration, SimTime};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::Arc;
+
+/// What an empty-queue `pop` is blocked on, as deadlock reports show it.
+const POP_EMPTY: &str = "pop (queue empty)";
+
+/// Outcome of [`MsgQueue::poll_pop`].
+#[derive(Debug, PartialEq, Eq)]
+pub enum Poll<T> {
+    /// The front message, dequeued.
+    Ready(T),
+    /// The front message becomes available this long from now.
+    InFlight(SimDuration),
+    /// Nothing queued; the caller is registered to be unblocked by the next
+    /// push.
+    Empty,
+}
 
 struct QueueState<T> {
     items: VecDeque<(SimTime, T)>,
@@ -109,26 +125,45 @@ impl<T> MsgQueue<T> {
     /// advancing virtual time to the message's availability instant.
     pub fn pop(&self, ctx: &ProcCtx) -> T {
         loop {
-            {
-                let mut st = self.state.lock();
-                if let Some(&(avail, _)) = st.items.front() {
-                    if avail <= ctx.now() {
-                        let (_, item) = st.items.pop_front().unwrap();
-                        if let Some(w) = st.push_waiters.pop_front() {
-                            ctx.unblock(w, SimDuration::ZERO);
-                        }
-                        return item;
-                    }
-                    // Front message still in flight: wait for it.
-                    let wait = avail - ctx.now();
-                    drop(st);
-                    ctx.advance(wait);
-                    continue;
-                }
-                let me = ctx.pid();
-                st.pop_waiters.push_back(me);
+            match self.poll_pop(ctx) {
+                Poll::Ready(item) => return item,
+                Poll::InFlight(wait) => ctx.advance(wait),
+                Poll::Empty => ctx.block_on(&self.label, POP_EMPTY),
             }
-            ctx.block_on(&self.label, "pop (queue empty)");
+        }
+    }
+
+    /// One round of [`MsgQueue::pop`] without its kernel call: the front
+    /// message if it is available now, how long it is still in flight, or —
+    /// the queue being empty — the caller registered as the process to wake,
+    /// exactly as `pop` registers before it blocks. A component turns the
+    /// last two into [`Step::Advance`] and [`MsgQueue::pop_empty`] and polls
+    /// again on its next step.
+    pub fn poll_pop(&self, ctx: &ProcCtx) -> Poll<T> {
+        let mut st = self.state.lock();
+        match st.items.front() {
+            Some(&(avail, _)) if avail <= ctx.now() => {
+                let (_, item) = st.items.pop_front().unwrap();
+                if let Some(w) = st.push_waiters.pop_front() {
+                    ctx.unblock(w, SimDuration::ZERO);
+                }
+                Poll::Ready(item)
+            }
+            // Front message still in flight: wait for it.
+            Some(&(avail, _)) => Poll::InFlight(avail - ctx.now()),
+            None => {
+                st.pop_waiters.push_back(ctx.pid());
+                Poll::Empty
+            }
+        }
+    }
+
+    /// The block `pop` makes on an empty queue, for a component to return
+    /// after [`Poll::Empty`].
+    pub fn pop_empty(&self) -> Step {
+        Step::Block {
+            label: self.label.clone(),
+            what: POP_EMPTY.into(),
         }
     }
 

@@ -1,0 +1,459 @@
+//! Components: processes whose body is a `Step` state machine that the
+//! kernel runs on whichever thread is dispatching. The contract is that a
+//! component is indistinguishable from the thread it replaces in everything
+//! the simulation can observe — pids, the `(time, pid)` dispatch trace, end
+//! time, dispatch count, incident log, deadlock text — and differs only in
+//! `SimReport::handoffs`. A lost wake-up here hangs rather than fails, so CI
+//! runs this file under `timeout` as well.
+
+use cp_des::sync::{MsgQueue, Poll};
+use cp_des::{
+    drive_component, ComponentBody, IncidentCategory, Pid, ProcCtx, SimDuration, SimError,
+    SimReport, SimTime, Simulation, Spawner, Step,
+};
+use parking_lot::Mutex;
+use std::sync::Arc;
+
+fn us(n: u64) -> SimDuration {
+    SimDuration::from_micros(n)
+}
+
+/// How the helper of the scenario below is run.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Helper {
+    /// Blocking calls on a thread of its own: what components replace.
+    Blocking,
+    /// The state machine, driven by `Executor::spawn_component`'s default.
+    ThreadDriven,
+    /// The state machine as a kernel component.
+    Component,
+}
+
+const SENTINEL: u32 = u32::MAX;
+
+/// The helper's states: one per blocking call of `blocking_helper`.
+enum Relay {
+    Pop,
+    Forward(u32),
+}
+
+/// Pop a word, pay 2 µs for it, pass it on with 1 µs of latency; report
+/// every fourth as an incident; finish on the sentinel.
+fn blocking_helper(inq: MsgQueue<u32>, outq: MsgQueue<u32>) -> impl FnOnce(&ProcCtx) + Send {
+    move |ctx| loop {
+        let word = inq.pop(ctx);
+        ctx.advance(us(2));
+        if word == SENTINEL {
+            outq.push(ctx, word, SimDuration::ZERO);
+            return;
+        }
+        if word.is_multiple_of(4) {
+            ctx.report_incident(IncidentCategory::ChannelTimeout, &format!("word {word}"));
+        }
+        outq.push(ctx, word, us(1));
+    }
+}
+
+fn helper_machine(inq: MsgQueue<u32>, outq: MsgQueue<u32>) -> ComponentBody {
+    let mut state = Relay::Pop;
+    Box::new(move |ctx| loop {
+        match std::mem::replace(&mut state, Relay::Pop) {
+            Relay::Pop => match inq.poll_pop(ctx) {
+                Poll::Ready(word) => {
+                    state = Relay::Forward(word);
+                    return Step::Advance(us(2));
+                }
+                Poll::InFlight(wait) => return Step::Advance(wait),
+                Poll::Empty => return inq.pop_empty(),
+            },
+            Relay::Forward(SENTINEL) => {
+                outq.push(ctx, SENTINEL, SimDuration::ZERO);
+                return Step::Done;
+            }
+            Relay::Forward(word) => {
+                if word.is_multiple_of(4) {
+                    ctx.report_incident(IncidentCategory::ChannelTimeout, &format!("word {word}"));
+                }
+                outq.push(ctx, word, us(1));
+            }
+        }
+    })
+}
+
+/// Producer → helper → consumer over two queues, the producer's schedule
+/// scripted so the helper meets every case: a word already available, a
+/// word still in flight, an empty queue, bursts that tie on the timestamp,
+/// and a consumer slower than the helper.
+fn relay_scenario(helper: Helper, seed: u64) -> (SimReport, Vec<(u32, u64)>) {
+    let inq: MsgQueue<u32> = MsgQueue::new("in", None);
+    let outq: MsgQueue<u32> = MsgQueue::new("out", None);
+    let got = Arc::new(Mutex::new(Vec::new()));
+    let mut sim = Simulation::with_trace();
+    sim.set_schedule_seed(seed);
+    let q = inq.clone();
+    sim.spawn("producer", move |ctx| {
+        for word in 0..24u32 {
+            match word % 6 {
+                0 => ctx.advance(us(7)), // the helper is parked on an empty queue
+                1 | 2 => {}              // a burst at one instant
+                3 => ctx.advance(us(1)), // faster than the helper's 2 µs
+                _ => ctx.yield_now(),    // a same-time tie for the seed to permute
+            }
+            q.push(ctx, word, us(u64::from(word % 3)));
+        }
+        q.push(ctx, SENTINEL, us(5));
+    });
+    let (hin, hout) = (inq, outq.clone());
+    match helper {
+        Helper::Blocking => {
+            sim.spawn("helper", blocking_helper(hin, hout));
+        }
+        Helper::ThreadDriven => {
+            sim.spawn_boxed("helper", drive_component(helper_machine(hin, hout)));
+        }
+        Helper::Component => {
+            Spawner::spawn_component(&mut sim, "helper", helper_machine(hin, hout));
+        }
+    }
+    let sink = got.clone();
+    sim.spawn("consumer", move |ctx| loop {
+        let word = outq.pop(ctx);
+        if word == SENTINEL {
+            return;
+        }
+        sink.lock().push((word, ctx.now().as_nanos()));
+        ctx.advance(us(if word.is_multiple_of(5) { 6 } else { 1 }));
+    });
+    let report = sim.run().unwrap();
+    let got = got.lock().clone();
+    (report, got)
+}
+
+#[test]
+fn component_helper_is_indistinguishable_from_its_thread_under_nine_seeds() {
+    for seed in 0..=8 {
+        let (blocking, words) = relay_scenario(Helper::Blocking, seed);
+        assert_eq!(words.len(), 24, "seed {seed}");
+        for other in [Helper::ThreadDriven, Helper::Component] {
+            let (report, got) = relay_scenario(other, seed);
+            assert_eq!(got, words, "seed {seed} {other:?}: delivery");
+            assert_eq!(report.trace, blocking.trace, "seed {seed} {other:?}: trace");
+            assert_eq!(report.end_time, blocking.end_time, "seed {seed} {other:?}");
+            assert_eq!(
+                report.dispatches, blocking.dispatches,
+                "seed {seed} {other:?}"
+            );
+            assert_eq!(report.processes, 3);
+            assert_eq!(
+                report.incidents, blocking.incidents,
+                "seed {seed} {other:?}"
+            );
+            assert_eq!(report.incidents.len(), 6);
+            if other == Helper::ThreadDriven {
+                assert_eq!(report.handoffs, blocking.handoffs, "seed {seed}");
+            } else {
+                assert!(
+                    report.handoffs < blocking.handoffs,
+                    "seed {seed}: {} hand-offs as a component, {} as a thread",
+                    report.handoffs,
+                    blocking.handoffs
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn pending_wake_is_consumed_without_a_dispatch() {
+    let label: Arc<str> = "gate".into();
+    let steps = Arc::new(Mutex::new(Vec::new()));
+    let mut sim = Simulation::with_trace();
+    let (log, mut n) = (steps.clone(), 0);
+    let comp = sim.spawn_component("comp", move |ctx| {
+        n += 1;
+        log.lock().push((n, ctx.now().as_nanos()));
+        match n {
+            1 => Step::Advance(us(10)),
+            // The wake was banked at t = 1 µs, while the component waited.
+            2 => Step::Block {
+                label: label.clone(),
+                what: "open".into(),
+            },
+            _ => Step::Done,
+        }
+    });
+    sim.spawn("waker", move |ctx| {
+        ctx.advance(us(1));
+        ctx.unblock(comp, SimDuration::ZERO);
+    });
+    let report = sim.run().unwrap();
+    assert_eq!(*steps.lock(), [(1, 0), (2, 10_000), (3, 10_000)]);
+    let dispatched = report.trace.unwrap();
+    let of_comp: Vec<u64> = dispatched
+        .iter()
+        .filter(|(_, pid)| *pid == comp)
+        .map(|(t, _)| t.as_nanos())
+        .collect();
+    assert_eq!(of_comp, [0, 10_000], "step 3 ran without a dispatch");
+    assert_eq!(report.end_time.as_nanos(), 10_000);
+}
+
+#[test]
+fn poll_pop_reports_in_flight_then_ready() {
+    let q: MsgQueue<u8> = MsgQueue::new("wire", None);
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let mut sim = Simulation::new();
+    let qp = q.clone();
+    sim.spawn("producer", move |ctx| qp.push(ctx, 9, us(5)));
+    let log = seen.clone();
+    sim.spawn_component("poller", move |ctx| {
+        let polled = q.poll_pop(ctx);
+        log.lock().push((ctx.now().as_nanos(), polled));
+        match log.lock().last().unwrap().1 {
+            Poll::Ready(_) => Step::Done,
+            Poll::InFlight(wait) => Step::Advance(wait),
+            Poll::Empty => q.pop_empty(),
+        }
+    });
+    let report = sim.run().unwrap();
+    assert_eq!(
+        *seen.lock(),
+        [(0, Poll::InFlight(us(5))), (5_000, Poll::Ready(9))]
+    );
+    assert_eq!(report.end_time.as_nanos(), 5_000);
+}
+
+/// `reader` pops a queue nobody pushes to, next to a thread that blocks for
+/// good: the deadlock both ways of running the reader end in.
+fn orphan_pop(component: bool) -> SimError {
+    let q: MsgQueue<u8> = MsgQueue::new("orphan", None);
+    let mut sim = Simulation::new();
+    sim.spawn("bystander", |ctx| ctx.block("never"));
+    if component {
+        sim.spawn_component("reader", move |ctx| match q.poll_pop(ctx) {
+            Poll::Empty => q.pop_empty(),
+            other => panic!("nothing was pushed, got {other:?}"),
+        });
+    } else {
+        sim.spawn("reader", move |ctx| {
+            q.pop(ctx);
+        });
+    }
+    sim.run().unwrap_err()
+}
+
+#[test]
+fn blocked_component_is_named_in_the_deadlock_report_with_the_same_text() {
+    let err = orphan_pop(true);
+    assert_eq!(err, orphan_pop(false));
+    assert_eq!(
+        err,
+        SimError::Deadlock {
+            at: SimTime::ZERO,
+            blocked: vec![
+                (0, "bystander".into(), "never".into()),
+                (1, "reader".into(), "orphan: pop (queue empty)".into()),
+            ],
+        }
+    );
+}
+
+#[test]
+fn time_limit_fires_while_only_components_are_runnable() {
+    let mut sim = Simulation::new();
+    sim.set_time_limit(SimTime(1_000_000));
+    sim.spawn("parked", |ctx| ctx.block("never"));
+    sim.spawn_component("spinner", |_| Step::Advance(us(10)));
+    assert_eq!(
+        sim.run().unwrap_err(),
+        SimError::TimeLimitExceeded {
+            limit: SimTime(1_000_000)
+        }
+    );
+}
+
+/// Last word of the rally below.
+const RALLY: u32 = 1000;
+
+#[test]
+fn a_run_of_components_only_is_stepped_by_the_run_thread() {
+    let (ping, pong): (MsgQueue<u32>, MsgQueue<u32>) =
+        (MsgQueue::new("ping", None), MsgQueue::new("pong", None));
+    let mut sim = Simulation::new();
+    let runner = std::thread::current().id();
+    for (name, rx, tx, serve) in [
+        ("left", pong.clone(), ping.clone(), true),
+        ("right", ping, pong, false),
+    ] {
+        let mut serve = serve;
+        sim.spawn_component(name, move |ctx| {
+            assert_eq!(std::thread::current().id(), runner);
+            if std::mem::replace(&mut serve, false) {
+                tx.push(ctx, 0, us(1));
+            }
+            loop {
+                match rx.poll_pop(ctx) {
+                    Poll::Ready(RALLY) => return Step::Done,
+                    Poll::Ready(n) => {
+                        tx.push(ctx, n + 1, us(1));
+                        if n + 1 == RALLY {
+                            return Step::Done;
+                        }
+                    }
+                    Poll::InFlight(wait) => return Step::Advance(wait),
+                    Poll::Empty => return rx.pop_empty(),
+                }
+            }
+        });
+    }
+    let report = sim.run().unwrap();
+    assert_eq!(report.processes, 2);
+    assert_eq!(report.end_time.as_nanos(), (u64::from(RALLY) + 1) * 1_000);
+    assert_eq!(report.handoffs, 0, "no thread exists to hand off to");
+    assert!(report.dispatches > u64::from(RALLY));
+}
+
+type Outcome = Result<SimReport, SimError>;
+
+/// What `misbehaving`'s component does on its third step; handed the pid of
+/// a process that never finishes.
+type ThirdStep = fn(&ProcCtx, Pid) -> Step;
+
+/// A simulation whose component misbehaves on its third step, while one
+/// thread sits in `advance` (and so runs the step) and another is blocked.
+/// Also hands back a token the component's body owns.
+fn misbehaving(third_step: ThirdStep) -> (Outcome, Arc<()>) {
+    let token = Arc::new(());
+    let held = token.clone();
+    let mut sim = Simulation::new();
+    let parked = sim.spawn("parked", |ctx| ctx.block("never"));
+    sim.spawn("host", |ctx| loop {
+        ctx.advance(us(100));
+    });
+    let mut n = 0;
+    sim.spawn_component("culprit", move |ctx| {
+        let _ = &held;
+        n += 1;
+        if n < 3 {
+            return Step::Advance(us(30));
+        }
+        third_step(ctx, parked)
+    });
+    (sim.run(), token)
+}
+
+#[test]
+fn a_panicking_step_fails_the_run_naming_the_component() {
+    let (result, _) = misbehaving(|_, _| panic!("step went wrong: {}", 7));
+    match result {
+        Err(SimError::ProcessPanicked { pid, name, message }) => {
+            assert_eq!((pid, name.as_str()), (2, "culprit"));
+            assert_eq!(message, "step went wrong: 7");
+        }
+        other => panic!("expected a panic report, got {other:?}"),
+    }
+}
+
+#[test]
+fn an_aborting_step_ends_the_run_as_aborted() {
+    let (result, _) = misbehaving(|ctx, _| ctx.abort("PI_Write: not an endpoint"));
+    assert_eq!(
+        result.unwrap_err(),
+        SimError::Aborted {
+            pid: 2,
+            name: "culprit".into(),
+            message: "PI_Write: not an endpoint".into(),
+        }
+    );
+}
+
+#[test]
+fn a_blocking_call_inside_a_step_aborts_instead_of_parking_the_dispatcher() {
+    let cases: [(&str, ThirdStep); 4] = [
+        ("advance", |ctx, _| {
+            ctx.advance(us(1));
+            Step::Done
+        }),
+        ("block", |ctx, _| {
+            ctx.block_on("gate", "open");
+            Step::Done
+        }),
+        ("block", |ctx, _| {
+            ctx.block_timeout("gate", us(1));
+            Step::Done
+        }),
+        ("join", |ctx, parked| {
+            ctx.join(parked);
+            Step::Done
+        }),
+    ];
+    for (op, step) in cases {
+        match misbehaving(step).0 {
+            Err(SimError::Aborted { pid, name, message }) => {
+                assert_eq!((pid, name.as_str()), (2, "culprit"));
+                assert!(
+                    message.contains("'culprit'") && message.contains(&format!("`{op}`")),
+                    "{op}: {message}"
+                );
+            }
+            other => panic!("{op}: expected an abort, got {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn run_drops_every_component_body_on_every_outcome() {
+    // Aborted, panicked: the body is dropped by the thread that ran the step.
+    let (_, token) = misbehaving(|ctx, _| ctx.abort("stop"));
+    assert_eq!(Arc::strong_count(&token), 1, "abort");
+    let (_, token) = misbehaving(|_, _| panic!("stop"));
+    assert_eq!(Arc::strong_count(&token), 1, "panic");
+
+    // Deadlock: the body is still in its slot, blocked, when the run ends.
+    // Time limit: likewise, waiting. Completed: dropped at `Step::Done`.
+    type Script = fn(u32) -> Step;
+    type Expect = fn(&Outcome) -> bool;
+    let scripts: [(&str, Script, Expect); 3] = [
+        (
+            "deadlock",
+            |_| Step::Block {
+                label: "gate".into(),
+                what: "open".into(),
+            },
+            |r| matches!(r, Err(SimError::Deadlock { .. })),
+        ),
+        (
+            "time limit",
+            |_| Step::Advance(us(400)),
+            |r| matches!(r, Err(SimError::TimeLimitExceeded { .. })),
+        ),
+        (
+            "completed",
+            |n| {
+                if n < 3 {
+                    Step::Advance(us(1))
+                } else {
+                    Step::Done
+                }
+            },
+            |r| r.is_ok(),
+        ),
+    ];
+    for (what, script, expected) in scripts {
+        let token = Arc::new(());
+        let held = token.clone();
+        let mut sim = Simulation::new();
+        sim.set_time_limit(SimTime(1_000_000));
+        let (mut n, mut kept) = (0, None);
+        sim.spawn_component("comp", move |ctx| {
+            // The body holds the kernel (through a `ProcCtx` of its own, as
+            // a `Comm` would): the cycle `run()` has to break.
+            let _ = (&held, kept.get_or_insert_with(|| ctx.clone()));
+            n += 1;
+            script(n)
+        });
+        let result = sim.run();
+        assert!(expected(&result), "{what}: {result:?}");
+        assert_eq!(Arc::strong_count(&token), 1, "{what}: body leaked");
+    }
+}

@@ -40,5 +40,7 @@ pub use collect::{
 pub use costs::MpiCosts;
 pub use datatype::{decode_slice, encode_slice, Datatype, LongDouble, MpiScalar};
 pub use group::{Color, SubComm};
-pub use message::{absorb_rank_death, Envelope, MailStore, Payload, Rank, SrcSel, Tag, TagSel};
-pub use world::{mpirun, Comm, MpiFault, MpiWorld, Msg};
+pub use message::{
+    absorb_rank_death, Envelope, MailStore, Payload, Rank, SrcSel, StorePoll, Tag, TagSel,
+};
+pub use world::{mpirun, Comm, MpiFault, MpiWorld, Msg, Recv, RecvPoll};

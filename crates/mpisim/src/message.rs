@@ -110,6 +110,20 @@ pub fn absorb_rank_death<T>(f: impl FnOnce() -> T) -> Option<T> {
     }
 }
 
+/// Outcome of [`MailStore::poll_where`].
+#[derive(Debug, PartialEq)]
+pub enum StorePoll {
+    /// The matching envelope, removed from the store.
+    Ready(Envelope),
+    /// The earliest match arrives this long from now.
+    InFlight(SimDuration),
+    /// No match; the caller is registered to be unblocked by the next
+    /// delivery (or by `poison` / `take_over`).
+    Empty,
+    /// The store is poisoned or taken over: its owner is gone.
+    Dead,
+}
+
 struct StoreInner {
     arrived: Vec<(SimTime, u64, Envelope)>,
     next_arrival: u64,
@@ -264,34 +278,47 @@ impl MailStore {
         F: Fn(&Envelope) -> bool,
     {
         loop {
-            {
-                let mut st = self.inner.lock();
-                if st.poisoned || st.forward_to.is_some() {
-                    drop(st);
-                    std::panic::resume_unwind(Box::new(RankDeadUnwind));
-                }
-                let best = st
-                    .arrived
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, (_, _, e))| pred(e))
-                    .min_by_key(|(_, (at, seq, _))| (*at, *seq))
-                    .map(|(i, (at, _, _))| (i, *at));
-                if let Some((idx, at)) = best {
-                    if at <= ctx.now() {
-                        let (_, _, env) = st.arrived.remove(idx);
-                        return env;
-                    }
-                    let wait = at - ctx.now();
-                    drop(st);
-                    ctx.advance(wait);
-                    continue;
-                }
-                let me = ctx.pid();
-                st.waiters.push_back(me);
+            match self.poll_where(ctx, &pred) {
+                StorePoll::Ready(env) => return env,
+                StorePoll::InFlight(wait) => ctx.advance(wait),
+                StorePoll::Empty => ctx.block_on(&self.label, what),
+                StorePoll::Dead => std::panic::resume_unwind(Box::new(RankDeadUnwind)),
             }
-            ctx.block_on(&self.label, what);
         }
+    }
+
+    /// One round of [`MailStore::recv_where`] without its kernel call (or
+    /// its unwind): the matching envelope if it has arrived, how long the
+    /// earliest match is still in flight, the caller registered as a waiter
+    /// because nothing matches, or the store poisoned / taken over.
+    pub fn poll_where<F>(&self, ctx: &ProcCtx, pred: F) -> StorePoll
+    where
+        F: Fn(&Envelope) -> bool,
+    {
+        let mut st = self.inner.lock();
+        if st.poisoned || st.forward_to.is_some() {
+            return StorePoll::Dead;
+        }
+        let best = st
+            .arrived
+            .iter()
+            .enumerate()
+            .filter(|(_, (_, _, e))| pred(e))
+            .min_by_key(|(_, (at, seq, _))| (*at, *seq))
+            .map(|(i, (at, _, _))| (i, *at));
+        match best {
+            Some((idx, at)) if at <= ctx.now() => StorePoll::Ready(st.arrived.remove(idx).2),
+            Some((_, at)) => StorePoll::InFlight(at - ctx.now()),
+            None => {
+                st.waiters.push_back(ctx.pid());
+                StorePoll::Empty
+            }
+        }
+    }
+
+    /// The label blocked receives on this store are reported under.
+    pub fn label(&self) -> &Arc<str> {
+        &self.label
     }
 
     /// Like [`MailStore::recv_where`], but gives up `deadline` of virtual
@@ -310,48 +337,25 @@ impl MailStore {
     {
         let deadline_at = ctx.now() + deadline;
         loop {
-            {
-                let mut st = self.inner.lock();
-                if st.poisoned || st.forward_to.is_some() {
-                    drop(st);
-                    std::panic::resume_unwind(Box::new(RankDeadUnwind));
-                }
-                let best = st
-                    .arrived
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, (_, _, e))| pred(e))
-                    .min_by_key(|(_, (at, seq, _))| (*at, *seq))
-                    .map(|(i, (at, _, _))| (i, *at));
-                if let Some((idx, at)) = best {
-                    if at <= ctx.now() {
-                        let (_, _, env) = st.arrived.remove(idx);
-                        return Some(env);
-                    }
-                    if at > deadline_at {
-                        // It will arrive, but too late to matter.
-                        let wait = deadline_at - ctx.now();
-                        drop(st);
-                        ctx.advance(wait);
-                        return None;
-                    }
-                    let wait = at - ctx.now();
-                    drop(st);
-                    ctx.advance(wait);
-                    continue;
-                }
-                if ctx.now() >= deadline_at {
+            let left = deadline_at - ctx.now();
+            match self.poll_where(ctx, &pred) {
+                StorePoll::Ready(env) => return Some(env),
+                StorePoll::InFlight(wait) if wait > left => {
+                    // It will arrive, but too late to matter.
+                    ctx.advance(left);
                     return None;
                 }
-                let me = ctx.pid();
-                st.waiters.push_back(me);
-            }
-            let remaining = deadline_at - ctx.now();
-            if !ctx.block_on_timeout(&self.label, what, remaining) {
-                // Deadline fired while parked: deregister and give up.
-                let me = ctx.pid();
-                self.inner.lock().waiters.retain(|&p| p != me);
-                return None;
+                StorePoll::InFlight(wait) => ctx.advance(wait),
+                StorePoll::Empty => {
+                    if left > SimDuration::ZERO && ctx.block_on_timeout(&self.label, what, left) {
+                        continue;
+                    }
+                    // Out of time, perhaps while parked: deregister and give up.
+                    let me = ctx.pid();
+                    self.inner.lock().waiters.retain(|&p| p != me);
+                    return None;
+                }
+                StorePoll::Dead => std::panic::resume_unwind(Box::new(RankDeadUnwind)),
             }
         }
     }

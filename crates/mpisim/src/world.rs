@@ -3,8 +3,12 @@
 
 use crate::costs::MpiCosts;
 use crate::datatype::{decode_slice, encode_slice, Datatype, MpiScalar};
-use crate::message::{Envelope, MailStore, Payload, Rank, RankDeadUnwind, SrcSel, Tag, TagSel};
-use cp_des::{IncidentCategory, ProcCtx, SimDuration, SimError, SimReport, Simulation, Spawner};
+use crate::message::{
+    Envelope, MailStore, Payload, Rank, RankDeadUnwind, SrcSel, StorePoll, Tag, TagSel,
+};
+use cp_des::{
+    IncidentCategory, ProcCtx, SimDuration, SimError, SimReport, Simulation, Spawner, Step,
+};
 use cp_simnet::{Cluster, ClusterSpec, FaultPlan, LinkVerdict, NodeId, NodeKind, RetryPolicy};
 use cp_trace::Recorder;
 use std::fmt;
@@ -232,7 +236,7 @@ impl MpiWorld {
     /// Spawn a simulated process for `rank` running `body`.
     ///
     /// If the fault plan schedules this rank's death, a companion reaper
-    /// process is spawned that poisons the rank's mailbox at the scripted
+    /// component is spawned that poisons the rank's mailbox at the scripted
     /// instant; the rank's process then retires cleanly (fail-stop) at its
     /// next communication call instead of failing the whole simulation.
     pub fn launch<S>(
@@ -246,15 +250,19 @@ impl MpiWorld {
     {
         if let Some(at) = self.inner.faults.death_of(rank) {
             let world = self.clone();
-            sim.spawn_boxed(
+            let mut slept = false;
+            sim.spawn_component(
                 &format!("reaper-rank{rank}"),
                 Box::new(move |ctx| {
-                    ctx.advance(SimDuration::from_nanos(at.as_nanos()));
+                    if !std::mem::replace(&mut slept, true) {
+                        return Step::Advance(SimDuration::from_nanos(at.as_nanos()));
+                    }
                     world.inner.boxes[rank].poison(ctx);
                     ctx.report_incident(
                         IncidentCategory::RankDeath,
                         &format!("rank {rank} killed by fault plan at {at}"),
                     );
+                    Step::Done
                 }),
             );
         }
@@ -335,9 +343,13 @@ impl Comm {
         )
     }
 
+    /// This rank's software cost of sending or receiving `bytes`.
+    fn side_cost(&self, bytes: usize, wire: bool) -> SimDuration {
+        SimDuration::from_micros_f64(self.inner.costs.side_us(self.my_kind(), bytes, wire))
+    }
+
     fn charge_side(&self, bytes: usize, wire: bool) {
-        let us = self.inner.costs.side_us(self.my_kind(), bytes, wire);
-        self.ctx.advance(SimDuration::from_micros_f64(us));
+        self.ctx.advance(self.side_cost(bytes, wire));
     }
 
     /// Count one collective participation (every rank entering a
@@ -382,59 +394,72 @@ impl Comm {
     /// virtual time the NIC spends before retrying, so recovery timing is
     /// exactly reproducible); injected delays add latency; duplications
     /// deliver twice. `bytes` sizes the transport cost of each attempt.
-    fn put(&self, dst: Rank, env: Envelope, bytes: usize) -> Result<(), MpiFault> {
+    fn put(&self, dst: Rank, mut env: Envelope, bytes: usize) -> Result<(), MpiFault> {
+        let mut attempt = 0u32;
+        loop {
+            match self.put_attempt(dst, env, bytes, attempt) {
+                Put::Sent => return Ok(()),
+                Put::Lost(fault) => return Err(fault),
+                Put::Dropped(back, backoff) => {
+                    env = back;
+                    self.ctx.advance(backoff);
+                    attempt += 1;
+                }
+            }
+        }
+    }
+
+    /// Transmission number `attempt` (from 0) of [`Comm::put`]: one egress
+    /// verdict, no kernel call.
+    fn put_attempt(&self, dst: Rank, env: Envelope, bytes: usize, attempt: u32) -> Put {
         let from = self.node();
         let to = self.inner.placement[dst];
         let retry = self.inner.retry;
-        let mut attempt = 0u32;
         let recorder = self.inner.recorder();
-        loop {
-            match self.inner.faults.egress(self.ctx.now(), from, to) {
-                LinkVerdict::Deliver => {
-                    if let Some(r) = recorder {
-                        r.record_wire(bytes as u64);
-                    }
-                    let latency = self.transport(dst, bytes);
-                    self.inner.boxes[dst].deliver(&self.ctx, env, latency);
-                    return Ok(());
+        match self.inner.faults.egress(self.ctx.now(), from, to) {
+            LinkVerdict::Deliver => {
+                if let Some(r) = recorder {
+                    r.record_wire(bytes as u64);
                 }
-                LinkVerdict::Delay(extra) => {
-                    if let Some(r) = recorder {
-                        r.record_wire(bytes as u64);
-                        r.record_link_delay();
-                    }
-                    let latency = self.transport(dst, bytes) + extra;
-                    self.inner.boxes[dst].deliver(&self.ctx, env, latency);
-                    return Ok(());
+                let latency = self.transport(dst, bytes);
+                self.inner.boxes[dst].deliver(&self.ctx, env, latency);
+                Put::Sent
+            }
+            LinkVerdict::Delay(extra) => {
+                if let Some(r) = recorder {
+                    r.record_wire(bytes as u64);
+                    r.record_link_delay();
                 }
-                LinkVerdict::Duplicate => {
-                    if let Some(r) = recorder {
-                        r.record_wire(2 * bytes as u64);
-                        r.record_link_duplicate();
-                    }
-                    let latency = self.transport(dst, bytes);
-                    self.inner.boxes[dst].deliver(&self.ctx, env.clone(), latency);
-                    self.inner.boxes[dst].deliver(&self.ctx, env, latency);
-                    return Ok(());
+                let latency = self.transport(dst, bytes) + extra;
+                self.inner.boxes[dst].deliver(&self.ctx, env, latency);
+                Put::Sent
+            }
+            LinkVerdict::Duplicate => {
+                if let Some(r) = recorder {
+                    r.record_wire(2 * bytes as u64);
+                    r.record_link_duplicate();
                 }
-                LinkVerdict::Drop => {
-                    if let Some(r) = recorder {
-                        // The dropped attempt still occupied the wire.
-                        r.record_wire(bytes as u64);
-                        r.record_link_drop();
-                    }
-                    if attempt >= retry.max_retries {
-                        return Err(MpiFault::SendLost {
-                            dst,
-                            attempts: attempt + 1,
-                        });
-                    }
-                    if let Some(r) = recorder {
-                        r.record_retransmit();
-                    }
-                    self.ctx.advance(retry.backoff(attempt));
-                    attempt += 1;
+                let latency = self.transport(dst, bytes);
+                self.inner.boxes[dst].deliver(&self.ctx, env.clone(), latency);
+                self.inner.boxes[dst].deliver(&self.ctx, env, latency);
+                Put::Sent
+            }
+            LinkVerdict::Drop => {
+                if let Some(r) = recorder {
+                    // The dropped attempt still occupied the wire.
+                    r.record_wire(bytes as u64);
+                    r.record_link_drop();
                 }
+                if attempt >= retry.max_retries {
+                    return Put::Lost(MpiFault::SendLost {
+                        dst,
+                        attempts: attempt + 1,
+                    });
+                }
+                if let Some(r) = recorder {
+                    r.record_retransmit();
+                }
+                Put::Dropped(env, retry.backoff(attempt))
             }
         }
     }
@@ -563,85 +588,29 @@ impl Comm {
     /// Blocking receive matching `src`/`tag` selectors (`None` = wildcard;
     /// a wildcard tag matches only user tags ≥ 0).
     pub fn recv(&self, src: SrcSel, tag: TagSel) -> Msg {
-        let me = self.rank;
-        let env = self.inner.boxes[me].recv_where(
-            &self.ctx,
-            &format!(
-                "MPI_Recv(src={}, tag={})",
-                src.map_or("ANY".into(), |s| s.to_string()),
-                tag.map_or("ANY".into(), |t| t.to_string())
-            ),
-            |e| e.matches_recv(src, tag) && (tag.is_some() || e.tag >= 0),
-        );
-        self.finish_recv(env)
+        self.block_through(Recv::new(src, tag))
     }
 
     /// Complete a receive whose header envelope is already in hand
     /// (answering a rendezvous RTS if needed, and charging receive costs).
     fn finish_recv(&self, env: Envelope) -> Msg {
-        let wire = self.is_wire(env.src);
-        match env.payload {
-            Payload::Data(data) => {
-                if let Some(r) = self.inner.recorder() {
-                    r.record_recv(data.len() as u64);
+        self.block_through(Recv {
+            src: None,
+            tag: None,
+            state: RecvState::Got(env),
+        })
+    }
+
+    /// Run `recv` to its message on this rank's own thread, every wait a
+    /// blocking call; a dead mailbox unwinds the process.
+    fn block_through(&self, mut recv: Recv) -> Msg {
+        loop {
+            match recv.poll(self) {
+                RecvPoll::Ready(msg) => return msg,
+                RecvPoll::Wait(step) => {
+                    step.block_here(&self.ctx);
                 }
-                self.charge_side(data.len(), wire);
-                Msg {
-                    src: env.src,
-                    tag: env.tag,
-                    dtype: env.dtype,
-                    count: env.count,
-                    data,
-                }
-            }
-            Payload::Rts { id, bytes: _ } => {
-                // Grant the send and wait for the data. The grant passes
-                // through the fault plan like any other message; if it is
-                // unrecoverably lost the run cannot continue coherently.
-                if let Err(fault) = self.put(
-                    env.src,
-                    Envelope {
-                        src: self.rank,
-                        dst: env.src,
-                        tag: env.tag,
-                        dtype: env.dtype,
-                        count: 0,
-                        wire_seq: self.inner.mint_wire_seq(),
-                        payload: Payload::Cts { id },
-                    },
-                    0,
-                ) {
-                    self.ctx.abort(&format!(
-                        "MPI rendezvous grant to rank {} failed: {fault}",
-                        env.src
-                    ));
-                }
-                let me = self.rank;
-                let data_env = self.inner.boxes[me].recv_where(
-                    &self.ctx,
-                    &format!("MPI rendezvous data from rank {}", env.src),
-                    |e| {
-                        e.src == env.src
-                            && matches!(e.payload, Payload::RdvData { id: i, .. } if i == id)
-                    },
-                );
-                let Payload::RdvData { data, .. } = data_env.payload else {
-                    unreachable!("matched RdvData")
-                };
-                if let Some(r) = self.inner.recorder() {
-                    r.record_recv(data.len() as u64);
-                }
-                self.charge_side(data.len(), wire);
-                Msg {
-                    src: env.src,
-                    tag: env.tag,
-                    dtype: env.dtype,
-                    count: env.count,
-                    data,
-                }
-            }
-            Payload::Cts { .. } | Payload::RdvData { .. } => {
-                unreachable!("control payloads never match a user receive")
+                RecvPoll::Dead => panic::resume_unwind(Box::new(RankDeadUnwind)),
             }
         }
     }
@@ -731,6 +700,210 @@ impl Comm {
                 e.matches_recv(src, tag) && (tag.is_some() || e.tag >= 0)
             })
             .map(|e| (e.src, e.tag, e.dtype, e.count))
+    }
+}
+
+/// Outcome of one transmission attempt ([`Comm::put_attempt`]).
+enum Put {
+    /// On the fabric (once, late, or twice — whatever the plan said).
+    Sent,
+    /// Dropped with retries left: the envelope back, and the backoff to
+    /// spend before the next attempt.
+    Dropped(Envelope, SimDuration),
+    /// Dropped with the retry budget exhausted.
+    Lost(MpiFault),
+}
+
+/// One receive as a state machine: the whole of [`Comm::recv`] — matching,
+/// eager data, the rendezvous RTS → CTS → data exchange including the
+/// grant's drop / back-off retries, and the receive-side software cost —
+/// with every wait handed back to the caller instead of made. The blocking
+/// calls run it on their own thread; a component (the Co-Pilot's MPI pump)
+/// returns each wait as its [`Step`]. The kernel calls and their order are
+/// the same either way.
+pub struct Recv {
+    src: SrcSel,
+    tag: TagSel,
+    state: RecvState,
+}
+
+/// What a message's first envelope says about it.
+#[derive(Clone, Copy)]
+struct Header {
+    src: Rank,
+    tag: Tag,
+    dtype: Datatype,
+    count: usize,
+}
+
+enum RecvState {
+    /// Waiting for a matching header (eager data or a rendezvous RTS).
+    Header,
+    /// Header in hand.
+    Got(Envelope),
+    /// Granting rendezvous `id`: transmission `attempt` of the CTS is next.
+    Grant {
+        hdr: Header,
+        id: u64,
+        cts: Envelope,
+        attempt: u32,
+    },
+    /// Grant sent; waiting for the data of rendezvous `id`.
+    Data { hdr: Header, id: u64 },
+    /// Message complete, its receive cost being charged.
+    Charged(Msg),
+}
+
+/// What [`Recv::poll`] needs next.
+pub enum RecvPoll {
+    /// The received message; the machine is spent.
+    Ready(Msg),
+    /// Make this kernel call ([`Step::Advance`] or [`Step::Block`]), then
+    /// poll again.
+    Wait(Step),
+    /// The rank's mailbox was poisoned or taken over mid-receive.
+    Dead,
+}
+
+impl Recv {
+    /// A receive matching `src` / `tag` as [`Comm::recv`] does.
+    pub fn new(src: SrcSel, tag: TagSel) -> Recv {
+        Recv {
+            src,
+            tag,
+            state: RecvState::Header,
+        }
+    }
+
+    /// Run until the message is complete or the next wait. `comm` must be
+    /// the same communicator on every call.
+    pub fn poll(&mut self, comm: &Comm) -> RecvPoll {
+        let store = &comm.inner.boxes[comm.rank];
+        let ctx = &comm.ctx;
+        let block = |what: String| {
+            RecvPoll::Wait(Step::Block {
+                label: store.label().clone(),
+                what: what.into(),
+            })
+        };
+        loop {
+            match std::mem::replace(&mut self.state, RecvState::Header) {
+                RecvState::Header => {
+                    let (src, tag) = (self.src, self.tag);
+                    match store.poll_where(ctx, |e| {
+                        e.matches_recv(src, tag) && (tag.is_some() || e.tag >= 0)
+                    }) {
+                        StorePoll::Ready(env) => self.state = RecvState::Got(env),
+                        StorePoll::InFlight(wait) => return RecvPoll::Wait(Step::Advance(wait)),
+                        StorePoll::Empty => {
+                            return block(format!(
+                                "MPI_Recv(src={}, tag={})",
+                                src.map_or("ANY".into(), |s| s.to_string()),
+                                tag.map_or("ANY".into(), |t| t.to_string())
+                            ))
+                        }
+                        StorePoll::Dead => return RecvPoll::Dead,
+                    }
+                }
+                RecvState::Got(env) => {
+                    let hdr = Header {
+                        src: env.src,
+                        tag: env.tag,
+                        dtype: env.dtype,
+                        count: env.count,
+                    };
+                    match env.payload {
+                        Payload::Data(data) => return self.charge(comm, hdr, data),
+                        Payload::Rts { id, bytes: _ } => {
+                            // Grant the send and wait for the data. The grant
+                            // passes through the fault plan like any other
+                            // message.
+                            let cts = Envelope {
+                                src: comm.rank,
+                                dst: hdr.src,
+                                tag: hdr.tag,
+                                dtype: hdr.dtype,
+                                count: 0,
+                                wire_seq: comm.inner.mint_wire_seq(),
+                                payload: Payload::Cts { id },
+                            };
+                            self.state = RecvState::Grant {
+                                hdr,
+                                id,
+                                cts,
+                                attempt: 0,
+                            };
+                        }
+                        Payload::Cts { .. } | Payload::RdvData { .. } => {
+                            unreachable!("control payloads never match a user receive")
+                        }
+                    }
+                }
+                RecvState::Grant {
+                    hdr,
+                    id,
+                    cts,
+                    attempt,
+                } => match comm.put_attempt(hdr.src, cts, 0, attempt) {
+                    Put::Sent => self.state = RecvState::Data { hdr, id },
+                    Put::Dropped(cts, backoff) => {
+                        self.state = RecvState::Grant {
+                            hdr,
+                            id,
+                            cts,
+                            attempt: attempt + 1,
+                        };
+                        return RecvPoll::Wait(Step::Advance(backoff));
+                    }
+                    // If the grant is unrecoverably lost the run cannot
+                    // continue coherently.
+                    Put::Lost(fault) => ctx.abort(&format!(
+                        "MPI rendezvous grant to rank {} failed: {fault}",
+                        hdr.src
+                    )),
+                },
+                RecvState::Data { hdr, id } => {
+                    let polled = store.poll_where(ctx, |e| {
+                        e.src == hdr.src
+                            && matches!(e.payload, Payload::RdvData { id: i, .. } if i == id)
+                    });
+                    match polled {
+                        StorePoll::Ready(env) => {
+                            let Payload::RdvData { data, .. } = env.payload else {
+                                unreachable!("matched RdvData")
+                            };
+                            return self.charge(comm, hdr, data);
+                        }
+                        StorePoll::InFlight(wait) => {
+                            self.state = RecvState::Data { hdr, id };
+                            return RecvPoll::Wait(Step::Advance(wait));
+                        }
+                        StorePoll::Empty => {
+                            self.state = RecvState::Data { hdr, id };
+                            return block(format!("MPI rendezvous data from rank {}", hdr.src));
+                        }
+                        StorePoll::Dead => return RecvPoll::Dead,
+                    }
+                }
+                RecvState::Charged(msg) => return RecvPoll::Ready(msg),
+            }
+        }
+    }
+
+    /// The payload is in hand: count it and charge the receive-side cost.
+    fn charge(&mut self, comm: &Comm, hdr: Header, data: Vec<u8>) -> RecvPoll {
+        if let Some(r) = comm.inner.recorder() {
+            r.record_recv(data.len() as u64);
+        }
+        let cost = comm.side_cost(data.len(), comm.is_wire(hdr.src));
+        self.state = RecvState::Charged(Msg {
+            src: hdr.src,
+            tag: hdr.tag,
+            dtype: hdr.dtype,
+            count: hdr.count,
+            data,
+        });
+        RecvPoll::Wait(Step::Advance(cost))
     }
 }
 

@@ -31,8 +31,8 @@
 //! clock). The config layers guard or document each.
 
 use cp_des::{
-    Backend, Executor, Incident, IncidentCategory, Pid, ProcBody, ProcCtx, SimDuration, SimError,
-    SimReport, SimTime, Spawner,
+    Backend, ComponentBody, Executor, Incident, IncidentCategory, Pid, ProcBody, ProcCtx,
+    SimDuration, SimError, SimReport, SimTime, Spawner,
 };
 use cp_trace::Recorder;
 use parking_lot::{Condvar, Mutex};
@@ -285,7 +285,7 @@ impl Executor for NativeKernel {
                 st.procs[pid].status = Status::Running;
                 st.dispatches += 1;
                 let now = self.now_ns();
-                st.recorder.record_dispatch(now, 0);
+                st.recorder.record_dispatch(now, 0, false);
                 st.procs[pid].cv.notify_one();
             }
             Status::Finished | Status::Poisoned => {}
@@ -512,6 +512,7 @@ impl NativeRun {
                     end_time: SimTime(self.kernel.now_ns()),
                     processes: st.procs.len(),
                     dispatches: st.dispatches,
+                    handoffs: 0,
                     trace: None,
                     incidents,
                 })
@@ -593,6 +594,13 @@ impl Spawner for Runner {
         match self {
             Runner::Sim(sim) => sim.spawn_boxed(name, body),
             Runner::Native(run) => run.spawn_boxed(name, body),
+        }
+    }
+
+    fn spawn_component(&mut self, name: &str, body: ComponentBody) -> Pid {
+        match self {
+            Runner::Sim(sim) => Spawner::spawn_component(sim, name, body),
+            Runner::Native(run) => run.spawn_component(name, body),
         }
     }
 }

@@ -58,6 +58,7 @@ pub(crate) struct NetState {
 #[derive(Debug, Default)]
 pub(crate) struct DesState {
     pub(crate) dispatches: u64,
+    pub(crate) handoffs: u64,
     pub(crate) max_queue_depth: u64,
 }
 
@@ -123,6 +124,7 @@ impl MetricsState {
             },
             des: DesMetrics {
                 dispatches: self.des.dispatches,
+                handoffs: self.des.handoffs,
                 max_queue_depth: self.des.max_queue_depth,
             },
             flow: FlowMetrics {
@@ -312,8 +314,11 @@ pub struct NetMetrics {
 /// Aggregated DES-kernel counters.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct DesMetrics {
-    /// Scheduler dispatches (context switches).
+    /// Scheduler dispatches (grants of the virtual CPU).
     pub dispatches: u64,
+    /// The dispatches that woke a different OS thread (snapshots written
+    /// before the kernel counted them parse as 0).
+    pub handoffs: u64,
     /// High-water mark of the pending event queue.
     pub max_queue_depth: u64,
 }
@@ -422,6 +427,7 @@ impl MetricsSnapshot {
         o.set("net", net);
         let mut des = Json::obj();
         des.set("dispatches", self.des.dispatches);
+        des.set("handoffs", self.des.handoffs);
         des.set("max_queue_depth", self.des.max_queue_depth);
         o.set("des", des);
         o.set("flow", self.flow.to_json());
@@ -488,6 +494,7 @@ impl MetricsSnapshot {
             },
             des: DesMetrics {
                 dispatches: req_u64(des, "dispatches")?,
+                handoffs: des.get("handoffs").and_then(Json::as_u64).unwrap_or(0),
                 max_queue_depth: req_u64(des, "max_queue_depth")?,
             },
             flow,
@@ -587,6 +594,7 @@ mod tests {
         state.net.link_drops = 1;
         state.net.heartbeats = 40;
         state.des.dispatches = 1234;
+        state.des.handoffs = 617;
         state.des.max_queue_depth = 17;
         state.incidents.insert("copilot-failover".to_string(), 1);
         state.one_sided.puts = 4;

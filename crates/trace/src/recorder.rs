@@ -163,12 +163,14 @@ impl Recorder {
     }
 
     /// DES kernel: one scheduler dispatch with the pending-queue depth at
-    /// dispatch time. Counts always; samples a `queue depth` counter event
-    /// once every 64 dispatches.
-    pub fn record_dispatch(&self, ts_ns: u64, queue_depth: usize) {
+    /// dispatch time, and whether it had to wake another OS thread (a
+    /// hand-off). Counts always; samples a `queue depth` counter event once
+    /// every 64 dispatches.
+    pub fn record_dispatch(&self, ts_ns: u64, queue_depth: usize, handoff: bool) {
         let Some(inner) = &self.inner else { return };
         let mut st = inner.lock();
         st.metrics.des.dispatches += 1;
+        st.metrics.des.handoffs += u64::from(handoff);
         st.metrics.des.max_queue_depth = st.metrics.des.max_queue_depth.max(queue_depth as u64);
         if st.metrics.des.dispatches % QUEUE_SAMPLE_EVERY == 1 {
             let lane = st.lane_id("kernel");
@@ -415,7 +417,7 @@ mod tests {
     fn disabled_recorder_is_inert() {
         let r = Recorder::default();
         assert!(!r.is_enabled());
-        r.record_dispatch(10, 3);
+        r.record_dispatch(10, 3, true);
         r.record_channel_op(5, true, 100, 1000);
         r.record_incident(10, "main", "spe-crash", "x");
         r.record_hb(
@@ -470,10 +472,11 @@ mod tests {
     fn dispatch_counter_is_sampled_not_dense() {
         let r = Recorder::enabled();
         for i in 0..200u64 {
-            r.record_dispatch(i, (i % 10) as usize);
+            r.record_dispatch(i, (i % 10) as usize, i % 4 == 0);
         }
         let snap = r.snapshot();
         assert_eq!(snap.des.dispatches, 200);
+        assert_eq!(snap.des.handoffs, 50);
         assert_eq!(snap.des.max_queue_depth, 9);
         let counters = r
             .events()

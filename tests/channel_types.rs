@@ -4,10 +4,12 @@
 //! regression tests: one pinned trace digest per channel type, with the
 //! byte-identical-replay guarantee checked on every run.
 
+use cellpilot::trace::TraceEvent;
 use cellpilot::{
     classify, render_trace, CellPilotConfig, CellPilotOpts, ChannelKind, CpChannel, Location,
     SpeProgram, CP_MAIN,
 };
+use cp_des::SimReport;
 use cp_simnet::{ClusterSpec, NodeId};
 
 fn rank(node: usize) -> Location {
@@ -83,13 +85,27 @@ fn data() -> Vec<i32> {
     (0..PAYLOAD as i32).collect()
 }
 
-/// Run `scenario` twice; assert non-empty byte-identical traces and the
-/// pinned digest.
-fn assert_golden(kind: ChannelKind, pinned: u64, scenario: impl Fn() -> String) {
-    let a = scenario();
-    let b = scenario();
+/// Run `scenario` twice; assert non-empty byte-identical traces, the pinned
+/// digest, and the pinned count of kernel hand-offs (dispatches that woke
+/// another OS thread — the part of a run's host cost that is a property of
+/// the program, not of the machine).
+fn assert_golden(
+    kind: ChannelKind,
+    pinned: u64,
+    handoffs: u64,
+    scenario: impl Fn() -> (SimReport, Vec<TraceEvent>),
+) {
+    let (report, a) = scenario();
+    let (again, b) = scenario();
+    let (a, b) = (render_trace(&a), render_trace(&b));
     assert!(!a.is_empty(), "{kind} scenario produced no trace");
     assert_eq!(a, b, "{kind} replay must be byte-identical");
+    assert_eq!(report.handoffs, again.handoffs, "{kind} hand-offs replay");
+    assert_eq!(
+        report.handoffs, handoffs,
+        "{kind} hand-off count drifted ({} dispatches)",
+        report.dispatches
+    );
     assert_eq!(
         fnv1a(&a),
         pinned,
@@ -108,7 +124,7 @@ fn traced_cfg() -> CellPilotConfig {
 /// Type 1: PPE rank 0 <-> PPE rank 1 on another node, pure Pilot/MPI path.
 #[test]
 fn golden_trace_type1_rank_to_rank() {
-    assert_golden(ChannelKind::Type1, 0xcb00_3640_5a3d_da16, || {
+    assert_golden(ChannelKind::Type1, 0xcb00_3640_5a3d_da16, 11, || {
         let mut cfg = traced_cfg();
         let worker = cfg
             .create_process("worker", 0, |cp, _| {
@@ -119,13 +135,11 @@ fn golden_trace_type1_rank_to_rank() {
         let out = cfg.channel(CP_MAIN, worker).build().unwrap();
         let back = cfg.channel(worker, CP_MAIN).build().unwrap();
         assert_eq!(cfg.channel_kind(out).unwrap(), ChannelKind::Type1);
-        let (_r, t) = cfg
-            .run_traced(move |cp| {
-                cp.write_slice(out, &data()).unwrap();
-                assert_eq!(cp.read_vec::<i32>(back).unwrap(), data());
-            })
-            .unwrap();
-        render_trace(&t)
+        cfg.run_traced(move |cp| {
+            cp.write_slice(out, &data()).unwrap();
+            assert_eq!(cp.read_vec::<i32>(back).unwrap(), data());
+        })
+        .unwrap()
     });
 }
 
@@ -137,7 +151,7 @@ fn golden_trace_type1_rank_to_rank() {
 /// saturate changes nothing.
 #[test]
 fn golden_trace_unchanged_by_large_capacities() {
-    assert_golden(ChannelKind::Type1, 0xcb00_3640_5a3d_da16, || {
+    assert_golden(ChannelKind::Type1, 0xcb00_3640_5a3d_da16, 11, || {
         let mut cfg = traced_cfg();
         let worker = cfg
             .create_process("worker", 0, |cp, _| {
@@ -147,13 +161,11 @@ fn golden_trace_unchanged_by_large_capacities() {
             .unwrap();
         let out = cfg.channel(CP_MAIN, worker).capacity(1024).build().unwrap();
         let back = cfg.channel(worker, CP_MAIN).capacity(1024).build().unwrap();
-        let (_r, t) = cfg
-            .run_traced(move |cp| {
-                cp.write_slice(out, &data()).unwrap();
-                assert_eq!(cp.read_vec::<i32>(back).unwrap(), data());
-            })
-            .unwrap();
-        render_trace(&t)
+        cfg.run_traced(move |cp| {
+            cp.write_slice(out, &data()).unwrap();
+            assert_eq!(cp.read_vec::<i32>(back).unwrap(), data());
+        })
+        .unwrap()
     });
 }
 
@@ -161,7 +173,7 @@ fn golden_trace_unchanged_by_large_capacities() {
 /// Co-Pilot.
 #[test]
 fn golden_trace_type2_rank_to_local_spe() {
-    assert_golden(ChannelKind::Type2, 0x6753_a07b_3455_70fd, || {
+    assert_golden(ChannelKind::Type2, 0x6753_a07b_3455_70fd, 16, || {
         let mut cfg = traced_cfg();
         let prog = SpeProgram::new("echo", 2048, |spe, _, _| {
             let v = spe.read_vec::<i32>(CpChannel(0)).unwrap();
@@ -171,22 +183,20 @@ fn golden_trace_type2_rank_to_local_spe() {
         let to_spe = cfg.channel(CP_MAIN, spe).build().unwrap();
         let back = cfg.channel(spe, CP_MAIN).build().unwrap();
         assert_eq!(cfg.channel_kind(to_spe).unwrap(), ChannelKind::Type2);
-        let (_r, t) = cfg
-            .run_traced(move |cp| {
-                let task = cp.run_spe(spe, 0, 0).unwrap();
-                cp.write_slice(to_spe, &data()).unwrap();
-                assert_eq!(cp.read_vec::<i32>(back).unwrap(), data());
-                cp.wait_spe(task);
-            })
-            .unwrap();
-        render_trace(&t)
+        cfg.run_traced(move |cp| {
+            let task = cp.run_spe(spe, 0, 0).unwrap();
+            cp.write_slice(to_spe, &data()).unwrap();
+            assert_eq!(cp.read_vec::<i32>(back).unwrap(), data());
+            cp.wait_spe(task);
+        })
+        .unwrap()
     });
 }
 
 /// Type 3: remote PPE rank <-> SPE, relayed by the SPE node's Co-Pilot.
 #[test]
 fn golden_trace_type3_rank_to_remote_spe() {
-    assert_golden(ChannelKind::Type3, 0x906c_d23f_4df4_9fe2, || {
+    assert_golden(ChannelKind::Type3, 0x906c_d23f_4df4_9fe2, 16, || {
         let mut cfg = traced_cfg();
         let prog = SpeProgram::new("src", 2048, |spe, _, _| {
             spe.write_slice(CpChannel(0), &data()).unwrap();
@@ -202,8 +212,7 @@ fn golden_trace_type3_rank_to_remote_spe() {
         let out = cfg.channel(spe, worker).build().unwrap();
         let _back = cfg.channel(worker, spe).build().unwrap();
         assert_eq!(cfg.channel_kind(out).unwrap(), ChannelKind::Type3);
-        let (_r, t) = cfg.run_traced(move |cp| cp.run_and_wait_my_spes()).unwrap();
-        render_trace(&t)
+        cfg.run_traced(move |cp| cp.run_and_wait_my_spes()).unwrap()
     });
 }
 
@@ -211,7 +220,7 @@ fn golden_trace_type3_rank_to_remote_spe() {
 /// Co-Pilot.
 #[test]
 fn golden_trace_type4_spe_to_local_spe() {
-    assert_golden(ChannelKind::Type4, 0x4330_0edc_02f1_c124, || {
+    assert_golden(ChannelKind::Type4, 0x4330_0edc_02f1_c124, 20, || {
         let mut cfg = traced_cfg();
         let a = SpeProgram::new("a", 2048, |spe, _, _| {
             spe.write_slice(CpChannel(0), &data()).unwrap();
@@ -226,15 +235,14 @@ fn golden_trace_type4_spe_to_local_spe() {
         let ab = cfg.channel(pa, pb).build().unwrap();
         let _ba = cfg.channel(pb, pa).build().unwrap();
         assert_eq!(cfg.channel_kind(ab).unwrap(), ChannelKind::Type4);
-        let (_r, t) = cfg.run_traced(move |cp| cp.run_and_wait_my_spes()).unwrap();
-        render_trace(&t)
+        cfg.run_traced(move |cp| cp.run_and_wait_my_spes()).unwrap()
     });
 }
 
 /// Type 5: SPEs on two different Cell nodes, relayed by both Co-Pilots.
 #[test]
 fn golden_trace_type5_spe_to_remote_spe() {
-    assert_golden(ChannelKind::Type5, 0x2686_3d58_dd8f_6264, || {
+    assert_golden(ChannelKind::Type5, 0x2686_3d58_dd8f_6264, 30, || {
         let mut cfg = traced_cfg();
         let x = SpeProgram::new("x", 2048, |spe, _, _| {
             spe.write_slice(CpChannel(0), &data()).unwrap();
@@ -252,7 +260,6 @@ fn golden_trace_type5_spe_to_remote_spe() {
         let xy = cfg.channel(px, py).build().unwrap();
         let _yx = cfg.channel(py, px).build().unwrap();
         assert_eq!(cfg.channel_kind(xy).unwrap(), ChannelKind::Type5);
-        let (_r, t) = cfg.run_traced(move |cp| cp.run_and_wait_my_spes()).unwrap();
-        render_trace(&t)
+        cfg.run_traced(move |cp| cp.run_and_wait_my_spes()).unwrap()
     });
 }
