@@ -18,9 +18,13 @@
 //! about://tracing or Perfetto, one lane per rank/SPE/Co-Pilot, with the
 //! failover incidents marked) to PATH — CI uploads it as the
 //! failure-debugging artifact.
+//!
+//! Exit status (the campaign contract): 0 when every seed passes, 3 on
+//! findings, 2 on usage errors.
 
 use cp_bench::cli::{parse_int_flag, parse_str_flag, unknown_flag};
-use cp_bench::{chaos, chaos_traced, golden_end_time, seed_with_failover};
+use cp_bench::{chaos, golden_end_time, seed_with_failover, Campaign};
+use cp_trace::Recorder;
 
 const USAGE: &str = "repro_chaos [--seeds N] [--intensity K] [--trace-out PATH]";
 
@@ -45,55 +49,21 @@ fn main() {
          (golden run completes at {})\n",
         golden_end_time()
     );
-    let mut failures = 0u64;
-    for seed in 0..n_seeds {
-        match chaos(seed, intensity) {
-            Ok(r) => {
-                let (drops, delays, dups, crashes, stalls, kills) = r.planned;
-                let incidents: Vec<String> = r
-                    .incidents
-                    .iter()
-                    .map(|(c, n)| format!("{c}x{n}"))
-                    .collect();
-                println!(
-                    "  seed {seed:>3}: planned [drop {drops}, delay {delays}, dup {dups}, \
-                     crash {crashes}, stall {stalls}, kill {kills}] \
-                     incidents [{}] end {}",
-                    incidents.join(", "),
-                    r.end_time
-                );
-            }
-            Err(e) => {
-                failures += 1;
-                eprintln!("  seed {seed:>3}: FAILED: {e}");
-            }
-        }
-    }
-    if failures > 0 {
-        eprintln!("\n{failures}/{n_seeds} seeds violated a chaos invariant");
-        std::process::exit(1);
-    }
-    println!(
-        "\nall {n_seeds} seeds: completed, output byte-identical to the \
-         fault-free run, every incident accounted for ✓"
-    );
-
+    let mut campaign = Campaign::default();
+    campaign.sweep(0..n_seeds, |seed| {
+        chaos(seed, intensity, Recorder::disabled()).map(|r| r.to_string())
+    });
     if let Some(path) = trace_out {
-        // Re-run one campaign instrumented, on a seed whose plan kills a
+        // One campaign re-run instrumented, on a seed whose plan kills a
         // Co-Pilot so the trace shows the standby failover.
-        let seed = seed_with_failover(intensity.max(1));
-        match chaos_traced(seed, intensity.max(1)) {
-            Ok((_, rec)) => {
-                if let Err(e) = std::fs::write(&path, rec.chrome_trace()) {
-                    eprintln!("error: cannot write {path}: {e}");
-                    std::process::exit(1);
-                }
-                println!("wrote Chrome trace of seed {seed} to {path}");
-            }
-            Err(e) => {
-                eprintln!("traced run of seed {seed} failed: {e}");
-                std::process::exit(1);
-            }
-        }
+        let intensity = intensity.max(1);
+        let seed = seed_with_failover(intensity);
+        campaign.trace_artifact(&path, &format!("seed {seed}"), |rec| {
+            chaos(seed, intensity, rec)
+        });
     }
+    campaign.finish(&format!(
+        "all {n_seeds} seeds: completed, output byte-identical to the \
+         fault-free run, every incident accounted for ✓"
+    ));
 }

@@ -5,15 +5,16 @@
 //!
 //! Usage: `repro_conformance [--seeds N] [--out DIR]`
 //!
-//! Exit contract (mirrors `repro_check`): 0 when every seed agrees, 3 on
+//! Exit status (the campaign contract): 0 when every seed agrees, 3 on
 //! any divergence — with a replayable artifact written per diverging seed
 //! (`conformance_seed_<seed>.txt` under `--out`, default `.`) carrying the
 //! plan and both observation dumps — and 2 on usage errors.
 
 use cp_bench::cli::{parse_int_flag, parse_str_flag, unknown_flag};
+use cp_bench::{Campaign, Violation};
 use cp_trace::Recorder;
 
-use cellpilot::conformance::{diff, run_plan, run_plan_traced, WiringPlan};
+use cellpilot::conformance::{diff, run_plan, WiringPlan};
 use cellpilot::Backend;
 
 const USAGE: &str = "repro_conformance [--seeds N] [--out DIR]";
@@ -32,46 +33,47 @@ fn main() {
 
     println!("cross-backend conformance — {seeds} seeded wiring plans, sim is the oracle\n");
 
-    let mut divergences = 0usize;
     let mut native_wall = std::time::Duration::ZERO;
     let mut native_events = 0u64;
     let mut native_msgs = 0u64;
+    let mut replays: Vec<(u64, String)> = Vec::new();
 
-    for seed in 0..seeds {
+    let mut campaign = Campaign::default();
+    campaign.sweep(0..seeds, |seed| {
         let plan = WiringPlan::from_seed(seed);
-        let oracle = run_plan(&plan, Backend::Sim);
+        let oracle = run_plan(&plan, Backend::Sim, Recorder::disabled());
 
         let recorder = Recorder::enabled();
         let t0 = std::time::Instant::now();
-        let candidate = run_plan_traced(&plan, Backend::Native, recorder.clone());
+        let candidate = run_plan(&plan, Backend::Native, recorder.clone());
         native_wall += t0.elapsed();
         let snap = recorder.snapshot();
         native_events += snap.des.dispatches;
         native_msgs += snap.channel_types.iter().map(|c| c.writes).sum::<u64>();
 
-        match diff(&oracle, &candidate) {
-            None => {
-                let chans = oracle.payloads.len();
-                println!(
-                    "seed {seed:>4}: agree ({} targets, {chans} observed channels)",
-                    plan.targets.len()
-                );
-            }
-            Some(why) => {
-                divergences += 1;
-                println!("seed {seed:>4}: DIVERGED — {why}");
-                let artifact = format!(
-                    "replay: WiringPlan::from_seed({seed})\n\nplan: {plan:#?}\n\n\
-                     --- sim (oracle) ---\n{oracle}\n--- native (candidate) ---\n{candidate}\n\
-                     --- divergence ---\n{why}\n"
-                );
-                let path = format!("{out_dir}/conformance_seed_{seed}.txt");
-                match std::fs::write(&path, artifact) {
-                    Ok(()) => eprintln!("  artifact written to {path}"),
-                    Err(e) => eprintln!("  could not write artifact {path}: {e}"),
-                }
-            }
-        }
+        diff(&oracle, &candidate)
+            .map(|()| {
+                format!(
+                    "seed {seed:>4}: agree ({} targets, {} observed channels)",
+                    plan.targets.len(),
+                    oracle.payloads.len()
+                )
+            })
+            .map_err(|why| {
+                replays.push((
+                    seed,
+                    format!(
+                        "replay: WiringPlan::from_seed({seed})\n\nplan: {plan:#?}\n\n\
+                         --- sim (oracle) ---\n{oracle}\n--- native (candidate) ---\n{candidate}\n\
+                         --- divergence ---\n{why}\n"
+                    ),
+                ));
+                Violation::at(seed)(why)
+            })
+    });
+    for (seed, text) in replays {
+        let path = format!("{out_dir}/conformance_seed_{seed}.txt");
+        campaign.artifact(&path, &format!("replay of seed {seed}"), &text);
     }
 
     // Informational: how fast the native backend replays the sweep in
@@ -82,10 +84,5 @@ fn main() {
     println!("  events/sec    : {:>10.0}", native_events as f64 / wall_s);
     println!("  messages/sec  : {:>10.0}", native_msgs as f64 / wall_s);
 
-    if divergences == 0 {
-        println!("\nverdict: all {seeds} seeds agree");
-        std::process::exit(0);
-    }
-    println!("\nverdict: {divergences} seed(s) diverged");
-    std::process::exit(3);
+    campaign.finish(&format!("verdict: all {seeds} seeds agree"));
 }

@@ -4,46 +4,18 @@
 //! Runs the fault-replay scenario (a type-5 transfer riding out two
 //! scripted link drops) under N distinct DES schedules — seed 0 is the
 //! canonical FIFO tie-break, every other seed deterministically permutes
-//! the dispatch order of same-timestamp events — and asserts the
-//! application outcome is identical under all of them. Then demonstrates
-//! that deadlock *detection* is schedule-independent too: a type-5
-//! circular wait aborts with the same diagnostic under every seed.
+//! the dispatch order of same-timestamp events — and requires the
+//! application outcome to be identical under all of them. Deadlock
+//! *detection* must be schedule-independent too: a type-5 circular wait
+//! aborts with the same diagnostic under every seed.
 //!
 //! Usage: `repro_explore [--seeds N]` (default 8 exploration seeds on top
 //! of the FIFO baseline).
+//!
+//! Exit status (the campaign contract): 0 when every schedule agrees, 3 on
+//! findings, 2 on usage errors.
 
-use cellpilot::{CellPilotConfig, CellPilotOpts, CpChannel, SpeProgram, CP_MAIN};
-use cp_bench::{explore, fault_replay_outcome};
-use cp_des::SimError;
-use cp_simnet::ClusterSpec;
-
-/// A type-5 circular wait under one schedule seed; returns the detector's
-/// abort diagnostic.
-fn deadlock_diagnostic(seed: u64) -> String {
-    let opts = CellPilotOpts::new()
-        .with_deadlock_service()
-        .with_schedule_seed(seed);
-    let mut cfg = CellPilotConfig::one_rank_per_node(ClusterSpec::two_cells_one_xeon(), opts);
-    let x = SpeProgram::new("x", 2048, |spe, _, _| {
-        let _ = spe.read_vec::<i32>(CpChannel(1));
-        spe.write_slice(CpChannel(0), &[1i32]).unwrap();
-    });
-    let y = SpeProgram::new("y", 2048, |spe, _, _| {
-        let _ = spe.read_vec::<i32>(CpChannel(0));
-        spe.write_slice(CpChannel(1), &[1i32]).unwrap();
-    });
-    let parent = cfg
-        .create_process("parent", 0, |cp, _| cp.run_and_wait_my_spes())
-        .unwrap();
-    let px = cfg.create_spe_process(&x, CP_MAIN, 0).unwrap();
-    let py = cfg.create_spe_process(&y, parent, 0).unwrap();
-    let _xy = cfg.channel(px, py).build().unwrap();
-    let _yx = cfg.channel(py, px).build().unwrap();
-    match cfg.run(move |cp| cp.run_and_wait_my_spes()) {
-        Err(SimError::Aborted { message, .. }) => message,
-        other => panic!("seed {seed}: expected detector abort, got {other:?}"),
-    }
-}
+use cp_bench::{deadlock_baseline, explore, Campaign};
 
 fn main() {
     const USAGE: &str = "repro_explore [--seeds N]";
@@ -57,46 +29,23 @@ fn main() {
             other => cp_bench::cli::unknown_flag(USAGE, other),
         }
     }
-    let seeds: Vec<u64> = (0..=n_seeds).collect();
+    let schedules = n_seeds + 1;
 
     println!(
-        "fault-replay scenario under {} schedules (FIFO baseline + {} permuted):\n",
-        seeds.len(),
-        n_seeds
+        "fault-replay scenario under {schedules} schedules (FIFO baseline + {n_seeds} permuted):\n"
     );
-    match explore(&seeds, fault_replay_outcome) {
-        Ok(outcomes) => {
-            let (completed, sum) = outcomes[0].1;
-            for (seed, outcome) in &outcomes {
-                println!(
-                    "  seed {seed:>3}: completed={} sum={}",
-                    outcome.0, outcome.1
-                );
-            }
-            assert!(completed && sum == 4950);
-            println!(
-                "\noutcome identical under all {} schedules: completed={completed}, sum={sum} ✓",
-                outcomes.len()
-            );
-        }
-        Err(div) => {
-            eprintln!("{div}");
-            std::process::exit(1);
-        }
-    }
-
-    println!("\ntype-5 circular wait under the same schedules:\n");
-    let baseline = deadlock_diagnostic(seeds[0]);
-    for &seed in &seeds[1..] {
-        let msg = deadlock_diagnostic(seed);
-        assert_eq!(
-            msg, baseline,
-            "deadlock diagnostic must not depend on the schedule"
-        );
-    }
-    println!("  every seed: {baseline}");
-    println!(
-        "\ndetector verdict identical under all {} schedules ✓",
-        seeds.len()
-    );
+    let mut sum = 0;
+    let mut campaign = Campaign::default();
+    campaign.sweep(0..=n_seeds, |seed| {
+        explore(seed).map(|s| {
+            sum = s;
+            format!("  seed {seed:>3}: completed=true sum={s}")
+        })
+    });
+    campaign.finish(&format!(
+        "outcome identical under all {schedules} schedules: completed=true, sum={sum} ✓\n\n\
+         type-5 circular wait under the same schedules:\n\n  every seed: {}\n\n\
+         detector verdict identical under all {schedules} schedules ✓",
+        deadlock_baseline().unwrap_or_default()
+    ));
 }

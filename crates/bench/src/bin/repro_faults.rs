@@ -1,63 +1,18 @@
 //! Fault-replay demo: a type-5 (SPE → remote SPE) transfer under a
-//! scripted [`FaultPlan`] that drops the first two Co-Pilot relay messages
-//! on the node0 → node1 link. The channel-level retry/backoff machinery
-//! rides out the drops transparently; the run is executed twice and the
-//! traces are asserted byte-identical — the whole point of scripting
-//! faults against the virtual clock instead of wall time.
+//! scripted `FaultPlan` that drops the first two Co-Pilot relay messages
+//! on the node0 → node1 link (the scenario `repro_explore` and
+//! `tests/fault_replay.rs` share, [`cp_bench::fault_replay`]). The
+//! channel-level retry/backoff machinery rides out the drops transparently;
+//! the run is executed twice and the traces are asserted byte-identical —
+//! the whole point of scripting faults against the virtual clock instead of
+//! wall time.
 
-use cellpilot::{
-    render_trace, CellPilotConfig, CellPilotOpts, ChannelKind, CpChannel, SpeProgram, CP_MAIN,
-};
-use cp_des::{SimDuration, SimTime};
-use cp_simnet::{ClusterSpec, FaultPlan, NodeId};
-use std::sync::Arc;
-
-/// The scripted scenario: drop the first two messages leaving node 0 for
-/// node 1 from t = 200 µs on (the data relay's send attempts), well inside
-/// the default four-retry budget.
-fn plan() -> Arc<FaultPlan> {
-    Arc::new(FaultPlan::new().drop_link(
-        NodeId(0),
-        NodeId(1),
-        SimTime::ZERO + SimDuration::from_micros(200),
-        SimTime(u64::MAX),
-        2,
-    ))
-}
-
-fn run_once() -> (cp_des::SimReport, String) {
-    let spec = ClusterSpec::two_cells_one_xeon();
-    let opts = CellPilotOpts::new().with_trace().with_faults(plan());
-    let mut cfg = CellPilotConfig::one_rank_per_node(spec, opts);
-    let sender = SpeProgram::new("sender", 2048, |spe, _, _| {
-        // Model some compute so the write lands inside the fault window.
-        spe.ctx().advance(SimDuration::from_micros(300));
-        spe.write_slice(CpChannel(0), &(0..100).collect::<Vec<i32>>())
-            .unwrap();
-    });
-    let receiver = SpeProgram::new("receiver", 2048, |spe, _, _| {
-        let v = spe.read_vec::<i32>(CpChannel(0)).unwrap();
-        assert_eq!(v, (0..100).collect::<Vec<i32>>());
-    });
-    let parent = cfg
-        .create_process("parent", 0, |cp, _| cp.run_and_wait_my_spes())
-        .unwrap();
-    let a = cfg.create_spe_process(&sender, CP_MAIN, 0).unwrap();
-    let b = cfg.create_spe_process(&receiver, parent, 0).unwrap();
-    let chan = cfg.channel(a, b).build().unwrap();
-    assert_eq!(
-        cfg.channel_kind(chan).unwrap(),
-        ChannelKind::Type5,
-        "the scenario must exercise the Co-Pilot → Co-Pilot relay"
-    );
-    let (report, trace) = cfg.run_traced(move |cp| cp.run_and_wait_my_spes()).unwrap();
-    (report, render_trace(&trace))
-}
+use cp_bench::fault_replay;
 
 fn main() {
     println!("type-5 transfer with the first two relay messages dropped:\n");
-    let (report_a, trace_a) = run_once();
-    let (report_b, trace_b) = run_once();
+    let (report_a, trace_a) = fault_replay(true, 0).expect("the faulted transfer recovers");
+    let (report_b, trace_b) = fault_replay(true, 0).expect("the faulted transfer recovers");
     print!("{trace_a}");
     println!(
         "\ncompleted at virtual t = {:.1} us (healthy relay takes one attempt;",

@@ -16,11 +16,12 @@
 //! shedding run — the artifact CI uploads when the campaign finds
 //! something.
 //!
-//! Exit status: 0 when every seed passes, 3 when any invariant is
-//! violated (findings), 2 on usage errors.
+//! Exit status (the campaign contract): 0 when every seed passes, 3 on
+//! findings, 2 on usage errors.
 
 use cp_bench::cli::{parse_int_flag, parse_str_flag, unknown_flag};
-use cp_bench::{overload, overload_traced};
+use cp_bench::{overload, Campaign};
+use cp_trace::Recorder;
 
 const USAGE: &str = "repro_overload [--seeds N] [--trace-out PATH]";
 
@@ -37,66 +38,17 @@ fn main() {
     }
 
     println!("overload campaign: {n_seeds} seeds (burst = 3x capacity on every bounded channel)\n");
-    let mut failures = 0u64;
-    for seed in 0..n_seeds {
-        match overload(seed) {
-            Ok(r) => {
-                let incidents: Vec<String> = r
-                    .incidents
-                    .iter()
-                    .map(|(c, n)| format!("{c}x{n}"))
-                    .collect();
-                println!(
-                    "  seed {seed:>3}: {:>16} cap {} burst {:>2} accepted {:>2} \
-                     hwm [data {}, spe {}] waits {:>3} incidents [{}] end {}",
-                    format!("{:?}", r.policy),
-                    r.capacity,
-                    r.burst,
-                    r.accepted,
-                    r.data_high_watermark,
-                    r.spe_high_watermark,
-                    r.backpressure_waits,
-                    incidents.join(", "),
-                    r.end_time
-                );
-            }
-            Err(e) => {
-                failures += 1;
-                eprintln!("  seed {seed:>3}: FAILED: {e}");
-            }
-        }
-    }
-    // Artifacts are written even when the campaign found something — a
-    // failing CI run uploads them as the replay evidence.
-    let mut artifacts_failed = false;
+    let mut campaign = Campaign::default();
+    campaign.sweep(0..n_seeds, |seed| {
+        overload(seed, Recorder::enabled()).map(|r| r.to_string())
+    });
     if let Some(path) = trace_out {
         // Seed 1 rotates onto Shed: the interesting trace, with the
         // backpressure waits and shed incidents marked.
-        match overload_traced(1) {
-            Ok((_, rec)) => {
-                if let Err(e) = std::fs::write(&path, rec.chrome_trace()) {
-                    eprintln!("error: cannot write {path}: {e}");
-                    artifacts_failed = true;
-                } else {
-                    println!("wrote Chrome trace of shedding seed 1 to {path}");
-                }
-            }
-            Err(e) => {
-                eprintln!("traced run failed: {e}");
-                artifacts_failed = true;
-            }
-        }
+        campaign.trace_artifact(&path, "shedding seed 1", |rec| overload(1, rec));
     }
-
-    if failures > 0 {
-        eprintln!("\n{failures}/{n_seeds} seeds violated an overload invariant");
-        std::process::exit(3);
-    }
-    if artifacts_failed {
-        std::process::exit(3);
-    }
-    println!(
-        "\nall {n_seeds} seeds: completed, queues bounded by their capacity, \
+    campaign.finish(&format!(
+        "all {n_seeds} seeds: completed, queues bounded by their capacity, \
          sheds exact and accounted, accepted messages delivered ✓"
-    );
+    ));
 }

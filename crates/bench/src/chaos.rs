@@ -1,8 +1,8 @@
 //! Seeded chaos campaigns: reproducible randomized fault injection with
 //! invariant checking.
 //!
-//! A campaign draws a [`FaultPlan`] from a deterministic PRNG (splitmix64,
-//! so a seed is a complete bug report) restricted to **recoverable** faults
+//! A campaign draws a [`FaultPlan`] from the workspace's seeded PRNG
+//! ([`SplitMix64`], so a seed is a complete bug report) restricted to **recoverable** faults
 //! — message drops within the sender's retry budget, link delays,
 //! duplicate deliveries (absorbed by the exactly-once wire contract), SPE
 //! crashes within the supervision budget, bounded Co-Pilot stalls, and at
@@ -12,23 +12,31 @@
 //!
 //! 1. **Completion** — the run finishes; no deadlock, no abort.
 //! 2. **Byte-identity** — the application output (every rank-side read, in
-//!    order) equals the fault-free golden run's: recovery is seamless, the
+//!    order) equals the fault-free golden run's, by the same payload check
+//!    conformance applies between backends: recovery is seamless, the
 //!    application cannot tell it happened.
 //! 3. **Accounted incidents** — every incident category in the
 //!    [`cp_des::SimReport`] traces back to a fault the plan scheduled;
 //!    nothing degrades (no `PeerLost`, no abandonment) and nothing fires
 //!    that was not injected.
 //!
-//! The `repro_chaos` binary sweeps seeds; [`chaos`] runs one.
+//! The checks are the shared ones from [`cellpilot::conformance`]; the
+//! `repro_chaos` binary sweeps seeds through [`crate::campaign`], and
+//! [`chaos`] runs one.
 
 use std::fmt;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
+use cellpilot::conformance::{incidents_within, same_payloads, tally, PayloadLog, Payloads, Run};
 use cellpilot::{
     CellPilotConfig, CellPilotOpts, ChannelKind, CpChannel, SpeProgram, SupervisionPolicy, CP_MAIN,
 };
+use cp_des::rng::SplitMix64;
 use cp_des::{IncidentCategory, SimDuration, SimTime};
 use cp_simnet::{ClusterSpec, FaultPlan, NodeId, RetryPolicy};
+use cp_trace::Recorder;
+
+use crate::campaign::{render_tally, Violation};
 
 /// Per-SPE-process crash budget a campaign may spend — the supervision
 /// policy grants one more restart than this, so a chaos run can never
@@ -39,60 +47,6 @@ const CRASH_BUDGET: u32 = 2;
 /// kept below the retry budget so every payload still gets through.
 const DROP_BUDGET: u32 = 2;
 
-/// The application-visible output of the chaos workload: the messages
-/// collected by `main` and by the `xeon` rank, in read order.
-pub type ChaosOutcome = (Vec<Vec<i32>>, Vec<Vec<i32>>);
-
-/// Why a chaos run failed its invariants.
-#[derive(Debug, Clone)]
-pub enum ChaosFailure {
-    /// The run aborted or deadlocked instead of completing.
-    Sunk {
-        /// The generating seed.
-        seed: u64,
-        /// The simulator's error rendering.
-        error: String,
-    },
-    /// The run completed but its output differs from the golden run.
-    OutputDivergence {
-        /// The generating seed.
-        seed: u64,
-        /// Debug rendering of golden vs observed.
-        detail: String,
-    },
-    /// An incident fired whose category no planned fault explains.
-    UnplannedIncident {
-        /// The generating seed.
-        seed: u64,
-        /// The offending category.
-        category: IncidentCategory,
-        /// The incident's own description.
-        detail: String,
-    },
-}
-
-impl fmt::Display for ChaosFailure {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ChaosFailure::Sunk { seed, error } => {
-                write!(f, "seed {seed}: run sank: {error}")
-            }
-            ChaosFailure::OutputDivergence { seed, detail } => {
-                write!(f, "seed {seed}: output diverged from golden run: {detail}")
-            }
-            ChaosFailure::UnplannedIncident {
-                seed,
-                category,
-                detail,
-            } => {
-                write!(f, "seed {seed}: unplanned '{category}' incident: {detail}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ChaosFailure {}
-
 /// What one passing chaos run did, for campaign logs.
 #[derive(Debug, Clone)]
 pub struct ChaosReport {
@@ -101,30 +55,25 @@ pub struct ChaosReport {
     /// Faults the plan scheduled: `(drops, delays, duplicates, spe
     /// crashes, copilot stalls, copilot kills)`.
     pub planned: (u32, u32, u32, u32, u32, u32),
-    /// Incidents the run reported (category, count), in category order.
+    /// Incidents the run reported (category, count), in order of first
+    /// appearance.
     pub incidents: Vec<(IncidentCategory, usize)>,
     /// Virtual completion time (the golden run took
     /// [`golden_end_time`]).
     pub end_time: SimTime,
 }
 
-/// splitmix64: the canonical 64-bit mixing PRNG — tiny, dependency-free,
-/// and deterministic across platforms, which is all a seeded campaign
-/// needs. The overload campaign draws from it too.
-pub(crate) struct SplitMix64(pub(crate) u64);
-
-impl SplitMix64 {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform-ish draw in `[0, n)`; modulo bias is irrelevant here.
-    pub(crate) fn below(&mut self, n: u64) -> u64 {
-        self.next() % n.max(1)
+impl fmt::Display for ChaosReport {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (drops, delays, dups, crashes, stalls, kills) = self.planned;
+        write!(
+            f,
+            "  seed {:>3}: planned [drop {drops}, delay {delays}, dup {dups}, \
+             crash {crashes}, stall {stalls}, kill {kills}] incidents [{}] end {}",
+            self.seed,
+            render_tally(&self.incidents),
+            self.end_time
+        )
     }
 }
 
@@ -133,13 +82,12 @@ impl SplitMix64 {
 /// carrying three messages each. Data flows
 /// `xeon → s1a → s0b → s0a → main` with `main → s0a` and `main → xeon`
 /// feeding the ends, so every payload crosses several channel types before
-/// it is collected.
-fn run_workload(opts: CellPilotOpts) -> Result<(ChaosOutcome, SimTime, cp_des::SimReport), String> {
+/// it is collected. The application output is every rank-side read: the
+/// payloads `xeon` and `main` collect, logged per channel.
+fn run_workload(opts: CellPilotOpts) -> Run {
     let spec = ClusterSpec::two_cells_one_xeon();
     let mut cfg = CellPilotConfig::one_rank_per_node(spec, opts);
-
-    let main_out: Arc<Mutex<Vec<Vec<i32>>>> = Arc::new(Mutex::new(Vec::new()));
-    let xeon_out: Arc<Mutex<Vec<Vec<i32>>>> = Arc::new(Mutex::new(Vec::new()));
+    let log = PayloadLog::default();
 
     let s0a_prog = SpeProgram::new("s0a", 2048, |spe, _, _| {
         for _ in 0..3 {
@@ -164,7 +112,7 @@ fn run_workload(opts: CellPilotOpts) -> Result<(ChaosOutcome, SimTime, cp_des::S
         }
     });
 
-    let xeon_sink = xeon_out.clone();
+    let xeon_log = log.clone();
     let ppe1 = cfg
         .create_process("ppe1", 0, |cp, _| cp.run_and_wait_my_spes())
         .unwrap();
@@ -172,7 +120,7 @@ fn run_workload(opts: CellPilotOpts) -> Result<(ChaosOutcome, SimTime, cp_des::S
         .create_process("xeon", 0, move |cp, _| {
             for _ in 0..3 {
                 let v = cp.read_vec::<i32>(CpChannel(0)).unwrap();
-                xeon_sink.lock().unwrap().push(v);
+                xeon_log.record(CpChannel(0), v);
             }
             for i in 0..3i32 {
                 cp.write_slice(CpChannel(3), &[i * 3, 1000 + i]).unwrap();
@@ -205,40 +153,35 @@ fn run_workload(opts: CellPilotOpts) -> Result<(ChaosOutcome, SimTime, cp_des::S
         assert_eq!(cfg.channel_kind(c), Some(kind), "workload covers Table I");
     }
 
-    let main_sink = main_out.clone();
-    let report = cfg
-        .run(move |cp| {
-            let _tasks = cp.run_my_spes();
-            for i in 0..3i32 {
-                cp.write_slice(t1, &[i * 7, i]).unwrap();
-                cp.write_slice(t2, &[i, i + 10]).unwrap();
-            }
-            for _ in 0..3 {
-                let v = cp.read_vec::<i32>(t2b).unwrap();
-                main_sink.lock().unwrap().push(v);
-            }
-        })
-        .map_err(|e| e.to_string())?;
-    let out = (
-        std::mem::take(&mut *main_out.lock().unwrap()),
-        std::mem::take(&mut *xeon_out.lock().unwrap()),
-    );
-    Ok((out, report.end_time, report))
+    let main_log = log.clone();
+    let result = cfg.run(move |cp| {
+        let _tasks = cp.run_my_spes();
+        for i in 0..3i32 {
+            cp.write_slice(t1, &[i * 7, i]).unwrap();
+            cp.write_slice(t2, &[i, i + 10]).unwrap();
+        }
+        for _ in 0..3 {
+            let v = cp.read_vec::<i32>(t2b).unwrap();
+            main_log.record(t2b, v);
+        }
+    });
+    log.into_run(result)
 }
 
-/// The golden (fault-free) outcome and end time, computed once per
-/// process; every chaos run is compared against it.
-fn golden() -> &'static (ChaosOutcome, SimTime) {
-    static GOLDEN: OnceLock<(ChaosOutcome, SimTime)> = OnceLock::new();
+/// The golden (fault-free) output and end time, computed once per process;
+/// every chaos run is compared against it.
+fn golden() -> &'static (Payloads, SimTime) {
+    static GOLDEN: OnceLock<(Payloads, SimTime)> = OnceLock::new();
     GOLDEN.get_or_init(|| {
-        let (out, end, report) =
-            run_workload(base_opts()).expect("the fault-free workload completes");
+        let run = run_workload(base_opts());
+        let report = run.completed().expect("the fault-free workload completes");
         assert!(
             report.incidents.is_empty(),
             "golden run must be incident-free: {:?}",
             report.incidents
         );
-        (out, end)
+        let end = report.end_time;
+        (run.observed.payloads, end)
     })
 }
 
@@ -370,54 +313,6 @@ fn allowed_categories(counts: (u32, u32, u32, u32, u32, u32)) -> Vec<IncidentCat
     ok
 }
 
-/// Run one seeded chaos campaign at the given intensity (roughly the
-/// number of fault entries drawn; see [`chaos_plan`]) and check the three
-/// invariants. Deterministic: the same `(seed, intensity)` replays the
-/// same faults against the same workload, timestamp for timestamp.
-pub fn chaos(seed: u64, intensity: u32) -> Result<ChaosReport, ChaosFailure> {
-    chaos_with(seed, intensity, cp_trace::Recorder::disabled())
-}
-
-/// [`chaos`] with an observability recorder attached: returns the same
-/// invariant-checked report plus the recorder, whose
-/// [`cp_trace::Recorder::chrome_trace`] export shows every rank, SPE and
-/// Co-Pilot lane with the run's failover incidents. That the invariants
-/// still hold with recording on is itself a regression check: tracing must
-/// never consume virtual time, so the traced run stays byte-identical to
-/// the untraced golden run.
-pub fn chaos_traced(
-    seed: u64,
-    intensity: u32,
-) -> Result<(ChaosReport, cp_trace::Recorder), ChaosFailure> {
-    let rec = cp_trace::Recorder::enabled();
-    let report = chaos_with(seed, intensity, rec.clone())?;
-    Ok((report, rec))
-}
-
-/// Run the full Table-I workload with `cp-check` strict static checks
-/// and the race detector enabled, and assert the run is byte-identical
-/// to the untraced golden run: same outcome, same virtual end time, no
-/// incidents. This is the "zero cost when disabled, zero noise when
-/// enabled" contract — the wiring verifier runs at configure time and
-/// the happens-before recorder consumes no virtual time, so a clean
-/// program must neither slow down nor pick up findings. Panics with a
-/// diagnostic message if any of the three comparisons fail.
-pub fn checked_run_matches_golden() {
-    let (golden_out, golden_end) = golden().clone();
-    let (out, end_time, report) = run_workload(base_opts().with_strict_checks())
-        .expect("the checked fault-free workload completes");
-    assert_eq!(out, golden_out, "checked run diverged from golden output");
-    assert_eq!(
-        end_time, golden_end,
-        "static checks must not consume virtual time"
-    );
-    assert!(
-        report.incidents.is_empty(),
-        "checked golden run must be finding-free: {:?}",
-        report.incidents
-    );
-}
-
 /// The smallest seed whose `(seed, intensity)` chaos plan schedules at
 /// least one Co-Pilot kill — the interesting trace to export, because it
 /// exercises the standby failover path end to end.
@@ -425,45 +320,34 @@ pub fn seed_with_failover(intensity: u32) -> u64 {
     (0..).find(|&s| chaos_plan(s, intensity).1 .5 > 0).unwrap()
 }
 
-fn chaos_with(
-    seed: u64,
-    intensity: u32,
-    recorder: cp_trace::Recorder,
-) -> Result<ChaosReport, ChaosFailure> {
-    let (golden_out, _) = golden().clone();
+/// Run one seeded chaos campaign at the given intensity (roughly the
+/// number of fault entries drawn; see [`chaos_plan`]) and check the three
+/// invariants. Deterministic: the same `(seed, intensity)` replays the
+/// same faults against the same workload, timestamp for timestamp.
+///
+/// An enabled `recorder` keeps the run's Chrome trace: every rank, SPE and
+/// Co-Pilot lane with the failover incidents. That the invariants still
+/// hold with recording on is itself a regression check — tracing must never
+/// consume virtual time, so the traced run stays byte-identical to the
+/// untraced golden run.
+pub fn chaos(seed: u64, intensity: u32, recorder: Recorder) -> Result<ChaosReport, Violation> {
+    let (golden, _) = golden();
     let (plan, counts) = chaos_plan(seed, intensity);
     let opts = base_opts()
         .with_faults(Arc::new(plan))
         .with_retry(RetryPolicy::default())
         .with_tracing(recorder);
-    let (out, end_time, report) =
-        run_workload(opts).map_err(|error| ChaosFailure::Sunk { seed, error })?;
-    if out != golden_out {
-        return Err(ChaosFailure::OutputDivergence {
-            seed,
-            detail: format!("golden {golden_out:?} vs {out:?}"),
-        });
-    }
-    let allowed = allowed_categories(counts);
-    let mut tally: Vec<(IncidentCategory, usize)> = Vec::new();
-    for inc in &report.incidents {
-        if !allowed.contains(&inc.category) {
-            return Err(ChaosFailure::UnplannedIncident {
-                seed,
-                category: inc.category,
-                detail: inc.detail.clone(),
-            });
-        }
-        match tally.iter_mut().find(|(c, _)| *c == inc.category) {
-            Some((_, n)) => *n += 1,
-            None => tally.push((inc.category, 1)),
-        }
-    }
+    let run = run_workload(opts);
+    let violation = Violation::at(seed);
+    let report = run.completed().map_err(&violation)?;
+    same_payloads(golden, &run.observed.payloads)
+        .map_err(|d| violation(format!("output diverged from golden run: {d}")))?;
+    incidents_within(report, &allowed_categories(counts)).map_err(&violation)?;
     Ok(ChaosReport {
         seed,
         planned: counts,
-        incidents: tally,
-        end_time,
+        incidents: tally(report),
+        end_time: report.end_time,
     })
 }
 
@@ -487,19 +371,34 @@ mod tests {
 
     #[test]
     fn zero_intensity_is_the_golden_run() {
-        let r = chaos(7, 0).expect("an empty plan cannot fail");
+        let r = chaos(7, 0, Recorder::disabled()).expect("an empty plan cannot fail");
         assert_eq!(r.planned, (0, 0, 0, 0, 0, 0));
         assert!(r.incidents.is_empty());
         assert_eq!(r.end_time, golden_end_time());
     }
 
-    /// Satellite contract for `cp-check`: the strict-checked clean run is
-    /// indistinguishable from the unchecked golden run, and the chaos
-    /// workload — which exercises all five Table-I channel types — draws
-    /// no wiring lints or race findings.
+    /// The "zero cost when disabled, zero noise when enabled" contract of
+    /// `cp-check`: with strict static checks and the race detector on, the
+    /// chaos workload — all five Table-I channel types — runs
+    /// byte-identical to the unchecked golden run (same output, same
+    /// virtual end time) and draws no wiring lints or race findings. The
+    /// wiring verifier runs at configure time and the happens-before
+    /// recorder consumes no virtual time.
     #[test]
     fn static_checks_are_zero_overhead() {
-        checked_run_matches_golden();
+        let (golden, golden_end) = golden();
+        let run = run_workload(base_opts().with_strict_checks());
+        let report = run.completed().unwrap();
+        assert_eq!(same_payloads(golden, &run.observed.payloads), Ok(()));
+        assert_eq!(
+            report.end_time, *golden_end,
+            "static checks must not consume virtual time"
+        );
+        assert!(
+            report.incidents.is_empty(),
+            "checked golden run must be finding-free: {:?}",
+            report.incidents
+        );
     }
 
     /// A handful of seeds at moderate intensity as a unit-level smoke; the
@@ -507,7 +406,7 @@ mod tests {
     #[test]
     fn smoke_campaign_holds_invariants() {
         for seed in 0..4 {
-            if let Err(e) = chaos(seed, 6) {
+            if let Err(e) = chaos(seed, 6, Recorder::disabled()) {
                 panic!("chaos invariant violated: {e}");
             }
         }

@@ -3,8 +3,9 @@
 //!
 //! Every flag error prints the binary's usage line to stderr and exits
 //! with status 2 (the conventional "usage error" code, distinct from the
-//! status-1 "experiment failed its invariant" exit) — a CI step can never
-//! silently no-op on a typo like `--seeds 0` or `--sedes 8` again.
+//! status-3 "findings" exit of the campaigns, see [`crate::campaign`]) — a
+//! CI step can never silently no-op on a typo like `--seeds 0` or
+//! `--sedes 8` again.
 
 /// Print `msg` and the usage line to stderr, then exit with status 2.
 pub fn usage_error(usage: &str, msg: &str) -> ! {

@@ -1,107 +1,68 @@
-//! Schedule exploration: run one scenario under many legal DES schedules
-//! and assert result-equivalence.
+//! Schedule exploration: run scenarios under many legal DES schedules and
+//! require the same application outcome from every one.
 //!
 //! The DES kernel's schedule seed (see
 //! [`cp_des::Simulation::set_schedule_seed`]) permutes the dispatch order
 //! of same-timestamp events — every permutation is a schedule that could
 //! legally occur, so *traces* may differ between seeds but application
-//! *outcomes* must not. [`explore`] is the driver: it runs a scenario
-//! closure once per seed and fails with a [`ScheduleDivergence`] naming the
-//! first seed whose outcome disagrees with the baseline. Pick outcome types
-//! deliberately: application-visible results (data received, completion)
-//! are schedule-invariant; virtual end times and incident counts are not.
+//! *outcomes* must not. [`explore`] checks one seed: the fault-replay
+//! scenario must deliver exactly what was sent, and a type-5 circular wait
+//! must draw the same detector diagnostic as under seed 0's FIFO order.
+//! Virtual end times and incident counts legitimately vary and are not
+//! compared.
+//!
+//! The fault-replay scenario itself ([`fault_replay`]) is shared with
+//! `repro_faults` and `tests/fault_replay.rs`.
 
-use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, OnceLock};
 
-use cellpilot::{CellPilotConfig, CellPilotOpts, ChannelKind, CpChannel, SpeProgram, CP_MAIN};
-use cp_des::{SimDuration, SimTime};
+use cellpilot::conformance::{same_payloads, PayloadLog, Payloads};
+use cellpilot::{
+    render_trace, CellPilotConfig, CellPilotOpts, ChannelKind, CpChannel, SpeProgram, CP_MAIN,
+};
+use cp_des::{SimDuration, SimError, SimReport, SimTime};
 use cp_simnet::{ClusterSpec, FaultPlan, NodeId};
 
-/// Two schedule seeds produced different application outcomes — an
-/// ordering-dependent bug.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ScheduleDivergence {
-    /// The seed whose outcome was taken as the baseline (the first seed).
-    pub baseline_seed: u64,
-    /// The first seed that disagreed.
-    pub divergent_seed: u64,
-    /// Debug rendering of both outcomes.
-    pub detail: String,
+use crate::campaign::Violation;
+
+/// What the fault-replay sender writes, and so what the receiver must read.
+fn fault_replay_payloads() -> Payloads {
+    Payloads::from([(0, vec![(0..100).collect()])])
 }
 
-impl fmt::Display for ScheduleDivergence {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "schedule divergence: seed {} disagrees with baseline seed {}: {}",
-            self.divergent_seed, self.baseline_seed, self.detail
-        )
+/// The fault-replay scenario: an SPE on node 0 computes for 300 µs, then
+/// writes `0..100` over a type-5 channel (Co-Pilot → Co-Pilot relay) to an
+/// SPE on node 1. With `drops`, the first two messages leaving node 0 for
+/// node 1 from t = 200 µs on — the data relay's send attempts — are
+/// dropped, well inside the default four-retry budget, so the channel's
+/// retry machinery rides them out. Runs under `schedule_seed` and returns
+/// the report and the rendered channel trace once the run completed and
+/// the receiver read exactly what was sent.
+pub fn fault_replay(drops: bool, schedule_seed: u64) -> Result<(SimReport, String), String> {
+    let mut opts = CellPilotOpts::new()
+        .with_trace()
+        .with_schedule_seed(schedule_seed);
+    if drops {
+        opts = opts.with_faults(Arc::new(FaultPlan::new().drop_link(
+            NodeId(0),
+            NodeId(1),
+            SimTime::ZERO + SimDuration::from_micros(200),
+            SimTime(u64::MAX),
+            2,
+        )));
     }
-}
-
-impl std::error::Error for ScheduleDivergence {}
-
-/// Run `scenario` once per seed and require every outcome to equal the
-/// first seed's. On success returns each `(seed, outcome)` pair (callers
-/// may want to log or further compare them); on the first disagreement
-/// returns a [`ScheduleDivergence`].
-pub fn explore<T, F>(seeds: &[u64], scenario: F) -> Result<Vec<(u64, T)>, ScheduleDivergence>
-where
-    T: PartialEq + fmt::Debug,
-    F: Fn(u64) -> T,
-{
-    assert!(!seeds.is_empty(), "explore needs at least one seed");
-    let mut out: Vec<(u64, T)> = Vec::with_capacity(seeds.len());
-    for &seed in seeds {
-        let outcome = scenario(seed);
-        if let Some((base_seed, baseline)) = out.first() {
-            if *baseline != outcome {
-                return Err(ScheduleDivergence {
-                    baseline_seed: *base_seed,
-                    divergent_seed: seed,
-                    detail: format!("baseline {baseline:?} vs {outcome:?}"),
-                });
-            }
-        }
-        out.push((seed, outcome));
-    }
-    Ok(out)
-}
-
-/// The application-visible outcome of the fault-replay scenario: did the
-/// receiver get the payload, and what did it sum to. Deliberately excludes
-/// virtual end time and incident details — those legitimately vary with the
-/// schedule (retries may interleave differently); the delivered data must
-/// not.
-pub type FaultReplayOutcome = (bool, i64);
-
-/// The `repro_faults` scenario — a type-5 transfer riding out two scripted
-/// link drops — run under one schedule seed, returning its
-/// [`FaultReplayOutcome`].
-pub fn fault_replay_outcome(seed: u64) -> FaultReplayOutcome {
-    let plan = Arc::new(FaultPlan::new().drop_link(
-        NodeId(0),
-        NodeId(1),
-        SimTime::ZERO + SimDuration::from_micros(200),
-        SimTime(u64::MAX),
-        2,
-    ));
-    let spec = ClusterSpec::two_cells_one_xeon();
-    let opts = CellPilotOpts::new()
-        .with_faults(plan)
-        .with_schedule_seed(seed);
-    let mut cfg = CellPilotConfig::one_rank_per_node(spec, opts);
-    let received: Arc<Mutex<Option<i64>>> = Arc::new(Mutex::new(None));
-    let sink = received.clone();
+    let mut cfg = CellPilotConfig::one_rank_per_node(ClusterSpec::two_cells_one_xeon(), opts);
+    let log = PayloadLog::default();
     let sender = SpeProgram::new("sender", 2048, |spe, _, _| {
+        // Model some compute so the write lands inside the fault window.
         spe.ctx().advance(SimDuration::from_micros(300));
         spe.write_slice(CpChannel(0), &(0..100).collect::<Vec<i32>>())
             .unwrap();
     });
+    let reader_log = log.clone();
     let receiver = SpeProgram::new("receiver", 2048, move |spe, _, _| {
         let v = spe.read_vec::<i32>(CpChannel(0)).unwrap();
-        *sink.lock().unwrap() = Some(v.iter().map(|&x| i64::from(x)).sum());
+        reader_log.record(CpChannel(0), v);
     });
     let parent = cfg
         .create_process("parent", 0, |cp, _| cp.run_and_wait_my_spes())
@@ -109,37 +70,89 @@ pub fn fault_replay_outcome(seed: u64) -> FaultReplayOutcome {
     let a = cfg.create_spe_process(&sender, CP_MAIN, 0).unwrap();
     let b = cfg.create_spe_process(&receiver, parent, 0).unwrap();
     let chan = cfg.channel(a, b).build().unwrap();
-    assert_eq!(cfg.channel_kind(chan).unwrap(), ChannelKind::Type5);
-    let completed = cfg.run(move |cp| cp.run_and_wait_my_spes()).is_ok();
-    let sum = received.lock().unwrap().unwrap_or(-1);
-    (completed, sum)
+    assert_eq!(
+        cfg.channel_kind(chan).unwrap(),
+        ChannelKind::Type5,
+        "the scenario must exercise the Co-Pilot → Co-Pilot relay"
+    );
+    let (result, trace) = match cfg.run_traced(move |cp| cp.run_and_wait_my_spes()) {
+        Ok((report, trace)) => (Ok(report), render_trace(&trace)),
+        Err(e) => (Err(e), String::new()),
+    };
+    let run = log.into_run(result);
+    let report = run.completed()?.clone();
+    same_payloads(&fault_replay_payloads(), &run.observed.payloads)?;
+    Ok((report, trace))
+}
+
+/// A type-5 circular wait under one schedule seed: the deadlock service's
+/// abort diagnostic, or what the run did instead.
+fn deadlock_diagnostic(schedule_seed: u64) -> Result<String, String> {
+    let opts = CellPilotOpts::new()
+        .with_deadlock_service()
+        .with_schedule_seed(schedule_seed);
+    let mut cfg = CellPilotConfig::one_rank_per_node(ClusterSpec::two_cells_one_xeon(), opts);
+    let x = SpeProgram::new("x", 2048, |spe, _, _| {
+        let _ = spe.read_vec::<i32>(CpChannel(1));
+        spe.write_slice(CpChannel(0), &[1i32]).unwrap();
+    });
+    let y = SpeProgram::new("y", 2048, |spe, _, _| {
+        let _ = spe.read_vec::<i32>(CpChannel(0));
+        spe.write_slice(CpChannel(1), &[1i32]).unwrap();
+    });
+    let parent = cfg
+        .create_process("parent", 0, |cp, _| cp.run_and_wait_my_spes())
+        .unwrap();
+    let px = cfg.create_spe_process(&x, CP_MAIN, 0).unwrap();
+    let py = cfg.create_spe_process(&y, parent, 0).unwrap();
+    let _xy = cfg.channel(px, py).build().unwrap();
+    let _yx = cfg.channel(py, px).build().unwrap();
+    match cfg.run(move |cp| cp.run_and_wait_my_spes()) {
+        Err(SimError::Aborted { message, .. }) => Ok(message),
+        other => Err(format!("expected the detector's abort, got {other:?}")),
+    }
+}
+
+/// The circular wait's diagnostic under seed 0's FIFO schedule — the
+/// baseline every other schedule must reproduce.
+pub fn deadlock_baseline() -> Result<&'static str, String> {
+    static BASELINE: OnceLock<Result<String, String>> = OnceLock::new();
+    BASELINE
+        .get_or_init(|| deadlock_diagnostic(0))
+        .as_deref()
+        .map_err(Clone::clone)
+}
+
+/// Check one schedule seed: the fault-replay scenario completes and
+/// delivers exactly what was sent, and the circular wait draws the
+/// baseline diagnostic. Returns the sum the receiver read.
+pub fn explore(seed: u64) -> Result<i64, Violation> {
+    let violation = Violation::at(seed);
+    fault_replay(true, seed).map_err(&violation)?;
+    let baseline = deadlock_baseline().map_err(&violation)?;
+    let diagnostic = deadlock_diagnostic(seed).map_err(&violation)?;
+    if diagnostic != baseline {
+        return Err(violation(format!(
+            "deadlock diagnostic depends on the schedule: {diagnostic:?} vs seed 0's {baseline:?}"
+        )));
+    }
+    Ok(fault_replay_payloads()[&0][0]
+        .iter()
+        .map(|&x| i64::from(x))
+        .sum())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn explore_passes_on_equal_outcomes() {
-        let r = explore(&[0, 1, 2], |_seed| 42).unwrap();
-        assert_eq!(r.len(), 3);
-    }
-
-    #[test]
-    fn explore_reports_first_divergence() {
-        let err = explore(&[0, 1, 2, 3], |seed| if seed == 2 { 1 } else { 0 }).unwrap_err();
-        assert_eq!(err.baseline_seed, 0);
-        assert_eq!(err.divergent_seed, 2);
-    }
-
     /// The acceptance criterion: the fault-replay scenario must produce an
     /// identical application outcome under at least 8 distinct schedule
     /// seeds (seed 0 is the canonical FIFO schedule).
     #[test]
     fn fault_replay_outcome_is_schedule_invariant() {
-        let seeds: Vec<u64> = (0..=8).collect();
-        let outcomes = explore(&seeds, fault_replay_outcome).expect("no divergence");
-        assert_eq!(outcomes.len(), 9);
-        assert_eq!(outcomes[0].1, (true, 4950)); // sum 0..100
+        for seed in 0..=8 {
+            assert_eq!(explore(seed), Ok(4950)); // sum 0..100
+        }
     }
 }

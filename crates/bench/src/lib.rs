@@ -10,10 +10,15 @@
 //!   the same data;
 //! * the `repro_*` binaries print each artifact with the paper's numbers
 //!   side by side;
+//! * the seeded campaigns — [`chaos()`], [`overload()`], [`explore()`],
+//!   and the cross-backend sweep over `cellpilot::conformance` — check
+//!   their runs with the shared `cellpilot::conformance` checks and run
+//!   through one driver, [`Campaign`], with one exit contract;
 //! * `src/bin/cpbench/` is the one benchmark and perf gate: virtual and
 //!   host time of every path and layer (it uses nothing from this library;
 //!   see its README).
 
+pub mod campaign;
 pub mod chaos;
 pub mod check;
 pub mod cli;
@@ -25,13 +30,11 @@ pub mod pingpong;
 pub mod sweep;
 pub mod table2;
 
-pub use chaos::{
-    chaos, chaos_plan, chaos_traced, checked_run_matches_golden, golden_end_time,
-    seed_with_failover, ChaosFailure, ChaosOutcome, ChaosReport,
-};
-pub use explore::{explore, fault_replay_outcome, FaultReplayOutcome, ScheduleDivergence};
+pub use campaign::{Campaign, Violation};
+pub use chaos::{chaos, chaos_plan, golden_end_time, seed_with_failover, ChaosReport};
+pub use explore::{deadlock_baseline, explore, fault_replay};
 pub use imb::{exchange, pingping};
-pub use overload::{overload, overload_plan, overload_traced, OverloadFailure, OverloadReport};
+pub use overload::{overload, overload_plan, OverloadReport};
 pub use pingpong::{
     cellpilot_pingpong, cellpilot_pingpong_one_sided, cellpilot_pingpong_with,
     cellpilot_pingpong_xeon_initiator, PingPong, WARMUP,

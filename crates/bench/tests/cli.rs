@@ -1,6 +1,9 @@
 //! Exit-code contract of the repro binaries: a CI step must never
 //! silently no-op on a mistyped flag (`--seeds 0` used to run zero seeds
-//! and exit 0). Usage errors exit 2; failed experiments exit 1.
+//! and exit 0). Usage errors exit 2; the seeded campaigns (chaos,
+//! overload, conformance, explore) and `repro_check` exit 3 on findings
+//! and 0 when clean — the campaign driver's own test pins that a failing
+//! seed gives 3 and still writes its artifact.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -32,6 +35,22 @@ fn repro_explore_rejects_zero_seeds_and_unknown_flags() {
     let bin = env!("CARGO_BIN_EXE_repro_explore");
     assert_usage_error(&run(bin, &["--seeds", "0"]), "--seeds 0");
     assert_usage_error(&run(bin, &["--frobnicate"]), "unknown flag");
+}
+
+#[test]
+fn repro_overload_rejects_zero_seeds_and_unknown_flags() {
+    let bin = env!("CARGO_BIN_EXE_repro_overload");
+    assert_usage_error(&run(bin, &["--seeds", "0"]), "--seeds 0");
+    assert_usage_error(&run(bin, &["--trace-out"]), "missing path");
+    assert_usage_error(&run(bin, &["--no-such-flag"]), "unknown flag");
+}
+
+#[test]
+fn repro_conformance_rejects_zero_seeds_and_unknown_flags() {
+    let bin = env!("CARGO_BIN_EXE_repro_conformance");
+    assert_usage_error(&run(bin, &["--seeds", "0"]), "--seeds 0");
+    assert_usage_error(&run(bin, &["--out"]), "missing directory");
+    assert_usage_error(&run(bin, &["--no-such-flag"]), "unknown flag");
 }
 
 #[test]

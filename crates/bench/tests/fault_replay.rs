@@ -3,57 +3,15 @@
 //! machinery, and replaying the identical plan yields a byte-identical
 //! trace.
 
-use cellpilot::{
-    render_trace, CellPilotConfig, CellPilotOpts, ChannelKind, CpChannel, SpeProgram, CP_MAIN,
-};
-use cp_des::{SimDuration, SimReport, SimTime};
-use cp_simnet::{ClusterSpec, FaultPlan, NodeId};
-use std::sync::Arc;
-
-fn run_scenario(plan: Option<Arc<FaultPlan>>) -> (SimReport, String) {
-    let spec = ClusterSpec::two_cells_one_xeon();
-    let mut opts = CellPilotOpts::new().with_trace();
-    if let Some(p) = plan {
-        opts = opts.with_faults(p);
-    }
-    let mut cfg = CellPilotConfig::one_rank_per_node(spec, opts);
-    let sender = SpeProgram::new("sender", 2048, |spe, _, _| {
-        spe.ctx().advance(SimDuration::from_micros(300));
-        spe.write_slice(CpChannel(0), &(0..100).collect::<Vec<i32>>())
-            .unwrap();
-    });
-    let receiver = SpeProgram::new("receiver", 2048, |spe, _, _| {
-        let v = spe.read_vec::<i32>(CpChannel(0)).unwrap();
-        assert_eq!(v, (0..100).collect::<Vec<i32>>());
-    });
-    let parent = cfg
-        .create_process("parent", 0, |cp, _| cp.run_and_wait_my_spes())
-        .unwrap();
-    let a = cfg.create_spe_process(&sender, CP_MAIN, 0).unwrap();
-    let b = cfg.create_spe_process(&receiver, parent, 0).unwrap();
-    let chan = cfg.channel(a, b).build().unwrap();
-    assert_eq!(cfg.channel_kind(chan).unwrap(), ChannelKind::Type5);
-    let (report, trace) = cfg.run_traced(move |cp| cp.run_and_wait_my_spes()).unwrap();
-    (report, render_trace(&trace))
-}
-
-fn drop_plan() -> Arc<FaultPlan> {
-    Arc::new(FaultPlan::new().drop_link(
-        NodeId(0),
-        NodeId(1),
-        SimTime::ZERO + SimDuration::from_micros(200),
-        SimTime(u64::MAX),
-        2,
-    ))
-}
+use cp_bench::fault_replay;
 
 /// The drops engage (the faulted run is strictly slower than a healthy
 /// one), yet the transfer succeeds — recovery is invisible to the
 /// application.
 #[test]
 fn link_drops_recover_via_retry() {
-    let (healthy, _) = run_scenario(None);
-    let (faulted, _) = run_scenario(Some(drop_plan()));
+    let (healthy, _) = fault_replay(false, 0).unwrap();
+    let (faulted, _) = fault_replay(true, 0).unwrap();
     assert!(
         faulted.end_time > healthy.end_time,
         "retries must cost virtual time: faulted {} vs healthy {}",
@@ -66,8 +24,8 @@ fn link_drops_recover_via_retry() {
 /// traces and the same virtual end time.
 #[test]
 fn scripted_fault_replay_is_byte_identical() {
-    let (report_a, trace_a) = run_scenario(Some(drop_plan()));
-    let (report_b, trace_b) = run_scenario(Some(drop_plan()));
+    let (report_a, trace_a) = fault_replay(true, 0).unwrap();
+    let (report_b, trace_b) = fault_replay(true, 0).unwrap();
     assert!(!trace_a.is_empty());
     assert_eq!(trace_a, trace_b);
     assert_eq!(report_a.end_time, report_b.end_time);

@@ -5,6 +5,7 @@
 use std::sync::{Arc, Mutex};
 
 use cellpilot::{CellPilotConfig, CellPilotOpts, CpChannel, SpeProgram, CP_MAIN};
+use cp_des::rng::SplitMix64;
 use cp_des::{Backend, SimTime};
 use cp_simnet::ClusterSpec;
 
@@ -167,19 +168,6 @@ fn above_threshold_payloads_keep_the_dma_golden_digest() {
     );
 }
 
-/// Seeded splitmix64, as in the bench modules.
-struct SplitMix64(u64);
-
-impl SplitMix64 {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-}
-
 /// An SPE streams `count` seeded messages to the rank over one channel,
 /// randomly mixing single-word payloads (13 bytes packed — inline when
 /// eager) with multi-word ones (17+ bytes — always rendezvous DMA). The
@@ -192,8 +180,10 @@ fn seeded_stream(eager: bool, seed: u64, count: usize, backend: Backend) -> Vec<
     let producer = SpeProgram::new("producer", 2048, move |spe, _, _| {
         let mut rng = SplitMix64(seed);
         for _ in 0..count {
-            let words = 1 + (rng.next() % 8) as usize;
-            let payload: Vec<i32> = (0..words).map(|_| (rng.next() & 0xFFFF) as i32).collect();
+            let words = 1 + rng.below(8) as usize;
+            let payload: Vec<i32> = (0..words)
+                .map(|_| (rng.next_u64() & 0xFFFF) as i32)
+                .collect();
             spe.write_slice(CpChannel(0), &payload).unwrap();
         }
     });

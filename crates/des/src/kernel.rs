@@ -59,6 +59,7 @@
 
 use crate::backend::{Backend, ComponentBody, Executor, ProcBody, Spawner, Step};
 use crate::error::{Incident, IncidentCategory, Pid, SimError, SimReport};
+use crate::rng::SplitMix64;
 use crate::time::{SimDuration, SimTime};
 use cp_trace::Recorder;
 use parking_lot::{Mutex, MutexGuard};
@@ -189,15 +190,6 @@ struct KState {
     runner: Option<Thread>,
 }
 
-/// SplitMix64 finalizer: a cheap, high-quality 64-bit mixing function used to
-/// derive schedule tie-break keys from `(seed, seq)` pairs.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 pub(crate) struct Kernel {
     state: Mutex<KState>,
     /// Mirror of `KState::now`, written by `dispatch` under the lock. A
@@ -253,7 +245,7 @@ impl Kernel {
         let tie = if st.sched_seed == 0 {
             seq
         } else {
-            splitmix64(st.sched_seed ^ seq.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+            SplitMix64(st.sched_seed ^ seq.wrapping_mul(0x9E37_79B9_7F4A_7C15)).next_u64()
         };
         st.queue.push(Reverse((at.0, tie, seq, pid)));
     }

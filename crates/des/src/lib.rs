@@ -41,6 +41,7 @@
 mod backend;
 mod error;
 mod kernel;
+pub mod rng;
 pub mod sync;
 mod time;
 

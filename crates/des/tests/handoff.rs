@@ -48,6 +48,50 @@ fn ring_of_64_is_deterministic_under_two_schedule_seeds() {
     }
 }
 
+/// Eight processes advancing by short, uneven steps, so most instants are
+/// a tie among several of them and the schedule seed alone orders them.
+fn tied_trace(seed: u64) -> Vec<(SimTime, Pid)> {
+    let mut sim = Simulation::with_trace();
+    sim.set_schedule_seed(seed);
+    for i in 0..8u64 {
+        sim.spawn(&format!("tie{i}"), move |ctx| {
+            for k in 0..16u64 {
+                ctx.advance(SimDuration::from_nanos(1 + (i * k) % 3));
+            }
+        });
+    }
+    sim.run().unwrap().trace.unwrap()
+}
+
+/// FNV-1a over a `(time, pid)` trace.
+fn digest(trace: &[(SimTime, Pid)]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &(t, pid) in trace {
+        for b in t
+            .as_nanos()
+            .to_le_bytes()
+            .into_iter()
+            .chain((pid as u64).to_le_bytes())
+        {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
+}
+
+#[test]
+fn seeded_tie_breaks_are_pinned() {
+    let fifo = tied_trace(0);
+    let permuted = tied_trace(0x5EED);
+    assert_ne!(fifo, permuted, "a nonzero seed must reorder ties");
+    let sorted = |mut t: Vec<(SimTime, Pid)>| {
+        t.sort();
+        t
+    };
+    assert_eq!(sorted(fifo), sorted(permuted.clone()), "only ties move");
+    assert_eq!(digest(&permuted), 0x83df_eb70_c214_18be);
+}
+
 #[test]
 fn spawn_storm_children_dispatched_before_their_threads_register() {
     let mut sim = Simulation::new();

@@ -303,14 +303,11 @@ proptest! {
     }
 }
 
-fn shuffle_by_seed<T>(items: &mut [T], mut seed: u64) {
+fn shuffle_by_seed<T>(items: &mut [T], seed: u64) {
     // splitmix64-driven Fisher–Yates: deterministic per proptest case.
+    let mut rng = cp_des::rng::SplitMix64(seed);
     for i in (1..items.len()).rev() {
-        seed = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = seed;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        let j = ((z ^ (z >> 31)) % (i as u64 + 1)) as usize;
+        let j = rng.below(i as u64 + 1) as usize;
         items.swap(i, j);
     }
 }

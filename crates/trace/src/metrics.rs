@@ -1,7 +1,6 @@
 //! Metric aggregation: cheap counters accumulated during a run and the
-//! [`MetricsSnapshot`] they collapse into, with a stable JSON schema.
+//! [`MetricsSnapshot`] they collapse into.
 
-use crate::json::Json;
 use std::collections::BTreeMap;
 
 /// Number of CellPilot channel types (Table I of the paper).
@@ -186,28 +185,6 @@ impl LatencyStats {
             max: us(*sorted.last().unwrap()),
         }
     }
-
-    fn to_json(&self) -> Json {
-        let mut o = Json::obj();
-        o.set("count", self.count);
-        o.set("min", self.min);
-        o.set("mean", self.mean);
-        o.set("median", self.median);
-        o.set("p95", self.p95);
-        o.set("max", self.max);
-        o
-    }
-
-    fn from_json(j: &Json) -> Result<LatencyStats, String> {
-        Ok(LatencyStats {
-            count: req_u64(j, "count")?,
-            min: req_f64(j, "min")?,
-            mean: req_f64(j, "mean")?,
-            median: req_f64(j, "median")?,
-            p95: req_f64(j, "p95")?,
-            max: req_f64(j, "max")?,
-        })
-    }
 }
 
 /// Aggregated metrics for one channel type (1–5).
@@ -250,36 +227,6 @@ pub struct OneSidedMetrics {
     pub throughput_mb_s: f64,
 }
 
-impl OneSidedMetrics {
-    fn to_json(&self) -> Json {
-        let mut o = Json::obj();
-        o.set("puts", self.puts);
-        o.set("gets", self.gets);
-        o.set("bytes", self.bytes);
-        o.set("put_latency_us", self.put_latency_us.to_json());
-        o.set("get_latency_us", self.get_latency_us.to_json());
-        o.set("throughput_mb_s", self.throughput_mb_s);
-        o
-    }
-
-    fn from_json(j: &Json) -> Result<OneSidedMetrics, String> {
-        Ok(OneSidedMetrics {
-            puts: req_u64(j, "puts")?,
-            gets: req_u64(j, "gets")?,
-            bytes: req_u64(j, "bytes")?,
-            put_latency_us: LatencyStats::from_json(
-                j.get("put_latency_us")
-                    .ok_or("metrics: missing put_latency_us")?,
-            )?,
-            get_latency_us: LatencyStats::from_json(
-                j.get("get_latency_us")
-                    .ok_or("metrics: missing get_latency_us")?,
-            )?,
-            throughput_mb_s: req_f64(j, "throughput_mb_s")?,
-        })
-    }
-}
-
 /// Aggregated MPI-layer counters.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct MpiMetrics {
@@ -316,16 +263,14 @@ pub struct NetMetrics {
 pub struct DesMetrics {
     /// Scheduler dispatches (grants of the virtual CPU).
     pub dispatches: u64,
-    /// The dispatches that woke a different OS thread (snapshots written
-    /// before the kernel counted them parse as 0).
+    /// The dispatches that woke a different OS thread.
     pub handoffs: u64,
     /// High-water mark of the pending event queue.
     pub max_queue_depth: u64,
 }
 
 /// Per-channel flow-control counters, keyed by channel index. Empty for
-/// runs where no channel declared a capacity (older snapshots omit the
-/// section entirely).
+/// runs where no channel declared a capacity.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct FlowMetrics {
     /// Largest observed in-flight depth per bounded channel — the number
@@ -338,44 +283,14 @@ pub struct FlowMetrics {
     pub backpressure_waits: BTreeMap<u32, u64>,
 }
 
-impl FlowMetrics {
-    fn to_json(&self) -> Json {
-        let mut o = Json::obj();
-        o.set(
-            "queue_high_watermark",
-            chan_counts_to_json(&self.queue_high_watermark),
-        );
-        o.set("sheds", chan_counts_to_json(&self.sheds));
-        o.set(
-            "backpressure_waits",
-            chan_counts_to_json(&self.backpressure_waits),
-        );
-        o
-    }
-
-    fn from_json(j: &Json) -> Result<FlowMetrics, String> {
-        Ok(FlowMetrics {
-            queue_high_watermark: chan_counts_from_json(
-                j.get("queue_high_watermark")
-                    .ok_or("metrics: missing queue_high_watermark")?,
-            )?,
-            sheds: chan_counts_from_json(j.get("sheds").ok_or("metrics: missing sheds")?)?,
-            backpressure_waits: chan_counts_from_json(
-                j.get("backpressure_waits")
-                    .ok_or("metrics: missing backpressure_waits")?,
-            )?,
-        })
-    }
-}
-
-/// One run's aggregated metrics, with a stable JSON schema (see
-/// `DESIGN.md` §14).
+/// One run's aggregated metrics, read in process through
+/// `Recorder::snapshot` (see `DESIGN.md` §14).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct MetricsSnapshot {
     /// One entry per channel type, ordered type 1 → 5.
     pub channel_types: Vec<ChannelTypeMetrics>,
     /// One-sided window-fabric counters; all-zero when no channel used
-    /// the one-sided path (older snapshots omit the section entirely).
+    /// the one-sided path.
     pub one_sided: OneSidedMetrics,
     /// MPI-layer counters.
     pub mpi: MpiMetrics,
@@ -383,177 +298,10 @@ pub struct MetricsSnapshot {
     pub net: NetMetrics,
     /// DES-kernel counters.
     pub des: DesMetrics,
-    /// Flow-control counters; empty when no channel declared a capacity
-    /// (older snapshots omit the section entirely).
+    /// Flow-control counters; empty when no channel declared a capacity.
     pub flow: FlowMetrics,
     /// Incident counts by `IncidentCategory` kebab-case name.
     pub incidents: BTreeMap<String, u64>,
-}
-
-impl MetricsSnapshot {
-    /// Serialize to the documented JSON schema.
-    pub fn to_json(&self) -> Json {
-        let mut o = Json::obj();
-        let types: Vec<Json> = self
-            .channel_types
-            .iter()
-            .map(|c| {
-                let mut t = Json::obj();
-                t.set("type", c.chan_type);
-                t.set("writes", c.writes);
-                t.set("reads", c.reads);
-                t.set("bytes", c.bytes);
-                t.set("proxy_hops", c.proxy_hops);
-                t.set("latency_us", c.latency_us.to_json());
-                t.set("throughput_mb_s", c.throughput_mb_s);
-                t
-            })
-            .collect();
-        o.set("channel_types", types);
-        o.set("one_sided", self.one_sided.to_json());
-        let mut mpi = Json::obj();
-        mpi.set("sends", self.mpi.sends);
-        mpi.set("recvs", self.mpi.recvs);
-        mpi.set("payload_bytes", self.mpi.payload_bytes);
-        mpi.set("wire_bytes", self.mpi.wire_bytes);
-        mpi.set("retransmits", self.mpi.retransmits);
-        mpi.set("collectives", counts_to_json(&self.mpi.collectives));
-        o.set("mpi", mpi);
-        let mut net = Json::obj();
-        net.set("link_drops", self.net.link_drops);
-        net.set("link_delays", self.net.link_delays);
-        net.set("link_duplicates", self.net.link_duplicates);
-        net.set("heartbeats", self.net.heartbeats);
-        o.set("net", net);
-        let mut des = Json::obj();
-        des.set("dispatches", self.des.dispatches);
-        des.set("handoffs", self.des.handoffs);
-        des.set("max_queue_depth", self.des.max_queue_depth);
-        o.set("des", des);
-        o.set("flow", self.flow.to_json());
-        o.set("incidents", counts_to_json(&self.incidents));
-        o
-    }
-
-    /// Parse a value produced by [`MetricsSnapshot::to_json`].
-    pub fn from_json(j: &Json) -> Result<MetricsSnapshot, String> {
-        let types = j
-            .get("channel_types")
-            .and_then(Json::as_arr)
-            .ok_or("metrics: missing channel_types array")?;
-        let channel_types = types
-            .iter()
-            .map(|t| {
-                Ok(ChannelTypeMetrics {
-                    chan_type: req_u64(t, "type")? as u8,
-                    writes: req_u64(t, "writes")?,
-                    reads: req_u64(t, "reads")?,
-                    bytes: req_u64(t, "bytes")?,
-                    proxy_hops: req_u64(t, "proxy_hops")?,
-                    latency_us: LatencyStats::from_json(
-                        t.get("latency_us").ok_or("metrics: missing latency_us")?,
-                    )?,
-                    throughput_mb_s: req_f64(t, "throughput_mb_s")?,
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        let mpi = j.get("mpi").ok_or("metrics: missing mpi")?;
-        let net = j.get("net").ok_or("metrics: missing net")?;
-        let des = j.get("des").ok_or("metrics: missing des")?;
-        // Tolerate snapshots written before the one-sided fabric existed:
-        // a missing section reads back as the all-zero default.
-        let one_sided = match j.get("one_sided") {
-            Some(os) => OneSidedMetrics::from_json(os)?,
-            None => OneSidedMetrics::default(),
-        };
-        // Same tolerance for the flow-control section (pre-backpressure
-        // snapshots omit it).
-        let flow = match j.get("flow") {
-            Some(f) => FlowMetrics::from_json(f)?,
-            None => FlowMetrics::default(),
-        };
-        Ok(MetricsSnapshot {
-            channel_types,
-            one_sided,
-            mpi: MpiMetrics {
-                sends: req_u64(mpi, "sends")?,
-                recvs: req_u64(mpi, "recvs")?,
-                payload_bytes: req_u64(mpi, "payload_bytes")?,
-                wire_bytes: req_u64(mpi, "wire_bytes")?,
-                retransmits: req_u64(mpi, "retransmits")?,
-                collectives: counts_from_json(
-                    mpi.get("collectives")
-                        .ok_or("metrics: missing collectives")?,
-                )?,
-            },
-            net: NetMetrics {
-                link_drops: req_u64(net, "link_drops")?,
-                link_delays: req_u64(net, "link_delays")?,
-                link_duplicates: req_u64(net, "link_duplicates")?,
-                heartbeats: req_u64(net, "heartbeats")?,
-            },
-            des: DesMetrics {
-                dispatches: req_u64(des, "dispatches")?,
-                handoffs: des.get("handoffs").and_then(Json::as_u64).unwrap_or(0),
-                max_queue_depth: req_u64(des, "max_queue_depth")?,
-            },
-            flow,
-            incidents: counts_from_json(j.get("incidents").ok_or("metrics: missing incidents")?)?,
-        })
-    }
-}
-
-fn counts_to_json(counts: &BTreeMap<String, u64>) -> Json {
-    let mut o = Json::obj();
-    for (k, v) in counts {
-        o.set(k, *v);
-    }
-    o
-}
-
-fn chan_counts_to_json(counts: &BTreeMap<u32, u64>) -> Json {
-    let mut o = Json::obj();
-    for (k, v) in counts {
-        o.set(&k.to_string(), *v);
-    }
-    o
-}
-
-fn chan_counts_from_json(j: &Json) -> Result<BTreeMap<u32, u64>, String> {
-    counts_from_json(j)?
-        .into_iter()
-        .map(|(k, v)| {
-            k.parse::<u32>()
-                .map(|chan| (chan, v))
-                .map_err(|_| format!("metrics: channel key {k:?} is not an index"))
-        })
-        .collect()
-}
-
-fn counts_from_json(j: &Json) -> Result<BTreeMap<String, u64>, String> {
-    match j {
-        Json::Obj(map) => map
-            .iter()
-            .map(|(k, v)| {
-                v.as_u64()
-                    .map(|n| (k.clone(), n))
-                    .ok_or_else(|| format!("metrics: count {k:?} is not an integer"))
-            })
-            .collect(),
-        _ => Err("metrics: counts must be an object".to_string()),
-    }
-}
-
-fn req_u64(j: &Json, key: &str) -> Result<u64, String> {
-    j.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("metrics: missing integer field {key:?}"))
-}
-
-fn req_f64(j: &Json, key: &str) -> Result<f64, String> {
-    j.get(key)
-        .and_then(Json::as_f64)
-        .ok_or_else(|| format!("metrics: missing number field {key:?}"))
 }
 
 #[cfg(test)]
@@ -579,43 +327,19 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_round_trips_through_json() {
+    fn snapshot_aggregates_latencies_and_flow_counters() {
         let mut state = MetricsState::default();
-        state.channel[4].writes = 3;
-        state.channel[4].reads = 3;
-        state.channel[4].bytes = 9600;
-        state.channel[4].proxy_hops = 6;
         state.channel[4].latencies_ns = vec![189_000, 190_000, 191_000];
-        state.mpi.sends = 12;
-        state.mpi.payload_bytes = 4800;
-        state.mpi.wire_bytes = 6400;
-        state.mpi.retransmits = 1;
-        state.mpi.collectives.insert("bcast".to_string(), 2);
-        state.net.link_drops = 1;
-        state.net.heartbeats = 40;
-        state.des.dispatches = 1234;
-        state.des.handoffs = 617;
-        state.des.max_queue_depth = 17;
-        state.incidents.insert("copilot-failover".to_string(), 1);
-        state.one_sided.puts = 4;
-        state.one_sided.gets = 4;
-        state.one_sided.bytes = 12800;
-        state.one_sided.put_latencies_ns = vec![80_000, 81_000, 82_000, 83_000];
-        state.one_sided.get_latencies_ns = vec![5_000, 6_000, 7_000, 8_000];
         state.flow.note_depth(0, 3);
         state.flow.note_depth(0, 7);
         state.flow.note_depth(0, 5); // high watermark keeps the max
         *state.flow.sheds.entry(2).or_insert(0) += 4;
-        *state.flow.backpressure_waits.entry(0).or_insert(0) += 11;
         let snap = state.snapshot();
         assert_eq!(snap.channel_types.len(), CHANNEL_TYPE_COUNT);
         assert_eq!(snap.channel_types[4].chan_type, 5);
         assert_eq!(snap.channel_types[4].latency_us.median, 190.0);
         assert_eq!(snap.flow.queue_high_watermark.get(&0), Some(&7));
         assert_eq!(snap.flow.sheds.get(&2), Some(&4));
-        let text = snap.to_json().to_pretty();
-        let back = MetricsSnapshot::from_json(&Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back, snap);
     }
 
     #[test]
@@ -623,41 +347,5 @@ mod tests {
         // 1600 bytes in 200 µs -> 8 MB/s.
         assert_eq!(throughput_mb_s(1600, &[200_000]), 8.0);
         assert_eq!(throughput_mb_s(1600, &[]), 0.0);
-    }
-
-    #[test]
-    fn from_json_reports_missing_fields() {
-        let j = Json::parse("{\"channel_types\":[]}").unwrap();
-        let err = MetricsSnapshot::from_json(&j).unwrap_err();
-        assert!(err.contains("mpi"), "{err}");
-    }
-
-    #[test]
-    fn missing_one_sided_section_parses_as_default() {
-        // Snapshots committed before the window fabric existed have no
-        // one_sided key; they must keep parsing.
-        let snap = MetricsState::default().snapshot();
-        let stripped = match snap.to_json() {
-            Json::Obj(map) => {
-                Json::Obj(map.into_iter().filter(|(k, _)| k != "one_sided").collect())
-            }
-            other => panic!("snapshot must serialize to an object, got {other:?}"),
-        };
-        assert!(stripped.get("one_sided").is_none());
-        let back = MetricsSnapshot::from_json(&stripped).unwrap();
-        assert_eq!(back.one_sided, OneSidedMetrics::default());
-    }
-
-    #[test]
-    fn missing_flow_section_parses_as_default() {
-        // Snapshots committed before flow control existed have no flow
-        // key; they must keep parsing.
-        let snap = MetricsState::default().snapshot();
-        let stripped = match snap.to_json() {
-            Json::Obj(map) => Json::Obj(map.into_iter().filter(|(k, _)| k != "flow").collect()),
-            other => panic!("snapshot must serialize to an object, got {other:?}"),
-        };
-        let back = MetricsSnapshot::from_json(&stripped).unwrap();
-        assert_eq!(back.flow, FlowMetrics::default());
     }
 }

@@ -30,28 +30,27 @@ proptest! {
     #[test]
     fn backends_agree_on_random_wirings(seed in any::<u64>()) {
         let plan = WiringPlan::from_seed(seed);
-        let (oracle, candidate, divergence) = check_plan(&plan);
+        let (oracle, candidate, verdict) = check_plan(&plan);
         prop_assert!(
-            divergence.is_none(),
+            verdict.is_ok(),
             "seed {seed} diverged: {}\nplan: {plan:?}\n--- sim (oracle) ---\n{oracle}\n--- native ---\n{candidate}",
-            divergence.unwrap(),
+            verdict.unwrap_err(),
         );
     }
 }
 
-/// A channel saturated past its capacity degrades identically on both
-/// backends: the reader is parked during the burst, so exactly
-/// `burst - capacity` writes shed (each an `ErrorKind::Backpressure`),
-/// and the accepted-payload FIFO plus the `overload`/`message-shed`
-/// incident multiset must match between sim and native.
+/// The overload campaign's workload, saturated past its capacity under
+/// `Shed`, degrades identically on both backends: the reader is parked
+/// during the burst, so exactly `burst - capacity` writes shed (each an
+/// `ErrorKind::Backpressure`), and the payload FIFOs plus the
+/// `overload`/`message-shed` incident multiset must match between sim and
+/// native.
 #[test]
 fn backends_agree_on_a_saturated_channel() {
     let (oracle, candidate, verdict) = check_saturated();
-    assert!(
-        verdict.is_none(),
-        "saturated channel diverged: {}\n--- sim (oracle) ---\n{oracle}\n--- native ---\n{candidate}",
-        verdict.unwrap(),
-    );
+    if let Err(why) = verdict {
+        panic!("saturated channel diverged: {why}\n--- sim (oracle) ---\n{oracle}\n--- native ---\n{candidate}");
+    }
     assert!(
         oracle.incidents.iter().any(|c| c == "message-shed"),
         "the scenario must actually shed, or it proves nothing"
