@@ -990,10 +990,9 @@ impl CellPilotConfig {
         }
         // Deadlock-detection service.
         if let Some(det_rank) = tables.detector_rank {
-            let tables2 = tables.clone();
-            let faults2 = shared.faults.clone();
-            world.launch(&mut sim, det_rank, "cp-deadlock-svc", move |comm| {
-                crate::dlsvc::detector_main(comm, tables2, faults2);
+            let expected = crate::dlsvc::finishers(&tables, &shared.faults);
+            world.launch_async(&mut sim, det_rank, "cp-deadlock-svc", move |comm| {
+                cp_pilot::detector(comm, expected, |ep| ep.to_string())
             });
         }
         let mut report = sim.run()?;

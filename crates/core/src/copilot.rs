@@ -27,12 +27,13 @@
 //! `MPI_Recv(ANY_SOURCE)`), and the **service loop** consuming both event
 //! streams in arrival order. Only the service loop has a thread. The
 //! watchers and the pump — and, under a fault plan, the heartbeat and the
-//! kill timer — are `cp-des` *components*: state machines with a pid and a
-//! name of their own that return each wait as a [`Step`], which the
-//! simulator runs on whichever thread is dispatching (`cp-native` drives
-//! each from an ordinary thread). A step runs while some other process —
-//! often this node's service loop, holding `ns.co_state` — sits in a kernel
-//! call, so a component touches only locks that are never held across one:
+//! kill timer — are `cp-des` *components*: straight-line `async` blocks
+//! with a pid and a name of their own that await each wait as a [`Step`],
+//! which the simulator runs on whichever thread is dispatching (`cp-native`
+//! drives each from an ordinary thread). A step runs while some other
+//! process — often this node's service loop, holding `ns.co_state` — sits
+//! in a kernel call, so a component touches only locks that are never held
+//! across one, and never holds a guard across an `.await` (a lint error):
 //! the mailbox and event queues, the local store, the recorders.
 
 use crate::location::Location;
@@ -45,8 +46,8 @@ use crate::runtime::AppShared;
 use crate::tables::{CoEvent, NodeShared, PendingReq};
 use cp_cellsim::{ls_ea, CellNode};
 use cp_des::sync::Poll;
-use cp_des::{IncidentCategory, ProcCtx, SimDuration, Step};
-use cp_mpisim::{Comm, Datatype, MpiWorld, Msg, Recv, RecvPoll};
+use cp_des::{async_component, IncidentCategory, ProcCtx, SimDuration, Step};
+use cp_mpisim::{Comm, Datatype, MpiWorld, Msg};
 use cp_simnet::{NodeId, HEARTBEAT_PERIOD, WATCHDOG_TIMEOUT};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -70,31 +71,24 @@ pub(crate) fn copilot_body(
             // The node-local liveness signal: beat every period until the
             // scripted death silences it (or a clean shutdown stops the
             // pair). The watchdog in `standby_body` polls the same cell.
-            {
-                let hb = ns.hb.clone();
-                ctx.spawn_component(&format!("copilot{}-heartbeat", node.0), move |bctx| {
-                    if hb.is_stopped() || bctx.now() >= kill_at {
-                        return Step::Done;
-                    }
+            let hb = ns.hb.clone();
+            let heartbeat = async_component(move |bctx| async move {
+                while !hb.is_stopped() && bctx.now() < kill_at {
                     hb.beat(bctx.now());
-                    Step::Advance(HEARTBEAT_PERIOD)
-                });
-            }
+                    Step::Advance(HEARTBEAT_PERIOD).await;
+                }
+            });
+            ctx.spawn_component(&format!("copilot{}-heartbeat", node.0), heartbeat);
             // Deliver the death at exactly the scripted instant as a queue
             // event, so the primary retires at the kill time (events queued
             // later stay behind the marker for the standby to service).
-            {
-                let ns = ns.clone();
-                let mut slept = false;
-                ctx.spawn_component(&format!("copilot{}-kill", node.0), move |kctx| {
-                    if !std::mem::replace(&mut slept, true) {
-                        return Step::Advance(SimDuration::from_nanos(kill_at.as_nanos()));
-                    }
-                    ns.note_queue_push(kctx);
-                    ns.queue.push(kctx, CoEvent::Die, SimDuration::ZERO);
-                    Step::Done
-                });
-            }
+            let ns = ns.clone();
+            let kill = async_component(move |kctx| async move {
+                Step::Advance(SimDuration::from_nanos(kill_at.as_nanos())).await;
+                ns.note_queue_push(&kctx);
+                ns.queue.push(&kctx, CoEvent::Die, SimDuration::ZERO);
+            });
+            ctx.spawn_component(&format!("copilot{}-kill", node.0), kill);
         }
         service_loop(&comm, &shared, &ns, false);
     }
@@ -146,46 +140,26 @@ pub(crate) fn standby_body(
 }
 
 /// Spawn the Co-Pilot's MPI pump (its blocking `MPI_Recv(ANY_SOURCE)`),
-/// feeding the node's shared event queue: a component stepping one
-/// wildcard [`Recv`] after another. A takeover retires the rank's mailbox
-/// mid-receive; the pump sees it dead and finishes — the standby's own pump
-/// owns the wire from then on. (The event queue is unbounded, so a push
-/// never blocks.)
+/// feeding the node's shared event queue: a component awaiting one
+/// wildcard [`Comm::recv_async`] after another. A takeover retires the
+/// rank's mailbox mid-receive; the pump sees it dead and finishes — the
+/// standby's own pump owns the wire from then on. (The event queue is
+/// unbounded, so a push never blocks.)
 fn spawn_pump(ctx: &ProcCtx, world: &MpiWorld, rank: usize, ns: Arc<NodeShared>) {
     let world = world.clone();
     let node = ns.cell.id;
-    let mut pump: Option<(Comm, Recv)> = None;
-    ctx.spawn_component(&format!("copilot{node}-pump-r{rank}"), move |pctx| {
-        let (pcomm, recv) =
-            pump.get_or_insert_with(|| (world.attach(pctx, rank), Recv::new(None, None)));
-        loop {
-            let m = match recv.poll(pcomm) {
-                RecvPoll::Ready(m) => m,
-                RecvPoll::Wait(step) => return step,
-                RecvPoll::Dead => return Step::Done,
-            };
-            *recv = Recv::new(None, None);
-            ns.note_queue_push(pctx);
+    let pump = async_component(move |pctx| async move {
+        let comm = world.attach(&pctx, rank);
+        while let Some(m) = comm.recv_async(None, None).await {
+            ns.note_queue_push(&pctx);
             if m.tag == CP_SHUTDOWN_TAG {
-                ns.queue.push(pctx, CoEvent::Shutdown, SimDuration::ZERO);
-                return Step::Done;
+                ns.queue.push(&pctx, CoEvent::Shutdown, SimDuration::ZERO);
+                return;
             }
-            ns.queue.push(pctx, CoEvent::Mpi(m), SimDuration::ZERO);
+            ns.queue.push(&pctx, CoEvent::Mpi(m), SimDuration::ZERO);
         }
     });
-}
-
-/// Where a mailbox watcher is in servicing one outbound word.
-enum Watch {
-    /// Reading the outbound mailbox.
-    Outbox,
-    /// The MMIO read of this word is paid for: fetch its request block.
-    Word(u32),
-    /// The block at this word is fetched and decoded: fetch any inline
-    /// payload staged behind it.
-    Block(u32, Request),
-    /// Everything is in hand: queue the event.
-    Event(Request, Option<Vec<u8>>),
+    ctx.spawn_component(&format!("copilot{node}-pump-r{rank}"), pump);
 }
 
 /// What the PPE pays to read `n` bytes through a local store's mapping.
@@ -193,60 +167,52 @@ fn mapped_read_cost(cell: &CellNode, n: usize) -> SimDuration {
     SimDuration::from_micros_f64(cell.costs.memcpy_us(n, 1))
 }
 
-/// Spawn the watcher of SPE `hw`'s outbound mailbox: a component with one
-/// state per virtual cost the real Co-Pilot's poll-and-fetch pays.
+/// Spawn the watcher of SPE `hw`'s outbound mailbox: a component paying
+/// each virtual cost the real Co-Pilot's poll-and-fetch pays.
 fn spawn_watcher(ctx: &ProcCtx, ns: Arc<NodeShared>, hw: usize) {
     let cell = ns.cell.clone();
-    let mut state = Watch::Outbox;
-    ctx.spawn_component(
-        &format!("copilot{}-watch-spe{}", cell.id, hw),
-        move |wctx| loop {
-            match std::mem::replace(&mut state, Watch::Outbox) {
-                Watch::Outbox => {
-                    let mbox = &cell.spes[hw].mbox;
-                    match mbox.ppe_poll_outbox(wctx) {
-                        Poll::Ready(word) => {
-                            state = Watch::Word(word);
-                            let mmio = cell.costs.ppe_mmio_op_us;
-                            return Step::Advance(SimDuration::from_micros_f64(mmio));
-                        }
-                        Poll::InFlight(wait) => return Step::Advance(wait),
-                        Poll::Empty => return mbox.ppe_outbox_empty(),
-                    }
+    let name = format!("copilot{}-watch-spe{}", cell.id, hw);
+    let watcher = async_component(move |wctx| async move {
+        let mbox = &cell.spes[hw].mbox;
+        loop {
+            let word = loop {
+                match mbox.ppe_poll_outbox(&wctx) {
+                    Poll::Ready(word) => break word,
+                    Poll::InFlight(wait) => Step::Advance(wait).await,
+                    Poll::Empty => mbox.ppe_outbox_empty().await,
                 }
-                Watch::Word(POISON_WORD) => return Step::Done,
-                Watch::Word(word) => {
-                    // Fetch the 16-byte request block through the problem-state
-                    // mapping (an uncached read, charged accordingly).
-                    let block = cell
-                        .ea_read(ls_ea(hw, word as usize), REQ_BLOCK_BYTES)
-                        .expect("request block within local store");
-                    state = Watch::Block(word, Request::decode(&block));
-                    return Step::Advance(mapped_read_cost(&cell, REQ_BLOCK_BYTES));
-                }
-                // An eager inline write stages its payload immediately after
-                // the header: fetch it in the same mapped read (the block is
-                // contiguous in the local store), charging only the extra
-                // bytes — no second MMIO exchange.
-                Watch::Block(word, req) if req.op == OP_WRITE_INLINE => {
-                    let payload = cell
-                        .ea_read(ls_ea(hw, word as usize + REQ_BLOCK_BYTES), req.len as usize)
-                        .expect("inline payload within local store");
-                    state = Watch::Event(req, Some(payload));
-                    return Step::Advance(mapped_read_cost(&cell, req.len as usize));
-                }
-                Watch::Block(_, req) => state = Watch::Event(req, None),
-                Watch::Event(req, inline) => {
-                    ns.note_queue_push(wctx);
-                    ns.queue.push(
-                        wctx,
-                        CoEvent::Request { hw, req, inline },
-                        SimDuration::ZERO,
-                    );
-                }
+            };
+            let mmio = cell.costs.ppe_mmio_op_us;
+            Step::Advance(SimDuration::from_micros_f64(mmio)).await;
+            if word == POISON_WORD {
+                return;
             }
-        },
-    );
+            // Fetch the 16-byte request block through the problem-state
+            // mapping (an uncached read, charged accordingly).
+            let block = cell
+                .ea_read(ls_ea(hw, word as usize), REQ_BLOCK_BYTES)
+                .expect("request block within local store");
+            let req = Request::decode(&block);
+            Step::Advance(mapped_read_cost(&cell, REQ_BLOCK_BYTES)).await;
+            // An eager inline write stages its payload immediately after the
+            // header: fetch it in the same mapped read (the block is
+            // contiguous in the local store), charging only the extra bytes
+            // — no second MMIO exchange.
+            let inline = if req.op == OP_WRITE_INLINE {
+                let payload = cell
+                    .ea_read(ls_ea(hw, word as usize + REQ_BLOCK_BYTES), req.len as usize)
+                    .expect("inline payload within local store");
+                Step::Advance(mapped_read_cost(&cell, req.len as usize)).await;
+                Some(payload)
+            } else {
+                None
+            };
+            ns.note_queue_push(&wctx);
+            let event = CoEvent::Request { hw, req, inline };
+            ns.queue.push(&wctx, event, SimDuration::ZERO);
+        }
+    });
+    ctx.spawn_component(&name, watcher);
 }
 
 fn service_loop(comm: &Comm, shared: &Arc<AppShared>, ns: &Arc<NodeShared>, standby: bool) {
@@ -406,7 +372,7 @@ fn service_loop(comm: &Comm, shared: &Arc<AppShared>, ns: &Arc<NodeShared>, stan
                         // the writer's completion does not wait for the MPI
                         // call made on its behalf.
                         complete(ctx, cell, hw, completion_ok(n));
-                        comm.send_bytes(dest_rank, CpTablesTag(chan), Datatype::Byte, n, data);
+                        comm.send_bytes(dest_rank, chan as i32, Datatype::Byte, n, data);
                         shared.trace.record(
                             ctx.now(),
                             &format!("copilot{}", cell.id),
@@ -450,7 +416,7 @@ fn service_loop(comm: &Comm, shared: &Arc<AppShared>, ns: &Arc<NodeShared>, stan
                             .expect("write buffer within local store");
                         charge(ctx, cell.costs.memcpy_us(data.len(), 1));
                         let n = data.len();
-                        comm.send_bytes(dest_rank, CpTablesTag(chan), Datatype::Byte, n, data);
+                        comm.send_bytes(dest_rank, chan as i32, Datatype::Byte, n, data);
                         complete(ctx, cell, hw, completion_ok(n));
                         shared.trace.record(
                             ctx.now(),
@@ -545,11 +511,6 @@ fn service_loop(comm: &Comm, shared: &Arc<AppShared>, ns: &Arc<NodeShared>, stan
             }
         }
     }
-}
-
-#[allow(non_snake_case)]
-fn CpTablesTag(chan: usize) -> i32 {
-    chan as i32
 }
 
 fn charge(ctx: &ProcCtx, us: f64) {
@@ -701,16 +662,15 @@ fn deliver_to_spe(
     ctx: &ProcCtx,
     shared: &AppShared,
     cell: &Arc<CellNode>,
-    _chan: usize,
+    chan: usize,
     data: &[u8],
     rr: PendingReq,
 ) {
-    let _ = shared;
     // This is the channel's final drain point (rank→SPE types 2/3, the
     // reader-side leg of a type 5, mcast fan-out): the message leaves the
     // pipeline here whether it fits the buffer or not, so its flow-control
     // send credit returns either way.
-    shared.release_credit(_chan);
+    shared.release_credit(chan);
     charge(ctx, cell.costs.ea_translate_us);
     if data.len() > rr.len as usize {
         complete(ctx, cell, rr.hw, completion_err(CompletionError::Overflow));
@@ -724,10 +684,10 @@ fn deliver_to_spe(
         ctx.now(),
         &format!("copilot{}", cell.id),
         crate::trace::TraceOp::CopilotDeliver,
-        _chan,
+        chan,
         data.len(),
     );
-    record_hop(ctx, shared, cell.id, _chan, "deliver");
+    record_hop(ctx, shared, cell.id, chan, "deliver");
 }
 
 /// Count one Co-Pilot proxy hop on `chan` and mark it on the Co-Pilot's
@@ -760,13 +720,13 @@ fn pair_type4(
     ctx: &ProcCtx,
     shared: &AppShared,
     cell: &Arc<CellNode>,
-    _chan: usize,
+    chan: usize,
     w: PendingReq,
     r: PendingReq,
 ) {
     // The pairing drains the write whatever its outcome — return its
     // flow-control send credit.
-    shared.release_credit(_chan);
+    shared.release_credit(chan);
     charge(ctx, shared.costs.copilot_pair_poll_us);
     charge(ctx, 2.0 * cell.costs.ea_translate_us);
     if w.len > r.len {
@@ -787,7 +747,7 @@ fn pair_type4(
         ctx.now(),
         &format!("copilot{}", cell.id),
         crate::trace::TraceOp::CopilotPair,
-        _chan,
+        chan,
         w.len as usize,
     );
 }

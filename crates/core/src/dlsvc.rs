@@ -10,19 +10,16 @@
 //! channel endpoints (computed from the reporter's [`CpTables`]), so the
 //! detector needs no routing knowledge of its own.
 //!
-//! A confirmed cycle aborts the run with a diagnostic naming every hop,
-//! including the relaying Co-Pilots, e.g.
+//! The detector itself is Pilot's ([`cp_pilot::detector`]), run as the
+//! `cp-deadlock-svc` component. A confirmed cycle aborts the run with a
+//! diagnostic naming every hop, including the relaying Co-Pilots, e.g.
 //! `spe(1,3) -> copilot(1) -> rank 0 -> spe(1,3)`.
 
 use crate::location::Location;
 use crate::tables::{CpTables, ProcKind};
-use cp_des::SimDuration;
 use cp_mpisim::{Comm, Datatype};
-use cp_pilot::{
-    decode_event, encode_event, DlEndpoint, DlEvent, WaitGraph, GRACE_US, POLL_US, TAG_SVC,
-};
+use cp_pilot::{encode_event, DlEndpoint, DlEvent, TAG_SVC};
 use cp_simnet::FaultPlan;
-use std::sync::Arc;
 
 /// The detector endpoint for a process location.
 pub(crate) fn dl_endpoint(loc: &Location) -> DlEndpoint {
@@ -64,15 +61,14 @@ pub(crate) fn report(comm: &Comm, tables: &CpTables, ev: DlEvent) {
     }
 }
 
-/// The detector process body.
-///
-/// Exits once every application rank that can finish has reported
-/// `EV_FINISH` — ranks with a scheduled death in the fault plan never
-/// reach their finish barrier, so they are excluded symmetrically (the
-/// same rule [`crate::runtime::CellPilot::finish`] applies to its
-/// end-of-run barrier).
-pub(crate) fn detector_main(comm: Comm, tables: Arc<CpTables>, faults: Arc<FaultPlan>) {
-    let expected = tables
+/// How many `EV_FINISH` reports end the detector ([`cp_pilot::detector`]):
+/// one per application rank that can finish. Ranks with a scheduled death
+/// in the fault plan never reach their finish barrier, so they are
+/// excluded symmetrically (the same rule
+/// [`crate::runtime::CellPilot::finish`] applies to its end-of-run
+/// barrier).
+pub(crate) fn finishers(tables: &CpTables, faults: &FaultPlan) -> usize {
+    tables
         .processes
         .iter()
         .filter(|p| {
@@ -82,49 +78,7 @@ pub(crate) fn detector_main(comm: Comm, tables: Arc<CpTables>, faults: Arc<Fault
                     Location::Spe { .. } => false,
                 }
         })
-        .count();
-    let mut graph = WaitGraph::new();
-    loop {
-        let msg = comm.recv(None, Some(TAG_SVC));
-        let ev = match decode_event(&msg.data) {
-            Ok(ev) => ev,
-            Err(e) => comm.ctx().abort(&e.to_string()),
-        };
-        let suspect = graph.on_event(&ev);
-        if graph.finished() == expected {
-            return;
-        }
-        if let Some(cycle) = suspect {
-            // Confirmation: a satisfying write (or a proxied report of one)
-            // may still be in flight; drain and re-check for a grace
-            // period before declaring.
-            let mut waited = 0u64;
-            let confirmed = loop {
-                while let Some((src, _tag, _dt, _count)) = comm.iprobe(None, Some(TAG_SVC)) {
-                    let m = comm.recv(Some(src), Some(TAG_SVC));
-                    match decode_event(&m.data) {
-                        Ok(ev) => {
-                            let _ = graph.on_event(&ev);
-                        }
-                        Err(e) => comm.ctx().abort(&e.to_string()),
-                    }
-                }
-                if !graph.cycle_still_present(&cycle) {
-                    break false;
-                }
-                if waited >= GRACE_US {
-                    break true;
-                }
-                comm.ctx().advance(SimDuration::from_micros(POLL_US));
-                waited += POLL_US;
-            };
-            if confirmed {
-                let names = graph.render_cycle(&cycle, |ep| ep.to_string());
-                let err = crate::error::CpError::CircularWait { cycle: names };
-                comm.ctx().abort(&err.to_string());
-            }
-        }
-    }
+        .count()
 }
 
 #[cfg(test)]
@@ -132,7 +86,7 @@ mod tests {
     use super::*;
     use crate::location::{ChannelKind, ChannelMode, CpProcess};
     use crate::tables::{CpChanEntry, CpProcEntry};
-    use cp_pilot::{EV_READWAIT, EV_WRITE};
+    use cp_pilot::{WaitGraph, EV_READWAIT, EV_WRITE};
     use cp_simnet::NodeId;
     use std::collections::BTreeMap;
 

@@ -198,12 +198,6 @@ pub enum CpError {
         /// Name of the lost peer process.
         peer: String,
     },
-    /// The deadlock-detection service found a circular wait.
-    CircularWait {
-        /// Endpoint names forming the cycle, in wait-for order, including
-        /// any relaying Co-Pilot hops.
-        cycle: Vec<String>,
-    },
     /// An error surfaced by the Pilot layer underneath.
     Pilot(PilotError),
     /// An error surfaced by the simulation kernel.
@@ -230,7 +224,6 @@ impl CpError {
             | CpError::AlreadyRunning(_)
             | CpError::NotWriter { .. }
             | CpError::NotReader { .. }
-            | CpError::CircularWait { .. }
             | CpError::BundleMisuse { .. } => ErrorKind::Usage,
             CpError::Format(_) | CpError::Args(_) | CpError::FormatMismatch { .. } => {
                 ErrorKind::Format
@@ -334,13 +327,6 @@ impl fmt::Display for CpError {
             }
             CpError::PeerLost { channel, peer } => {
                 write!(f, "channel {channel}: peer process '{peer}' was lost")
-            }
-            CpError::CircularWait { cycle } => {
-                write!(
-                    f,
-                    "DEADLOCK: circular wait detected: {}",
-                    cycle.join(" -> ")
-                )
             }
             CpError::Pilot(e) => write!(f, "pilot layer: {e}"),
             CpError::Sim(e) => write!(f, "simulation: {e}"),

@@ -1,6 +1,6 @@
 //! The execution-backend seam: [`Backend`] selection, the [`Executor`]
-//! trait a scheduling substrate implements, and the [`Spawner`] trait
-//! launch helpers are generic over.
+//! trait a scheduling substrate implements, the [`Spawner`] trait launch
+//! helpers are generic over, and the component forms of a process body.
 //!
 //! The DES kernel ([`crate::Simulation`]) is one implementation: processes
 //! run under a virtual clock, serialized in `(time, sequence)` order, fully
@@ -9,12 +9,25 @@
 //! clock. Everything above this seam — mailboxes, the window fabric,
 //! Co-Pilots, channels — talks only to [`crate::ProcCtx`], so a program
 //! body never knows which substrate it is on.
+//!
+//! A component body is a [`ComponentBody`], one [`Step`] per call. It is
+//! usually written as straight-line `async` code instead: awaiting a `Step`
+//! hands that kernel call to whichever driver polls the future and resumes
+//! on the next poll. Two drivers exist, and both poll with
+//! [`Waker::noop`], since only the scheduler decides when a step runs:
+//! [`async_component`] makes the future a `ComponentBody`, and
+//! [`ProcCtx::drive`] runs it inline on a process's own thread, each
+//! awaited `Step` made as the blocking call.
 
 use crate::error::{IncidentCategory, Pid};
 use crate::kernel::ProcCtx;
 use crate::time::{SimDuration, SimTime};
 use std::borrow::Cow;
+use std::cell::Cell;
+use std::future::{Future, IntoFuture};
+use std::pin::Pin;
 use std::sync::Arc;
+use std::task::{Context, Poll, Waker};
 
 /// Which execution substrate runs the process/channel program.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -97,6 +110,76 @@ pub type ComponentBody = Box<dyn FnMut(&ProcCtx) -> Step + Send + 'static>;
 /// [`Executor::spawn_component`] and [`Spawner::spawn_component`].
 pub fn drive_component(mut body: ComponentBody) -> ProcBody {
     Box::new(move |ctx| while body(ctx).block_here(ctx) {})
+}
+
+thread_local! {
+    /// The step the future being polled on this thread has just awaited:
+    /// put by [`Awaited`], taken by the driver as soon as the poll returns.
+    static AWAITED: Cell<Option<Step>> = const { Cell::new(None) };
+}
+
+/// The future of an awaited [`Step`]: pending once, which hands the step to
+/// the driver, and ready on the next poll, after the driver has made it.
+pub struct Awaited(Option<Step>);
+
+impl Future for Awaited {
+    type Output = ();
+
+    fn poll(mut self: Pin<&mut Self>, _: &mut Context<'_>) -> Poll<()> {
+        match self.0.take() {
+            Some(step) => {
+                AWAITED.set(Some(step));
+                Poll::Pending
+            }
+            None => Poll::Ready(()),
+        }
+    }
+}
+
+impl IntoFuture for Step {
+    type Output = ();
+    type IntoFuture = Awaited;
+
+    /// Awaiting a step makes that kernel call: [`Step::Advance`] and
+    /// [`Step::Block`] resume once the call returns; [`Step::Done`] ends a
+    /// component there (its future is dropped, never resumed).
+    fn into_future(self) -> Awaited {
+        Awaited(Some(self))
+    }
+}
+
+/// Poll `fut` once: its output, or the [`Step`] it awaited. A future that
+/// suspends on anything but a `Step` has nothing to resume it, so that is a
+/// panic, which the kernel reports naming the process.
+pub(crate) fn poll_once<F: Future + ?Sized>(fut: Pin<&mut F>) -> Result<F::Output, Step> {
+    match fut.poll(&mut Context::from_waker(Waker::noop())) {
+        Poll::Ready(out) => Ok(out),
+        Poll::Pending => Err(AWAITED.take().expect(
+            "a component future returned `Pending` without awaiting a `Step`; \
+             only a `Step` can suspend it",
+        )),
+    }
+}
+
+/// The component driver: a [`ComponentBody`] running the future `body`
+/// builds from the component's own [`ProcCtx`] on its first step. Each step
+/// polls it once and returns the [`Step`] it awaited, or [`Step::Done`]
+/// when it is finished; the kernel drops the body, and with it the future,
+/// when the component ends.
+pub fn async_component<F, Fut>(body: F) -> ComponentBody
+where
+    F: FnOnce(ProcCtx) -> Fut + Send + 'static,
+    Fut: Future<Output = ()> + Send + 'static,
+{
+    let mut start = Some(body);
+    let mut running: Option<Pin<Box<Fut>>> = None;
+    Box::new(move |ctx| {
+        let fut = running.get_or_insert_with(|| {
+            let body = start.take().expect("a component body starts once");
+            Box::pin(body(ctx.clone()))
+        });
+        poll_once(fut.as_mut()).err().unwrap_or(Step::Done)
+    })
 }
 
 /// The substrate beneath [`ProcCtx`]: everything a simulated (or native)

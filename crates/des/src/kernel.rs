@@ -20,10 +20,11 @@
 //!
 //! A **component** ([`ProcCtx::spawn_component`]) is a process without a
 //! thread: it owns a pid, a name, a blocked-on reason and events in the
-//! queue like any other, but its body is a state machine that runs from one
-//! kernel call to the next and *returns* that call as a [`Step`]. When
-//! `dispatch` grants a component the CPU, the thread doing the dispatching —
-//! an `advance` / `block` caller, an exiting process, or
+//! queue like any other, but its body runs from one kernel call to the next
+//! and *returns* that call as a [`Step`] — usually an `async` block turned
+//! into a body by [`crate::async_component`], each `.await` on a `Step` one
+//! step. When `dispatch` grants a component the CPU, the thread doing the
+//! dispatching — an `advance` / `block` caller, an exiting process, or
 //! [`Simulation::run`] — releases `Kernel::state`, runs one step, takes the
 //! lock again, applies the step by the rules a thread's call would have hit
 //! (`push_event`, the pending-wake bank, `Blocked` + reason, exit), and
@@ -32,7 +33,8 @@
 //! thread form's, so the `(time, pid)` trace does not change; only the
 //! wake-ups do ([`SimReport::handoffs`]). A step runs on somebody else's
 //! thread while that thread's own process is `Waiting` or `Blocked`, so it
-//! may take only locks that are never held across a kernel call, and a
+//! may take only locks that are never held across a kernel call (never
+//! across an `.await`: `clippy.toml` makes that a lint error), and a
 //! blocking call on its own pid aborts the run instead of parking the
 //! dispatcher.
 //!
@@ -57,7 +59,7 @@
 //! provides a wall-clock thread implementation of the same trait, and
 //! [`ProcCtx`] dispatches to whichever substrate spawned the process.
 
-use crate::backend::{Backend, ComponentBody, Executor, ProcBody, Spawner, Step};
+use crate::backend::{poll_once, Backend, ComponentBody, Executor, ProcBody, Spawner, Step};
 use crate::error::{Incident, IncidentCategory, Pid, SimError, SimReport};
 use crate::rng::SplitMix64;
 use crate::time::{SimDuration, SimTime};
@@ -67,6 +69,7 @@ use std::any::Any;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt::Write as _;
+use std::future::Future;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
@@ -772,6 +775,24 @@ impl ProcCtx {
         F: FnMut(&ProcCtx) -> Step + Send + 'static,
     {
         self.exec.spawn_component(name, Box::new(f))
+    }
+
+    /// The thread driver: run `fut` to its output on this process's own
+    /// thread, each [`Step`] it awaits made as the blocking call. The same
+    /// future a component awaits step by step, so one protocol has one
+    /// implementation whichever kind of process runs it.
+    ///
+    /// # Panics
+    ///
+    /// If `fut` awaits [`Step::Done`]: a thread leaves only by returning.
+    pub fn drive<F: Future>(&self, fut: F) -> F::Output {
+        let mut fut = std::pin::pin!(fut);
+        loop {
+            match poll_once(fut.as_mut()) {
+                Ok(out) => return out,
+                Err(step) => assert!(step.block_here(self), "`Step::Done` awaited on a thread"),
+            }
+        }
     }
 
     /// Block until process `pid` finishes.

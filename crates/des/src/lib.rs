@@ -5,8 +5,8 @@
 //! The foundation of the CellPilot reproduction: a virtual-time kernel in
 //! which every simulated process (a PPE thread, an SPE program, an MPI rank,
 //! a Co-Pilot service) runs as a real OS thread — or, for a helper written
-//! as a [`Step`] state machine, as a *component* on whichever thread is
-//! dispatching — yet execution is serialized in strict
+//! as an `async` block awaiting [`Step`]s, as a *component* on whichever
+//! thread is dispatching — yet execution is serialized in strict
 //! `(virtual_time, sequence)` order, so every run is deterministic and
 //! every latency is an explicit, modelled quantity.
 //!
@@ -45,7 +45,9 @@ pub mod rng;
 pub mod sync;
 mod time;
 
-pub use backend::{drive_component, Backend, ComponentBody, Executor, ProcBody, Spawner, Step};
+pub use backend::{
+    async_component, drive_component, Backend, ComponentBody, Executor, ProcBody, Spawner, Step,
+};
 pub use error::{sort_incidents, Incident, IncidentCategory, Pid, SimError, SimReport};
 pub use kernel::{ProcCtx, Simulation};
 pub use time::{SimDuration, SimTime};

@@ -8,8 +8,8 @@
 
 use cp_des::sync::{MsgQueue, Poll};
 use cp_des::{
-    drive_component, ComponentBody, IncidentCategory, Pid, ProcCtx, SimDuration, SimError,
-    SimReport, SimTime, Simulation, Spawner, Step,
+    async_component, drive_component, ComponentBody, IncidentCategory, Pid, ProcCtx, SimDuration,
+    SimError, SimReport, SimTime, Simulation, Spawner, Step,
 };
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -27,6 +27,12 @@ enum Helper {
     ThreadDriven,
     /// The state machine as a kernel component.
     Component,
+    /// The `async` form, run inline on a thread by `ProcCtx::drive`.
+    AsyncInline,
+    /// The `async` form as a component, driven from a thread.
+    AsyncThreadDriven,
+    /// The `async` form as a kernel component.
+    AsyncComponent,
 }
 
 const SENTINEL: u32 = u32::MAX;
@@ -80,6 +86,29 @@ fn helper_machine(inq: MsgQueue<u32>, outq: MsgQueue<u32>) -> ComponentBody {
     })
 }
 
+/// `blocking_helper` as straight-line `async` code: each kernel call an
+/// awaited `Step`.
+async fn relay(ctx: ProcCtx, inq: MsgQueue<u32>, outq: MsgQueue<u32>) {
+    loop {
+        let word = loop {
+            match inq.poll_pop(&ctx) {
+                Poll::Ready(word) => break word,
+                Poll::InFlight(wait) => Step::Advance(wait).await,
+                Poll::Empty => inq.pop_empty().await,
+            }
+        };
+        Step::Advance(us(2)).await;
+        if word == SENTINEL {
+            outq.push(&ctx, word, SimDuration::ZERO);
+            return;
+        }
+        if word.is_multiple_of(4) {
+            ctx.report_incident(IncidentCategory::ChannelTimeout, &format!("word {word}"));
+        }
+        outq.push(&ctx, word, us(1));
+    }
+}
+
 /// Producer → helper → consumer over two queues, the producer's schedule
 /// scripted so the helper meets every case: a word already available, a
 /// word still in flight, an empty queue, bursts that tie on the timestamp,
@@ -114,6 +143,19 @@ fn relay_scenario(helper: Helper, seed: u64) -> (SimReport, Vec<(u32, u64)>) {
         Helper::Component => {
             Spawner::spawn_component(&mut sim, "helper", helper_machine(hin, hout));
         }
+        Helper::AsyncInline => {
+            sim.spawn("helper", move |ctx| {
+                ctx.drive(relay(ctx.clone(), hin, hout))
+            });
+        }
+        Helper::AsyncThreadDriven => {
+            let body = async_component(move |ctx| relay(ctx, hin, hout));
+            sim.spawn_boxed("helper", drive_component(body));
+        }
+        Helper::AsyncComponent => {
+            let body = async_component(move |ctx| relay(ctx, hin, hout));
+            Spawner::spawn_component(&mut sim, "helper", body);
+        }
     }
     let sink = got.clone();
     sim.spawn("consumer", move |ctx| loop {
@@ -134,7 +176,13 @@ fn component_helper_is_indistinguishable_from_its_thread_under_nine_seeds() {
     for seed in 0..=8 {
         let (blocking, words) = relay_scenario(Helper::Blocking, seed);
         assert_eq!(words.len(), 24, "seed {seed}");
-        for other in [Helper::ThreadDriven, Helper::Component] {
+        for other in [
+            Helper::ThreadDriven,
+            Helper::Component,
+            Helper::AsyncInline,
+            Helper::AsyncThreadDriven,
+            Helper::AsyncComponent,
+        ] {
             let (report, got) = relay_scenario(other, seed);
             assert_eq!(got, words, "seed {seed} {other:?}: delivery");
             assert_eq!(report.trace, blocking.trace, "seed {seed} {other:?}: trace");
@@ -149,7 +197,7 @@ fn component_helper_is_indistinguishable_from_its_thread_under_nine_seeds() {
                 "seed {seed} {other:?}"
             );
             assert_eq!(report.incidents.len(), 6);
-            if other == Helper::ThreadDriven {
+            if !matches!(other, Helper::Component | Helper::AsyncComponent) {
                 assert_eq!(report.handoffs, blocking.handoffs, "seed {seed}");
             } else {
                 assert!(
@@ -455,5 +503,121 @@ fn run_drops_every_component_body_on_every_outcome() {
         let result = sim.run();
         assert!(expected(&result), "{what}: {result:?}");
         assert_eq!(Arc::strong_count(&token), 1, "{what}: body leaked");
+    }
+}
+
+/// How the `async` culprit below ends, after one 30 µs step.
+#[derive(Debug, Clone, Copy)]
+enum End {
+    Complete,
+    Panic,
+    Abort,
+    /// Suspends on a future that is not a `Step`: nothing can resume it.
+    PendingWithoutStep,
+    Block,
+    Spin,
+}
+
+async fn culprit(ctx: ProcCtx, end: End) {
+    Step::Advance(us(30)).await;
+    match end {
+        End::Complete => {}
+        End::Panic => panic!("step went wrong: {}", 7),
+        End::Abort => ctx.abort("PI_Write: not an endpoint"),
+        End::PendingWithoutStep => std::future::pending().await,
+        End::Block => {
+            Step::Block {
+                label: "gate".into(),
+                what: "open".into(),
+            }
+            .await
+        }
+        End::Spin => loop {
+            Step::Advance(us(400)).await;
+        },
+    }
+}
+
+/// Run `culprit(end)` as a component next to an observer thread that sits
+/// in `advance` (and so runs the culprit's steps) until 100 µs, under a
+/// 1 ms time limit. Returns the outcome and how many owners a token the
+/// future holds has at 100 µs (the test's own alone once the future is
+/// gone) and after the run.
+fn run_culprit(end: End) -> (Outcome, Option<usize>, usize) {
+    let token = Arc::new(());
+    let held = token.clone();
+    let seen = Arc::new(Mutex::new(None));
+    let mut sim = Simulation::new();
+    sim.set_time_limit(SimTime(1_000_000));
+    let (owners, log) = (Arc::downgrade(&token), seen.clone());
+    sim.spawn("observer", move |ctx| {
+        ctx.advance(us(100));
+        *log.lock() = Some(owners.strong_count());
+    });
+    let body = async_component(move |ctx| async move {
+        let _held = held;
+        culprit(ctx, end).await;
+    });
+    Spawner::spawn_component(&mut sim, "culprit", body);
+    let outcome = sim.run();
+    let seen = *seen.lock();
+    (outcome, seen, Arc::strong_count(&token))
+}
+
+#[test]
+fn an_async_component_suspended_without_a_step_panics_naming_it() {
+    match run_culprit(End::PendingWithoutStep).0 {
+        Err(SimError::ProcessPanicked { pid, name, message }) => {
+            assert_eq!((pid, name.as_str()), (1, "culprit"));
+            assert!(message.contains("without awaiting a `Step`"), "{message}");
+        }
+        other => panic!("expected a panic report, got {other:?}"),
+    }
+}
+
+#[test]
+fn an_async_component_panic_or_abort_ends_the_run_naming_it() {
+    assert_eq!(
+        run_culprit(End::Panic).0.unwrap_err(),
+        SimError::ProcessPanicked {
+            pid: 1,
+            name: "culprit".into(),
+            message: "step went wrong: 7".into(),
+        }
+    );
+    assert_eq!(
+        run_culprit(End::Abort).0.unwrap_err(),
+        SimError::Aborted {
+            pid: 1,
+            name: "culprit".into(),
+            message: "PI_Write: not an endpoint".into(),
+        }
+    );
+}
+
+#[test]
+fn an_async_component_future_is_dropped_on_every_outcome() {
+    let (outcome, at_100us, _) = run_culprit(End::Complete);
+    assert!(outcome.is_ok(), "{outcome:?}");
+    assert_eq!(at_100us, Some(1), "dropped when it completed, at 30 µs");
+    for end in [
+        End::Panic,
+        End::Abort,
+        End::PendingWithoutStep,
+        End::Block,
+        End::Spin,
+    ] {
+        let (outcome, _, after) = run_culprit(end);
+        let expected = match end {
+            End::Block => matches!(
+                &outcome,
+                Err(SimError::Deadlock { blocked, .. })
+                    if *blocked == [(1, "culprit".to_string(), "gate: open".to_string())]
+            ),
+            End::Spin => matches!(outcome, Err(SimError::TimeLimitExceeded { .. })),
+            _ => outcome.is_err(),
+        };
+        assert!(expected, "{end:?}: {outcome:?}");
+        assert_eq!(after, 1, "{end:?}: future leaked");
     }
 }

@@ -43,4 +43,4 @@ pub use group::{Color, SubComm};
 pub use message::{
     absorb_rank_death, Envelope, MailStore, Payload, Rank, SrcSel, StorePoll, Tag, TagSel,
 };
-pub use world::{mpirun, Comm, MpiFault, MpiWorld, Msg, Recv, RecvPoll};
+pub use world::{mpirun, Comm, MpiFault, MpiWorld, Msg};

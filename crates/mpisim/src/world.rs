@@ -7,11 +7,13 @@ use crate::message::{
     Envelope, MailStore, Payload, Rank, RankDeadUnwind, SrcSel, StorePoll, Tag, TagSel,
 };
 use cp_des::{
-    IncidentCategory, ProcCtx, SimDuration, SimError, SimReport, Simulation, Spawner, Step,
+    async_component, IncidentCategory, ProcCtx, SimDuration, SimError, SimReport, Simulation,
+    Spawner, Step,
 };
 use cp_simnet::{Cluster, ClusterSpec, FaultPlan, LinkVerdict, NodeId, NodeKind, RetryPolicy};
 use cp_trace::Recorder;
 use std::fmt;
+use std::future::Future;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -248,24 +250,7 @@ impl MpiWorld {
     ) where
         S: Spawner + ?Sized,
     {
-        if let Some(at) = self.inner.faults.death_of(rank) {
-            let world = self.clone();
-            let mut slept = false;
-            sim.spawn_component(
-                &format!("reaper-rank{rank}"),
-                Box::new(move |ctx| {
-                    if !std::mem::replace(&mut slept, true) {
-                        return Step::Advance(SimDuration::from_nanos(at.as_nanos()));
-                    }
-                    world.inner.boxes[rank].poison(ctx);
-                    ctx.report_incident(
-                        IncidentCategory::RankDeath,
-                        &format!("rank {rank} killed by fault plan at {at}"),
-                    );
-                    Step::Done
-                }),
-            );
-        }
+        self.spawn_reaper(sim, rank);
         let world = self.clone();
         sim.spawn_boxed(
             name,
@@ -282,6 +267,46 @@ impl MpiWorld {
                 }
             }),
         );
+    }
+
+    /// [`MpiWorld::launch`] for a service rank whose body is a future: the
+    /// process is a component ([`async_component`]), with the same pid, name
+    /// and reaper. Its receives return `None` once a fault plan kills the
+    /// rank, where the thread form unwinds.
+    pub fn launch_async<S, Fut>(
+        &self,
+        sim: &mut S,
+        rank: Rank,
+        name: &str,
+        body: impl FnOnce(Comm) -> Fut + Send + 'static,
+    ) where
+        S: Spawner + ?Sized,
+        Fut: Future<Output = ()> + Send + 'static,
+    {
+        self.spawn_reaper(sim, rank);
+        let world = self.clone();
+        sim.spawn_component(
+            name,
+            async_component(move |ctx| body(world.attach(&ctx, rank))),
+        );
+    }
+
+    /// If the fault plan schedules `rank`'s death, spawn the component that
+    /// poisons its mailbox at the scripted instant.
+    fn spawn_reaper<S: Spawner + ?Sized>(&self, sim: &mut S, rank: Rank) {
+        let Some(at) = self.inner.faults.death_of(rank) else {
+            return;
+        };
+        let world = self.clone();
+        let reaper = async_component(move |ctx| async move {
+            Step::Advance(SimDuration::from_nanos(at.as_nanos())).await;
+            world.inner.boxes[rank].poison(&ctx);
+            ctx.report_incident(
+                IncidentCategory::RankDeath,
+                &format!("rank {rank} killed by fault plan at {at}"),
+            );
+        });
+        sim.spawn_component(&format!("reaper-rank{rank}"), reaper);
     }
 }
 
@@ -394,16 +419,15 @@ impl Comm {
     /// virtual time the NIC spends before retrying, so recovery timing is
     /// exactly reproducible); injected delays add latency; duplications
     /// deliver twice. `bytes` sizes the transport cost of each attempt.
-    fn put(&self, dst: Rank, mut env: Envelope, bytes: usize) -> Result<(), MpiFault> {
+    async fn put(&self, dst: Rank, mut env: Envelope, bytes: usize) -> Result<(), MpiFault> {
         let mut attempt = 0u32;
         loop {
             match self.put_attempt(dst, env, bytes, attempt) {
                 Put::Sent => return Ok(()),
                 Put::Lost(fault) => return Err(fault),
                 Put::Dropped(back, backoff) => {
-                    env = back;
-                    self.ctx.advance(backoff);
-                    attempt += 1;
+                    (env, attempt) = (back, attempt + 1);
+                    Step::Advance(backoff).await;
                 }
             }
         }
@@ -503,7 +527,7 @@ impl Comm {
         }
         self.charge_side(bytes, wire);
         if bytes <= self.inner.costs.eager_limit {
-            return self.put(
+            return self.ctx.drive(self.put(
                 dst,
                 Envelope {
                     src: self.rank,
@@ -515,11 +539,11 @@ impl Comm {
                     payload: Payload::Data(data),
                 },
                 bytes,
-            );
+            ));
         }
         // Rendezvous: RTS → (wait CTS) → data.
         let id = self.inner.next_rdv.fetch_add(1, Ordering::Relaxed);
-        self.put(
+        self.ctx.drive(self.put(
             dst,
             Envelope {
                 src: self.rank,
@@ -531,7 +555,7 @@ impl Comm {
                 payload: Payload::Rts { id, bytes },
             },
             0,
-        )?;
+        ))?;
         let me = self.rank;
         let cts_what = format!("MPI rendezvous CTS from rank {dst}");
         let cts_pred =
@@ -549,7 +573,7 @@ impl Comm {
         } else {
             self.inner.boxes[me].recv_where(&self.ctx, &cts_what, cts_pred);
         }
-        self.put(
+        self.ctx.drive(self.put(
             dst,
             Envelope {
                 src: self.rank,
@@ -561,7 +585,7 @@ impl Comm {
                 payload: Payload::RdvData { id, data },
             },
             bytes,
-        )
+        ))
     }
 
     /// Send a typed slice.
@@ -588,30 +612,115 @@ impl Comm {
     /// Blocking receive matching `src`/`tag` selectors (`None` = wildcard;
     /// a wildcard tag matches only user tags ≥ 0).
     pub fn recv(&self, src: SrcSel, tag: TagSel) -> Msg {
-        self.block_through(Recv::new(src, tag))
+        self.drive_recv(self.recv_async(src, tag))
+    }
+
+    /// Run a receive to its message on this rank's own thread, every wait a
+    /// blocking call; a dead mailbox unwinds the process.
+    fn drive_recv(&self, recv: impl Future<Output = Option<Msg>>) -> Msg {
+        self.ctx
+            .drive(recv)
+            .unwrap_or_else(|| panic::resume_unwind(Box::new(RankDeadUnwind)))
+    }
+
+    /// The whole of [`Comm::recv`] as a future, every wait an awaited
+    /// [`Step`]: matching, eager data, the rendezvous RTS → CTS → data
+    /// exchange including the grant's drop / back-off retries, and the
+    /// receive-side software cost. `None` when the rank's mailbox is
+    /// poisoned or taken over mid-receive. `Comm::recv` drives it on the
+    /// rank's thread; a component (the Co-Pilot's MPI pump, the deadlock
+    /// service) awaits it. The kernel calls and their order are the same
+    /// either way.
+    pub async fn recv_async(&self, src: SrcSel, tag: TagSel) -> Option<Msg> {
+        let store = &self.inner.boxes[self.rank];
+        let env = loop {
+            match store.poll_where(&self.ctx, |e| {
+                e.matches_recv(src, tag) && (tag.is_some() || e.tag >= 0)
+            }) {
+                StorePoll::Ready(env) => break env,
+                StorePoll::InFlight(wait) => Step::Advance(wait).await,
+                StorePoll::Empty => {
+                    let what = format!(
+                        "MPI_Recv(src={}, tag={})",
+                        src.map_or("ANY".into(), |s| s.to_string()),
+                        tag.map_or("ANY".into(), |t| t.to_string())
+                    );
+                    self.block_on_store(what).await
+                }
+                StorePoll::Dead => return None,
+            }
+        };
+        self.finish_recv(env).await
     }
 
     /// Complete a receive whose header envelope is already in hand
     /// (answering a rendezvous RTS if needed, and charging receive costs).
-    fn finish_recv(&self, env: Envelope) -> Msg {
-        self.block_through(Recv {
-            src: None,
-            tag: None,
-            state: RecvState::Got(env),
+    async fn finish_recv(&self, env: Envelope) -> Option<Msg> {
+        let (src, tag, dtype, count) = (env.src, env.tag, env.dtype, env.count);
+        let data = match env.payload {
+            Payload::Data(data) => data,
+            Payload::Rts { id, bytes: _ } => {
+                // Grant the send and wait for the data. The grant passes
+                // through the fault plan like any other message.
+                let cts = Envelope {
+                    src: self.rank,
+                    dst: src,
+                    tag,
+                    dtype,
+                    count: 0,
+                    wire_seq: self.inner.mint_wire_seq(),
+                    payload: Payload::Cts { id },
+                };
+                // If the grant is unrecoverably lost the run cannot
+                // continue coherently.
+                if let Err(fault) = self.put(src, cts, 0).await {
+                    self.ctx.abort(&format!(
+                        "MPI rendezvous grant to rank {src} failed: {fault}"
+                    ));
+                }
+                let store = &self.inner.boxes[self.rank];
+                loop {
+                    match store.poll_where(&self.ctx, |e| {
+                        e.src == src
+                            && matches!(e.payload, Payload::RdvData { id: i, .. } if i == id)
+                    }) {
+                        StorePoll::Ready(env) => {
+                            let Payload::RdvData { data, .. } = env.payload else {
+                                unreachable!("matched RdvData")
+                            };
+                            break data;
+                        }
+                        StorePoll::InFlight(wait) => Step::Advance(wait).await,
+                        StorePoll::Empty => {
+                            let what = format!("MPI rendezvous data from rank {src}");
+                            self.block_on_store(what).await
+                        }
+                        StorePoll::Dead => return None,
+                    }
+                }
+            }
+            Payload::Cts { .. } | Payload::RdvData { .. } => {
+                unreachable!("control payloads never match a user receive")
+            }
+        };
+        if let Some(r) = self.inner.recorder() {
+            r.record_recv(data.len() as u64);
+        }
+        Step::Advance(self.side_cost(data.len(), self.is_wire(src))).await;
+        Some(Msg {
+            src,
+            tag,
+            dtype,
+            count,
+            data,
         })
     }
 
-    /// Run `recv` to its message on this rank's own thread, every wait a
-    /// blocking call; a dead mailbox unwinds the process.
-    fn block_through(&self, mut recv: Recv) -> Msg {
-        loop {
-            match recv.poll(self) {
-                RecvPoll::Ready(msg) => return msg,
-                RecvPoll::Wait(step) => {
-                    step.block_here(&self.ctx);
-                }
-                RecvPoll::Dead => panic::resume_unwind(Box::new(RankDeadUnwind)),
-            }
+    /// The block a receive makes on this rank's store with nothing to match.
+    fn block_on_store(&self, what: String) -> Step {
+        Step::Block {
+            label: self.inner.boxes[self.rank].label().clone(),
+            what: what.into(),
         }
     }
 
@@ -638,7 +747,7 @@ impl Comm {
             |e| e.matches_recv(src, tag) && (tag.is_some() || e.tag >= 0),
             deadline,
         ) {
-            Some(env) => Ok(self.finish_recv(env)),
+            Some(env) => Ok(self.drive_recv(self.finish_recv(env))),
             None => {
                 if let Some(s) = src {
                     if self.peer_lost(s) {
@@ -712,199 +821,6 @@ enum Put {
     Dropped(Envelope, SimDuration),
     /// Dropped with the retry budget exhausted.
     Lost(MpiFault),
-}
-
-/// One receive as a state machine: the whole of [`Comm::recv`] — matching,
-/// eager data, the rendezvous RTS → CTS → data exchange including the
-/// grant's drop / back-off retries, and the receive-side software cost —
-/// with every wait handed back to the caller instead of made. The blocking
-/// calls run it on their own thread; a component (the Co-Pilot's MPI pump)
-/// returns each wait as its [`Step`]. The kernel calls and their order are
-/// the same either way.
-pub struct Recv {
-    src: SrcSel,
-    tag: TagSel,
-    state: RecvState,
-}
-
-/// What a message's first envelope says about it.
-#[derive(Clone, Copy)]
-struct Header {
-    src: Rank,
-    tag: Tag,
-    dtype: Datatype,
-    count: usize,
-}
-
-enum RecvState {
-    /// Waiting for a matching header (eager data or a rendezvous RTS).
-    Header,
-    /// Header in hand.
-    Got(Envelope),
-    /// Granting rendezvous `id`: transmission `attempt` of the CTS is next.
-    Grant {
-        hdr: Header,
-        id: u64,
-        cts: Envelope,
-        attempt: u32,
-    },
-    /// Grant sent; waiting for the data of rendezvous `id`.
-    Data { hdr: Header, id: u64 },
-    /// Message complete, its receive cost being charged.
-    Charged(Msg),
-}
-
-/// What [`Recv::poll`] needs next.
-pub enum RecvPoll {
-    /// The received message; the machine is spent.
-    Ready(Msg),
-    /// Make this kernel call ([`Step::Advance`] or [`Step::Block`]), then
-    /// poll again.
-    Wait(Step),
-    /// The rank's mailbox was poisoned or taken over mid-receive.
-    Dead,
-}
-
-impl Recv {
-    /// A receive matching `src` / `tag` as [`Comm::recv`] does.
-    pub fn new(src: SrcSel, tag: TagSel) -> Recv {
-        Recv {
-            src,
-            tag,
-            state: RecvState::Header,
-        }
-    }
-
-    /// Run until the message is complete or the next wait. `comm` must be
-    /// the same communicator on every call.
-    pub fn poll(&mut self, comm: &Comm) -> RecvPoll {
-        let store = &comm.inner.boxes[comm.rank];
-        let ctx = &comm.ctx;
-        let block = |what: String| {
-            RecvPoll::Wait(Step::Block {
-                label: store.label().clone(),
-                what: what.into(),
-            })
-        };
-        loop {
-            match std::mem::replace(&mut self.state, RecvState::Header) {
-                RecvState::Header => {
-                    let (src, tag) = (self.src, self.tag);
-                    match store.poll_where(ctx, |e| {
-                        e.matches_recv(src, tag) && (tag.is_some() || e.tag >= 0)
-                    }) {
-                        StorePoll::Ready(env) => self.state = RecvState::Got(env),
-                        StorePoll::InFlight(wait) => return RecvPoll::Wait(Step::Advance(wait)),
-                        StorePoll::Empty => {
-                            return block(format!(
-                                "MPI_Recv(src={}, tag={})",
-                                src.map_or("ANY".into(), |s| s.to_string()),
-                                tag.map_or("ANY".into(), |t| t.to_string())
-                            ))
-                        }
-                        StorePoll::Dead => return RecvPoll::Dead,
-                    }
-                }
-                RecvState::Got(env) => {
-                    let hdr = Header {
-                        src: env.src,
-                        tag: env.tag,
-                        dtype: env.dtype,
-                        count: env.count,
-                    };
-                    match env.payload {
-                        Payload::Data(data) => return self.charge(comm, hdr, data),
-                        Payload::Rts { id, bytes: _ } => {
-                            // Grant the send and wait for the data. The grant
-                            // passes through the fault plan like any other
-                            // message.
-                            let cts = Envelope {
-                                src: comm.rank,
-                                dst: hdr.src,
-                                tag: hdr.tag,
-                                dtype: hdr.dtype,
-                                count: 0,
-                                wire_seq: comm.inner.mint_wire_seq(),
-                                payload: Payload::Cts { id },
-                            };
-                            self.state = RecvState::Grant {
-                                hdr,
-                                id,
-                                cts,
-                                attempt: 0,
-                            };
-                        }
-                        Payload::Cts { .. } | Payload::RdvData { .. } => {
-                            unreachable!("control payloads never match a user receive")
-                        }
-                    }
-                }
-                RecvState::Grant {
-                    hdr,
-                    id,
-                    cts,
-                    attempt,
-                } => match comm.put_attempt(hdr.src, cts, 0, attempt) {
-                    Put::Sent => self.state = RecvState::Data { hdr, id },
-                    Put::Dropped(cts, backoff) => {
-                        self.state = RecvState::Grant {
-                            hdr,
-                            id,
-                            cts,
-                            attempt: attempt + 1,
-                        };
-                        return RecvPoll::Wait(Step::Advance(backoff));
-                    }
-                    // If the grant is unrecoverably lost the run cannot
-                    // continue coherently.
-                    Put::Lost(fault) => ctx.abort(&format!(
-                        "MPI rendezvous grant to rank {} failed: {fault}",
-                        hdr.src
-                    )),
-                },
-                RecvState::Data { hdr, id } => {
-                    let polled = store.poll_where(ctx, |e| {
-                        e.src == hdr.src
-                            && matches!(e.payload, Payload::RdvData { id: i, .. } if i == id)
-                    });
-                    match polled {
-                        StorePoll::Ready(env) => {
-                            let Payload::RdvData { data, .. } = env.payload else {
-                                unreachable!("matched RdvData")
-                            };
-                            return self.charge(comm, hdr, data);
-                        }
-                        StorePoll::InFlight(wait) => {
-                            self.state = RecvState::Data { hdr, id };
-                            return RecvPoll::Wait(Step::Advance(wait));
-                        }
-                        StorePoll::Empty => {
-                            self.state = RecvState::Data { hdr, id };
-                            return block(format!("MPI rendezvous data from rank {}", hdr.src));
-                        }
-                        StorePoll::Dead => return RecvPoll::Dead,
-                    }
-                }
-                RecvState::Charged(msg) => return RecvPoll::Ready(msg),
-            }
-        }
-    }
-
-    /// The payload is in hand: count it and charge the receive-side cost.
-    fn charge(&mut self, comm: &Comm, hdr: Header, data: Vec<u8>) -> RecvPoll {
-        if let Some(r) = comm.inner.recorder() {
-            r.record_recv(data.len() as u64);
-        }
-        let cost = comm.side_cost(data.len(), comm.is_wire(hdr.src));
-        self.state = RecvState::Charged(Msg {
-            src: hdr.src,
-            tag: hdr.tag,
-            dtype: hdr.dtype,
-            count: hdr.count,
-            data,
-        });
-        RecvPoll::Wait(Step::Advance(cost))
-    }
 }
 
 /// Run an SPMD program: build the cluster, place one rank per entry of

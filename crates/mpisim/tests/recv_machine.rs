@@ -1,18 +1,20 @@
-//! The wildcard-receive state machine ([`Recv`]) against the blocking call
-//! it was lifted out of: one receiver on rank 1, run as a thread inside
-//! `Comm::recv(None, None)`, as the machine driven from a thread, and as the
-//! machine stepped by the kernel as a component, must be told apart by
-//! nothing but `SimReport::handoffs` — over eager data, a message exactly at
-//! the eager limit, rendezvous, a rendezvous whose CTS the link drops (the
-//! grant's back-off states), and a mailbox poisoned or taken over while the
-//! receiver is parked in it.
+//! The MPI receive future (`Comm::recv_async`) against the blocking call
+//! that drives it: one receiver on rank 1, run as a thread inside
+//! `Comm::recv(None, None)`, as the future awaited by a component, and as
+//! that component driven from a thread, must be told apart by nothing but
+//! `SimReport::handoffs` — over eager data, a message exactly at the eager
+//! limit and one byte over it, rendezvous, a rendezvous whose CTS the link
+//! drops (the grant's back-off), and a mailbox poisoned or taken over while
+//! the receiver is parked in it. `Comm::recv` now runs the same future, so
+//! every form is also held to the `(end time, dispatches, trace digest,
+//! messages)` the blocking receive produced before the two shared an
+//! implementation.
 
 use cp_des::{
-    drive_component, ComponentBody, ProcCtx, SimDuration, SimReport, SimTime, Simulation, Step,
+    async_component, drive_component, ComponentBody, Pid, ProcCtx, SimDuration, SimReport, SimTime,
+    Simulation,
 };
-use cp_mpisim::{
-    absorb_rank_death, Datatype, MpiCosts, MpiFault, MpiWorld, Rank, Recv, RecvPoll, Tag,
-};
+use cp_mpisim::{absorb_rank_death, Datatype, MpiCosts, MpiFault, MpiWorld, Rank, Tag};
 use cp_simnet::{ClusterSpec, FaultPlan, NodeId, RetryPolicy};
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -24,8 +26,17 @@ enum Receiver {
     Component,
 }
 
-/// `(source, tag, bytes, arrival time in ns)` of every message received.
-type Log = Arc<Mutex<Vec<(Rank, Tag, usize, u64)>>>;
+/// `(source, tag, bytes, arrival time in ns)` of a received message.
+type Got = (Rank, Tag, usize, u64);
+type Log = Arc<Mutex<Vec<Got>>>;
+
+/// What the blocking receive gave on the commit before it ran the future.
+struct Pinned {
+    end_ns: u64,
+    dispatches: u64,
+    digest: u64,
+    log: &'static [Got],
+}
 
 fn note(log: &Log, ctx: &ProcCtx, m: &cp_mpisim::Msg) {
     assert!(
@@ -35,6 +46,22 @@ fn note(log: &Log, ctx: &ProcCtx, m: &cp_mpisim::Msg) {
     );
     log.lock()
         .push((m.src, m.tag, m.data.len(), ctx.now().as_nanos()));
+}
+
+/// FNV-1a over the `(time, pid)` dispatch trace.
+fn digest(trace: &[(SimTime, Pid)]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &(t, pid) in trace {
+        for b in t
+            .as_nanos()
+            .to_le_bytes()
+            .into_iter()
+            .chain((pid as u64).to_le_bytes())
+        {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
 }
 
 /// Receive on rank 1 until `limit` messages are in or the mailbox dies.
@@ -49,22 +76,15 @@ fn blocking_receiver(world: MpiWorld, log: Log, limit: usize) -> impl FnOnce(&Pr
     }
 }
 
-fn receiver_machine(world: MpiWorld, log: Log, limit: usize) -> ComponentBody {
-    let mut attached = None;
-    let mut got = 0;
-    Box::new(move |ctx| {
-        let (comm, recv) =
-            attached.get_or_insert_with(|| (world.attach(ctx, 1), Recv::new(None, None)));
-        while got < limit {
-            match recv.poll(comm) {
-                RecvPoll::Ready(m) => note(&log, ctx, &m),
-                RecvPoll::Wait(step) => return step,
-                RecvPoll::Dead => return Step::Done,
-            }
-            *recv = Recv::new(None, None);
-            got += 1;
+fn async_receiver(world: MpiWorld, log: Log, limit: usize) -> ComponentBody {
+    async_component(move |ctx| async move {
+        let comm = world.attach(&ctx, 1);
+        for _ in 0..limit {
+            let Some(m) = comm.recv_async(None, None).await else {
+                return;
+            };
+            note(&log, &ctx, &m);
         }
-        Step::Done
     })
 }
 
@@ -76,7 +96,7 @@ fn scenario(
     plan: FaultPlan,
     limit: usize,
     rest: impl Fn(&MpiWorld, &mut Simulation, &Log),
-) -> (SimReport, Vec<(Rank, Tag, usize, u64)>) {
+) -> (SimReport, Vec<Got>) {
     let world = MpiWorld::with_faults(
         ClusterSpec::two_cells_one_xeon().build(),
         vec![NodeId(0), NodeId(1), NodeId(2), NodeId(0)],
@@ -93,9 +113,9 @@ fn scenario(
         match receiver {
             Receiver::Blocking => ctx.spawn("r1-recv", blocking_receiver(w, l, limit)),
             Receiver::ThreadDriven => {
-                ctx.spawn("r1-recv", drive_component(receiver_machine(w, l, limit)))
+                ctx.spawn("r1-recv", drive_component(async_receiver(w, l, limit)))
             }
-            Receiver::Component => ctx.spawn_component("r1-recv", receiver_machine(w, l, limit)),
+            Receiver::Component => ctx.spawn_component("r1-recv", async_receiver(w, l, limit)),
         };
     });
     let report = sim.run().unwrap();
@@ -103,30 +123,42 @@ fn scenario(
     (report, got)
 }
 
-/// Run `rest` under all three receivers and hold them equal; returns the
-/// blocking run.
+/// Run `rest` under all three receivers, hold each to `pinned` and the
+/// blocking run; returns the blocking run.
 fn assert_equivalent(
     what: &str,
+    pinned: Pinned,
     plan: impl Fn() -> FaultPlan,
     limit: usize,
     rest: impl Fn(&MpiWorld, &mut Simulation, &Log),
-) -> (SimReport, Vec<(Rank, Tag, usize, u64)>) {
-    let (blocking, want) = scenario(Receiver::Blocking, plan(), limit, &rest);
-    for other in [Receiver::ThreadDriven, Receiver::Component] {
-        let (report, got) = scenario(other, plan(), limit, &rest);
-        assert_eq!(got, want, "{what} {other:?}: messages");
-        assert_eq!(report.trace, blocking.trace, "{what} {other:?}: trace");
-        assert_eq!(report.end_time, blocking.end_time, "{what} {other:?}");
-        assert_eq!(report.dispatches, blocking.dispatches, "{what} {other:?}");
-        assert_eq!(report.processes, blocking.processes, "{what} {other:?}");
-        assert_eq!(report.incidents, blocking.incidents, "{what} {other:?}");
-        if other == Receiver::Component {
+) -> SimReport {
+    let runs = [
+        Receiver::Blocking,
+        Receiver::ThreadDriven,
+        Receiver::Component,
+    ]
+    .map(|receiver| (receiver, scenario(receiver, plan(), limit, &rest)));
+    let blocking = &runs[0].1 .0;
+    for (receiver, (report, got)) in &runs {
+        let trace = report.trace.as_deref().expect("traced");
+        assert_eq!(got, pinned.log, "{what} {receiver:?}: messages");
+        assert_eq!(digest(trace), pinned.digest, "{what} {receiver:?}: trace");
+        assert_eq!(
+            report.end_time.as_nanos(),
+            pinned.end_ns,
+            "{what} {receiver:?}"
+        );
+        assert_eq!(report.dispatches, pinned.dispatches, "{what} {receiver:?}");
+        assert_eq!(report.processes, blocking.processes, "{what} {receiver:?}");
+        assert_eq!(report.incidents, blocking.incidents, "{what} {receiver:?}");
+        if *receiver == Receiver::Component {
             assert!(report.handoffs < blocking.handoffs, "{what}: hand-offs");
         } else {
             assert_eq!(report.handoffs, blocking.handoffs, "{what}: hand-offs");
         }
     }
-    (blocking, want)
+    let [(_, (blocking, _)), ..] = runs;
+    blocking
 }
 
 /// Rank 0 sends one message per entry of `sizes` to rank 1, tagged by
@@ -145,9 +177,19 @@ fn sender(sizes: &'static [usize]) -> impl Fn(&MpiWorld, &mut Simulation, &Log) 
 fn eager_limit_and_rendezvous_sizes() {
     const SIZES: &[usize] = &[1, 16 * 1024, 64 * 1024, 1, 16 * 1024 + 1];
     assert_eq!(MpiCosts::default().eager_limit, 16 * 1024);
-    let (_, got) = assert_equivalent("sizes", FaultPlan::new, SIZES.len(), sender(SIZES));
-    let sizes: Vec<usize> = got.iter().map(|&(_, _, n, _)| n).collect();
-    assert_eq!(sizes, SIZES, "one sender: FIFO");
+    let pinned = Pinned {
+        end_ns: 3_584_357,
+        dispatches: 20,
+        digest: 0x2383_c444_3f7d_e69c,
+        log: &[
+            (0, 0, 1, 98_039),
+            (0, 1, 16_384, 751_073),
+            (0, 2, 65_536, 3_006_887),
+            (0, 3, 1, 3_025_900),
+            (0, 4, 16_385, 3_584_357),
+        ],
+    };
+    assert_equivalent("sizes", pinned, FaultPlan::new, SIZES.len(), sender(SIZES));
 }
 
 #[test]
@@ -156,14 +198,19 @@ fn dropped_cts_walks_the_back_off_states() {
     // first two transmissions of the rendezvous grant.
     let plan =
         || FaultPlan::new().drop_link(NodeId(1), NodeId(0), SimTime(0), SimTime(100_000_000), 2);
-    let (faulty, got) = assert_equivalent("cts drop", plan, 2, sender(&[64 * 1024, 1]));
+    let pinned = Pinned {
+        end_ns: 2_923_257,
+        dispatches: 12,
+        digest: 0xb436_4b1e_d779_dbc2,
+        log: &[(0, 0, 65_536, 2_904_244), (0, 1, 1, 2_923_257)],
+    };
+    let faulty = assert_equivalent("cts drop", pinned, plan, 2, sender(&[64 * 1024, 1]));
     let (clean, _) = scenario(
         Receiver::Blocking,
         FaultPlan::new(),
         2,
         sender(&[64 * 1024, 1]),
     );
-    assert_eq!(got.len(), 2);
     assert_eq!(
         (faulty.end_time - clean.end_time).as_nanos(),
         RetryPolicy::default().total_backoff(2).as_nanos(),
@@ -174,7 +221,14 @@ fn dropped_cts_walks_the_back_off_states() {
 #[test]
 fn mailbox_poisoned_mid_wait_retires_the_receiver() {
     let plan = || FaultPlan::new().kill_rank(1, SimTime(150_000));
-    let (report, got) = assert_equivalent("poison", plan, usize::MAX, |world, sim, _| {
+    let pinned = Pinned {
+        end_ns: 1_019_013,
+        dispatches: 10,
+        digest: 0x3e95_905d_7872_ba1d,
+        // The receiver died parked waiting for a second message.
+        log: &[(0, 0, 1, 98_039)],
+    };
+    let report = assert_equivalent("poison", pinned, plan, usize::MAX, |world, sim, _| {
         world.launch(sim, 0, "r0", |comm| {
             comm.send_bytes(1, 0, Datatype::Byte, 1, vec![0]);
             comm.ctx().advance(SimDuration::from_millis(1));
@@ -182,18 +236,21 @@ fn mailbox_poisoned_mid_wait_retires_the_receiver() {
             assert_eq!(lost, Err(MpiFault::PeerLost { rank: 1 }));
         });
     });
-    assert_eq!(
-        got.len(),
-        1,
-        "the receiver died parked waiting for a second"
-    );
     assert_eq!(report.incidents.len(), 1, "{:?}", report.incidents);
 }
 
 #[test]
 fn mailbox_taken_over_mid_wait_retires_the_receiver() {
-    let (_, got) = assert_equivalent(
+    let pinned = Pinned {
+        end_ns: 604_040,
+        dispatches: 13,
+        digest: 0x5062_a8cd_ed4e_c627,
+        // First to rank 1, second to its adopter.
+        log: &[(0, 0, 1, 98_039), (0, 1, 1, 604_040)],
+    };
+    assert_equivalent(
         "take over",
+        pinned,
         FaultPlan::new,
         usize::MAX,
         |world, sim, log| {
@@ -211,6 +268,4 @@ fn mailbox_taken_over_mid_wait_retires_the_receiver() {
             });
         },
     );
-    let tags: Vec<Tag> = got.iter().map(|&(_, tag, _, _)| tag).collect();
-    assert_eq!(tags, [0, 1], "first to rank 1, second to its adopter");
 }

@@ -12,7 +12,7 @@
 
 use crate::error::PilotError;
 use crate::runtime::{Pilot, PilotCosts};
-use crate::service;
+use crate::service::{self, DlEndpoint};
 use crate::table::{
     BundleEntry, BundleUsage, ChannelEntry, PiBundle, PiChannel, PiProcess, ProcessEntry, Tables,
 };
@@ -443,9 +443,13 @@ impl PilotConfig {
         }
         // Deadlock-detection service.
         if let Some(det_rank) = tables.detector_rank {
-            let tables2 = tables.clone();
-            world.launch(&mut sim, det_rank, "pilot-deadlock-svc", move |comm| {
-                service::detector_main(comm, tables2);
+            let tables = tables.clone();
+            world.launch_async(&mut sim, det_rank, "pilot-deadlock-svc", move |comm| {
+                let expected = tables.processes.len();
+                service::detector(comm, expected, move |ep| match ep {
+                    DlEndpoint::Rank(r) => tables.name_of_rank(*r),
+                    other => other.to_string(),
+                })
             });
         }
         sim.run()

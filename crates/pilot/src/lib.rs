@@ -54,8 +54,8 @@ pub use error::PilotError;
 pub use fmt::{parse_format, Conversion, CountSpec, FmtError};
 pub use runtime::{CallLog, CallRecord, Pilot, PilotCosts};
 pub use service::{
-    decode_event, encode_event, DlEndpoint, DlEvent, WaitGraph, EVENT_LEN, EV_FINISH, EV_READWAIT,
-    EV_WRITE, GRACE_US, POLL_US, TAG_SVC,
+    decode_event, detector, encode_event, DlEndpoint, DlEvent, WaitGraph, EVENT_LEN, EV_FINISH,
+    EV_READWAIT, EV_WRITE, GRACE_US, POLL_US, TAG_SVC,
 };
 pub use table::{BundleUsage, PiBundle, PiChannel, PiProcess, Tables, PI_MAIN};
 pub use value::{pack_message, payload_bytes, unpack_message, MatchError, PiScalar, PiValue};

@@ -20,12 +20,10 @@
 //! rank-only world and CellPilot's hybrid one.
 
 use crate::error::PilotError;
-use crate::table::Tables;
-use cp_des::SimDuration;
-use cp_mpisim::Comm;
+use cp_des::{SimDuration, Step};
+use cp_mpisim::{Comm, Msg};
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
 
 /// Reserved tag for service traffic.
 pub const TAG_SVC: i32 = -500;
@@ -315,37 +313,36 @@ impl WaitGraph {
     }
 }
 
-/// The service process body.
-pub(crate) fn detector_main(comm: Comm, tables: Arc<Tables>) {
-    let app_count = tables.processes.len();
+/// The deadlock-detection service, Pilot's and CellPilot's alike: absorb
+/// events until `expected` processes have reported [`EV_FINISH`], and abort
+/// the run on a cycle that survives [`GRACE_US`] of re-checks, naming each
+/// endpoint with `name`. A component (see [`cp_mpisim::MpiWorld::launch_async`]):
+/// every wait is an awaited kernel call, so the service has no thread.
+pub async fn detector(comm: Comm, expected: usize, name: impl Fn(&DlEndpoint) -> String) {
     let mut graph = WaitGraph::new();
-    let name = |ep: &DlEndpoint| match ep {
-        DlEndpoint::Rank(r) => tables.name_of_rank(*r),
-        other => other.to_string(),
+    let decode = |msg: Msg| match decode_event(&msg.data) {
+        Ok(ev) => ev,
+        Err(e) => comm.ctx().abort(&e.to_string()),
     };
     loop {
-        let msg = comm.recv(None, Some(TAG_SVC));
-        let ev = match decode_event(&msg.data) {
-            Ok(ev) => ev,
-            Err(e) => comm.ctx().abort(&e.to_string()),
+        let Some(msg) = comm.recv_async(None, Some(TAG_SVC)).await else {
+            return;
         };
-        let suspect = graph.on_event(&ev);
-        if graph.finished() == app_count {
+        let suspect = graph.on_event(&decode(msg));
+        if graph.finished() == expected {
             return;
         }
         if let Some(cycle) = suspect {
-            // Confirmation: give in-flight satisfying writes a grace
-            // period to arrive before declaring.
+            // Confirmation: a satisfying write (or a proxied report of one)
+            // may still be in flight; drain and re-check for a grace period
+            // before declaring.
             let mut waited = 0u64;
             let confirmed = loop {
                 while let Some((src, _tag, _dt, _count)) = comm.iprobe(None, Some(TAG_SVC)) {
-                    let m = comm.recv(Some(src), Some(TAG_SVC));
-                    match decode_event(&m.data) {
-                        Ok(ev) => {
-                            let _ = graph.on_event(&ev);
-                        }
-                        Err(e) => comm.ctx().abort(&e.to_string()),
-                    }
+                    let Some(m) = comm.recv_async(Some(src), Some(TAG_SVC)).await else {
+                        return;
+                    };
+                    let _ = graph.on_event(&decode(m));
                 }
                 if !graph.cycle_still_present(&cycle) {
                     break false;
@@ -353,12 +350,13 @@ pub(crate) fn detector_main(comm: Comm, tables: Arc<Tables>) {
                 if waited >= GRACE_US {
                     break true;
                 }
-                comm.ctx().advance(SimDuration::from_micros(POLL_US));
+                Step::Advance(SimDuration::from_micros(POLL_US)).await;
                 waited += POLL_US;
             };
             if confirmed {
-                let names = graph.render_cycle(&cycle, name);
-                let err = PilotError::CircularWait { cycle: names };
+                let err = PilotError::CircularWait {
+                    cycle: graph.render_cycle(&cycle, &name),
+                };
                 comm.ctx().abort(&err.to_string());
             }
         }
