@@ -53,6 +53,14 @@ impl MboxQueue {
         }
     }
 
+    /// Send `word`: record the edge, then push it with the mailbox latency,
+    /// waiting while the queue is full.
+    async fn send(&self, rec: Option<Recorder>, ctx: &ProcCtx, costs: &CellCosts, word: u32) {
+        self.note_send(&rec, ctx);
+        let latency = SimDuration::from_micros_f64(costs.mailbox_latency_us);
+        self.q.push_async(ctx, word, latency).await;
+    }
+
     /// Record the receive edge after a completed pop. Pops are FIFO and
     /// each queue has a single consumer, so the running counter matches
     /// the sender's sequence.
@@ -116,24 +124,20 @@ impl Mailboxes {
 
     /// SPU: write a word to the outbound mailbox; blocks while it is full.
     pub fn spu_write_outbox(&self, ctx: &ProcCtx, costs: &CellCosts, word: u32) {
-        ctx.advance(SimDuration::from_micros_f64(costs.spu_channel_op_us));
-        self.outbound.note_send(&self.rec(), ctx);
-        self.outbound.q.push(
-            ctx,
-            word,
-            SimDuration::from_micros_f64(costs.mailbox_latency_us),
-        );
+        ctx.drive(self.spu_write_outbox_async(ctx, costs, word));
+    }
+
+    /// [`Mailboxes::spu_write_outbox`] as a future, each wait an awaited
+    /// [`Step`].
+    pub async fn spu_write_outbox_async(&self, ctx: &ProcCtx, costs: &CellCosts, word: u32) {
+        Step::Advance(SimDuration::from_micros_f64(costs.spu_channel_op_us)).await;
+        self.outbound.send(self.rec(), ctx, costs, word).await;
     }
 
     /// SPU: write a word to the outbound interrupt mailbox.
     pub fn spu_write_outbox_intr(&self, ctx: &ProcCtx, costs: &CellCosts, word: u32) {
         ctx.advance(SimDuration::from_micros_f64(costs.spu_channel_op_us));
-        self.outbound_intr.note_send(&self.rec(), ctx);
-        self.outbound_intr.q.push(
-            ctx,
-            word,
-            SimDuration::from_micros_f64(costs.mailbox_latency_us),
-        );
+        ctx.drive(self.outbound_intr.send(self.rec(), ctx, costs, word));
     }
 
     /// SPU: blocking read of the inbound mailbox.
@@ -206,13 +210,14 @@ impl Mailboxes {
     /// PPE: write a word into the SPE's 4-deep inbound mailbox; blocks while
     /// it is full (`SPE_MBOX_ALL_BLOCKING` behaviour).
     pub fn ppe_write_inbox(&self, ctx: &ProcCtx, costs: &CellCosts, word: u32) {
-        ctx.advance(SimDuration::from_micros_f64(costs.ppe_mmio_op_us));
-        self.inbound.note_send(&self.rec(), ctx);
-        self.inbound.q.push(
-            ctx,
-            word,
-            SimDuration::from_micros_f64(costs.mailbox_latency_us),
-        );
+        ctx.drive(self.ppe_write_inbox_async(ctx, costs, word));
+    }
+
+    /// [`Mailboxes::ppe_write_inbox`] as a future, each wait an awaited
+    /// [`Step`].
+    pub async fn ppe_write_inbox_async(&self, ctx: &ProcCtx, costs: &CellCosts, word: u32) {
+        Step::Advance(SimDuration::from_micros_f64(costs.ppe_mmio_op_us)).await;
+        self.inbound.send(self.rec(), ctx, costs, word).await;
     }
 
     /// PPE: non-blocking status of the outbound mailbox (word available?).
@@ -225,26 +230,23 @@ impl Mailboxes {
     /// operation (same as [`Mailboxes::ppe_write_inbox`]) plus a per-byte
     /// copy into the problem-state mapping — no second mailbox word, no
     /// DMA setup. The payload is queued FIFO for
-    /// [`Mailboxes::spu_take_inline`].
-    pub fn ppe_write_inbox_inline(
+    /// [`Mailboxes::spu_take_inline`]. Only a Co-Pilot makes it, so it
+    /// exists only as a future (a thread drives it with `ProcCtx::drive`).
+    pub async fn ppe_write_inbox_inline(
         &self,
         ctx: &ProcCtx,
         costs: &CellCosts,
         word: u32,
         payload: Vec<u8>,
     ) {
-        ctx.advance(SimDuration::from_micros_f64(
+        Step::Advance(SimDuration::from_micros_f64(
             costs.ppe_mmio_op_us + costs.ls_copy_per_byte_us * payload.len() as f64,
-        ));
+        ))
+        .await;
         // Stage the payload before the word: by the time the SPU pops the
         // word, its payload is guaranteed present.
         self.inline.lock().push_back(payload);
-        self.inbound.note_send(&self.rec(), ctx);
-        self.inbound.q.push(
-            ctx,
-            word,
-            SimDuration::from_micros_f64(costs.mailbox_latency_us),
-        );
+        self.inbound.send(self.rec(), ctx, costs, word).await;
     }
 
     /// SPU: take the oldest inline payload. Call exactly once per inbound
@@ -421,7 +423,7 @@ mod tests {
         let mut sim = Simulation::new();
         let (m1, m2) = (mb.clone(), mb);
         sim.spawn("ppe", move |ctx| {
-            m1.ppe_write_inbox_inline(ctx, &costs(), 12, vec![7u8; 12]);
+            ctx.drive(m1.ppe_write_inbox_inline(ctx, &costs(), 12, vec![7u8; 12]));
             // One MMIO op + 12 bytes at the LS copy rate — no second
             // mailbox word, no DMA setup.
             let want = 2.5 + 12.0 * 0.009375;

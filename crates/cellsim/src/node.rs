@@ -12,7 +12,7 @@ use crate::mailbox::Mailboxes;
 use crate::memory::{ls_ea, resolve, Backing, Ea, MainMemory, MemError};
 use crate::mfc::{validate, DmaDir, DmaError, TagState};
 use crate::signal::{SignalMode, SignalReg};
-use cp_des::{Pid, ProcCtx, SimDuration};
+use cp_des::{Pid, ProcCtx, SimDuration, Step};
 use cp_trace::{HbOp, Recorder};
 use parking_lot::Mutex;
 use std::fmt;
@@ -208,6 +208,18 @@ impl CellNode {
     /// A PPE `memcpy` between two effective addresses, charging the
     /// calibrated cost for uncached local-store mappings.
     pub fn ppe_memcpy(&self, ctx: &ProcCtx, dst: Ea, src: Ea, len: usize) -> Result<(), MemError> {
+        ctx.drive(self.ppe_memcpy_async(ctx, dst, src, len))
+    }
+
+    /// [`CellNode::ppe_memcpy`] as a future: the copy, then its charge as
+    /// an awaited [`Step`].
+    pub async fn ppe_memcpy_async(
+        &self,
+        ctx: &ProcCtx,
+        dst: Ea,
+        src: Ea,
+        len: usize,
+    ) -> Result<(), MemError> {
         let data = self.ea_read(src, len)?;
         self.ea_write(dst, &data)?;
         if let Some(r) = self.rec() {
@@ -240,7 +252,7 @@ impl CellNode {
             }
         }
         let cost = self.costs.memcpy_us(len, self.ls_sides(src, dst));
-        ctx.advance(SimDuration::from_micros_f64(cost));
+        Step::Advance(SimDuration::from_micros_f64(cost)).await;
         Ok(())
     }
 

@@ -159,11 +159,7 @@ impl BundleCoalescer<'_> {
                     per_node.entry(node).or_default().push((c as u32, data));
                 }
             }
-            crate::dlsvc::report(
-                &self.cp.comm,
-                &tables,
-                crate::dlsvc::chan_event(&tables, cp_pilot::EV_WRITE, c),
-            );
+            self.cp.report_chan(cp_pilot::EV_WRITE, c);
         }
         for (node, group) in per_node {
             let payload = encode_bundle(&group);

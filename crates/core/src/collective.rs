@@ -109,11 +109,7 @@ impl CellPilot {
         // One write credit per member channel: every receiver (rank or
         // SPE) reports its own read wait against its own channel.
         for &c in &entry.channels {
-            crate::dlsvc::report(
-                &self.comm,
-                &tables,
-                crate::dlsvc::chan_event(&tables, cp_pilot::EV_WRITE, c.0),
-            );
+            self.report_chan(cp_pilot::EV_WRITE, c.0);
         }
         self.shared.trace.record(
             self.ctx().now(),

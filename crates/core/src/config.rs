@@ -846,7 +846,6 @@ impl CellPilotConfig {
             Recorder::disabled()
         };
         let cluster = spec.build();
-        let app_ranks = placement.len();
         let faults = opts
             .faults
             .clone()
@@ -887,7 +886,6 @@ impl CellPilotConfig {
             bundles,
             copilot_ranks: copilot_ranks.clone(),
             standby_ranks: standby_ranks.clone(),
-            app_ranks,
             detector_rank,
         });
         let mut node_shared = HashMap::new();
@@ -980,13 +978,18 @@ impl CellPilotConfig {
         }
         // Co-Pilots.
         for (node, rank) in copilot_ranks {
-            let body = copilot::copilot_body(world.clone(), shared.clone(), node, rank);
-            world.launch(&mut sim, rank, &format!("copilot{}", node.0), body);
+            let (w, s) = (world.clone(), shared.clone());
+            world.launch_async(&mut sim, rank, &format!("copilot{}", node.0), move |comm| {
+                copilot::copilot_body(comm, w, s, node)
+            });
         }
         // Standby Co-Pilots (only for nodes with a scripted primary kill).
         for (node, rank) in standby_ranks {
-            let body = copilot::standby_body(world.clone(), shared.clone(), node, rank);
-            world.launch(&mut sim, rank, &format!("copilot{}-standby", node.0), body);
+            let (w, s) = (world.clone(), shared.clone());
+            let name = format!("copilot{}-standby", node.0);
+            world.launch_async(&mut sim, rank, &name, move |comm| {
+                copilot::standby_body(comm, w, s, node)
+            });
         }
         // Deadlock-detection service.
         if let Some(det_rank) = tables.detector_rank {

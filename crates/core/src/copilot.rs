@@ -25,16 +25,25 @@
 //! **mailbox watcher** per SPE (modelling the real Co-Pilot's polling of
 //! the SPEs' outbound mailboxes), one **MPI pump** (its blocking
 //! `MPI_Recv(ANY_SOURCE)`), and the **service loop** consuming both event
-//! streams in arrival order. Only the service loop has a thread. The
-//! watchers and the pump — and, under a fault plan, the heartbeat and the
-//! kill timer — are `cp-des` *components*: straight-line `async` blocks
-//! with a pid and a name of their own that await each wait as a [`Step`],
-//! which the simulator runs on whichever thread is dispatching (`cp-native`
-//! drives each from an ordinary thread). A step runs while some other
-//! process — often this node's service loop, holding `ns.co_state` — sits
-//! in a kernel call, so a component touches only locks that are never held
-//! across one, and never holds a guard across an `.await` (a lint error):
-//! the mailbox and event queues, the local store, the recorders.
+//! streams in arrival order. None has a thread: each — with, under a fault
+//! plan, the heartbeat, the kill timer and the standby — is a `cp-des`
+//! *component*, a straight-line `async` block with a pid and a name of its
+//! own that awaits each wait as a [`Step`], which the simulator runs on
+//! whichever thread is dispatching (`cp-native` runs each on an ordinary
+//! thread). What the service loop awaits — the MPI send with its
+//! rendezvous, the inbound-mailbox writes, the mapped copies — is the same
+//! future a rank's thread runs through when it makes the blocking call.
+//!
+//! The proxy tables ([`CoState`]) are a local of the serving incarnation's
+//! future. A primary that retires — at its scripted kill, or finding its
+//! mailbox taken over under a send — leaves them in the node's `handover`
+//! queue, and its standby takes them from there before it serves an event.
+//! The standby thus waits in the kernel, where the primary still runs, and
+//! never on a lock the primary holds. A step runs while some other process
+//! sits in a kernel call, so a component touches only locks that are never
+//! held across one, and never holds a guard across an `.await` (a lint
+//! error): the mailbox and event queues, the local store, the route and
+//! credit tables, the recorders.
 
 use crate::location::Location;
 use crate::protocol::{
@@ -43,100 +52,97 @@ use crate::protocol::{
     OP_WRITE, OP_WRITE_INLINE, POISON_WORD, REQ_BLOCK_BYTES,
 };
 use crate::runtime::AppShared;
-use crate::tables::{CoEvent, NodeShared, PendingReq};
+use crate::tables::{CoEvent, CoState, NodeShared, PendingReq};
+use crate::trace::TraceOp;
 use cp_cellsim::{ls_ea, CellNode};
 use cp_des::sync::Poll;
 use cp_des::{async_component, IncidentCategory, ProcCtx, SimDuration, Step};
 use cp_mpisim::{Comm, Datatype, MpiWorld, Msg};
+use cp_pilot::{EV_READWAIT, EV_WRITE};
 use cp_simnet::{NodeId, HEARTBEAT_PERIOD, WATCHDOG_TIMEOUT};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
-/// Build the co-pilot process body for `world.launch`.
-pub(crate) fn copilot_body(
+/// The Co-Pilot of `node`, for `world.launch_async`: start its helpers,
+/// then serve the node from empty proxy tables.
+pub(crate) async fn copilot_body(
+    comm: Comm,
     world: MpiWorld,
     shared: Arc<AppShared>,
     node: NodeId,
-    rank: usize,
-) -> impl FnOnce(Comm) + Send + 'static {
-    move |comm: Comm| {
-        let ns = shared.node_shared[&node].clone();
-        let cell = ns.cell.clone();
-        let ctx = comm.ctx().clone();
-        for hw in 0..cell.spe_count() {
-            spawn_watcher(&ctx, ns.clone(), hw);
-        }
-        spawn_pump(&ctx, &world, rank, ns.clone());
-        if let Some(kill_at) = shared.faults.copilot_kill_of(node) {
-            // The node-local liveness signal: beat every period until the
-            // scripted death silences it (or a clean shutdown stops the
-            // pair). The watchdog in `standby_body` polls the same cell.
-            let hb = ns.hb.clone();
-            let heartbeat = async_component(move |bctx| async move {
-                while !hb.is_stopped() && bctx.now() < kill_at {
-                    hb.beat(bctx.now());
-                    Step::Advance(HEARTBEAT_PERIOD).await;
-                }
-            });
-            ctx.spawn_component(&format!("copilot{}-heartbeat", node.0), heartbeat);
-            // Deliver the death at exactly the scripted instant as a queue
-            // event, so the primary retires at the kill time (events queued
-            // later stay behind the marker for the standby to service).
-            let ns = ns.clone();
-            let kill = async_component(move |kctx| async move {
-                Step::Advance(SimDuration::from_nanos(kill_at.as_nanos())).await;
-                ns.note_queue_push(&kctx);
-                ns.queue.push(&kctx, CoEvent::Die, SimDuration::ZERO);
-            });
-            ctx.spawn_component(&format!("copilot{}-kill", node.0), kill);
-        }
-        service_loop(&comm, &shared, &ns, false);
+) {
+    let ns = shared.node_shared[&node].clone();
+    let ctx = comm.ctx();
+    for hw in 0..ns.cell.spe_count() {
+        spawn_watcher(ctx, ns.clone(), hw);
     }
+    spawn_pump(ctx, &world, comm.rank(), ns.clone());
+    if let Some(kill_at) = shared.faults.copilot_kill_of(node) {
+        // The node-local liveness signal: beat every period until the
+        // scripted death silences it (or a clean shutdown stops the
+        // pair). The watchdog in `standby_body` polls the same cell.
+        let hb = ns.hb.clone();
+        let heartbeat = async_component(move |bctx| async move {
+            while !hb.is_stopped() && bctx.now() < kill_at {
+                hb.beat(bctx.now());
+                Step::Advance(HEARTBEAT_PERIOD).await;
+            }
+        });
+        ctx.spawn_component(&format!("copilot{}-heartbeat", node.0), heartbeat);
+        // Deliver the death at exactly the scripted instant as a queue
+        // event, so the primary retires at the kill time (events queued
+        // later stay behind the marker for the standby to service).
+        let ns = ns.clone();
+        let kill = async_component(move |kctx| async move {
+            Step::Advance(SimDuration::from_nanos(kill_at.as_nanos())).await;
+            ns.note_queue_push(&kctx);
+            ns.queue.push(&kctx, CoEvent::Die, SimDuration::ZERO);
+        });
+        ctx.spawn_component(&format!("copilot{}-kill", node.0), kill);
+    }
+    service_loop(&comm, &shared, &ns, Some(CoState::default())).await;
 }
 
-/// Build the standby co-pilot body for a node whose primary has a
-/// scripted kill: watch the heartbeat, and on expiry adopt the node —
+/// The standby Co-Pilot of a node whose primary has a scripted kill, for
+/// `world.launch_async`: watch the heartbeat, and on expiry adopt the node —
 /// reroute the Co-Pilot rank, take over the dead primary's mailbox, and
-/// resume servicing the shared proxy tables and event queue. Type-4/5
-/// traffic continues with no application-visible loss.
-pub(crate) fn standby_body(
+/// serve on from the shared event queue with the proxy tables the primary
+/// hands over. Type-4/5 traffic continues with no application-visible loss.
+pub(crate) async fn standby_body(
+    comm: Comm,
     world: MpiWorld,
     shared: Arc<AppShared>,
     node: NodeId,
-    rank: usize,
-) -> impl FnOnce(Comm) + Send + 'static {
-    move |comm: Comm| {
-        let ns = shared.node_shared[&node].clone();
-        let ctx = comm.ctx().clone();
-        let hb = ns.hb.clone();
-        loop {
-            if hb.is_stopped() {
-                // Clean shutdown before the kill fired: no failover needed.
-                return;
-            }
-            if hb.expired(ctx.now(), WATCHDOG_TIMEOUT) {
-                break;
-            }
-            ctx.advance(HEARTBEAT_PERIOD);
+) {
+    let ns = shared.node_shared[&node].clone();
+    let (ctx, rank) = (comm.ctx(), comm.rank());
+    loop {
+        if ns.hb.is_stopped() {
+            // Clean shutdown before the kill fired: no failover needed.
+            return;
         }
-        ctx.report_incident(
-            IncidentCategory::CopilotFailover,
-            &format!(
-                "standby Co-Pilot (rank {rank}) adopting node {}: primary silent since {}",
-                node.0,
-                hb.last_beat()
-            ),
-        );
-        let primary = shared.tables.copilot_ranks[&node];
-        shared.copilot_route.lock().insert(node, rank);
-        // Window ownership migrates with the node: one-sided writers that
-        // consult the table from here on see the standby as the servicing
-        // rank, and landed-but-undelivered puts stay queued for it.
-        shared.fabric.take_over_node(node.0, rank);
-        world.take_over_rank(&ctx, primary, rank);
-        spawn_pump(&ctx, &world, rank, ns.clone());
-        service_loop(&comm, &shared, &ns, true);
+        if ns.hb.expired(ctx.now(), WATCHDOG_TIMEOUT) {
+            break;
+        }
+        Step::Advance(HEARTBEAT_PERIOD).await;
     }
+    ctx.report_incident(
+        IncidentCategory::CopilotFailover,
+        &format!(
+            "standby Co-Pilot (rank {rank}) adopting node {}: primary silent since {}",
+            node.0,
+            ns.hb.last_beat()
+        ),
+    );
+    let primary = shared.tables.copilot_ranks[&node];
+    shared.copilot_route.lock().insert(node, rank);
+    // Window ownership migrates with the node: one-sided writers that
+    // consult the table from here on see the standby as the servicing
+    // rank, and landed-but-undelivered puts stay queued for it.
+    shared.fabric.take_over_node(node.0, rank);
+    world.take_over_rank(ctx, primary, rank);
+    spawn_pump(ctx, &world, rank, ns.clone());
+    service_loop(&comm, &shared, &ns, None).await;
 }
 
 /// Spawn the Co-Pilot's MPI pump (its blocking `MPI_Recv(ANY_SOURCE)`),
@@ -215,22 +221,51 @@ fn spawn_watcher(ctx: &ProcCtx, ns: Arc<NodeShared>, hw: usize) {
     ctx.spawn_component(&name, watcher);
 }
 
-fn service_loop(comm: &Comm, shared: &Arc<AppShared>, ns: &Arc<NodeShared>, standby: bool) {
+/// Serve the node until shutdown, starting from `state` — `None` for a
+/// standby, which takes the primary's tables when it first needs them.
+/// An incarnation that retires leaves its tables for the standby.
+async fn service_loop(
+    comm: &Comm,
+    shared: &AppShared,
+    ns: &NodeShared,
+    mut state: Option<CoState>,
+) {
+    let standby = state.is_none();
+    if serve(comm, shared, ns, &mut state, standby).await.is_none() {
+        if let Some(st) = state {
+            ns.handover.push(comm.ctx(), st, SimDuration::ZERO);
+        }
+    }
+}
+
+/// The service loop proper: `Some` at shutdown, `None` when this
+/// incarnation retires — killed by the fault plan, or its mailbox taken
+/// over under a rendezvous send.
+async fn serve(
+    comm: &Comm,
+    shared: &AppShared,
+    ns: &NodeShared,
+    state: &mut Option<CoState>,
+    standby: bool,
+) -> Option<()> {
     let ctx = comm.ctx();
     let costs = &shared.costs;
-    let cell = &ns.cell;
-    let queue = &ns.queue;
+    let cell = &*ns.cell;
+    let tables = &shared.tables;
+    let p = Proxy { ctx, shared, cell };
     // A scripted Co-Pilot stall freezes the service loop once, at the first
     // event serviced at or after its scheduled time: requests and MPI
     // deliveries keep queueing, but nothing is serviced for the duration.
     let stall = shared.faults.stall_of(NodeId(cell.id));
     loop {
-        let event = queue.pop(ctx);
+        let event = ns.queue.pop_async(ctx).await;
         ns.note_queue_pop(ctx);
-        // Only this service loop touches the proxy tables while it runs —
-        // a standby starts only after the primary retired — so holding the
-        // guard across an event's (possibly blocking) handling is safe.
-        let st = &mut *ns.co_state.lock();
+        // A standby's first event may find the primary still mid-event: the
+        // tables arrive when it retires (at once, if it already has).
+        if state.is_none() {
+            *state = Some(ns.handover.pop_async(ctx).await);
+        }
+        let st = state.as_mut().expect("proxy tables in hand");
         if let Some(s) = stall {
             if !st.stall_done && ctx.now() >= s.at {
                 st.stall_done = true;
@@ -241,7 +276,7 @@ fn service_loop(comm: &Comm, shared: &Arc<AppShared>, ns: &Arc<NodeShared>, stan
                         cell.id, s.duration, s.at
                     ),
                 );
-                ctx.advance(s.duration);
+                Step::Advance(s.duration).await;
             }
         }
         match event {
@@ -259,13 +294,15 @@ fn service_loop(comm: &Comm, shared: &Arc<AppShared>, ns: &Arc<NodeShared>, stan
                         ctx.now()
                     ),
                 );
-                return;
+                return None;
             }
             CoEvent::Shutdown => {
                 // Unblock the mailbox watchers so their processes exit, and
                 // retire the heartbeat pair so a standby stands down.
                 for spe in &cell.spes {
-                    spe.mbox.spu_write_outbox(ctx, &cell.costs, POISON_WORD);
+                    spe.mbox
+                        .spu_write_outbox_async(ctx, &cell.costs, POISON_WORD)
+                        .await;
                 }
                 ns.hb.stop();
                 // The shutdown *wire message* may have been consumed by a
@@ -275,22 +312,20 @@ fn service_loop(comm: &Comm, shared: &Arc<AppShared>, ns: &Arc<NodeShared>, stan
                 // recv forever. Echo the shutdown to our own rank so
                 // whichever pump still listens drains and exits; if none
                 // does, the envelope sits unread and the run ends anyway.
-                comm.send_bytes(comm.rank(), CP_SHUTDOWN_TAG, Datatype::Byte, 0, Vec::new());
-                return;
+                comm.send_bytes_async(comm.rank(), CP_SHUTDOWN_TAG, Datatype::Byte, 0, Vec::new())
+                    .await;
+                return Some(());
             }
             CoEvent::Mpi(msg) if msg.tag == CP_MCAST_TAG => {
                 // Hierarchical broadcast: one wire message, local fan-out.
                 let (chans, data) = decode_mcast(&msg.data);
                 for chan in chans {
-                    let chan = chan as usize;
-                    if let Some(rr) = pop_front(&mut st.pending_reads, chan) {
-                        deliver(ctx, shared, cell, chan, &data, rr);
-                    } else {
-                        let mut m = msg.clone();
-                        m.tag = chan as i32;
-                        m.data = data.clone();
-                        st.pending_mpi.entry(chan).or_default().push_back(m);
-                    }
+                    let m = Msg {
+                        tag: chan as i32,
+                        data: data.clone(),
+                        ..msg.clone()
+                    };
+                    p.deliver_or_park(st, chan as usize, m).await;
                 }
             }
             CoEvent::Mpi(msg) if msg.tag == CP_BUNDLE_TAG => {
@@ -300,27 +335,13 @@ fn service_loop(comm: &Comm, shared: &Arc<AppShared>, ns: &Arc<NodeShared>, stan
                 // arrived as its own message.
                 for (chan, data) in decode_bundle(&msg.data) {
                     let chan = chan as usize;
-                    if let Some(rr) = pop_front(&mut st.pending_reads, chan) {
-                        deliver(ctx, shared, cell, chan, &data, rr);
-                    } else {
-                        let count = data.len();
-                        st.pending_mpi.entry(chan).or_default().push_back(Msg {
-                            src: msg.src,
-                            tag: chan as i32,
-                            dtype: Datatype::Byte,
-                            count,
-                            data,
-                        });
-                    }
+                    p.deliver_or_park(st, chan, chan_msg(msg.src, chan, data))
+                        .await;
                 }
             }
             CoEvent::Mpi(msg) => {
                 let chan = msg.tag as usize;
-                if let Some(rr) = pop_front(&mut st.pending_reads, chan) {
-                    deliver(ctx, shared, cell, chan, &msg.data, rr);
-                } else {
-                    st.pending_mpi.entry(chan).or_default().push_back(msg);
-                }
+                p.deliver_or_park(st, chan, msg).await;
             }
             CoEvent::Request {
                 hw,
@@ -331,117 +352,71 @@ fn service_loop(comm: &Comm, shared: &Arc<AppShared>, ns: &Arc<NodeShared>, stan
                 // so the fast dispatch path applies — no buffer-address
                 // translation, no pending-transfer bookkeeping, no DMA reply
                 // setup.
-                charge(ctx, costs.copilot_eager_dispatch_us);
+                charge(costs.copilot_eager_dispatch_us).await;
                 let chan = req.chan as usize;
-                crate::dlsvc::report(
-                    comm,
-                    &shared.tables,
-                    crate::dlsvc::chan_event(&shared.tables, cp_pilot::EV_WRITE, chan),
-                );
+                crate::dlsvc::report_chan(comm, tables, EV_WRITE, chan).await?;
                 let n = data.len();
-                match reader_side(shared, chan, cell.id) {
+                // Buffered send: the writer completes immediately (its
+                // payload is already in Co-Pilot hands), whether the reader
+                // is a local SPE or reached over MPI — its completion does
+                // not wait for the MPI call made on its behalf.
+                p.complete(hw, completion_ok(n)).await;
+                match p.reader_side(chan) {
                     ReaderSide::LocalSpe => {
-                        // Buffered send: the writer completes immediately
-                        // (its payload is already in Co-Pilot hands); the
-                        // data waits for the reader like an MPI-borne
+                        // The data waits for the reader like an MPI-borne
                         // message would, preserving FIFO order against any
                         // rendezvous write the same (now unblocked) writer
                         // issues later.
-                        complete(ctx, cell, hw, completion_ok(n));
-                        shared.trace.record(
-                            ctx.now(),
-                            &format!("copilot{}", cell.id),
-                            crate::trace::TraceOp::CopilotWrite,
-                            chan,
-                            n,
-                        );
-                        if let Some(rr) = pop_front(&mut st.pending_reads, chan) {
-                            deliver(ctx, shared, cell, chan, &data, rr);
-                        } else {
-                            st.pending_mpi.entry(chan).or_default().push_back(Msg {
-                                src: comm.rank(),
-                                tag: chan as i32,
-                                dtype: Datatype::Byte,
-                                count: n,
-                                data,
-                            });
-                        }
+                        p.trace(TraceOp::CopilotWrite, chan, n);
+                        p.deliver_or_park(st, chan, chan_msg(comm.rank(), chan, data))
+                            .await;
                     }
                     ReaderSide::Mpi(dest_rank) => {
-                        // The payload is in hand: buffered send here too —
-                        // the writer's completion does not wait for the MPI
-                        // call made on its behalf.
-                        complete(ctx, cell, hw, completion_ok(n));
-                        comm.send_bytes(dest_rank, chan as i32, Datatype::Byte, n, data);
-                        shared.trace.record(
-                            ctx.now(),
-                            &format!("copilot{}", cell.id),
-                            crate::trace::TraceOp::CopilotWrite,
-                            chan,
-                            n,
-                        );
-                        record_hop(ctx, shared, cell.id, chan, "forward");
+                        comm.send_bytes_async(dest_rank, chan as i32, Datatype::Byte, n, data)
+                            .await?;
+                        p.trace(TraceOp::CopilotWrite, chan, n);
+                        p.record_hop(chan, "forward");
                     }
                 }
             }
             CoEvent::Request { hw, req, .. } if req.op == OP_WRITE => {
-                charge(ctx, costs.copilot_dispatch_us);
+                charge(costs.copilot_dispatch_us).await;
                 let chan = req.chan as usize;
                 // Proxy report on behalf of the writing SPE (which cannot
                 // reach the deadlock service itself).
-                crate::dlsvc::report(
-                    comm,
-                    &shared.tables,
-                    crate::dlsvc::chan_event(&shared.tables, cp_pilot::EV_WRITE, chan),
-                );
-                let wreq = PendingReq {
-                    hw,
-                    addr: req.addr,
-                    len: req.len,
-                };
-                match reader_side(shared, chan, cell.id) {
-                    ReaderSide::LocalSpe => {
-                        if let Some(rr) = pop_front(&mut st.pending_reads, chan) {
-                            pair_type4(ctx, shared, cell, chan, wreq, rr);
-                        } else {
-                            st.pending_writes.entry(chan).or_default().push_back(wreq);
-                        }
-                    }
+                crate::dlsvc::report_chan(comm, tables, EV_WRITE, chan).await?;
+                let wreq = pending(hw, &req);
+                match p.reader_side(chan) {
+                    ReaderSide::LocalSpe => match pop_front(&mut st.pending_reads, chan) {
+                        Some(rr) => p.pair_type4(chan, wreq, rr).await,
+                        None => st.pending_writes.entry(chan).or_default().push_back(wreq),
+                    },
                     ReaderSide::Mpi(dest_rank) => {
                         // Read the SPE's buffer through the mapping and make
                         // the MPI call on its behalf.
-                        charge(ctx, cell.costs.ea_translate_us);
+                        charge(cell.costs.ea_translate_us).await;
                         let data = cell
                             .ea_read(ls_ea(hw, req.addr as usize), req.len as usize)
                             .expect("write buffer within local store");
-                        charge(ctx, cell.costs.memcpy_us(data.len(), 1));
+                        charge(cell.costs.memcpy_us(data.len(), 1)).await;
                         let n = data.len();
-                        comm.send_bytes(dest_rank, chan as i32, Datatype::Byte, n, data);
-                        complete(ctx, cell, hw, completion_ok(n));
-                        shared.trace.record(
-                            ctx.now(),
-                            &format!("copilot{}", cell.id),
-                            crate::trace::TraceOp::CopilotWrite,
-                            chan,
-                            n,
-                        );
-                        record_hop(ctx, shared, cell.id, chan, "forward");
+                        comm.send_bytes_async(dest_rank, chan as i32, Datatype::Byte, n, data)
+                            .await?;
+                        p.complete(hw, completion_ok(n)).await;
+                        p.trace(TraceOp::CopilotWrite, chan, n);
+                        p.record_hop(chan, "forward");
                     }
                 }
             }
             CoEvent::Request { hw, req, .. } if req.op == OP_POLL => {
-                charge(ctx, costs.copilot_dispatch_us);
+                charge(costs.copilot_dispatch_us).await;
                 let chan = req.chan as usize;
-                let has_mpi = st.pending_mpi.get(&chan).is_some_and(|q| !q.is_empty());
-                let has = match writer_side(shared, chan, cell.id) {
-                    // A local SPE writer may have data parked either as a
-                    // rendezvous request or as a buffered eager payload.
-                    WriterSide::LocalSpe => {
-                        has_mpi || st.pending_writes.get(&chan).is_some_and(|q| !q.is_empty())
-                    }
-                    WriterSide::Mpi => has_mpi,
-                };
-                complete(ctx, cell, hw, completion_ok(usize::from(has)));
+                // A local SPE writer may have data parked either as a
+                // rendezvous request or as a buffered eager payload.
+                let has = st.pending_mpi.get(&chan).is_some_and(|q| !q.is_empty())
+                    || (p.local_writer(chan)
+                        && st.pending_writes.get(&chan).is_some_and(|q| !q.is_empty()));
+                p.complete(hw, completion_ok(usize::from(has))).await;
             }
             CoEvent::Request { hw, req, .. } => {
                 debug_assert_eq!(req.op, OP_READ);
@@ -455,74 +430,73 @@ fn service_loop(comm: &Comm, shared: &Arc<AppShared>, ns: &Arc<NodeShared>, stan
                 // and only when the payload exceeds the inline budget.
                 // Non-eager channels keep the exact schedule they had
                 // before eager inlining existed.
-                let fast = shared
-                    .tables
+                let fast = tables
                     .channels
                     .get(chan)
                     .is_some_and(|e| e.eager_limit() > 0);
-                charge(
-                    ctx,
-                    if fast {
-                        costs.copilot_eager_dispatch_us
-                    } else {
-                        costs.copilot_dispatch_us
-                    },
-                );
+                charge(if fast {
+                    costs.copilot_eager_dispatch_us
+                } else {
+                    costs.copilot_dispatch_us
+                })
+                .await;
                 // Proxy report on behalf of the reading SPE. Reported on
                 // *every* read — even one satisfied from a pending queue —
                 // so write credits and read waits stay paired 1:1 in the
                 // detector; a satisfying EV_WRITE always clears the edge.
-                crate::dlsvc::report(
-                    comm,
-                    &shared.tables,
-                    crate::dlsvc::chan_event(&shared.tables, cp_pilot::EV_READWAIT, chan),
-                );
-                let rr = PendingReq {
-                    hw,
-                    addr: req.addr,
-                    len: req.len,
-                };
-                match writer_side(shared, chan, cell.id) {
-                    WriterSide::LocalSpe => {
-                        // Buffered eager payloads park in `pending_mpi` and
-                        // always predate any parked rendezvous write (the
-                        // writer blocks on a rendezvous write until it is
-                        // paired), so draining them first preserves FIFO.
-                        if let Some(msg) = pop_front_msg(&mut st.pending_mpi, chan) {
-                            deliver(ctx, shared, cell, chan, &msg.data, rr);
-                        } else if let Some(w) = pop_front(&mut st.pending_writes, chan) {
-                            pair_type4(ctx, shared, cell, chan, w, rr);
-                        } else if writer_dead(ctx, shared, cell, chan) {
-                            complete(ctx, cell, hw, completion_err(CompletionError::PeerLost));
-                        } else {
-                            st.pending_reads.entry(chan).or_default().push_back(rr);
-                        }
-                    }
-                    WriterSide::Mpi => {
-                        if let Some(msg) = pop_front_msg(&mut st.pending_mpi, chan) {
-                            deliver(ctx, shared, cell, chan, &msg.data, rr);
-                        } else if writer_dead(ctx, shared, cell, chan) {
-                            complete(ctx, cell, hw, completion_err(CompletionError::PeerLost));
-                        } else {
-                            st.pending_reads.entry(chan).or_default().push_back(rr);
-                        }
-                    }
+                crate::dlsvc::report_chan(comm, tables, EV_READWAIT, chan).await?;
+                let rr = pending(hw, &req);
+                // Buffered eager payloads park in `pending_mpi` and always
+                // predate any parked rendezvous write of a local SPE writer
+                // (the writer blocks on a rendezvous write until it is
+                // paired), so draining them first preserves FIFO.
+                if let Some(msg) = pop_front(&mut st.pending_mpi, chan) {
+                    p.deliver(chan, &msg.data, rr).await;
+                } else if let Some(w) = p
+                    .local_writer(chan)
+                    .then(|| pop_front(&mut st.pending_writes, chan))
+                    .flatten()
+                {
+                    p.pair_type4(chan, w, rr).await;
+                } else if p.writer_dead(chan) {
+                    let lost = completion_err(CompletionError::PeerLost);
+                    p.complete(hw, lost).await;
+                } else {
+                    st.pending_reads.entry(chan).or_default().push_back(rr);
                 }
             }
         }
     }
 }
 
-fn charge(ctx: &ProcCtx, us: f64) {
-    ctx.advance(SimDuration::from_micros_f64(us));
+/// A Co-Pilot's processing time, as the step that charges it.
+fn charge(us: f64) -> Step {
+    Step::Advance(SimDuration::from_micros_f64(us))
 }
 
-fn pop_front(map: &mut HashMap<usize, VecDeque<PendingReq>>, chan: usize) -> Option<PendingReq> {
+fn pop_front<T>(map: &mut HashMap<usize, VecDeque<T>>, chan: usize) -> Option<T> {
     map.get_mut(&chan).and_then(|q| q.pop_front())
 }
 
-fn pop_front_msg(map: &mut HashMap<usize, VecDeque<Msg>>, chan: usize) -> Option<Msg> {
-    map.get_mut(&chan).and_then(|q| q.pop_front())
+/// The request SPE `hw` posted, filed until it can be served.
+fn pending(hw: usize, req: &Request) -> PendingReq {
+    PendingReq {
+        hw,
+        addr: req.addr,
+        len: req.len,
+    }
+}
+
+/// Channel data from rank `src`, parked as the message that would have
+/// carried it over MPI.
+fn chan_msg(src: usize, chan: usize, data: Vec<u8>) -> Msg {
+    Msg {
+        src,
+        tag: chan as i32,
+        dtype: Datatype::Byte,
+        count: data.len(),
+        data,
+    }
 }
 
 enum ReaderSide {
@@ -533,225 +507,184 @@ enum ReaderSide {
     Mpi(usize),
 }
 
-enum WriterSide {
-    LocalSpe,
-    Mpi,
+/// What the service loop's helpers act through: the Co-Pilot's own
+/// process, the run's shared state, and the Cell node it serves.
+#[derive(Clone, Copy)]
+struct Proxy<'a> {
+    ctx: &'a ProcCtx,
+    shared: &'a AppShared,
+    cell: &'a CellNode,
 }
 
-fn reader_side(shared: &AppShared, chan: usize, my_node: usize) -> ReaderSide {
-    let entry = &shared.tables.channels[chan];
-    match shared.tables.processes[entry.to.0].location {
-        Location::Rank { rank, .. } => ReaderSide::Mpi(rank),
-        Location::Spe { node, .. } => {
-            if node.0 == my_node {
-                ReaderSide::LocalSpe
-            } else {
-                // Consult the live route: after a failover the reader's
-                // node is served by its standby's rank.
-                ReaderSide::Mpi(shared.copilot_rank(node))
-            }
+impl Proxy<'_> {
+    /// Hand `msg` to the read parked on `chan`, or park it for the next one.
+    async fn deliver_or_park(self, st: &mut CoState, chan: usize, msg: Msg) {
+        match pop_front(&mut st.pending_reads, chan) {
+            Some(rr) => self.deliver(chan, &msg.data, rr).await,
+            None => st.pending_mpi.entry(chan).or_default().push_back(msg),
         }
     }
-}
 
-/// Whether the channel's writer process is already gone: an SPE
-/// permanently lost (crashed unsupervised, or supervised past its restart
-/// budget — a supervised SPE being restarted is *not* gone), or a rank
-/// whose scripted death has fired. Used to fail a data-less SPE read with
-/// `PeerLost` instead of parking it forever. (A message the writer sent
-/// before dying that is still in flight counts as "no data yet" —
-/// fail-fast semantics.)
-fn writer_dead(ctx: &ProcCtx, shared: &AppShared, cell: &Arc<CellNode>, chan: usize) -> bool {
-    let from = shared.tables.channels[chan].from;
-    let now = ctx.now();
-    let gone = match shared.tables.processes[from.0].location {
-        Location::Rank { rank, .. } => shared.faults.death_of(rank).is_some_and(|at| now >= at),
-        Location::Spe { .. } => shared.spe_gone(from.0, now),
-    };
-    if gone {
-        ctx.report_incident(
-            IncidentCategory::PeerLost,
-            &format!(
-                "Co-Pilot on node {} failing read on channel {chan}: writer '{}' is lost",
-                cell.id, shared.tables.processes[from.0].name
-            ),
-        );
-    }
-    gone
-}
-
-fn writer_side(shared: &AppShared, chan: usize, my_node: usize) -> WriterSide {
-    let entry = &shared.tables.channels[chan];
-    match shared.tables.processes[entry.from.0].location {
-        Location::Rank { .. } => WriterSide::Mpi,
-        Location::Spe { node, .. } => {
-            if node.0 == my_node {
-                WriterSide::LocalSpe
-            } else {
-                WriterSide::Mpi
-            }
+    fn reader_side(self, chan: usize) -> ReaderSide {
+        let tables = &self.shared.tables;
+        match tables.processes[tables.channels[chan].to.0].location {
+            Location::Rank { rank, .. } => ReaderSide::Mpi(rank),
+            Location::Spe { node, .. } if node.0 == self.cell.id => ReaderSide::LocalSpe,
+            // Consult the live route: after a failover the reader's node is
+            // served by its standby's rank.
+            Location::Spe { node, .. } => ReaderSide::Mpi(self.shared.copilot_rank(node)),
         }
     }
-}
 
-/// Whether `data` qualifies for eager inline delivery on `chan`: the
-/// channel opted into eager inlining and the payload fits what one
-/// mailbox/control-word exchange can carry.
-fn eager_small(shared: &AppShared, chan: usize, data: &[u8]) -> bool {
-    shared
-        .tables
-        .channels
-        .get(chan)
-        .is_some_and(|e| e.eager_limit() > 0 && data.len() <= e.eager_limit())
-}
-
-/// Deliver channel data to a waiting SPE reader, picking the eager inline
-/// path when the channel and payload qualify.
-fn deliver(
-    ctx: &ProcCtx,
-    shared: &AppShared,
-    cell: &Arc<CellNode>,
-    chan: usize,
-    data: &[u8],
-    rr: PendingReq,
-) {
-    if eager_small(shared, chan, data) {
-        deliver_to_spe_eager(ctx, shared, cell, chan, data, rr);
-    } else {
-        deliver_to_spe(ctx, shared, cell, chan, data, rr);
+    /// Whether the channel's writer is an SPE on this node.
+    fn local_writer(self, chan: usize) -> bool {
+        let tables = &self.shared.tables;
+        matches!(
+            tables.processes[tables.channels[chan].from.0].location,
+            Location::Spe { node, .. } if node.0 == self.cell.id
+        )
     }
-}
 
-/// Eager inline delivery: the payload rides the completion word itself (a
-/// store-gather burst into the reader's inbound mailbox), skipping the
-/// buffer-address translation and the mapped store of the DMA path.
-fn deliver_to_spe_eager(
-    ctx: &ProcCtx,
-    shared: &AppShared,
-    cell: &Arc<CellNode>,
-    chan: usize,
-    data: &[u8],
-    rr: PendingReq,
-) {
-    // Final drain point, same contract as `deliver_to_spe`: the credit
-    // returns whether or not the payload fits the posted buffer.
-    shared.release_credit(chan);
-    if data.len() > rr.len as usize {
-        complete(ctx, cell, rr.hw, completion_err(CompletionError::Overflow));
-        return;
+    /// Whether the channel's writer process is already gone: an SPE
+    /// permanently lost (crashed unsupervised, or supervised past its restart
+    /// budget — a supervised SPE being restarted is *not* gone), or a rank
+    /// whose scripted death has fired. Used to fail a data-less SPE read with
+    /// `PeerLost` instead of parking it forever. (A message the writer sent
+    /// before dying that is still in flight counts as "no data yet" —
+    /// fail-fast semantics.)
+    fn writer_dead(self, chan: usize) -> bool {
+        let shared = self.shared;
+        let from = shared.tables.channels[chan].from;
+        let now = self.ctx.now();
+        let gone = match shared.tables.processes[from.0].location {
+            Location::Rank { rank, .. } => shared.faults.death_of(rank).is_some_and(|at| now >= at),
+            Location::Spe { .. } => shared.spe_gone(from.0, now),
+        };
+        if gone {
+            self.ctx.report_incident(
+                IncidentCategory::PeerLost,
+                &format!(
+                    "Co-Pilot on node {} failing read on channel {chan}: writer '{}' is lost",
+                    self.cell.id, shared.tables.processes[from.0].name
+                ),
+            );
+        }
+        gone
     }
-    cell.spes[rr.hw].mbox.ppe_write_inbox_inline(
-        ctx,
-        &cell.costs,
-        completion_ok_inline(data.len()),
-        data.to_vec(),
-    );
-    shared.trace.record(
-        ctx.now(),
-        &format!("copilot{}", cell.id),
-        crate::trace::TraceOp::CopilotDeliver,
-        chan,
-        data.len(),
-    );
-    record_hop(ctx, shared, cell.id, chan, "deliver");
-}
 
-/// Deliver MPI-borne channel data into a waiting SPE's buffer: translate,
-/// store through the mapping, notify.
-fn deliver_to_spe(
-    ctx: &ProcCtx,
-    shared: &AppShared,
-    cell: &Arc<CellNode>,
-    chan: usize,
-    data: &[u8],
-    rr: PendingReq,
-) {
-    // This is the channel's final drain point (rank→SPE types 2/3, the
-    // reader-side leg of a type 5, mcast fan-out): the message leaves the
-    // pipeline here whether it fits the buffer or not, so its flow-control
-    // send credit returns either way.
-    shared.release_credit(chan);
-    charge(ctx, cell.costs.ea_translate_us);
-    if data.len() > rr.len as usize {
-        complete(ctx, cell, rr.hw, completion_err(CompletionError::Overflow));
-        return;
+    /// Deliver channel data to a waiting SPE reader, picking the eager
+    /// inline path when the channel opted into eager inlining and the
+    /// payload fits what one mailbox/control-word exchange can carry.
+    async fn deliver(self, chan: usize, data: &[u8], rr: PendingReq) {
+        let entry = self.shared.tables.channels.get(chan);
+        if entry.is_some_and(|e| e.eager_limit() > 0 && data.len() <= e.eager_limit()) {
+            self.deliver_to_spe_eager(chan, data, rr).await;
+        } else {
+            self.deliver_to_spe(chan, data, rr).await;
+        }
     }
-    cell.ea_write(ls_ea(rr.hw, rr.addr as usize), data)
-        .expect("read buffer within local store");
-    charge(ctx, cell.costs.memcpy_us(data.len(), 1));
-    complete(ctx, cell, rr.hw, completion_ok(data.len()));
-    shared.trace.record(
-        ctx.now(),
-        &format!("copilot{}", cell.id),
-        crate::trace::TraceOp::CopilotDeliver,
-        chan,
-        data.len(),
-    );
-    record_hop(ctx, shared, cell.id, chan, "deliver");
-}
 
-/// Count one Co-Pilot proxy hop on `chan` and mark it on the Co-Pilot's
-/// Chrome-trace lane. A type-5 message records two hops — the writer-side
-/// MPI forward plus the reader-side delivery — while a purely local type-4
-/// pairing records none.
-fn record_hop(ctx: &ProcCtx, shared: &AppShared, cell_id: usize, chan: usize, what: &str) {
-    if !shared.recorder.is_enabled() {
-        return;
+    /// Eager inline delivery: the payload rides the completion word itself
+    /// (a store-gather burst into the reader's inbound mailbox), skipping the
+    /// buffer-address translation and the mapped store of the DMA path.
+    async fn deliver_to_spe_eager(self, chan: usize, data: &[u8], rr: PendingReq) {
+        // Final drain point, same contract as `deliver_to_spe`: the credit
+        // returns whether or not the payload fits the posted buffer.
+        self.shared.release_credit(chan);
+        if data.len() > rr.len as usize {
+            let overflow = completion_err(CompletionError::Overflow);
+            self.complete(rr.hw, overflow).await;
+            return;
+        }
+        let word = completion_ok_inline(data.len());
+        let mbox = &self.cell.spes[rr.hw].mbox;
+        mbox.ppe_write_inbox_inline(self.ctx, &self.cell.costs, word, data.to_vec())
+            .await;
+        self.trace(TraceOp::CopilotDeliver, chan, data.len());
+        self.record_hop(chan, "deliver");
     }
-    let Some(entry) = shared.tables.channels.get(chan) else {
-        return;
-    };
-    let ty = entry.kind.type_number();
-    shared.recorder.record_proxy_hop(ty);
-    let lane = shared.recorder.lane(&format!("copilot{cell_id}"));
-    shared.recorder.instant(
-        lane,
-        "copilot",
-        &format!("{what} c{chan} (type {ty})"),
-        ctx.now().0,
-        None,
-    );
-}
 
-/// Type-4 pairing: both buffer addresses are in hand; `memcpy` between the
-/// two mapped local stores and notify both SPEs. The pairing charge models
-/// the paper's poll-until-second-request behaviour.
-fn pair_type4(
-    ctx: &ProcCtx,
-    shared: &AppShared,
-    cell: &Arc<CellNode>,
-    chan: usize,
-    w: PendingReq,
-    r: PendingReq,
-) {
-    // The pairing drains the write whatever its outcome — return its
-    // flow-control send credit.
-    shared.release_credit(chan);
-    charge(ctx, shared.costs.copilot_pair_poll_us);
-    charge(ctx, 2.0 * cell.costs.ea_translate_us);
-    if w.len > r.len {
-        complete(ctx, cell, w.hw, completion_err(CompletionError::Overflow));
-        complete(ctx, cell, r.hw, completion_err(CompletionError::Overflow));
-        return;
+    /// Deliver MPI-borne channel data into a waiting SPE's buffer:
+    /// translate, store through the mapping, notify.
+    async fn deliver_to_spe(self, chan: usize, data: &[u8], rr: PendingReq) {
+        // This is the channel's final drain point (rank→SPE types 2/3, the
+        // reader-side leg of a type 5, mcast fan-out): the message leaves the
+        // pipeline here whether it fits the buffer or not, so its flow-control
+        // send credit returns either way.
+        self.shared.release_credit(chan);
+        let costs = &self.cell.costs;
+        charge(costs.ea_translate_us).await;
+        if data.len() > rr.len as usize {
+            let overflow = completion_err(CompletionError::Overflow);
+            self.complete(rr.hw, overflow).await;
+            return;
+        }
+        self.cell
+            .ea_write(ls_ea(rr.hw, rr.addr as usize), data)
+            .expect("read buffer within local store");
+        charge(costs.memcpy_us(data.len(), 1)).await;
+        self.complete(rr.hw, completion_ok(data.len())).await;
+        self.trace(TraceOp::CopilotDeliver, chan, data.len());
+        self.record_hop(chan, "deliver");
     }
-    cell.ppe_memcpy(
-        ctx,
-        ls_ea(r.hw, r.addr as usize),
-        ls_ea(w.hw, w.addr as usize),
-        w.len as usize,
-    )
-    .expect("type-4 buffers within local stores");
-    complete(ctx, cell, w.hw, completion_ok(w.len as usize));
-    complete(ctx, cell, r.hw, completion_ok(w.len as usize));
-    shared.trace.record(
-        ctx.now(),
-        &format!("copilot{}", cell.id),
-        crate::trace::TraceOp::CopilotPair,
-        chan,
-        w.len as usize,
-    );
-}
 
-fn complete(ctx: &ProcCtx, cell: &Arc<CellNode>, hw: usize, word: u32) {
-    cell.spes[hw].mbox.ppe_write_inbox(ctx, &cell.costs, word);
+    /// Type-4 pairing: both buffer addresses are in hand; `memcpy` between
+    /// the two mapped local stores and notify both SPEs. The pairing charge
+    /// models the paper's poll-until-second-request behaviour.
+    async fn pair_type4(self, chan: usize, w: PendingReq, r: PendingReq) {
+        // The pairing drains the write whatever its outcome — return its
+        // flow-control send credit.
+        self.shared.release_credit(chan);
+        charge(self.shared.costs.copilot_pair_poll_us).await;
+        charge(2.0 * self.cell.costs.ea_translate_us).await;
+        if w.len > r.len {
+            let overflow = completion_err(CompletionError::Overflow);
+            self.complete(w.hw, overflow).await;
+            self.complete(r.hw, overflow).await;
+            return;
+        }
+        let (dst, src) = (ls_ea(r.hw, r.addr as usize), ls_ea(w.hw, w.addr as usize));
+        let n = w.len as usize;
+        self.cell
+            .ppe_memcpy_async(self.ctx, dst, src, n)
+            .await
+            .expect("type-4 buffers within local stores");
+        self.complete(w.hw, completion_ok(n)).await;
+        self.complete(r.hw, completion_ok(n)).await;
+        self.trace(TraceOp::CopilotPair, chan, n);
+    }
+
+    /// Write a completion word into SPE `hw`'s inbound mailbox.
+    async fn complete(self, hw: usize, word: u32) {
+        let mbox = &self.cell.spes[hw].mbox;
+        mbox.ppe_write_inbox_async(self.ctx, &self.cell.costs, word)
+            .await;
+    }
+
+    /// Put one Co-Pilot operation on the run's protocol trace.
+    fn trace(self, op: TraceOp, chan: usize, n: usize) {
+        let actor = format!("copilot{}", self.cell.id);
+        self.shared
+            .trace
+            .record(self.ctx.now(), &actor, op, chan, n);
+    }
+
+    /// Count one Co-Pilot proxy hop on `chan` and mark it on the Co-Pilot's
+    /// Chrome-trace lane. A type-5 message records two hops — the
+    /// writer-side MPI forward plus the reader-side delivery — while a purely
+    /// local type-4 pairing records none.
+    fn record_hop(self, chan: usize, what: &str) {
+        let rec = &self.shared.recorder;
+        if !rec.is_enabled() {
+            return;
+        }
+        let Some(entry) = self.shared.tables.channels.get(chan) else {
+            return;
+        };
+        let ty = entry.kind.type_number();
+        rec.record_proxy_hop(ty);
+        let lane = rec.lane(&format!("copilot{}", self.cell.id));
+        let label = format!("{what} c{chan} (type {ty})");
+        rec.instant(lane, "copilot", &label, self.ctx.now().0, None);
+    }
 }

@@ -53,12 +53,27 @@ pub(crate) fn chan_event(tables: &CpTables, kind: u8, chan: usize) -> DlEvent {
 }
 
 /// Fire-and-forget an event to the detector, if the service is enabled.
-pub(crate) fn report(comm: &Comm, tables: &CpTables, ev: DlEvent) {
+/// `None` when the reporter's own mailbox is dead (see
+/// [`Comm::send_bytes_async`]); a rank reports from its thread through
+/// [`Comm::drive`].
+pub(crate) async fn report(comm: &Comm, tables: &CpTables, ev: DlEvent) -> Option<()> {
     if let Some(det) = tables.detector_rank {
         let payload = encode_event(&ev);
         let n = payload.len();
-        comm.send_bytes(det, TAG_SVC, Datatype::Byte, n, payload);
+        comm.send_bytes_async(det, TAG_SVC, Datatype::Byte, n, payload)
+            .await?;
     }
+    Some(())
+}
+
+/// [`report`] a `kind` event on channel `chan`.
+pub(crate) async fn report_chan(
+    comm: &Comm,
+    tables: &CpTables,
+    kind: u8,
+    chan: usize,
+) -> Option<()> {
+    report(comm, tables, chan_event(tables, kind, chan)).await
 }
 
 /// How many `EV_FINISH` reports end the detector ([`cp_pilot::detector`]):
@@ -142,7 +157,6 @@ mod tests {
             bundles: Vec::new(),
             copilot_ranks: BTreeMap::new(),
             standby_ranks: BTreeMap::new(),
-            app_ranks: 1,
             detector_rank: None,
         }
     }

@@ -430,6 +430,18 @@ impl CellPilot {
         self.comm.ctx()
     }
 
+    /// Report `ev` to the deadlock service, if it is enabled.
+    pub(crate) fn report(&self, ev: cp_pilot::DlEvent) {
+        let tables = &self.shared.tables;
+        self.comm
+            .drive(crate::dlsvc::report(&self.comm, tables, ev));
+    }
+
+    /// Report a `kind` event on channel `chan` to the deadlock service.
+    pub(crate) fn report_chan(&self, kind: u8, chan: usize) {
+        self.report(crate::dlsvc::chan_event(&self.shared.tables, kind, chan));
+    }
+
     fn charge(&self, bytes: usize) {
         let us = self.shared.pilot_costs.op_us + bytes as f64 * self.shared.pilot_costs.per_byte_us;
         self.ctx().advance(SimDuration::from_micros_f64(us));
@@ -472,11 +484,7 @@ impl CellPilot {
                         capacity: cap as usize,
                     }
                 })?;
-            crate::dlsvc::report(
-                &self.comm,
-                &self.shared.tables,
-                crate::dlsvc::chan_event(&self.shared.tables, cp_pilot::EV_WRITE, chan.0),
-            );
+            self.report_chan(cp_pilot::EV_WRITE, chan.0);
             self.shared.record_chan_op(
                 &self.name(),
                 entry.kind,
@@ -507,11 +515,7 @@ impl CellPilot {
                 self.shared.release_credit(chan.0);
                 self.fault_to_cp(chan, entry.to, fault)
             })?;
-        crate::dlsvc::report(
-            &self.comm,
-            &self.shared.tables,
-            crate::dlsvc::chan_event(&self.shared.tables, cp_pilot::EV_WRITE, chan.0),
-        );
+        self.report_chan(cp_pilot::EV_WRITE, chan.0);
         self.shared.trace.record(
             self.ctx().now(),
             &self.name(),
@@ -627,11 +631,7 @@ impl CellPilot {
         // always come back), and a timed-out read would leave a stale edge
         // in the wait-for graph — so only unbounded reads report.
         if self.shared.channel_timeout.is_none() {
-            crate::dlsvc::report(
-                &self.comm,
-                &self.shared.tables,
-                crate::dlsvc::chan_event(&self.shared.tables, cp_pilot::EV_READWAIT, chan.0),
-            );
+            self.report_chan(cp_pilot::EV_READWAIT, chan.0);
         }
         let msg = match self.shared.channel_timeout {
             None => self.comm.recv(src_sel, tag),
@@ -900,7 +900,7 @@ impl CellPilot {
         }
         // Tell the deadlock service this rank is done; the detector counts
         // finishes from exactly the ranks that pass the death check above.
-        crate::dlsvc::report(&self.comm, &self.shared.tables, cp_pilot::DlEvent::finish());
+        self.report(cp_pilot::DlEvent::finish());
         let peers: Vec<usize> = self
             .shared
             .tables

@@ -114,9 +114,6 @@ pub struct CpTables {
     /// kill — allocated only when the fault plan schedules one, so healthy
     /// runs carry no extra processes.
     pub(crate) standby_ranks: BTreeMap<NodeId, usize>,
-    /// Number of application MPI ranks (main + rank processes).
-    #[allow(dead_code)]
-    pub(crate) app_ranks: usize,
     /// MPI rank of the deadlock-detection service, when enabled.
     pub(crate) detector_rank: Option<usize>,
 }
@@ -152,9 +149,9 @@ pub(crate) enum CoEvent {
     Shutdown,
     /// Scripted death marker for the primary Co-Pilot, pushed at exactly
     /// the fault plan's `kill_copilot` instant so the primary retires at
-    /// the kill time rather than at its next unrelated event. Never
-    /// reaches a standby: only one is ever queued and the primary consumes
-    /// it.
+    /// the kill time rather than at its next unrelated event. Only one is
+    /// ever queued; it reaches the standby, which skips it, only when the
+    /// primary already retired on finding its mailbox taken over.
     Die,
 }
 
@@ -166,10 +163,12 @@ pub(crate) struct PendingReq {
     pub len: u32,
 }
 
-/// The Co-Pilot's in-flight proxy state. Lives in [`NodeShared`] rather
-/// than on the service loop's stack so a standby Co-Pilot adopting the
-/// node after a failover resumes with every pending request, undelivered
-/// message, and the stall bookkeeping intact.
+/// The Co-Pilot's in-flight proxy state: a local of the serving
+/// incarnation's future, never shared. A primary that retires hands it to
+/// its standby through [`NodeShared::handover`], so the standby resumes with
+/// every pending request, undelivered message, and the stall bookkeeping
+/// intact.
+#[derive(Default)]
 pub(crate) struct CoState {
     /// Read requests waiting for data, per channel.
     pub pending_reads: HashMap<usize, VecDeque<PendingReq>>,
@@ -183,15 +182,16 @@ pub(crate) struct CoState {
 }
 
 /// Shared state of one Cell node: the hardware handle, the Co-Pilot's
-/// event queue and proxy tables, the failover heartbeat, and the SPE
-/// occupancy registry.
+/// event queue and proxy-state hand-over slot, the failover heartbeat, and
+/// the SPE occupancy registry.
 pub(crate) struct NodeShared {
     pub cell: Arc<CellNode>,
     pub queue: MsgQueue<CoEvent>,
     /// `true` = hardware SPE is free.
     pub free_spes: Mutex<Vec<bool>>,
-    /// The Co-Pilot's proxy tables, shared so a standby can adopt them.
-    pub co_state: Mutex<CoState>,
+    /// Where a retiring primary Co-Pilot leaves its proxy state and its
+    /// standby waits for it, in the kernel: pushed at most once.
+    pub handover: MsgQueue<CoState>,
     /// Node-local liveness signal between the primary Co-Pilot and its
     /// standby's watchdog.
     pub hb: Heartbeat,
@@ -210,12 +210,7 @@ impl NodeShared {
         Arc::new(NodeShared {
             queue: MsgQueue::new(&format!("copilot{}-queue", cell.id), None),
             free_spes: Mutex::new(vec![true; n]),
-            co_state: Mutex::new(CoState {
-                pending_reads: HashMap::new(),
-                pending_writes: HashMap::new(),
-                pending_mpi: HashMap::new(),
-                stall_done: false,
-            }),
+            handover: MsgQueue::new(&format!("copilot{}-handover", cell.id), None),
             hb: Heartbeat::new(),
             hb_rec: Mutex::new(Recorder::disabled()),
             queue_sent: AtomicU64::new(0),
@@ -262,9 +257,9 @@ impl NodeShared {
     }
 
     /// Record the happens-before receive edge for a queue pop. Call right
-    /// after `queue.pop` returns; the service loop is the queue's only
-    /// consumer (a standby starts only after the primary retired), so pops
-    /// consume sequence numbers in push order.
+    /// after the pop returns: the queue is FIFO, so pops — by whichever
+    /// service incarnation makes them — consume sequence numbers in push
+    /// order.
     pub(crate) fn note_queue_pop(&self, actor: &ProcCtx) {
         if let Some(r) = self.hb_recorder() {
             let seq = self.queue_received.fetch_add(1, Ordering::Relaxed);

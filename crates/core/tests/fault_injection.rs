@@ -531,6 +531,13 @@ fn backpressure_and_faults_classify_distinctly() {
     assert_eq!(sheds, 4, "one message-shed incident per refused write");
 }
 
+/// FNV-1a of an outcome text.
+fn fnv1a(s: &str) -> u64 {
+    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
 /// Six 64 KB round trips (past `MpiCosts::eager_limit`, so every leg over
 /// the wire is an MPI rendezvous) between an SPE under `CP_MAIN` on node 0
 /// and either an SPE under a rank on the other Cell (type 5) or that rank
@@ -601,11 +608,6 @@ fn bulk_failover_outcome(type5: bool, kill_us: u64) -> String {
 /// fixing that; this test only holds the behaviour still until it does).
 #[test]
 fn copilot_kill_with_64k_rendezvous_in_flight_ends_as_before() {
-    fn fnv1a(s: &str) -> u64 {
-        s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-        })
-    }
     for (type5, kill_us, starts, pinned) in [
         (true, 7_000, "ok end=", 0x524d_8712_4a52_7e1a_u64),
         (
@@ -634,4 +636,73 @@ fn copilot_kill_with_64k_rendezvous_in_flight_ends_as_before() {
             fnv1a(&got)
         );
     }
+}
+
+/// The Co-Pilot kill swept over the six 64 KB round trips of
+/// `bulk_failover_outcome`: node 0's Co-Pilot killed at every instant from
+/// 1 ms to 46 ms in 1.5 ms steps, as `(kill µs, type-3 digest, type-5
+/// digest)` of the outcome text. Each instant that ended before the proxy
+/// tables were handed over through the kernel ends exactly as it did then.
+/// Three type-5 instants (8.5, 25 and 41.5 ms) used to hang the host: the
+/// standby's thread waited on a lock the primary held mid-rendezvous, so the
+/// kernel never got the CPU back. Now the standby waits in the kernel, the
+/// primary retires when it finds its mailbox taken over, and each ends as a
+/// diagnosed simulation deadlock: the rendezvous in flight is lost, as at
+/// 4 ms (ROADMAP item 1 owns adopting it).
+const KILL_SWEEP: [(u64, u64, u64); 31] = [
+    (1000, 0x5e84_d96c_50a8_d3b6, 0xb68d_9ff5_03df_15b4),
+    (2500, 0x10e4_eba2_7719_3bb7, 0x5575_c15e_8db2_0a34),
+    (4000, 0xd680_e2c3_66c8_5da1, 0x487e_0812_df19_2607),
+    (5500, 0x0ad3_fb0b_68b6_86ac, 0x0c4d_9839_bb95_d181),
+    (7000, 0x246e_caf9_c299_6564, 0x524d_8712_4a52_7e1a),
+    (8500, 0x72d2_76c7_89da_54b7, 0xbdf7_ad4a_37ae_4451),
+    (10000, 0x8458_5913_dae8_0ac7, 0x37a0_245e_2b7d_010f),
+    (11500, 0xdcd9_069e_dd90_9300, 0x1bda_88ef_31fe_ba25),
+    (13000, 0xc8a1_165d_929a_e178, 0x1bda_88ef_31fe_ba25),
+    (14500, 0x9613_171d_6a1d_f9cf, 0x3d47_59ba_cb55_e5a2),
+    (16000, 0x9f30_10ce_d1c2_8e0c, 0xcc5a_7304_a249_b2d9),
+    (17500, 0x7c8a_d044_0988_ece2, 0x0446_0487_4ba0_dc4c),
+    (19000, 0x1b40_38fd_360e_cbb0, 0xc3a1_4fd0_d907_026f),
+    (20500, 0x38c7_8d60_d564_6a91, 0x2021_c3e5_1e5a_8f01),
+    (22000, 0x17ed_89e3_3bab_7dd2, 0x80b8_be97_11e7_394a),
+    (23500, 0xa452_480d_0020_8815, 0xd441_e5d9_9076_7c29),
+    (25000, 0xdb4f_dafc_778d_6be4, 0x6118_04b6_75dc_0a93),
+    (26500, 0x98a0_dbf8_4e03_65ab, 0x2947_6089_1f03_a72f),
+    (28000, 0x3172_0404_bd9b_ed71, 0x2237_c14f_dde1_0e61),
+    (29500, 0x237c_33da_bc86_1d56, 0xca73_c2e7_7fef_5d81),
+    (31000, 0x11ab_0b30_d0c7_0eb7, 0x2216_4e6d_3961_244e),
+    (32500, 0xb984_bc03_13a8_d8c6, 0x9389_1117_cc59_cd37),
+    (34000, 0xfdf5_2c45_6788_5a62, 0x3199_2fed_b1b6_0d11),
+    (35500, 0x64ba_393b_8885_c456, 0x50a0_ffb1_17f7_1ada),
+    (37000, 0xc70a_1447_df47_aa7e, 0x17c2_422f_f8e6_db0a),
+    (38500, 0x91d6_4010_32d7_9a16, 0xdaab_369f_c4bf_7ced),
+    (40000, 0xd038_4736_1104_d2d2, 0xb55a_e342_66c2_3367),
+    (41500, 0x14e4_9e15_0afa_cfab, 0x9551_46f1_b9b6_ba33),
+    (43000, 0x3d1d_5892_f8c7_4a60, 0x0520_5cd5_3a49_318f),
+    (44500, 0x9373_b282_078f_76c8, 0xb6c1_206a_0976_2c1a),
+    (46000, 0xb0b5_9738_4751_4e1e, 0xac25_5f03_9e7a_00ba),
+];
+
+/// Run one column of [`KILL_SWEEP`], reporting every instant that moved.
+fn assert_kill_sweep(type5: bool) {
+    let moved: Vec<String> = KILL_SWEEP
+        .iter()
+        .filter_map(|&(kill_us, t3, t5)| {
+            let got = bulk_failover_outcome(type5, kill_us);
+            let pinned = if type5 { t5 } else { t3 };
+            (fnv1a(&got) != pinned)
+                .then(|| format!("kill={kill_us}us (digest {:#018x}):\n{got}", fnv1a(&got)))
+        })
+        .collect();
+    assert!(moved.is_empty(), "type5={type5}: {}", moved.join("\n\n"));
+}
+
+#[test]
+fn copilot_kill_sweep_type3_ends_on_every_instant() {
+    assert_kill_sweep(false);
+}
+
+#[test]
+fn copilot_kill_sweep_type5_ends_on_every_instant() {
+    assert_kill_sweep(true);
 }

@@ -17,7 +17,13 @@
 //! [`Waker::noop`], since only the scheduler decides when a step runs:
 //! [`async_component`] makes the future a `ComponentBody`, and
 //! [`ProcCtx::drive`] runs it inline on a process's own thread, each
-//! awaited `Step` made as the blocking call.
+//! awaited `Step` made as the blocking call. A [`Step::Block`] with a
+//! deadline is `block_on_timeout`; awaiting it through [`Step::woken`]
+//! tells the future whether the deadline fired. The blocking primitives
+//! built on the kernel (`MsgQueue::push` / `pop`, and above this crate the
+//! MPI send and receive and the PPE mailbox writes) are such futures driven
+//! on the caller's thread, so a component awaits the very implementation a
+//! thread blocks in.
 
 use crate::error::{IncidentCategory, Pid};
 use crate::kernel::ProcCtx;
@@ -73,12 +79,16 @@ pub enum Step {
     /// [`ProcCtx::advance`]: run the next step `d` from now.
     Advance(SimDuration),
     /// [`ProcCtx::block_on`]: run the next step once somebody unblocks the
-    /// component (at once, if a wake is already banked).
+    /// component (at once, if a wake is already banked). With a `deadline`,
+    /// [`ProcCtx::block_on_timeout`]: at the latest that long from now.
     Block {
         /// The object waited on.
         label: Arc<str>,
         /// The operation, as it appears in deadlock reports.
         what: Cow<'static, str>,
+        /// Give up waiting this long from now; `None` waits for an unblock.
+        /// Awaiting the step with [`Step::woken`] says which came first.
+        deadline: Option<SimDuration>,
     },
     /// Process exit: the component is finished and its joiners are released.
     Done,
@@ -86,15 +96,34 @@ pub enum Step {
 
 impl Step {
     /// Make this step's kernel call as the blocking call of `ctx`'s own
-    /// thread; `false` for [`Step::Done`]. How a thread-backed process
-    /// drives a state machine written for a component.
-    pub fn block_here(&self, ctx: &ProcCtx) -> bool {
+    /// thread: `Some(woken)`, where `woken` is `false` only when a
+    /// [`Step::Block`]'s deadline fired, or `None` for [`Step::Done`]. How a
+    /// thread-backed process drives a state machine written for a component.
+    pub fn block_here(&self, ctx: &ProcCtx) -> Option<bool> {
         match self {
             Step::Advance(d) => ctx.advance(*d),
-            Step::Block { label, what } => ctx.block_on(label, what),
-            Step::Done => return false,
+            Step::Block {
+                label,
+                what,
+                deadline: None,
+            } => ctx.block_on(label, what),
+            Step::Block {
+                label,
+                what,
+                deadline: Some(d),
+            } => return Some(ctx.block_on_timeout(label, what, *d)),
+            Step::Done => return None,
         }
-        true
+        Some(true)
+    }
+
+    /// Await this step and say how it ended: `false` when it is a
+    /// [`Step::Block`] whose deadline fired before an unblock, `true`
+    /// otherwise. The component form of [`ProcCtx::block_on_timeout`]'s
+    /// result.
+    pub async fn woken(self) -> bool {
+        self.await;
+        WOKEN.get()
     }
 }
 
@@ -109,13 +138,27 @@ pub type ComponentBody = Box<dyn FnMut(&ProcCtx) -> Step + Send + 'static>;
 /// each [`Step`] made as a blocking call. The default behind
 /// [`Executor::spawn_component`] and [`Spawner::spawn_component`].
 pub fn drive_component(mut body: ComponentBody) -> ProcBody {
-    Box::new(move |ctx| while body(ctx).block_here(ctx) {})
+    Box::new(move |ctx| {
+        while let Some(woken) = body(ctx).block_here(ctx) {
+            resume(woken);
+        }
+    })
 }
 
 thread_local! {
     /// The step the future being polled on this thread has just awaited:
     /// put by [`Awaited`], taken by the driver as soon as the poll returns.
     static AWAITED: Cell<Option<Step>> = const { Cell::new(None) };
+    /// How the step made for the future polled next on this thread ended
+    /// (`false`: its deadline fired), read back by [`Step::woken`]. Set by
+    /// the driver after the kernel call and before the poll.
+    static WOKEN: Cell<bool> = const { Cell::new(true) };
+}
+
+/// Tell the future about to be polled on this thread how its last step
+/// ended.
+pub(crate) fn resume(woken: bool) {
+    WOKEN.set(woken);
 }
 
 /// The future of an awaited [`Step`]: pending once, which hands the step to

@@ -27,9 +27,12 @@
 //! dispatching — an `advance` / `block` caller, an exiting process, or
 //! [`Simulation::run`] — releases `Kernel::state`, runs one step, takes the
 //! lock again, applies the step by the rules a thread's call would have hit
-//! (`push_event`, the pending-wake bank, `Blocked` + reason, exit), and
-//! dispatches again, in a loop, until a thread-backed owner comes up
-//! (possibly itself). The kernel calls and their order are the same as the
+//! (`push_event`, the pending-wake bank, `Blocked` + reason — plus, for a
+//! block with a deadline, the timeout event `block_timeout` pushes — and
+//! exit), and dispatches again, in a loop, until a thread-backed owner comes
+//! up (possibly itself). The next step of a component whose deadline fired
+//! learns so from [`Step::woken`], as `block_timeout`'s caller does from its
+//! result. The kernel calls and their order are the same as the
 //! thread form's, so the `(time, pid)` trace does not change; only the
 //! wake-ups do ([`SimReport::handoffs`]). A step runs on somebody else's
 //! thread while that thread's own process is `Waiting` or `Blocked`, so it
@@ -59,7 +62,9 @@
 //! provides a wall-clock thread implementation of the same trait, and
 //! [`ProcCtx`] dispatches to whichever substrate spawned the process.
 
-use crate::backend::{poll_once, Backend, ComponentBody, Executor, ProcBody, Spawner, Step};
+use crate::backend::{
+    poll_once, resume, Backend, ComponentBody, Executor, ProcBody, Spawner, Step,
+};
 use crate::error::{Incident, IncidentCategory, Pid, SimError, SimReport};
 use crate::rng::SplitMix64;
 use crate::time::{SimDuration, SimTime};
@@ -362,10 +367,12 @@ impl Kernel {
         wake: &mut Wake,
     ) -> MutexGuard<'a, KState> {
         let mut comp = st.procs[pid].body.take();
+        let mut woken = !st.procs[pid].timed_out;
         loop {
             drop(st);
             let step = {
                 let c = comp.as_mut().expect("a runnable component has a body");
+                resume(woken);
                 panic::catch_unwind(AssertUnwindSafe(|| (c.body)(&c.ctx)))
             };
             if !matches!(step, Ok(Step::Advance(_) | Step::Block { .. })) {
@@ -380,15 +387,24 @@ impl Kernel {
                     Kernel::push_event(&mut st, at, pid);
                     st.procs[pid].status = Status::Waiting;
                 }
-                Ok(Step::Block { label, what }) => {
+                Ok(Step::Block {
+                    label,
+                    what,
+                    deadline,
+                }) => {
                     let slot = &mut st.procs[pid];
                     if slot.pending_wakes > 0 {
                         slot.pending_wakes -= 1;
+                        woken = true;
                         continue;
                     }
                     slot.status = Status::Blocked;
                     slot.reason.clear();
                     two_part(&label, &what)(&mut slot.reason);
+                    if let Some(d) = deadline {
+                        let at = st.now + d;
+                        Kernel::push_event(&mut st, at, pid);
+                    }
                 }
                 Ok(Step::Done) => Kernel::retire(&mut st, pid, None, wake),
                 Err(payload) => Kernel::retire(&mut st, pid, Some(payload), wake),
@@ -790,7 +806,10 @@ impl ProcCtx {
         loop {
             match poll_once(fut.as_mut()) {
                 Ok(out) => return out,
-                Err(step) => assert!(step.block_here(self), "`Step::Done` awaited on a thread"),
+                Err(step) => resume(
+                    step.block_here(self)
+                        .expect("`Step::Done` awaited on a thread"),
+                ),
             }
         }
     }

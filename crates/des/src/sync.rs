@@ -17,6 +17,8 @@ use std::sync::Arc;
 
 /// What an empty-queue `pop` is blocked on, as deadlock reports show it.
 const POP_EMPTY: &str = "pop (queue empty)";
+/// What a full-queue `push` is blocked on.
+const PUSH_FULL: &str = "push (queue full)";
 
 /// Outcome of [`MsgQueue::poll_pop`].
 #[derive(Debug, PartialEq, Eq)]
@@ -85,50 +87,80 @@ impl<T> MsgQueue<T> {
     }
 
     /// Enqueue `item`, blocking while the queue is full. The item becomes
-    /// available to receivers at `now + latency`.
+    /// available to receivers at `now + latency`. [`MsgQueue::push_async`]
+    /// run on the caller's thread.
     pub fn push(&self, ctx: &ProcCtx, item: T, latency: SimDuration) {
-        let mut item = Some(item);
-        loop {
-            {
-                let mut st = self.state.lock();
-                if self.capacity.is_none_or(|c| st.items.len() < c) {
-                    let avail = ctx.now() + latency;
-                    st.items.push_back((avail, item.take().unwrap()));
-                    if let Some(w) = st.pop_waiters.pop_front() {
-                        ctx.unblock(w, latency);
-                    }
-                    return;
-                }
-                let me = ctx.pid();
-                st.push_waiters.push_back(me);
-            }
-            ctx.block_on(&self.label, "push (queue full)");
+        ctx.drive(self.push_async(ctx, item, latency));
+    }
+
+    /// [`MsgQueue::push`] as a future, each wait an awaited [`Step`].
+    pub async fn push_async(&self, ctx: &ProcCtx, item: T, latency: SimDuration) {
+        let mut item = item;
+        while let Err(back) = self.poll_push(ctx, item, latency) {
+            item = back;
+            self.push_full().await;
         }
+    }
+
+    /// One round of [`MsgQueue::push`] without its kernel call: `Ok` once
+    /// the item is enqueued, or — the queue being full — the item back with
+    /// the caller registered as the process to wake, exactly as `push`
+    /// registers before it blocks. A component then awaits
+    /// [`MsgQueue::push_full`] and polls again.
+    pub fn poll_push(&self, ctx: &ProcCtx, item: T, latency: SimDuration) -> Result<(), T> {
+        self.enqueue(ctx, item, latency, true)
+    }
+
+    /// The block `push` makes on a full queue, for a component to return
+    /// after [`MsgQueue::poll_push`] gave the item back.
+    pub fn push_full(&self) -> Step {
+        self.block(PUSH_FULL)
     }
 
     /// Enqueue without blocking; returns the item back if the queue is full.
     pub fn try_push(&self, ctx: &ProcCtx, item: T, latency: SimDuration) -> Result<(), T> {
+        self.enqueue(ctx, item, latency, false)
+    }
+
+    /// Enqueue `item` if there is room, waking the first popper; otherwise
+    /// give it back, registering the caller as a pusher to wake if
+    /// `register`.
+    fn enqueue(
+        &self,
+        ctx: &ProcCtx,
+        item: T,
+        latency: SimDuration,
+        register: bool,
+    ) -> Result<(), T> {
         let mut st = self.state.lock();
-        if self.capacity.is_none_or(|c| st.items.len() < c) {
-            let avail = ctx.now() + latency;
-            st.items.push_back((avail, item));
-            if let Some(w) = st.pop_waiters.pop_front() {
-                ctx.unblock(w, latency);
+        if self.capacity.is_some_and(|c| st.items.len() >= c) {
+            if register {
+                st.push_waiters.push_back(ctx.pid());
             }
-            Ok(())
-        } else {
-            Err(item)
+            return Err(item);
         }
+        let avail = ctx.now() + latency;
+        st.items.push_back((avail, item));
+        if let Some(w) = st.pop_waiters.pop_front() {
+            ctx.unblock(w, latency);
+        }
+        Ok(())
     }
 
     /// Dequeue the front message, blocking while the queue is empty and
     /// advancing virtual time to the message's availability instant.
+    /// [`MsgQueue::pop_async`] run on the caller's thread.
     pub fn pop(&self, ctx: &ProcCtx) -> T {
+        ctx.drive(self.pop_async(ctx))
+    }
+
+    /// [`MsgQueue::pop`] as a future, each wait an awaited [`Step`].
+    pub async fn pop_async(&self, ctx: &ProcCtx) -> T {
         loop {
             match self.poll_pop(ctx) {
                 Poll::Ready(item) => return item,
-                Poll::InFlight(wait) => ctx.advance(wait),
-                Poll::Empty => ctx.block_on(&self.label, POP_EMPTY),
+                Poll::InFlight(wait) => Step::Advance(wait).await,
+                Poll::Empty => self.pop_empty().await,
             }
         }
     }
@@ -161,9 +193,14 @@ impl<T> MsgQueue<T> {
     /// The block `pop` makes on an empty queue, for a component to return
     /// after [`Poll::Empty`].
     pub fn pop_empty(&self) -> Step {
+        self.block(POP_EMPTY)
+    }
+
+    fn block(&self, what: &'static str) -> Step {
         Step::Block {
             label: self.label.clone(),
-            what: POP_EMPTY.into(),
+            what: what.into(),
+            deadline: None,
         }
     }
 

@@ -171,32 +171,33 @@ fn relay_scenario(helper: Helper, seed: u64) -> (SimReport, Vec<(u32, u64)>) {
     (report, got)
 }
 
-#[test]
-fn component_helper_is_indistinguishable_from_its_thread_under_nine_seeds() {
+/// Run `scenario` with its helper in each of `forms` under seeds 0…8: every
+/// run must match the blocking one in what it observed, its trace, end
+/// time, dispatch count, process count and incident log. Hand-offs match
+/// too, except that a kernel component has fewer.
+fn assert_forms_agree<T: PartialEq + std::fmt::Debug>(
+    forms: &[Helper],
+    scenario: impl Fn(Helper, u64) -> (SimReport, T),
+) {
     for seed in 0..=8 {
-        let (blocking, words) = relay_scenario(Helper::Blocking, seed);
-        assert_eq!(words.len(), 24, "seed {seed}");
-        for other in [
-            Helper::ThreadDriven,
-            Helper::Component,
-            Helper::AsyncInline,
-            Helper::AsyncThreadDriven,
-            Helper::AsyncComponent,
-        ] {
-            let (report, got) = relay_scenario(other, seed);
-            assert_eq!(got, words, "seed {seed} {other:?}: delivery");
+        let (blocking, seen) = scenario(Helper::Blocking, seed);
+        for &other in forms {
+            let (report, got) = scenario(other, seed);
+            assert_eq!(got, seen, "seed {seed} {other:?}: observed");
             assert_eq!(report.trace, blocking.trace, "seed {seed} {other:?}: trace");
             assert_eq!(report.end_time, blocking.end_time, "seed {seed} {other:?}");
             assert_eq!(
                 report.dispatches, blocking.dispatches,
                 "seed {seed} {other:?}"
             );
-            assert_eq!(report.processes, 3);
+            assert_eq!(
+                report.processes, blocking.processes,
+                "seed {seed} {other:?}"
+            );
             assert_eq!(
                 report.incidents, blocking.incidents,
                 "seed {seed} {other:?}"
             );
-            assert_eq!(report.incidents.len(), 6);
             if !matches!(other, Helper::Component | Helper::AsyncComponent) {
                 assert_eq!(report.handoffs, blocking.handoffs, "seed {seed}");
             } else {
@@ -209,6 +210,163 @@ fn component_helper_is_indistinguishable_from_its_thread_under_nine_seeds() {
             }
         }
     }
+}
+
+/// The forms an `async` helper runs in besides the blocking one.
+const ASYNC_FORMS: [Helper; 3] = [
+    Helper::AsyncInline,
+    Helper::AsyncThreadDriven,
+    Helper::AsyncComponent,
+];
+
+/// Spawn `helper` as the scenario's helper: `blocking` for
+/// [`Helper::Blocking`], else the future `body` builds, in the async form
+/// asked for.
+fn spawn_helper<F, Fut>(
+    sim: &mut Simulation,
+    helper: Helper,
+    blocking: impl FnOnce(&ProcCtx) + Send + 'static,
+    body: F,
+) -> Pid
+where
+    F: FnOnce(ProcCtx) -> Fut + Send + 'static,
+    Fut: std::future::Future<Output = ()> + Send + 'static,
+{
+    match helper {
+        Helper::Blocking => sim.spawn("helper", blocking),
+        Helper::AsyncInline => sim.spawn("helper", move |ctx| ctx.drive(body(ctx.clone()))),
+        Helper::AsyncThreadDriven => {
+            sim.spawn_boxed("helper", drive_component(async_component(body)))
+        }
+        Helper::AsyncComponent => Spawner::spawn_component(sim, "helper", async_component(body)),
+        other => unreachable!("{other:?} has no async body"),
+    }
+}
+
+#[test]
+fn component_helper_is_indistinguishable_from_its_thread_under_nine_seeds() {
+    let forms = [
+        Helper::ThreadDriven,
+        Helper::Component,
+        Helper::AsyncInline,
+        Helper::AsyncThreadDriven,
+        Helper::AsyncComponent,
+    ];
+    assert_forms_agree(&forms, |helper, seed| {
+        let (report, words) = relay_scenario(helper, seed);
+        assert_eq!(words.len(), 24, "seed {seed}");
+        assert_eq!(report.processes, 3);
+        assert_eq!(report.incidents.len(), 6);
+        (report, words)
+    });
+}
+
+/// Rounds of the gate below, and how long each waits at most.
+const GATE_ROUNDS: u64 = 12;
+const GATE_DEADLINE_US: u64 = 5;
+
+/// `(round, woken, time in ns)` of each wait at the gate.
+type Waits = Arc<Mutex<Vec<(u64, bool, u64)>>>;
+
+/// The helper waits at a gate with a deadline, then works 1 µs; a waker
+/// opens the gate on a schedule that sometimes beats the deadline, sometimes
+/// misses it, and sometimes lands while the helper works (a banked wake).
+fn gate_scenario(helper: Helper, seed: u64) -> (SimReport, Vec<(u64, bool, u64)>) {
+    let waits: Waits = Arc::default();
+    let mut sim = Simulation::with_trace();
+    sim.set_schedule_seed(seed);
+    let log = waits.clone();
+    let blocking = move |ctx: &ProcCtx| {
+        for round in 0..GATE_ROUNDS {
+            let woken = ctx.block_on_timeout("gate", "open", us(GATE_DEADLINE_US));
+            log.lock().push((round, woken, ctx.now().as_nanos()));
+            ctx.advance(us(1));
+        }
+    };
+    let log = waits.clone();
+    let body = move |ctx: ProcCtx| async move {
+        for round in 0..GATE_ROUNDS {
+            let woken = Step::Block {
+                label: "gate".into(),
+                what: "open".into(),
+                deadline: Some(us(GATE_DEADLINE_US)),
+            }
+            .woken()
+            .await;
+            log.lock().push((round, woken, ctx.now().as_nanos()));
+            Step::Advance(us(1)).await;
+        }
+    };
+    let gate = spawn_helper(&mut sim, helper, blocking, body);
+    sim.spawn("waker", move |ctx| {
+        for k in 0..GATE_ROUNDS {
+            ctx.advance(us(k % 4 + 2));
+            if k % 3 != 0 {
+                ctx.unblock(gate, SimDuration::ZERO);
+            }
+        }
+    });
+    let report = sim.run().unwrap();
+    let waits = waits.lock().clone();
+    (report, waits)
+}
+
+#[test]
+fn a_deadline_block_is_the_same_woken_early_or_timed_out_under_nine_seeds() {
+    assert_forms_agree(&ASYNC_FORMS, |helper, seed| {
+        let (report, waits) = gate_scenario(helper, seed);
+        let woken = waits.iter().filter(|w| w.1).count();
+        assert!(
+            (1..waits.len()).contains(&woken),
+            "seed {seed}: both outcomes occur: {waits:?}"
+        );
+        (report, waits)
+    });
+}
+
+/// The helper pushes 16 words, 1 µs apart, into a queue two deep that a
+/// slower consumer drains, so most pushes find it full.
+fn full_queue_scenario(helper: Helper, seed: u64) -> (SimReport, Vec<(u32, u64)>) {
+    let q: MsgQueue<u32> = MsgQueue::new("narrow", Some(2));
+    let got = Arc::new(Mutex::new(Vec::new()));
+    let mut sim = Simulation::with_trace();
+    sim.set_schedule_seed(seed);
+    let qb = q.clone();
+    let blocking = move |ctx: &ProcCtx| {
+        for word in 0..16u32 {
+            qb.push(ctx, word, us(u64::from(word % 2)));
+            ctx.advance(us(1));
+        }
+    };
+    let qa = q.clone();
+    let body = move |ctx: ProcCtx| async move {
+        for word in 0..16u32 {
+            qa.push_async(&ctx, word, us(u64::from(word % 2))).await;
+            Step::Advance(us(1)).await;
+        }
+    };
+    spawn_helper(&mut sim, helper, blocking, body);
+    let sink = got.clone();
+    sim.spawn("consumer", move |ctx| {
+        for _ in 0..16 {
+            let word = q.pop(ctx);
+            sink.lock().push((word, ctx.now().as_nanos()));
+            ctx.advance(us(if word.is_multiple_of(3) { 6 } else { 2 }));
+        }
+    });
+    let report = sim.run().unwrap();
+    let got = got.lock().clone();
+    (report, got)
+}
+
+#[test]
+fn a_push_onto_a_full_queue_is_the_same_under_nine_seeds() {
+    assert_forms_agree(&ASYNC_FORMS, |helper, seed| {
+        let (report, got) = full_queue_scenario(helper, seed);
+        let words: Vec<u32> = got.iter().map(|w| w.0).collect();
+        assert_eq!(words, (0..16).collect::<Vec<_>>(), "seed {seed}: FIFO");
+        (report, got)
+    });
 }
 
 #[test]
@@ -226,6 +384,7 @@ fn pending_wake_is_consumed_without_a_dispatch() {
             2 => Step::Block {
                 label: label.clone(),
                 what: "open".into(),
+                deadline: None,
             },
             _ => Step::Done,
         }
@@ -467,6 +626,7 @@ fn run_drops_every_component_body_on_every_outcome() {
             |_| Step::Block {
                 label: "gate".into(),
                 what: "open".into(),
+                deadline: None,
             },
             |r| matches!(r, Err(SimError::Deadlock { .. })),
         ),
@@ -529,6 +689,7 @@ async fn culprit(ctx: ProcCtx, end: End) {
             Step::Block {
                 label: "gate".into(),
                 what: "open".into(),
+                deadline: None,
             }
             .await
         }

@@ -40,7 +40,5 @@ pub use collect::{
 pub use costs::MpiCosts;
 pub use datatype::{decode_slice, encode_slice, Datatype, LongDouble, MpiScalar};
 pub use group::{Color, SubComm};
-pub use message::{
-    absorb_rank_death, Envelope, MailStore, Payload, Rank, SrcSel, StorePoll, Tag, TagSel,
-};
+pub use message::{Envelope, MailStore, Payload, Rank, Recv, SrcSel, StorePoll, Tag, TagSel};
 pub use world::{mpirun, Comm, MpiFault, MpiWorld, Msg};

@@ -7,7 +7,7 @@
 //! between any one sender/receiver pair.
 
 use crate::datatype::Datatype;
-use cp_des::{Pid, ProcCtx, SimDuration, SimTime};
+use cp_des::{Pid, ProcCtx, SimDuration, SimTime, Step};
 use parking_lot::Mutex;
 use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
@@ -89,25 +89,15 @@ impl Envelope {
 /// the rank's process cleanly instead of failing the whole simulation.
 pub(crate) struct RankDeadUnwind;
 
-/// Run `f`, absorbing the fail-stop unwind raised when the mailbox it was
-/// blocked on is poisoned or retired ([`MailStore::poison`] /
-/// [`MailStore::take_over`]). Returns `Some(value)` on normal completion and
-/// `None` if the rank died under `f`; any other panic propagates.
-///
-/// This lets a service loop that shares a rank's mailbox (e.g. a Co-Pilot's
-/// MPI pump) retire quietly when a fault plan kills the rank or a standby
-/// takes the mailbox over, instead of failing the whole simulation.
-pub fn absorb_rank_death<T>(f: impl FnOnce() -> T) -> Option<T> {
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
-        Ok(v) => Some(v),
-        Err(payload) => {
-            if payload.downcast_ref::<RankDeadUnwind>().is_some() {
-                None
-            } else {
-                std::panic::resume_unwind(payload)
-            }
-        }
-    }
+/// How [`MailStore::recv_async`] ended.
+#[derive(Debug, PartialEq)]
+pub enum Recv {
+    /// The matching envelope, removed from the store.
+    Got(Envelope),
+    /// The deadline came first; the clock reads exactly the deadline.
+    TimedOut,
+    /// The store is poisoned or taken over: its owner is gone.
+    Dead,
 }
 
 /// Outcome of [`MailStore::poll_where`].
@@ -138,6 +128,17 @@ struct StoreInner {
     /// the adopting store and blocked receivers unwind as dead so the old
     /// owner's pump can retire.
     forward_to: Option<MailStore>,
+}
+
+/// Index and arrival instant of the earliest-arriving envelope matching
+/// `pred` (ties by delivery order).
+fn earliest(st: &StoreInner, pred: impl Fn(&Envelope) -> bool) -> Option<(usize, SimTime)> {
+    st.arrived
+        .iter()
+        .enumerate()
+        .filter(|(_, (_, _, e))| pred(e))
+        .min_by_key(|(_, (at, seq, _))| (*at, *seq))
+        .map(|(i, (at, _, _))| (i, *at))
 }
 
 /// The matching store of one rank.
@@ -215,7 +216,7 @@ impl MailStore {
     /// order, the dedup set merges so retransmitted copies of anything the
     /// old owner already saw stay suppressed, future [`MailStore::deliver`]
     /// calls forward to `target`, and any process blocked receiving on this
-    /// store unwinds as dead (absorb with [`absorb_rank_death`]).
+    /// store is woken to find it dead ([`StorePoll::Dead`]).
     pub fn take_over(&self, ctx: &ProcCtx, target: &MailStore) {
         let (moved, seen, waiters) = {
             let mut st = self.inner.lock();
@@ -270,27 +271,55 @@ impl MailStore {
         self.inner.lock().poisoned
     }
 
-    /// Blocking receive of the envelope matching `pred`, honouring arrival
-    /// times. Among simultaneously-matching envelopes the earliest-arriving
-    /// wins, which preserves per-pair FIFO order.
-    pub fn recv_where<F>(&self, ctx: &ProcCtx, what: &str, pred: F) -> Envelope
+    /// Receive the envelope matching `pred`, honouring arrival times: among
+    /// simultaneously matching envelopes the earliest-arriving wins, which
+    /// preserves per-pair FIFO order. Every wait is an awaited [`Step`], a
+    /// block reported as `"{label}: {what()}"`. With a `deadline`, gives up
+    /// at that instant: a message arriving later does not count.
+    pub async fn recv_async<F>(
+        &self,
+        ctx: &ProcCtx,
+        what: impl Fn() -> String,
+        pred: F,
+        deadline: Option<SimTime>,
+    ) -> Recv
     where
         F: Fn(&Envelope) -> bool,
     {
         loop {
+            let left = deadline.map(|at| at - ctx.now());
             match self.poll_where(ctx, &pred) {
-                StorePoll::Ready(env) => return env,
-                StorePoll::InFlight(wait) => ctx.advance(wait),
-                StorePoll::Empty => ctx.block_on(&self.label, what),
-                StorePoll::Dead => std::panic::resume_unwind(Box::new(RankDeadUnwind)),
+                StorePoll::Ready(env) => return Recv::Got(env),
+                StorePoll::InFlight(wait) => match left {
+                    Some(left) if wait > left => {
+                        // It will arrive, but too late to matter.
+                        Step::Advance(left).await;
+                        return Recv::TimedOut;
+                    }
+                    _ => Step::Advance(wait).await,
+                },
+                StorePoll::Empty => {
+                    let block = Step::Block {
+                        label: self.label.clone(),
+                        what: what().into(),
+                        deadline: left,
+                    };
+                    // No time left: give up without blocking.
+                    if left == Some(SimDuration::ZERO) || !block.woken().await {
+                        // Out of time, perhaps while parked: deregister.
+                        self.inner.lock().waiters.retain(|&p| p != ctx.pid());
+                        return Recv::TimedOut;
+                    }
+                }
+                StorePoll::Dead => return Recv::Dead,
             }
         }
     }
 
-    /// One round of [`MailStore::recv_where`] without its kernel call (or
-    /// its unwind): the matching envelope if it has arrived, how long the
-    /// earliest match is still in flight, the caller registered as a waiter
-    /// because nothing matches, or the store poisoned / taken over.
+    /// One round of [`MailStore::recv_async`] without its kernel call: the
+    /// matching envelope if it has arrived, how long the earliest match is
+    /// still in flight, the caller registered as a waiter because nothing
+    /// matches, or the store poisoned / taken over.
     pub fn poll_where<F>(&self, ctx: &ProcCtx, pred: F) -> StorePoll
     where
         F: Fn(&Envelope) -> bool,
@@ -299,14 +328,7 @@ impl MailStore {
         if st.poisoned || st.forward_to.is_some() {
             return StorePoll::Dead;
         }
-        let best = st
-            .arrived
-            .iter()
-            .enumerate()
-            .filter(|(_, (_, _, e))| pred(e))
-            .min_by_key(|(_, (at, seq, _))| (*at, *seq))
-            .map(|(i, (at, _, _))| (i, *at));
-        match best {
+        match earliest(&st, pred) {
             Some((idx, at)) if at <= ctx.now() => StorePoll::Ready(st.arrived.remove(idx).2),
             Some((_, at)) => StorePoll::InFlight(at - ctx.now()),
             None => {
@@ -316,82 +338,30 @@ impl MailStore {
         }
     }
 
-    /// The label blocked receives on this store are reported under.
-    pub fn label(&self) -> &Arc<str> {
-        &self.label
-    }
-
-    /// Like [`MailStore::recv_where`], but gives up `deadline` of virtual
-    /// time after the call, returning `None` with the clock at exactly
-    /// `start + deadline`. A message whose modelled arrival instant lies
-    /// beyond the deadline does not count as received.
-    pub fn recv_where_deadline<F>(
-        &self,
-        ctx: &ProcCtx,
-        what: &str,
-        pred: F,
-        deadline: SimDuration,
-    ) -> Option<Envelope>
-    where
-        F: Fn(&Envelope) -> bool,
-    {
-        let deadline_at = ctx.now() + deadline;
-        loop {
-            let left = deadline_at - ctx.now();
-            match self.poll_where(ctx, &pred) {
-                StorePoll::Ready(env) => return Some(env),
-                StorePoll::InFlight(wait) if wait > left => {
-                    // It will arrive, but too late to matter.
-                    ctx.advance(left);
-                    return None;
-                }
-                StorePoll::InFlight(wait) => ctx.advance(wait),
-                StorePoll::Empty => {
-                    if left > SimDuration::ZERO && ctx.block_on_timeout(&self.label, what, left) {
-                        continue;
-                    }
-                    // Out of time, perhaps while parked: deregister and give up.
-                    let me = ctx.pid();
-                    self.inner.lock().waiters.retain(|&p| p != me);
-                    return None;
-                }
-                StorePoll::Dead => std::panic::resume_unwind(Box::new(RankDeadUnwind)),
-            }
-        }
-    }
-
-    /// Blocking probe: like [`MailStore::recv_where`] but leaves the
-    /// envelope in place and returns a clone.
+    /// Blocking probe: like a receive, but leaves the envelope in place and
+    /// returns a clone. A dead store unwinds the caller.
     pub fn probe_where<F>(&self, ctx: &ProcCtx, what: &str, pred: F) -> Envelope
     where
         F: Fn(&Envelope) -> bool,
     {
         loop {
-            {
-                let mut st = self.inner.lock();
-                if st.poisoned || st.forward_to.is_some() {
-                    drop(st);
-                    std::panic::resume_unwind(Box::new(RankDeadUnwind));
-                }
-                let best = st
-                    .arrived
-                    .iter()
-                    .filter(|(_, _, e)| pred(e))
-                    .min_by_key(|(at, seq, _)| (*at, *seq))
-                    .map(|(at, _, e)| (*at, e.clone()));
-                if let Some((at, env)) = best {
-                    if at <= ctx.now() {
-                        return env;
-                    }
-                    let wait = at - ctx.now();
-                    drop(st);
-                    ctx.advance(wait);
-                    continue;
-                }
-                let me = ctx.pid();
-                st.waiters.push_back(me);
+            let mut st = self.inner.lock();
+            if st.poisoned || st.forward_to.is_some() {
+                drop(st);
+                std::panic::resume_unwind(Box::new(RankDeadUnwind));
             }
-            ctx.block_on(&self.label, what);
+            match earliest(&st, &pred) {
+                Some((idx, at)) if at <= ctx.now() => return st.arrived[idx].2.clone(),
+                Some((_, at)) => {
+                    drop(st);
+                    ctx.advance(at - ctx.now());
+                }
+                None => {
+                    st.waiters.push_back(ctx.pid());
+                    drop(st);
+                    ctx.block_on(&self.label, what);
+                }
+            }
         }
     }
 
@@ -431,6 +401,14 @@ mod tests {
         }
     }
 
+    /// Receive from a thread, through the future a component awaits.
+    fn recv(store: &MailStore, ctx: &ProcCtx, pred: impl Fn(&Envelope) -> bool) -> Envelope {
+        match ctx.drive(store.recv_async(ctx, || "recv".into(), pred, None)) {
+            Recv::Got(env) => env,
+            other => panic!("expected an envelope, got {other:?}"),
+        }
+    }
+
     #[test]
     fn recv_matches_by_source_and_tag() {
         let store = MailStore::new("r0");
@@ -443,11 +421,11 @@ mod tests {
         });
         sim.spawn("recv", move |ctx| {
             ctx.advance(SimDuration::from_micros(1));
-            let m = s2.recv_where(ctx, "recv", |e| e.matches_recv(Some(2), Some(20)));
+            let m = recv(&s2, ctx, |e| e.matches_recv(Some(2), Some(20)));
             assert_eq!(m.payload, Payload::Data(vec![b'b']));
-            let m = s2.recv_where(ctx, "recv", |e| e.matches_recv(None, Some(20)));
+            let m = recv(&s2, ctx, |e| e.matches_recv(None, Some(20)));
             assert_eq!(m.src, 1);
-            let m = s2.recv_where(ctx, "recv", |e| e.matches_recv(None, None));
+            let m = recv(&s2, ctx, |e| e.matches_recv(None, None));
             assert_eq!(m.tag, 10);
         });
         sim.run().unwrap();
@@ -465,10 +443,10 @@ mod tests {
             s1.deliver(ctx, env(2, 0, b'y'), SimDuration::from_micros(10));
         });
         sim.spawn("recv", move |ctx| {
-            let m = s2.recv_where(ctx, "recv", |e| e.matches_recv(None, None));
+            let m = recv(&s2, ctx, |e| e.matches_recv(None, None));
             assert_eq!(m.src, 2);
             assert_eq!(ctx.now().as_micros_f64(), 10.0);
-            let m = s2.recv_where(ctx, "recv", |e| e.matches_recv(None, None));
+            let m = recv(&s2, ctx, |e| e.matches_recv(None, None));
             assert_eq!(m.src, 1);
             assert_eq!(ctx.now().as_micros_f64(), 100.0);
         });
@@ -486,7 +464,7 @@ mod tests {
         });
         sim.spawn("recv", move |ctx| {
             for expect in [1u8, 2] {
-                let m = s2.recv_where(ctx, "recv", |e| e.matches_recv(Some(1), None));
+                let m = recv(&s2, ctx, |e| e.matches_recv(Some(1), None));
                 assert_eq!(m.payload, Payload::Data(vec![expect]));
             }
         });
@@ -507,7 +485,7 @@ mod tests {
             let p = s2.probe_where(ctx, "probe", |e| e.matches_recv(None, Some(7)));
             assert_eq!(p.src, 1);
             assert_eq!(s2.queued(), 1);
-            let m = s2.recv_where(ctx, "recv", |e| e.matches_recv(None, Some(7)));
+            let m = recv(&s2, ctx, |e| e.matches_recv(None, Some(7)));
             assert_eq!(m.payload, Payload::Data(vec![9]));
             assert_eq!(s2.queued(), 0);
         });
@@ -532,7 +510,7 @@ mod tests {
         sim.spawn("recv", move |ctx| {
             ctx.advance(SimDuration::from_micros(10));
             assert_eq!(s2.queued(), 3);
-            let m = s2.recv_where(ctx, "recv", |e| e.matches_recv(Some(1), None));
+            let m = recv(&s2, ctx, |e| e.matches_recv(Some(1), None));
             assert_eq!(m.payload, Payload::Data(vec![b'a']));
             assert!(s2.iprobe(ctx, |e| e.matches_recv(Some(1), None)).is_none());
         });
@@ -563,27 +541,55 @@ mod tests {
             second.wire_seq = 12;
             old_s.deliver(ctx, second, SimDuration::ZERO);
             assert_eq!(new_s.queued(), 2);
-            let m = new_s.recv_where(ctx, "recv", |e| e.matches_recv(Some(1), None));
+            let m = recv(&new_s, ctx, |e| e.matches_recv(Some(1), None));
             assert_eq!(m.payload, Payload::Data(vec![b'x']));
         });
         sim.run().unwrap();
     }
 
     #[test]
-    fn receiver_blocked_on_taken_over_store_unwinds_absorbable() {
+    fn receiver_blocked_on_taken_over_store_finds_it_dead() {
         let old = MailStore::new("primary");
         let new = MailStore::new("standby");
         let mut sim = Simulation::new();
         let (old_a, old_b, new_b) = (old.clone(), old, new);
         sim.spawn("pump", move |ctx| {
-            let got = absorb_rank_death(|| {
-                old_a.recv_where(ctx, "pump recv", |e| e.matches_recv(None, None))
-            });
-            assert!(got.is_none(), "pump must retire on takeover");
+            let any = |e: &Envelope| e.matches_recv(None, None);
+            let got = ctx.drive(old_a.recv_async(ctx, || "pump recv".into(), any, None));
+            assert_eq!(got, Recv::Dead, "pump must retire on takeover");
         });
         sim.spawn("watchdog", move |ctx| {
             ctx.advance(SimDuration::from_micros(5));
             old_b.take_over(ctx, &new_b);
+        });
+        sim.run().unwrap();
+    }
+
+    #[test]
+    fn recv_with_a_deadline_gives_up_exactly_at_it() {
+        let store = MailStore::new("r0");
+        let mut sim = Simulation::new();
+        let (s1, s2) = (store.clone(), store);
+        sim.spawn("sender", move |ctx| {
+            s1.deliver(ctx, env(1, 0, b'x'), SimDuration::from_micros(45));
+        });
+        sim.spawn("recv", move |ctx| {
+            let any = |e: &Envelope| e.matches_recv(None, None);
+            let mut log = Vec::new();
+            for deadline_us in [10, 40, 100, 120] {
+                let at = SimTime::ZERO + SimDuration::from_micros(deadline_us);
+                let got = ctx.drive(s2.recv_async(ctx, || "recv".into(), any, Some(at)));
+                log.push((matches!(got, Recv::Got(_)), ctx.now().as_nanos()));
+            }
+            // The message lands at 45 µs: twice too late, then in time; then
+            // nothing more comes.
+            let want = [
+                (false, 10_000),
+                (false, 40_000),
+                (true, 45_000),
+                (false, 120_000),
+            ];
+            assert_eq!(log, want);
         });
         sim.run().unwrap();
     }

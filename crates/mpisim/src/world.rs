@@ -4,7 +4,7 @@
 use crate::costs::MpiCosts;
 use crate::datatype::{decode_slice, encode_slice, Datatype, MpiScalar};
 use crate::message::{
-    Envelope, MailStore, Payload, Rank, RankDeadUnwind, SrcSel, StorePoll, Tag, TagSel,
+    Envelope, MailStore, Payload, Rank, RankDeadUnwind, Recv, SrcSel, Tag, TagSel,
 };
 use cp_des::{
     async_component, IncidentCategory, ProcCtx, SimDuration, SimError, SimReport, Simulation,
@@ -212,8 +212,9 @@ impl MpiWorld {
     /// Redirect `from`'s mailbox to `to` (Co-Pilot failover): queued
     /// envelopes move across preserving arrival order, the dedup state
     /// merges, future deliveries to `from` land at `to`, and any process
-    /// blocked receiving as `from` unwinds (absorb the unwind with
-    /// [`crate::absorb_rank_death`]). See [`MailStore::take_over`].
+    /// waiting on `from`'s mailbox finds it dead: its receive or rendezvous
+    /// send future returns `None`, a blocking call unwinds. See
+    /// [`MailStore::take_over`].
     pub fn take_over_rank(&self, ctx: &ProcCtx, from: Rank, to: Rank) {
         assert!(
             from < self.size(),
@@ -271,8 +272,9 @@ impl MpiWorld {
 
     /// [`MpiWorld::launch`] for a service rank whose body is a future: the
     /// process is a component ([`async_component`]), with the same pid, name
-    /// and reaper. Its receives return `None` once a fault plan kills the
-    /// rank, where the thread form unwinds.
+    /// and reaper. Its receives and sends return `None` once the rank's
+    /// mailbox dies (a fault plan kills the rank, or another rank takes the
+    /// mailbox over), where the thread form unwinds.
     pub fn launch_async<S, Fut>(
         &self,
         sim: &mut S,
@@ -373,10 +375,6 @@ impl Comm {
         SimDuration::from_micros_f64(self.inner.costs.side_us(self.my_kind(), bytes, wire))
     }
 
-    fn charge_side(&self, bytes: usize, wire: bool) {
-        self.ctx.advance(self.side_cost(bytes, wire));
-    }
-
     /// Count one collective participation (every rank entering a
     /// collective counts once, so an N-rank bcast records N).
     pub(crate) fn record_collective(&self, op: &str) {
@@ -403,14 +401,11 @@ impl Comm {
             .is_some_and(|at| self.ctx.now() >= at)
     }
 
-    /// Fail-stop check: if this rank's own scripted death time has passed,
-    /// unwind the process (caught by [`MpiWorld::launch`]).
-    fn check_self_alive(&self) {
-        if let Some(at) = self.inner.faults.death_of(self.rank) {
-            if self.ctx.now() >= at {
-                panic::resume_unwind(Box::new(RankDeadUnwind));
-            }
-        }
+    /// Fail-stop check: true once this rank's own scripted death time has
+    /// passed (a blocking call then unwinds the process, which
+    /// [`MpiWorld::launch`] retires).
+    fn self_dead(&self) -> bool {
+        self.peer_lost(self.rank)
     }
 
     /// Put one envelope on the fabric toward `dst`, consulting the fault
@@ -494,18 +489,35 @@ impl Comm {
     ///
     /// Infallible form of [`Comm::try_send_bytes`]: an unrecoverable
     /// injected fault aborts the simulation with a diagnostic. Without a
-    /// fault plan the two are identical.
+    /// fault plan the two are identical. [`Comm::send_bytes_async`] run on
+    /// the rank's own thread.
     pub fn send_bytes(&self, dst: Rank, tag: Tag, dtype: Datatype, count: usize, data: Vec<u8>) {
-        if let Err(fault) = self.try_send_bytes(dst, tag, dtype, count, data) {
-            self.ctx
-                .abort(&format!("MPI send to rank {dst} failed: {fault}"));
+        self.drive(self.send_bytes_async(dst, tag, dtype, count, data));
+    }
+
+    /// [`Comm::send_bytes`] as a future: `None` once this rank's mailbox is
+    /// dead (killed by the fault plan, or taken over mid-send), where the
+    /// blocking form unwinds.
+    pub async fn send_bytes_async(
+        &self,
+        dst: Rank,
+        tag: Tag,
+        dtype: Datatype,
+        count: usize,
+        data: Vec<u8>,
+    ) -> Option<()> {
+        match self.send_async(dst, tag, dtype, count, data).await? {
+            Ok(()) => Some(()),
+            Err(fault) => self
+                .ctx
+                .abort(&format!("MPI send to rank {dst} failed: {fault}")),
         }
     }
 
     /// Fault-aware send: like [`Comm::send_bytes`] but surfaces
     /// unrecoverable injected faults — a peer already killed by the plan, or
     /// a message dropped more times than the retry budget allows — instead
-    /// of aborting.
+    /// of aborting. [`Comm::send_async`] run on the rank's own thread.
     pub fn try_send_bytes(
         &self,
         dst: Rank,
@@ -514,78 +526,78 @@ impl Comm {
         count: usize,
         data: Vec<u8>,
     ) -> Result<(), MpiFault> {
+        self.drive(self.send_async(dst, tag, dtype, count, data))
+    }
+
+    /// The whole of [`Comm::try_send_bytes`] as a future, every wait an
+    /// awaited [`Step`]: the send-side software cost, the eager put, or the
+    /// rendezvous RTS → CTS → data with each transmission's drop / back-off
+    /// retries, and a CTS wait bounded by the peer's scripted death. `None`
+    /// when this rank's mailbox is dead — killed by the fault plan, or
+    /// taken over while the send waits for its CTS. The blocking forms
+    /// drive it on the rank's thread; a component (a Co-Pilot) awaits it.
+    /// The kernel calls and their order are the same either way.
+    pub async fn send_async(
+        &self,
+        dst: Rank,
+        tag: Tag,
+        dtype: Datatype,
+        count: usize,
+        data: Vec<u8>,
+    ) -> Option<Result<(), MpiFault>> {
         assert!(dst < self.size(), "send to rank {dst} out of range");
         debug_assert_eq!(data.len(), count * dtype.wire_size());
-        self.check_self_alive();
-        if self.peer_lost(dst) {
-            return Err(MpiFault::PeerLost { rank: dst });
+        if self.self_dead() {
+            return None;
         }
-        let wire = self.is_wire(dst);
+        if self.peer_lost(dst) {
+            return Some(Err(MpiFault::PeerLost { rank: dst }));
+        }
         let bytes = data.len();
         if let Some(r) = self.inner.recorder() {
             r.record_send(bytes as u64);
         }
-        self.charge_side(bytes, wire);
+        Step::Advance(self.side_cost(bytes, self.is_wire(dst))).await;
+        // Each envelope mints its wire sequence number as it is built.
+        let envelope = |payload| Envelope {
+            src: self.rank,
+            dst,
+            tag,
+            dtype,
+            count,
+            wire_seq: self.inner.mint_wire_seq(),
+            payload,
+        };
         if bytes <= self.inner.costs.eager_limit {
-            return self.ctx.drive(self.put(
-                dst,
-                Envelope {
-                    src: self.rank,
-                    dst,
-                    tag,
-                    dtype,
-                    count,
-                    wire_seq: self.inner.mint_wire_seq(),
-                    payload: Payload::Data(data),
-                },
-                bytes,
-            ));
+            return Some(self.put(dst, envelope(Payload::Data(data)), bytes).await);
         }
         // Rendezvous: RTS → (wait CTS) → data.
         let id = self.inner.next_rdv.fetch_add(1, Ordering::Relaxed);
-        self.ctx.drive(self.put(
-            dst,
-            Envelope {
-                src: self.rank,
-                dst,
-                tag,
-                dtype,
-                count,
-                wire_seq: self.inner.mint_wire_seq(),
-                payload: Payload::Rts { id, bytes },
-            },
-            0,
-        ))?;
-        let me = self.rank;
-        let cts_what = format!("MPI rendezvous CTS from rank {dst}");
-        let cts_pred =
-            |e: &Envelope| e.src == dst && matches!(e.payload, Payload::Cts { id: i } if i == id);
-        if let Some(death_at) = self.inner.faults.death_of(dst) {
-            // The peer is scripted to die: bound the handshake wait so its
-            // death surfaces as PeerLost rather than a simulation deadlock.
-            let grace = death_at.since(self.ctx.now()) + self.inner.retry.backoff_cap;
-            if self.inner.boxes[me]
-                .recv_where_deadline(&self.ctx, &cts_what, cts_pred, grace)
-                .is_none()
-            {
-                return Err(MpiFault::PeerLost { rank: dst });
-            }
-        } else {
-            self.inner.boxes[me].recv_where(&self.ctx, &cts_what, cts_pred);
+        if let Err(fault) = self.put(dst, envelope(Payload::Rts { id, bytes }), 0).await {
+            return Some(Err(fault));
         }
-        self.ctx.drive(self.put(
-            dst,
-            Envelope {
-                src: self.rank,
-                dst,
-                tag,
-                dtype,
-                count,
-                wire_seq: self.inner.mint_wire_seq(),
-                payload: Payload::RdvData { id, data },
-            },
-            bytes,
-        ))
+        // A peer scripted to die bounds the handshake wait, so its death
+        // surfaces as PeerLost rather than a simulation deadlock.
+        let deadline = self.inner.faults.death_of(dst).map(|death_at| {
+            let now = self.ctx.now();
+            now + (death_at.since(now) + self.inner.retry.backoff_cap)
+        });
+        let cts =
+            |e: &Envelope| e.src == dst && matches!(e.payload, Payload::Cts { id: i } if i == id);
+        let what = || format!("MPI rendezvous CTS from rank {dst}");
+        match self
+            .store()
+            .recv_async(&self.ctx, what, cts, deadline)
+            .await
+        {
+            Recv::Got(_) => {}
+            Recv::TimedOut => return Some(Err(MpiFault::PeerLost { rank: dst })),
+            Recv::Dead => return None,
+        }
+        Some(
+            self.put(dst, envelope(Payload::RdvData { id, data }), bytes)
+                .await,
+        )
     }
 
     /// Send a typed slice.
@@ -612,15 +624,22 @@ impl Comm {
     /// Blocking receive matching `src`/`tag` selectors (`None` = wildcard;
     /// a wildcard tag matches only user tags ≥ 0).
     pub fn recv(&self, src: SrcSel, tag: TagSel) -> Msg {
-        self.drive_recv(self.recv_async(src, tag))
+        self.drive(self.recv_async(src, tag))
     }
 
-    /// Run a receive to its message on this rank's own thread, every wait a
-    /// blocking call; a dead mailbox unwinds the process.
-    fn drive_recv(&self, recv: impl Future<Output = Option<Msg>>) -> Msg {
+    /// Run one of this rank's futures on its own thread, every wait a
+    /// blocking call: the thread form of [`Comm::recv_async`],
+    /// [`Comm::send_async`] and the futures built on them. A dead mailbox
+    /// (`None`) unwinds the process, which [`MpiWorld::launch`] retires.
+    pub fn drive<T>(&self, fut: impl Future<Output = Option<T>>) -> T {
         self.ctx
-            .drive(recv)
+            .drive(fut)
             .unwrap_or_else(|| panic::resume_unwind(Box::new(RankDeadUnwind)))
+    }
+
+    /// This rank's matching store.
+    fn store(&self) -> &MailStore {
+        &self.inner.boxes[self.rank]
     }
 
     /// The whole of [`Comm::recv`] as a future, every wait an awaited
@@ -632,25 +651,15 @@ impl Comm {
     /// service) awaits it. The kernel calls and their order are the same
     /// either way.
     pub async fn recv_async(&self, src: SrcSel, tag: TagSel) -> Option<Msg> {
-        let store = &self.inner.boxes[self.rank];
-        let env = loop {
-            match store.poll_where(&self.ctx, |e| {
-                e.matches_recv(src, tag) && (tag.is_some() || e.tag >= 0)
-            }) {
-                StorePoll::Ready(env) => break env,
-                StorePoll::InFlight(wait) => Step::Advance(wait).await,
-                StorePoll::Empty => {
-                    let what = format!(
-                        "MPI_Recv(src={}, tag={})",
-                        src.map_or("ANY".into(), |s| s.to_string()),
-                        tag.map_or("ANY".into(), |t| t.to_string())
-                    );
-                    self.block_on_store(what).await
-                }
-                StorePoll::Dead => return None,
-            }
-        };
-        self.finish_recv(env).await
+        let what = || recv_what(src, tag, "");
+        match self
+            .store()
+            .recv_async(&self.ctx, what, user_match(src, tag), None)
+            .await
+        {
+            Recv::Got(env) => self.finish_recv(env).await,
+            Recv::TimedOut | Recv::Dead => None,
+        }
     }
 
     /// Complete a receive whose header envelope is already in hand
@@ -678,25 +687,21 @@ impl Comm {
                         "MPI rendezvous grant to rank {src} failed: {fault}"
                     ));
                 }
-                let store = &self.inner.boxes[self.rank];
-                loop {
-                    match store.poll_where(&self.ctx, |e| {
-                        e.src == src
-                            && matches!(e.payload, Payload::RdvData { id: i, .. } if i == id)
-                    }) {
-                        StorePoll::Ready(env) => {
-                            let Payload::RdvData { data, .. } = env.payload else {
-                                unreachable!("matched RdvData")
-                            };
-                            break data;
-                        }
-                        StorePoll::InFlight(wait) => Step::Advance(wait).await,
-                        StorePoll::Empty => {
-                            let what = format!("MPI rendezvous data from rank {src}");
-                            self.block_on_store(what).await
-                        }
-                        StorePoll::Dead => return None,
-                    }
+                let rdv_data = |e: &Envelope| {
+                    e.src == src && matches!(e.payload, Payload::RdvData { id: i, .. } if i == id)
+                };
+                let what = || format!("MPI rendezvous data from rank {src}");
+                match self
+                    .store()
+                    .recv_async(&self.ctx, what, rdv_data, None)
+                    .await
+                {
+                    Recv::Got(Envelope {
+                        payload: Payload::RdvData { data, .. },
+                        ..
+                    }) => data,
+                    Recv::Got(_) => unreachable!("matched RdvData"),
+                    Recv::TimedOut | Recv::Dead => return None,
                 }
             }
             Payload::Cts { .. } | Payload::RdvData { .. } => {
@@ -716,14 +721,6 @@ impl Comm {
         })
     }
 
-    /// The block a receive makes on this rank's store with nothing to match.
-    fn block_on_store(&self, what: String) -> Step {
-        Step::Block {
-            label: self.inner.boxes[self.rank].label().clone(),
-            what: what.into(),
-        }
-    }
-
     /// Fault-aware receive: like [`Comm::recv`] but gives up after
     /// `deadline` of virtual time. A missed deadline is [`MpiFault::Timeout`]
     /// — or [`MpiFault::PeerLost`] when a named source rank is already dead,
@@ -734,28 +731,27 @@ impl Comm {
         tag: TagSel,
         deadline: SimDuration,
     ) -> Result<Msg, MpiFault> {
-        self.check_self_alive();
-        let me = self.rank;
-        let what = format!(
-            "MPI_Recv(src={}, tag={}, deadline={deadline})",
-            src.map_or("ANY".into(), |s| s.to_string()),
-            tag.map_or("ANY".into(), |t| t.to_string())
-        );
-        match self.inner.boxes[me].recv_where_deadline(
-            &self.ctx,
-            &what,
-            |e| e.matches_recv(src, tag) && (tag.is_some() || e.tag >= 0),
-            deadline,
-        ) {
-            Some(env) => Ok(self.drive_recv(self.finish_recv(env))),
-            None => {
-                if let Some(s) = src {
-                    if self.peer_lost(s) {
-                        return Err(MpiFault::PeerLost { rank: s });
-                    }
-                }
-                Err(MpiFault::Timeout { what })
+        if self.self_dead() {
+            panic::resume_unwind(Box::new(RankDeadUnwind));
+        }
+        let what = recv_what(src, tag, &format!(", deadline={deadline}"));
+        let until = Some(self.ctx.now() + deadline);
+        let pred = user_match(src, tag);
+        let got = self.drive(async {
+            match self
+                .store()
+                .recv_async(&self.ctx, || what.clone(), pred, until)
+                .await
+            {
+                Recv::Got(env) => self.finish_recv(env).await.map(Some),
+                Recv::TimedOut => Some(None),
+                Recv::Dead => None,
             }
+        });
+        match (got, src) {
+            (Some(msg), _) => Ok(msg),
+            (None, Some(s)) if self.peer_lost(s) => Err(MpiFault::PeerLost { rank: s }),
+            (None, _) => Err(MpiFault::Timeout { what }),
         }
     }
 
@@ -769,10 +765,9 @@ impl Comm {
     /// Blocking probe: returns `(src, tag, dtype, count)` of the next
     /// matching message without consuming it.
     pub fn probe(&self, src: SrcSel, tag: TagSel) -> (Rank, Tag, Datatype, usize) {
-        let me = self.rank;
-        let env = self.inner.boxes[me].probe_where(&self.ctx, "MPI_Probe", |e| {
-            e.matches_recv(src, tag) && (tag.is_some() || e.tag >= 0)
-        });
+        let env = self
+            .store()
+            .probe_where(&self.ctx, "MPI_Probe", user_match(src, tag));
         (env.src, env.tag, env.dtype, env.count)
     }
 
@@ -803,13 +798,25 @@ impl Comm {
 
     /// Non-blocking probe.
     pub fn iprobe(&self, src: SrcSel, tag: TagSel) -> Option<(Rank, Tag, Datatype, usize)> {
-        let me = self.rank;
-        self.inner.boxes[me]
-            .iprobe(&self.ctx, |e| {
-                e.matches_recv(src, tag) && (tag.is_some() || e.tag >= 0)
-            })
+        self.store()
+            .iprobe(&self.ctx, user_match(src, tag))
             .map(|e| (e.src, e.tag, e.dtype, e.count))
     }
+}
+
+/// Which envelopes a user receive with these selectors takes: a wildcard
+/// tag matches only user tags ≥ 0.
+fn user_match(src: SrcSel, tag: TagSel) -> impl Fn(&Envelope) -> bool {
+    move |e| e.matches_recv(src, tag) && (tag.is_some() || e.tag >= 0)
+}
+
+/// A blocked receive as deadlock reports show it.
+fn recv_what(src: SrcSel, tag: TagSel, extra: &str) -> String {
+    format!(
+        "MPI_Recv(src={}, tag={}{extra})",
+        src.map_or("ANY".into(), |s| s.to_string()),
+        tag.map_or("ANY".into(), |t| t.to_string())
+    )
 }
 
 /// Outcome of one transmission attempt ([`Comm::put_attempt`]).

@@ -327,7 +327,7 @@ proptest! {
         perm_seed in any::<u64>(),
     ) {
         use cp_des::{SimDuration, Simulation};
-        use cp_mpisim::{Envelope, MailStore, Payload};
+        use cp_mpisim::{Envelope, MailStore, Payload, StorePoll};
 
         let env_for = |i: usize| Envelope {
             src: 1,
@@ -364,9 +364,14 @@ proptest! {
             sentinel.payload = Payload::Data(vec![0xFF]);
             store.deliver(ctx, sentinel, SimDuration::ZERO);
 
+            // Everything landed at zero latency: each poll takes the next.
+            let take = || match store.poll_where(ctx, |_| true) {
+                StorePoll::Ready(env) => env,
+                other => panic!("nothing left in flight, got {other:?}"),
+            };
             let mut seen = Vec::new();
             for _ in 0..n_msgs {
-                let env = store.recv_where(ctx, "payload", |_| true);
+                let env = take();
                 let Payload::Data(bytes) = &env.payload else {
                     panic!("unexpected payload kind");
                 };
@@ -376,7 +381,7 @@ proptest! {
             seen.sort_unstable();
             let expect: Vec<u64> = (1..=n_msgs as u64).collect();
             assert_eq!(seen, expect, "each sequenced envelope exactly once");
-            let last = store.recv_where(ctx, "sentinel", |_| true);
+            let last = take();
             assert_eq!(last.payload, Payload::Data(vec![0xFF]));
         });
         sim.run().unwrap();

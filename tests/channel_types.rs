@@ -124,7 +124,7 @@ fn traced_cfg() -> CellPilotConfig {
 /// Type 1: PPE rank 0 <-> PPE rank 1 on another node, pure Pilot/MPI path.
 #[test]
 fn golden_trace_type1_rank_to_rank() {
-    assert_golden(ChannelKind::Type1, 0xcb00_3640_5a3d_da16, 11, || {
+    assert_golden(ChannelKind::Type1, 0xcb00_3640_5a3d_da16, 5, || {
         let mut cfg = traced_cfg();
         let worker = cfg
             .create_process("worker", 0, |cp, _| {
@@ -151,7 +151,7 @@ fn golden_trace_type1_rank_to_rank() {
 /// saturate changes nothing.
 #[test]
 fn golden_trace_unchanged_by_large_capacities() {
-    assert_golden(ChannelKind::Type1, 0xcb00_3640_5a3d_da16, 11, || {
+    assert_golden(ChannelKind::Type1, 0xcb00_3640_5a3d_da16, 5, || {
         let mut cfg = traced_cfg();
         let worker = cfg
             .create_process("worker", 0, |cp, _| {
@@ -173,7 +173,7 @@ fn golden_trace_unchanged_by_large_capacities() {
 /// Co-Pilot.
 #[test]
 fn golden_trace_type2_rank_to_local_spe() {
-    assert_golden(ChannelKind::Type2, 0x6753_a07b_3455_70fd, 16, || {
+    assert_golden(ChannelKind::Type2, 0x6753_a07b_3455_70fd, 7, || {
         let mut cfg = traced_cfg();
         let prog = SpeProgram::new("echo", 2048, |spe, _, _| {
             let v = spe.read_vec::<i32>(CpChannel(0)).unwrap();
@@ -196,7 +196,7 @@ fn golden_trace_type2_rank_to_local_spe() {
 /// Type 3: remote PPE rank <-> SPE, relayed by the SPE node's Co-Pilot.
 #[test]
 fn golden_trace_type3_rank_to_remote_spe() {
-    assert_golden(ChannelKind::Type3, 0x906c_d23f_4df4_9fe2, 16, || {
+    assert_golden(ChannelKind::Type3, 0x906c_d23f_4df4_9fe2, 7, || {
         let mut cfg = traced_cfg();
         let prog = SpeProgram::new("src", 2048, |spe, _, _| {
             spe.write_slice(CpChannel(0), &data()).unwrap();
@@ -220,7 +220,7 @@ fn golden_trace_type3_rank_to_remote_spe() {
 /// Co-Pilot.
 #[test]
 fn golden_trace_type4_spe_to_local_spe() {
-    assert_golden(ChannelKind::Type4, 0x4330_0edc_02f1_c124, 20, || {
+    assert_golden(ChannelKind::Type4, 0x4330_0edc_02f1_c124, 11, || {
         let mut cfg = traced_cfg();
         let a = SpeProgram::new("a", 2048, |spe, _, _| {
             spe.write_slice(CpChannel(0), &data()).unwrap();
@@ -242,7 +242,7 @@ fn golden_trace_type4_spe_to_local_spe() {
 /// Type 5: SPEs on two different Cell nodes, relayed by both Co-Pilots.
 #[test]
 fn golden_trace_type5_spe_to_remote_spe() {
-    assert_golden(ChannelKind::Type5, 0x2686_3d58_dd8f_6264, 30, || {
+    assert_golden(ChannelKind::Type5, 0x2686_3d58_dd8f_6264, 15, || {
         let mut cfg = traced_cfg();
         let x = SpeProgram::new("x", 2048, |spe, _, _| {
             spe.write_slice(CpChannel(0), &data()).unwrap();
