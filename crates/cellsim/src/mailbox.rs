@@ -55,10 +55,23 @@ impl MboxQueue {
 
     /// Send `word`: record the edge, then push it with the mailbox latency,
     /// waiting while the queue is full.
-    async fn send(&self, rec: Option<Recorder>, ctx: &ProcCtx, costs: &CellCosts, word: u32) {
+    async fn send(&self, rec: Option<Recorder>, ctx: &ProcCtx, latency_us: f64, word: u32) {
         self.note_send(&rec, ctx);
-        let latency = SimDuration::from_micros_f64(costs.mailbox_latency_us);
+        let latency = SimDuration::from_micros_f64(latency_us);
         self.q.push_async(ctx, word, latency).await;
+    }
+
+    /// Write `word`: `op_us` of access cost, then [`MboxQueue::send`].
+    async fn write(
+        &self,
+        rec: Option<Recorder>,
+        ctx: &ProcCtx,
+        op_us: f64,
+        latency_us: f64,
+        word: u32,
+    ) {
+        Step::Advance(SimDuration::from_micros_f64(op_us)).await;
+        self.send(rec, ctx, latency_us, word).await;
     }
 
     /// Record the receive edge after a completed pop. Pops are FIFO and
@@ -120,24 +133,42 @@ impl Mailboxes {
         r.is_enabled().then(|| r.clone())
     }
 
+    /// The thread form of [`MboxQueue::write`], made with the blocking
+    /// calls: a charge, then a push that rarely finds the mailbox full —
+    /// too short a wait for lending to save a hand-off (see
+    /// `ProcCtx::drive`).
+    fn write_word(&self, q: &MboxQueue, ctx: &ProcCtx, op_us: f64, costs: &CellCosts, word: u32) {
+        ctx.advance(SimDuration::from_micros_f64(op_us));
+        q.note_send(&self.rec(), ctx);
+        let latency = SimDuration::from_micros_f64(costs.mailbox_latency_us);
+        q.q.push(ctx, word, latency);
+    }
+
     // --- SPU side (channel instructions) ---
 
     /// SPU: write a word to the outbound mailbox; blocks while it is full.
     pub fn spu_write_outbox(&self, ctx: &ProcCtx, costs: &CellCosts, word: u32) {
-        ctx.drive(self.spu_write_outbox_async(ctx, costs, word));
+        self.write_word(&self.outbound, ctx, costs.spu_channel_op_us, costs, word);
     }
 
     /// [`Mailboxes::spu_write_outbox`] as a future, each wait an awaited
     /// [`Step`].
     pub async fn spu_write_outbox_async(&self, ctx: &ProcCtx, costs: &CellCosts, word: u32) {
-        Step::Advance(SimDuration::from_micros_f64(costs.spu_channel_op_us)).await;
-        self.outbound.send(self.rec(), ctx, costs, word).await;
+        let (op_us, latency_us) = (costs.spu_channel_op_us, costs.mailbox_latency_us);
+        self.outbound
+            .write(self.rec(), ctx, op_us, latency_us, word)
+            .await;
     }
 
     /// SPU: write a word to the outbound interrupt mailbox.
     pub fn spu_write_outbox_intr(&self, ctx: &ProcCtx, costs: &CellCosts, word: u32) {
-        ctx.advance(SimDuration::from_micros_f64(costs.spu_channel_op_us));
-        ctx.drive(self.outbound_intr.send(self.rec(), ctx, costs, word));
+        self.write_word(
+            &self.outbound_intr,
+            ctx,
+            costs.spu_channel_op_us,
+            costs,
+            word,
+        );
     }
 
     /// SPU: blocking read of the inbound mailbox.
@@ -210,14 +241,16 @@ impl Mailboxes {
     /// PPE: write a word into the SPE's 4-deep inbound mailbox; blocks while
     /// it is full (`SPE_MBOX_ALL_BLOCKING` behaviour).
     pub fn ppe_write_inbox(&self, ctx: &ProcCtx, costs: &CellCosts, word: u32) {
-        ctx.drive(self.ppe_write_inbox_async(ctx, costs, word));
+        self.write_word(&self.inbound, ctx, costs.ppe_mmio_op_us, costs, word);
     }
 
     /// [`Mailboxes::ppe_write_inbox`] as a future, each wait an awaited
     /// [`Step`].
     pub async fn ppe_write_inbox_async(&self, ctx: &ProcCtx, costs: &CellCosts, word: u32) {
-        Step::Advance(SimDuration::from_micros_f64(costs.ppe_mmio_op_us)).await;
-        self.inbound.send(self.rec(), ctx, costs, word).await;
+        let (op_us, latency_us) = (costs.ppe_mmio_op_us, costs.mailbox_latency_us);
+        self.inbound
+            .write(self.rec(), ctx, op_us, latency_us, word)
+            .await;
     }
 
     /// PPE: non-blocking status of the outbound mailbox (word available?).
@@ -231,7 +264,7 @@ impl Mailboxes {
     /// copy into the problem-state mapping — no second mailbox word, no
     /// DMA setup. The payload is queued FIFO for
     /// [`Mailboxes::spu_take_inline`]. Only a Co-Pilot makes it, so it
-    /// exists only as a future (a thread drives it with `ProcCtx::drive`).
+    /// exists only as a future.
     pub async fn ppe_write_inbox_inline(
         &self,
         ctx: &ProcCtx,
@@ -246,7 +279,8 @@ impl Mailboxes {
         // Stage the payload before the word: by the time the SPU pops the
         // word, its payload is guaranteed present.
         self.inline.lock().push_back(payload);
-        self.inbound.send(self.rec(), ctx, costs, word).await;
+        let latency_us = costs.mailbox_latency_us;
+        self.inbound.send(self.rec(), ctx, latency_us, word).await;
     }
 
     /// SPU: take the oldest inline payload. Call exactly once per inbound
@@ -423,7 +457,11 @@ mod tests {
         let mut sim = Simulation::new();
         let (m1, m2) = (mb.clone(), mb);
         sim.spawn("ppe", move |ctx| {
-            ctx.drive(m1.ppe_write_inbox_inline(ctx, &costs(), 12, vec![7u8; 12]));
+            let c = ctx.clone();
+            ctx.drive(async move {
+                m1.ppe_write_inbox_inline(&c, &costs(), 12, vec![7u8; 12])
+                    .await
+            });
             // One MMIO op + 12 bytes at the LS copy rate — no second
             // mailbox word, no DMA setup.
             let want = 2.5 + 12.0 * 0.009375;

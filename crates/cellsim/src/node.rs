@@ -208,7 +208,8 @@ impl CellNode {
     /// A PPE `memcpy` between two effective addresses, charging the
     /// calibrated cost for uncached local-store mappings.
     pub fn ppe_memcpy(&self, ctx: &ProcCtx, dst: Ea, src: Ea, len: usize) -> Result<(), MemError> {
-        ctx.drive(self.ppe_memcpy_async(ctx, dst, src, len))
+        ctx.advance(self.ppe_copy(ctx, dst, src, len)?);
+        Ok(())
     }
 
     /// [`CellNode::ppe_memcpy`] as a future: the copy, then its charge as
@@ -220,6 +221,19 @@ impl CellNode {
         src: Ea,
         len: usize,
     ) -> Result<(), MemError> {
+        Step::Advance(self.ppe_copy(ctx, dst, src, len)?).await;
+        Ok(())
+    }
+
+    /// The copy of a PPE `memcpy`, recorded for the race detector; returns
+    /// the time it costs.
+    fn ppe_copy(
+        &self,
+        ctx: &ProcCtx,
+        dst: Ea,
+        src: Ea,
+        len: usize,
+    ) -> Result<SimDuration, MemError> {
         let data = self.ea_read(src, len)?;
         self.ea_write(dst, &data)?;
         if let Some(r) = self.rec() {
@@ -252,8 +266,7 @@ impl CellNode {
             }
         }
         let cost = self.costs.memcpy_us(len, self.ls_sides(src, dst));
-        Step::Advance(SimDuration::from_micros_f64(cost)).await;
-        Ok(())
+        Ok(SimDuration::from_micros_f64(cost))
     }
 
     /// An SPU program load from its own local store, recorded as a

@@ -118,7 +118,7 @@ impl BundleCoalescer<'_> {
         // write, not at some later flush.
         self.cp
             .shared
-            .acquire_credit(self.cp.ctx(), &self.cp.name(), chan.0)?;
+            .acquire_credit(self.cp.ctx(), self.cp.proc_name(), chan.0)?;
         self.charge(payload_bytes(values));
         self.opened_at.get_or_insert(self.cp.ctx().now());
         self.buf.push((chan.0, data));
@@ -171,7 +171,7 @@ impl BundleCoalescer<'_> {
         }
         self.cp.shared.trace.record(
             self.cp.ctx().now(),
-            &self.cp.name(),
+            self.cp.proc_name(),
             crate::trace::TraceOp::CoalescedFlush,
             self.b.0,
             total,

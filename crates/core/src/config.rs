@@ -336,7 +336,7 @@ impl CellPilotConfig {
         self.next_rank += 1;
         let id = CpProcess(self.processes.len());
         self.processes.push(CpProcEntry {
-            name: name.to_string(),
+            name: name.into(),
             location: Location::Rank {
                 rank,
                 node: self.placement[rank],
@@ -381,7 +381,7 @@ impl CellPilotConfig {
         *slot += 1;
         let id = CpProcess(self.processes.len());
         self.processes.push(CpProcEntry {
-            name: format!("{}#{}", program.name(), index),
+            name: format!("{}#{}", program.name(), index).into(),
             location: Location::Spe {
                 node,
                 slot: my_slot,
@@ -617,7 +617,7 @@ impl CellPilotConfig {
 
     /// The configured name of a process.
     pub fn process_name(&self, p: CpProcess) -> Option<&str> {
-        self.processes.get(p.0).map(|e| e.name.as_str())
+        self.processes.get(p.0).map(|e| &*e.name)
     }
 
     /// Summarize the configured architecture: one `(name, location
@@ -634,7 +634,7 @@ impl CellPilotConfig {
                 };
                 let writes = self.channels.iter().filter(|c| c.from.0 == i).count();
                 let reads = self.channels.iter().filter(|c| c.to.0 == i).count();
-                (e.name.clone(), loc, writes, reads)
+                (e.name.to_string(), loc, writes, reads)
             })
             .collect()
     }

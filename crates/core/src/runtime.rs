@@ -8,7 +8,7 @@ use crate::error::CpError;
 use crate::location::{ChannelKind, ChannelMode, CpChannel, CpProcess, Location};
 use crate::spe_rt::JournalEntry;
 use crate::tables::{CpTables, NodeShared, ProcKind};
-use cp_des::{IncidentCategory, Pid, ProcCtx, SimDuration, SimTime};
+use cp_des::{IncidentCategory, Pid, ProcCtx, SimDuration, SimTime, Step};
 use cp_mpisim::{Comm, Datatype, MpiFault, SrcSel};
 use cp_pilot::{
     fmt::parse_format,
@@ -22,6 +22,10 @@ use std::sync::Arc;
 
 /// Internal barrier tag for end-of-run synchronization.
 const TAG_FINI: i32 = -600;
+
+/// The granularity of the library's virtual-time polls: a one-sided
+/// doorbell, a window registration, a credit, a fence.
+pub(crate) const POLL: SimDuration = SimDuration::from_micros(1);
 
 /// State shared by every process of a CellPilot application.
 pub(crate) struct AppShared {
@@ -140,13 +144,34 @@ impl AppShared {
     }
 
     /// Execute one one-sided put on `chan` from the process `who` running
-    /// on `from_node`: wait for the reader to register its window, charge
-    /// the fabric transport for the hop, land the bytes in the window's
-    /// local store, and apply the exactly-once fabric put — the reader
-    /// finds the payload by its own doorbell, no Co-Pilot is interrupted.
-    /// One hop, no relay buffering. Returns the window capacity on
-    /// overflow.
+    /// on `from_node`: pay the writer's DMA `setup`, if any, wait for the
+    /// reader to register its window, charge the fabric transport for the
+    /// hop, land the bytes in the window's local store, and apply the
+    /// exactly-once fabric put — the reader finds the payload by its own
+    /// doorbell, no Co-Pilot is interrupted. One hop, no relay buffering.
+    /// Returns the window capacity on overflow. The whole put is one wait
+    /// driven for the writer ([`ProcCtx::drive`]).
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn one_sided_put(
+        self: &Arc<Self>,
+        ctx: &ProcCtx,
+        who: &Arc<str>,
+        chan: usize,
+        from_node: NodeId,
+        data: Vec<u8>,
+        setup: Option<SimDuration>,
+    ) -> Result<usize, u32> {
+        let (shared, c, who) = (self.clone(), ctx.clone(), who.clone());
+        ctx.drive(async move {
+            if let Some(d) = setup {
+                Step::Advance(d).await;
+            }
+            shared.put(&c, &who, chan, from_node, data).await
+        })
+    }
+
+    /// [`AppShared::one_sided_put`] after the DMA setup.
+    async fn put(
         &self,
         ctx: &ProcCtx,
         who: &str,
@@ -161,7 +186,7 @@ impl AppShared {
             if let Some(d) = self.fabric.window(chan as u32) {
                 break d;
             }
-            ctx.advance(SimDuration::from_micros(1));
+            Step::Advance(POLL).await;
         };
         if data.len() as u64 > u64::from(desc.len) {
             return Err(desc.len);
@@ -170,10 +195,11 @@ impl AppShared {
         let t0 = ctx.now();
         let seq = self.next_put_seq(chan);
         let to_node = NodeId(desc.node);
-        ctx.advance(
+        Step::Advance(
             self.cluster
                 .transfer_delay(ctx.now(), from_node, to_node, n),
-        );
+        )
+        .await;
         let ns = &self.node_shared[&to_node];
         let cell = &ns.cell;
         cell.ea_write(
@@ -181,18 +207,20 @@ impl AppShared {
             &data,
         )
         .expect("window within local store");
-        ns.record_hb(
-            &ctx.name(),
-            ctx.now().as_nanos(),
-            cp_trace::HbOp::OneSidedPut {
-                chan: chan as u32,
-                node: desc.node,
-                spe: desc.spe,
-                start: desc.start,
-                len: n as u32,
-                seq,
-            },
-        );
+        if let Some(r) = ns.hb_recorder() {
+            r.record_hb(
+                &ctx.name(),
+                ctx.now().as_nanos(),
+                cp_trace::HbOp::OneSidedPut {
+                    chan: chan as u32,
+                    node: desc.node,
+                    spe: desc.spe,
+                    start: desc.start,
+                    len: n as u32,
+                    seq,
+                },
+            );
+        }
         // `Duplicate` means a failover replay re-applied a put the fabric
         // already saw: the wire-seq dedup swallows it and the reader will
         // never observe the payload twice.
@@ -222,7 +250,7 @@ impl AppShared {
     ///   with [`CpError::Backpressure`] without waiting.
     /// * `DeadlineDrop(d)` polls like `Block` up to `d`, then sheds.
     pub(crate) fn acquire_credit(
-        &self,
+        self: &Arc<Self>,
         ctx: &ProcCtx,
         who: &str,
         chan: usize,
@@ -236,33 +264,29 @@ impl AppShared {
             Acquire::Full { capacity } => capacity,
         };
         let policy = self.tables.channels[chan].policy;
-        let t0 = ctx.now();
+        // How long to poll for a credit: `Block` never gives up.
         let deadline = match policy {
             OverloadPolicy::Shed => None,
-            OverloadPolicy::DeadlineDrop(d) => Some(t0 + d),
-            OverloadPolicy::Block => {
-                if self.recorder.is_enabled() {
-                    self.recorder.record_backpressure_wait(chan as u32);
-                }
-                loop {
-                    ctx.advance(SimDuration::from_micros(1));
-                    if let Acquire::Granted { depth } = self.flow.try_acquire(chan) {
-                        self.record_queue_depth(chan, depth);
-                        return Ok(());
-                    }
-                }
-            }
+            OverloadPolicy::DeadlineDrop(d) => Some(ctx.now() + d),
+            OverloadPolicy::Block => Some(SimTime(u64::MAX)),
         };
         if let Some(deadline) = deadline {
             if self.recorder.is_enabled() {
                 self.recorder.record_backpressure_wait(chan as u32);
             }
-            while ctx.now() < deadline {
-                ctx.advance(SimDuration::from_micros(1));
-                if let Acquire::Granted { depth } = self.flow.try_acquire(chan) {
-                    self.record_queue_depth(chan, depth);
-                    return Ok(());
+            let (shared, c) = (self.clone(), ctx.clone());
+            let granted = ctx.drive(async move {
+                while c.now() < deadline {
+                    Step::Advance(POLL).await;
+                    if let Acquire::Granted { depth } = shared.flow.try_acquire(chan) {
+                        shared.record_queue_depth(chan, depth);
+                        return true;
+                    }
                 }
+                false
+            });
+            if granted {
+                return Ok(());
             }
         }
         // Shed (immediately, or after an expired deadline wait).
@@ -337,7 +361,11 @@ impl AppShared {
     /// One-sided fence body shared by the rank- and SPE-side handles:
     /// block (in virtual time) until every put applied on `chan` has been
     /// taken by the reader, i.e. the window is drained.
-    pub(crate) fn fence_on(&self, ctx: &ProcCtx, chan: CpChannel) -> Result<(), CpError> {
+    pub(crate) fn fence_on(
+        self: &Arc<Self>,
+        ctx: &ProcCtx,
+        chan: CpChannel,
+    ) -> Result<(), CpError> {
         let entry = self
             .tables
             .channels
@@ -349,13 +377,19 @@ impl AppShared {
                 detail: "fence is only meaningful on one-sided channels".into(),
             });
         }
-        loop {
-            match self.fabric.pending(chan.0 as u32) {
-                // No window yet means no put ever waited on one: drained.
-                Err(_) | Ok(0) => return Ok(()),
-                Ok(_) => ctx.advance(SimDuration::from_micros(1)),
+        let shared = self.clone();
+        ctx.drive(async move {
+            while !shared.drained(chan.0) {
+                Step::Advance(POLL).await;
             }
-        }
+        });
+        Ok(())
+    }
+
+    /// Whether the reader has taken every put applied on one-sided `chan`.
+    fn drained(&self, chan: usize) -> bool {
+        // No window yet means no put ever waited on one: drained.
+        !matches!(self.fabric.pending(chan as u32), Ok(n) if n > 0)
     }
 
     /// Whether the SPE process behind `proc` is permanently gone. Under
@@ -402,7 +436,12 @@ impl CellPilot {
 
     /// This process's configured name.
     pub fn name(&self) -> String {
-        self.shared.tables.processes[self.me.0].name.clone()
+        self.proc_name().to_string()
+    }
+
+    /// This process's configured name, borrowed from the tables.
+    pub(crate) fn proc_name(&self) -> &Arc<str> {
+        &self.shared.tables.processes[self.me.0].name
     }
 
     /// Total CellPilot processes (rank-backed and SPE).
@@ -432,9 +471,12 @@ impl CellPilot {
 
     /// Report `ev` to the deadlock service, if it is enabled.
     pub(crate) fn report(&self, ev: cp_pilot::DlEvent) {
-        let tables = &self.shared.tables;
+        if self.shared.tables.detector_rank.is_none() {
+            return;
+        }
+        let (comm, tables) = (self.comm.clone(), self.shared.tables.clone());
         self.comm
-            .drive(crate::dlsvc::report(&self.comm, tables, ev));
+            .drive(async move { crate::dlsvc::report(&comm, &tables, ev).await });
     }
 
     /// Report a `kind` event on channel `chan` to the deadlock service.
@@ -468,13 +510,14 @@ impl CellPilot {
         let data = pack_message(values);
         let t0 = self.ctx().now();
         self.shared
-            .acquire_credit(self.ctx(), &self.name(), chan.0)?;
+            .acquire_credit(self.ctx(), self.proc_name(), chan.0)?;
         self.charge(payload_bytes(values));
         if entry.mode == ChannelMode::OneSided {
             // One-sided transport: land the message directly in the reader
             // SPE's window over the fabric — no Co-Pilot relay hop.
+            let who = self.proc_name();
             self.shared
-                .one_sided_put(self.ctx(), &self.name(), chan.0, self.node(), data)
+                .one_sided_put(self.ctx(), who, chan.0, self.node(), data, None)
                 .map_err(|cap| {
                     // The message never entered the pipeline: unwind its
                     // credit so a failed send does not leak capacity.
@@ -486,7 +529,7 @@ impl CellPilot {
                 })?;
             self.report_chan(cp_pilot::EV_WRITE, chan.0);
             self.shared.record_chan_op(
-                &self.name(),
+                self.proc_name(),
                 entry.kind,
                 chan.0,
                 true,
@@ -518,13 +561,13 @@ impl CellPilot {
         self.report_chan(cp_pilot::EV_WRITE, chan.0);
         self.shared.trace.record(
             self.ctx().now(),
-            &self.name(),
+            self.proc_name(),
             crate::trace::TraceOp::RankWrite,
             chan.0,
             n,
         );
         self.shared.record_chan_op(
-            &self.name(),
+            self.proc_name(),
             entry.kind,
             chan.0,
             true,
@@ -541,7 +584,7 @@ impl CellPilot {
     /// a channel whose peer SPE has a scheduled crash that already fired
     /// is upgraded to [`CpError::PeerLost`] — the peer is gone, not slow.
     fn fault_to_cp(&self, chan: CpChannel, peer: CpProcess, fault: MpiFault) -> CpError {
-        let peer_name = self.shared.tables.processes[peer.0].name.clone();
+        let peer_name = self.shared.tables.processes[peer.0].name.to_string();
         let peer_crashed = self.shared.spe_gone(peer.0, self.ctx().now());
         let err = match fault {
             MpiFault::PeerLost { .. } => CpError::PeerLost {
@@ -652,13 +695,13 @@ impl CellPilot {
         self.charge(payload_bytes(&values));
         self.shared.trace.record(
             self.ctx().now(),
-            &self.name(),
+            self.proc_name(),
             crate::trace::TraceOp::RankRead,
             chan.0,
             payload_bytes(&values),
         );
         self.shared.record_chan_op(
-            &self.name(),
+            self.proc_name(),
             entry.kind,
             chan.0,
             false,
@@ -759,7 +802,7 @@ impl CellPilot {
                 // process retires cleanly and only channels touching the
                 // dead SPE fail. Any other unwind (a real panic, simulation
                 // teardown) is re-raised after the same cleanup.
-                let name = shared.tables.processes[proc.0].name.clone();
+                let name = &shared.tables.processes[proc.0].name;
                 let mut attempts = 0u32;
                 loop {
                     let spe_ctx =

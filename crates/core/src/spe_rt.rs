@@ -14,9 +14,9 @@ use crate::protocol::{
     completion_is_inline, decode_completion, CompletionError, Request, EAGER_INLINE_MAX, OP_POLL,
     OP_READ, OP_WRITE, OP_WRITE_INLINE, REQ_BLOCK_BYTES,
 };
-use crate::runtime::AppShared;
+use crate::runtime::{AppShared, POLL};
 use cp_cellsim::LsAddr;
-use cp_des::{IncidentCategory, ProcCtx, SimDuration};
+use cp_des::{IncidentCategory, ProcCtx, SimDuration, Step};
 use cp_mpisim::Datatype;
 use cp_pilot::{
     fmt::{parse_format, Conversion, CountSpec},
@@ -146,7 +146,12 @@ impl SpeCtx {
 
     /// This process's configured name.
     pub fn name(&self) -> String {
-        self.shared.tables.processes[self.me.0].name.clone()
+        self.proc_name().to_string()
+    }
+
+    /// This process's configured name, borrowed from the tables.
+    fn proc_name(&self) -> &Arc<str> {
+        &self.shared.tables.processes[self.me.0].name
     }
 
     /// The Cell node hosting this SPE.
@@ -296,7 +301,7 @@ impl SpeCtx {
                     .tables
                     .channels
                     .get(chan)
-                    .map(|e| self.shared.tables.processes[e.from.0].name.clone())
+                    .map(|e| self.shared.tables.processes[e.from.0].name.to_string())
                     .unwrap_or_else(|| "<unknown>".to_string());
                 Err(CpError::PeerLost {
                     channel: chan,
@@ -345,7 +350,7 @@ impl SpeCtx {
         // the pipeline (a replayed write above skipped this — its credit
         // was consumed by the acknowledged original).
         self.shared
-            .acquire_credit(&self.ctx, &self.name(), chan.0)?;
+            .acquire_credit(&self.ctx, self.proc_name(), chan.0)?;
         self.charge(payload_bytes(values));
         let cell = &self.shared.node_shared[&self.node].cell;
         let ls = &cell.spes[self.hw].ls;
@@ -389,12 +394,11 @@ impl SpeCtx {
                 // issue is charged locally; the fabric hop is charged inside
                 // the put. An eager-qualified small put skips even the DMA
                 // setup: it rides the doorbell update.
-                if !eager_inline {
-                    self.ctx
-                        .advance(SimDuration::from_micros_f64(cell.costs.dma_setup_us));
-                }
+                let setup =
+                    (!eager_inline).then(|| SimDuration::from_micros_f64(cell.costs.dma_setup_us));
+                let who = self.proc_name();
                 self.shared
-                    .one_sided_put(&self.ctx, &self.name(), chan.0, self.node, data.clone())
+                    .one_sided_put(&self.ctx, who, chan.0, self.node, data.clone(), setup)
                     .map_err(|cap| {
                         // The put never landed: unwind the credit.
                         self.shared.release_credit(chan.0);
@@ -421,13 +425,13 @@ impl SpeCtx {
             self.journal(JournalEntry::Write { chan: chan.0 });
             self.shared.trace.record(
                 self.ctx.now(),
-                &self.name(),
+                self.proc_name(),
                 crate::trace::TraceOp::SpeWrite,
                 chan.0,
                 data.len(),
             );
             self.shared.record_chan_op(
-                &self.name(),
+                self.proc_name(),
                 entry.kind,
                 chan.0,
                 true,
@@ -531,13 +535,13 @@ impl SpeCtx {
             });
             self.shared.trace.record(
                 self.ctx.now(),
-                &self.name(),
+                self.proc_name(),
                 crate::trace::TraceOp::SpeRead,
                 chan.0,
                 n,
             );
             self.shared.record_chan_op(
-                &self.name(),
+                self.proc_name(),
                 entry.kind,
                 chan.0,
                 false,
@@ -555,77 +559,84 @@ impl SpeCtx {
     /// store, so the reader spins on its doorbell — a local load, polled
     /// at 1 µs granularity, deterministic under the DES — until a put
     /// lands, then moves the payload into the posted buffer with a local
-    /// MFC transfer. The Co-Pilot never touches the data.
+    /// MFC transfer. The Co-Pilot never touches the data. The poll and the
+    /// landing are one wait driven for the reader ([`ProcCtx::drive`]).
     fn one_sided_recv(&self, chan: usize, buf: usize, cap: usize) -> Result<usize, CpError> {
-        let landed = loop {
-            match self.shared.fabric.take(chan as u32) {
-                Ok(Some(l)) => break l,
-                _ => {
-                    if self.shared.chan_writer_gone(chan, self.ctx.now()) {
-                        let peer = self.shared.tables.processes
-                            [self.shared.tables.channels[chan].from.0]
-                            .name
-                            .clone();
-                        self.ctx.report_incident(
-                            IncidentCategory::PeerLost,
-                            &format!(
-                                "SPE process '{}' failing one-sided read on channel {chan}: \
-                                 writer '{peer}' is lost",
-                                self.name()
-                            ),
-                        );
-                        return Err(CpError::PeerLost {
-                            channel: chan,
-                            peer,
-                        });
+        let (ctx, shared, name) = (
+            self.ctx.clone(),
+            self.shared.clone(),
+            self.proc_name().clone(),
+        );
+        let (node, hw) = (self.node, self.hw);
+        self.ctx.drive(async move {
+            let landed = loop {
+                match shared.fabric.take(chan as u32) {
+                    Ok(Some(l)) => break l,
+                    _ => {
+                        if shared.chan_writer_gone(chan, ctx.now()) {
+                            let peer = shared.tables.processes[shared.tables.channels[chan].from.0]
+                                .name
+                                .to_string();
+                            ctx.report_incident(
+                                IncidentCategory::PeerLost,
+                                &format!(
+                                    "SPE process '{name}' failing one-sided read on channel \
+                                     {chan}: writer '{peer}' is lost"
+                                ),
+                            );
+                            return Err(CpError::PeerLost {
+                                channel: chan,
+                                peer,
+                            });
+                        }
+                        Step::Advance(POLL).await;
                     }
-                    self.ctx.advance(SimDuration::from_micros(1));
                 }
+            };
+            // The payload left the fabric with the `take` above — the
+            // channel is drained by that amount even if the posted buffer
+            // turns out too small, so its send credit returns here.
+            shared.release_credit(chan);
+            let n = landed.bytes.len();
+            if n > cap {
+                return Err(CpError::SpeBufferOverflow {
+                    channel: chan,
+                    capacity: cap,
+                });
             }
-        };
-        // The payload left the fabric with the `take` above — the channel
-        // is drained by that amount even if the posted buffer turns out
-        // too small, so its send credit returns here.
-        self.shared.release_credit(chan);
-        let n = landed.bytes.len();
-        if n > cap {
-            return Err(CpError::SpeBufferOverflow {
-                channel: chan,
-                capacity: cap,
-            });
-        }
-        let t0 = self.ctx.now();
-        let cell = &self.shared.node_shared[&self.node].cell;
-        let desc = self
-            .shared
-            .fabric
-            .window(chan as u32)
-            .expect("payload taken from a registered window");
-        self.shared.node_shared[&self.node].record_hb(
-            &self.name(),
-            self.ctx.now().as_nanos(),
-            cp_trace::HbOp::OneSidedGet {
-                chan: chan as u32,
-                node: desc.node,
-                spe: desc.spe,
-                start: desc.start,
-                len: n as u32,
-                seq: landed.seq,
-            },
-        );
-        self.ctx
-            .advance(SimDuration::from_micros_f64(cell.costs.dma_transfer_us(n)));
-        cell.ls_write_traced(&self.ctx, self.hw, buf, &landed.bytes)?;
-        self.shared.trace.record(
-            self.ctx.now(),
-            &self.name(),
-            crate::trace::TraceOp::OneSidedDeliver,
-            chan,
-            n,
-        );
-        self.shared
-            .record_one_sided(&self.name(), false, chan, n, t0, self.ctx.now());
-        Ok(n)
+            let t0 = ctx.now();
+            let ns = &shared.node_shared[&node];
+            let desc = shared
+                .fabric
+                .window(chan as u32)
+                .expect("payload taken from a registered window");
+            ns.record_hb(
+                &name,
+                ctx.now().as_nanos(),
+                cp_trace::HbOp::OneSidedGet {
+                    chan: chan as u32,
+                    node: desc.node,
+                    spe: desc.spe,
+                    start: desc.start,
+                    len: n as u32,
+                    seq: landed.seq,
+                },
+            );
+            Step::Advance(SimDuration::from_micros_f64(
+                ns.cell.costs.dma_transfer_us(n),
+            ))
+            .await;
+            ns.cell.ls_write_traced(&ctx, hw, buf, &landed.bytes)?;
+            shared.trace.record(
+                ctx.now(),
+                &name,
+                crate::trace::TraceOp::OneSidedDeliver,
+                chan,
+                n,
+            );
+            shared.record_one_sided(&name, false, chan, n, t0, ctx.now());
+            Ok(n)
+        })
     }
 
     /// Typed single-segment write: sends `data` as one runtime-counted

@@ -26,7 +26,8 @@ pub(crate) enum ProcKind {
 }
 
 pub(crate) struct CpProcEntry {
-    pub name: String,
+    /// Shared, so a process's lent waits name it without allocating.
+    pub name: Arc<str>,
     pub location: Location,
     pub index: i32,
     pub kind: ProcKind,
@@ -233,7 +234,7 @@ impl NodeShared {
         }
     }
 
-    fn hb_recorder(&self) -> Option<Recorder> {
+    pub(crate) fn hb_recorder(&self) -> Option<Recorder> {
         let r = self.hb_rec.lock();
         r.is_enabled().then(|| r.clone())
     }

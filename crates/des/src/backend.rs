@@ -16,18 +16,30 @@
 //! on the next poll. Two drivers exist, and both poll with
 //! [`Waker::noop`], since only the scheduler decides when a step runs:
 //! [`async_component`] makes the future a `ComponentBody`, and
-//! [`ProcCtx::drive`] runs it inline on a process's own thread, each
-//! awaited `Step` made as the blocking call. A [`Step::Block`] with a
-//! deadline is `block_on_timeout`; awaiting it through [`Step::woken`]
-//! tells the future whether the deadline fired. The blocking primitives
-//! built on the kernel (`MsgQueue::push` / `pop`, and above this crate the
-//! MPI send and receive and the PPE mailbox writes) are such futures driven
-//! on the caller's thread, so a component awaits the very implementation a
-//! thread blocks in.
+//! [`ProcCtx::drive`] runs it for a thread-backed process, handing it to
+//! [`Executor::drive`] as a [`LentWait`]. A [`Step::Block`] with a deadline
+//! is `block_on_timeout`; awaiting it through [`Step::woken`] tells the
+//! future whether the deadline fired. The blocking primitives built on the
+//! kernel (`MsgQueue::push` / `pop`, and above this crate the MPI send and
+//! receive, the PPE mailbox writes and the library's virtual-time polls)
+//! are such futures driven for the caller, so a component awaits the very
+//! implementation a thread blocks in.
+//!
+//! How a thread's future is driven is the executor's business. By default
+//! ([`Executor::drive`]) it runs inline on the caller's thread, each awaited
+//! `Step` made as the blocking call — what `cp-native` does. The DES kernel
+//! instead *lends* the wait: once the CPU goes to another process, the
+//! future is handed to the kernel under the caller's own pid, whichever
+//! thread is dispatching steps it as it steps a component, and the
+//! caller's thread is woken only when the future has finished. The
+//! kernel calls and their order are the same either way; the lent form
+//! saves the OS-thread hand-offs of a wait that takes many steps, such as a
+//! 1 µs poll.
 
 use crate::error::{IncidentCategory, Pid};
 use crate::kernel::ProcCtx;
 use crate::time::{SimDuration, SimTime};
+use std::any::Any;
 use std::borrow::Cow;
 use std::cell::Cell;
 use std::future::{Future, IntoFuture};
@@ -134,6 +146,13 @@ impl Step {
 /// held across a kernel call.
 pub type ComponentBody = Box<dyn FnMut(&ProcCtx) -> Step + Send + 'static>;
 
+/// A thread's library wait as [`ProcCtx::drive`] hands it to
+/// [`Executor::drive`]: the caller's future, boxed, with its output boxed
+/// as [`Any`] so that one executor method serves every output type. Like a
+/// component's body it may run on another thread, so it is `Send` and owns
+/// everything it uses.
+pub type LentWait = Pin<Box<dyn Future<Output = Box<dyn Any + Send>> + Send + 'static>>;
+
 /// The thread driver: a process body that runs `body` to completion with
 /// each [`Step`] made as a blocking call. The default behind
 /// [`Executor::spawn_component`] and [`Spawner::spawn_component`].
@@ -190,6 +209,9 @@ impl IntoFuture for Step {
         Awaited(Some(self))
     }
 }
+
+/// Why a thread's future may not await [`Step::Done`].
+pub(crate) const DONE_ON_A_THREAD: &str = "`Step::Done` awaited on a thread";
 
 /// Poll `fut` once: its output, or the [`Step`] it awaited. A future that
 /// suspends on anything but a `Step` has nothing to resume it, so that is a
@@ -270,6 +292,23 @@ pub trait Executor: Send + Sync {
     /// substrate that owns the schedule can run the steps itself.
     fn spawn_component(&self, name: &str, body: ComponentBody) -> Pid {
         self.spawn_boxed(name, drive_component(body))
+    }
+    /// Run `wait` to its output for `ctx`'s process, which is the caller
+    /// and owns the CPU. By default the wait runs inline on the caller's
+    /// thread, each awaited [`Step`] made as the blocking call; a substrate
+    /// that owns the schedule may step it from whichever thread is
+    /// dispatching instead, as long as it makes the same kernel calls.
+    ///
+    /// # Panics
+    ///
+    /// If `wait` awaits [`Step::Done`]: a thread leaves only by returning.
+    fn drive(&self, ctx: &ProcCtx, mut wait: LentWait) -> Box<dyn Any + Send> {
+        loop {
+            match poll_once(wait.as_mut()) {
+                Ok(out) => return out,
+                Err(step) => resume(step.block_here(ctx).expect(DONE_ON_A_THREAD)),
+            }
+        }
     }
     /// Block `me` until `target` finishes.
     fn join(&self, me: Pid, target: Pid);

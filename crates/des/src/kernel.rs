@@ -41,6 +41,25 @@
 //! blocking call on its own pid aborts the run instead of parking the
 //! dispatcher.
 //!
+//! # Lent waits
+//!
+//! A thread-backed process runs a library wait — an MPI send or receive, a
+//! 1 µs doorbell poll — as a future through [`ProcCtx::drive`]. Its
+//! thread polls the future and applies each [`Step`] exactly as a
+//! component's step is applied (so a block that finds a wake banked costs
+//! no dispatch), then dispatches; while its own event comes up next it
+//! simply polls on. The first time the CPU goes elsewhere the wait is
+//! *lent*: the future goes into the process's slot, and from then on the
+//! slot is stepped like a component's by whichever thread dispatches it.
+//! When the future finishes, its output (or its panic, or the unwind of an
+//! abort) is left in the slot and the CPU passes to the owner *inside the
+//! same dispatch*: no trace entry, no dispatch, and a hand-off only when
+//! the owner is not the dispatching thread. The owner's thread therefore
+//! wakes to run its own code, never to poll. While its wait is lent a
+//! process is stepped like a component in every other way too: a blocking
+//! call made from inside the future, a nested [`ProcCtx::drive`] that goes
+//! `Pending` included, aborts the run.
+//!
 //! # Hand-off protocol
 //!
 //! 1. Every `advance` / `block` / `block_timeout` / process exit takes
@@ -57,13 +76,20 @@
 //! 5. A thread registers its handle under the lock before its first park and
 //!    checks its status in the same critical section, so a dispatch or a
 //!    teardown that beat the registration is seen there, without any wake.
+//! 6. A lent wait that finishes leaves its outcome in the owner's slot,
+//!    clears the slot's `stepped` mark and keeps the CPU busy for the owner;
+//!    the dispatching thread then returns to the owner (when that is
+//!    itself) or unparks it, like a grant. The owner confirms `Running`
+//!    *and* unmarked: a spurious wake while its future is mid-step on
+//!    another thread finds the mark still set and parks again.
 //!
 //! The kernel is one implementation of the [`Executor`] seam; `cp-native`
 //! provides a wall-clock thread implementation of the same trait, and
 //! [`ProcCtx`] dispatches to whichever substrate spawned the process.
 
 use crate::backend::{
-    poll_once, resume, Backend, ComponentBody, Executor, ProcBody, Spawner, Step,
+    poll_once, resume, Backend, ComponentBody, Executor, LentWait, ProcBody, Spawner, Step,
+    DONE_ON_A_THREAD,
 };
 use crate::error::{Incident, IncidentCategory, Pid, SimError, SimReport};
 use crate::rng::SplitMix64;
@@ -123,24 +149,53 @@ struct ProcSlot {
     /// registration wakes nobody and is seen by the thread's first check.
     /// Always `None` for a component.
     thread: Option<Thread>,
-    /// True for a component: whoever dispatches it runs its step.
-    component: bool,
-    /// A component's state machine; taken out while a step runs, gone once
-    /// it is done. Holds a `ProcCtx`, hence this kernel: `run()` clears it.
-    body: Option<Component>,
+    /// True for a component, and for a thread while its wait is lent:
+    /// whoever dispatches it runs its step.
+    stepped: bool,
+    /// A component's state machine or a thread's lent wait; taken out while
+    /// a step runs, gone once it is done. Holds a `ProcCtx`, hence this
+    /// kernel: `run()` clears it.
+    body: Option<Body>,
+    /// How the thread's lent wait ended, left for the owner to collect.
+    lent_out: Option<LentOutcome>,
 }
 
-struct Component {
-    ctx: ProcCtx,
-    body: ComponentBody,
+/// What the dispatcher steps.
+enum Body {
+    Component(ProcCtx, ComponentBody),
+    Lent(LentWait),
+}
+
+/// A lent wait's output, or the payload it unwound with.
+type LentOutcome = Result<Box<dyn Any + Send>, Box<dyn Any + Send>>;
+
+/// What one step of a [`Body`] came to.
+enum Stepped {
+    /// The kernel call it ends in; [`Step::Done`] when a component is done.
+    Call(Step),
+    /// A lent wait's output.
+    Output(Box<dyn Any + Send>),
+}
+
+impl Body {
+    fn step(&mut self) -> Stepped {
+        match self {
+            Body::Component(ctx, body) => Stepped::Call(body(ctx)),
+            Body::Lent(wait) => match poll_once(wait.as_mut()) {
+                Ok(out) => Stepped::Output(out),
+                Err(Step::Done) => panic!("{DONE_ON_A_THREAD}"),
+                Err(step) => Stepped::Call(step),
+            },
+        }
+    }
 }
 
 /// What `dispatch` decided.
 enum Next {
     /// The caller's own event was the earliest: it keeps the CPU.
     Me,
-    /// This component owns the CPU; the caller has to run its step.
-    Component(Pid),
+    /// A component or a lent wait owns the CPU; the caller runs its step.
+    Step(Pid),
     /// Another thread owns the CPU, or the run ended: fire `wake`.
     Other,
 }
@@ -260,9 +315,10 @@ impl Kernel {
 
     /// Hand the virtual CPU to the owner of the earliest event, or end the
     /// simulation (completion or deadlock). Caller must have already released
-    /// the CPU (`cpu_busy == false`). When the owner is neither `me` nor a
-    /// component, whoever has to be woken is left in `wake`, to be fired
-    /// after the lock is released.
+    /// the CPU (`cpu_busy == false`). When the owner is neither stepped (a
+    /// component, or a lent wait — even `me`'s own) nor `me`, whoever has
+    /// to be woken is left in `wake`, to be fired after the lock is
+    /// released.
     fn dispatch(&self, st: &mut KState, me: Option<Pid>, wake: &mut Wake) -> Next {
         debug_assert!(!st.cpu_busy);
         if st.outcome.is_some() {
@@ -297,18 +353,18 @@ impl Kernel {
             st.procs[pid].timed_out = timed_wake;
             st.cpu_busy = true;
             st.dispatches += 1;
-            let handoff = me != Some(pid) && !st.procs[pid].component;
+            let handoff = me != Some(pid) && !st.procs[pid].stepped;
             st.handoffs += u64::from(handoff);
             st.recorder
                 .record_dispatch(st.now.0, st.queue.len(), handoff);
             if let Some(trace) = st.trace.as_mut() {
                 trace.push((st.now, pid));
             }
+            if st.procs[pid].stepped {
+                return Next::Step(pid);
+            }
             if me == Some(pid) {
                 return Next::Me;
-            }
-            if st.procs[pid].component {
-                return Next::Component(pid);
             }
             wake.next = st.procs[pid].thread.clone();
             return Next::Other;
@@ -334,85 +390,150 @@ impl Kernel {
     }
 
     /// Give the CPU away (the caller has released it) and keep dispatching,
-    /// running the step of every component that comes up on this thread,
-    /// until a thread-backed process owns it. `Some(timed_out)` when that is
-    /// `me`, which keeps running; otherwise the lock has been dropped, `wake`
-    /// fired, and a caller that is a process has to park.
+    /// running the step of every component and lent wait that comes up on
+    /// this thread, until a thread-backed process owns it. The lock, still
+    /// held, when that is `me` — which keeps running — otherwise `None`: the
+    /// lock has been dropped, `wake` fired, and a caller that is a process
+    /// has to park.
     fn hand_off<'a>(
         &'a self,
         mut st: MutexGuard<'a, KState>,
         me: Option<Pid>,
         mut wake: Wake,
-    ) -> Option<bool> {
+    ) -> Option<MutexGuard<'a, KState>> {
+        let next = self.dispatch(&mut st, me, &mut wake);
+        self.follow(st, next, me, wake)
+    }
+
+    /// [`Kernel::hand_off`] from the point where `dispatch` decided `next`.
+    fn follow<'a>(
+        &'a self,
+        mut st: MutexGuard<'a, KState>,
+        mut next: Next,
+        me: Option<Pid>,
+        mut wake: Wake,
+    ) -> Option<MutexGuard<'a, KState>> {
         loop {
-            match self.dispatch(&mut st, me, &mut wake) {
-                Next::Me => return me.map(|me| st.procs[me].timed_out),
-                Next::Component(pid) => st = self.run_component(st, pid, &mut wake),
+            let pid = match next {
+                Next::Me => return Some(st),
+                Next::Step(pid) => pid,
                 Next::Other => {
                     drop(st);
                     wake.fire();
                     return None;
                 }
+            };
+            let lent_done;
+            (st, lent_done) = self.run_steps(st, pid, &mut wake);
+            if lent_done {
+                // The CPU is the owner's now.
+                if me == Some(pid) {
+                    return Some(st);
+                }
+                st.handoffs += 1;
+                st.recorder.record_handoff();
+                wake.next = st.procs[pid].thread.clone();
+                drop(st);
+                wake.fire();
+                return None;
             }
+            next = self.dispatch(&mut st, me, &mut wake);
         }
     }
 
-    /// Run component `pid`, which `dispatch` just made `Running`, until it
-    /// gives up the CPU: each step with the lock released, then applied
-    /// under it exactly as the same call from a thread would have been.
-    fn run_component<'a>(
+    /// Step `pid`, which `dispatch` just made `Running`, until it gives up
+    /// the CPU: each step with the lock released, then applied under it
+    /// exactly as the same call from a thread would have been. `true` with
+    /// the lock when `pid` was a lent wait that finished: the CPU, still
+    /// busy, is its owner's.
+    fn run_steps<'a>(
         &'a self,
         mut st: MutexGuard<'a, KState>,
         pid: Pid,
         wake: &mut Wake,
-    ) -> MutexGuard<'a, KState> {
-        let mut comp = st.procs[pid].body.take();
+    ) -> (MutexGuard<'a, KState>, bool) {
+        let mut body = st.procs[pid].body.take();
         let mut woken = !st.procs[pid].timed_out;
         loop {
             drop(st);
+            let lent = matches!(body, Some(Body::Lent(_)));
             let step = {
-                let c = comp.as_mut().expect("a runnable component has a body");
+                let b = body.as_mut().expect("a stepped process has a body");
                 resume(woken);
-                panic::catch_unwind(AssertUnwindSafe(|| (c.body)(&c.ctx)))
+                panic::catch_unwind(AssertUnwindSafe(|| b.step()))
             };
-            if !matches!(step, Ok(Step::Advance(_) | Step::Block { .. })) {
+            if !matches!(
+                step,
+                Ok(Stepped::Call(Step::Advance(_) | Step::Block { .. }))
+            ) {
                 // Finished one way or another: drop the body (and whatever
                 // it captured) before the lock is taken again.
-                comp = None;
+                body = None;
             }
             st = self.state.lock();
             match step {
-                Ok(Step::Advance(d)) => {
-                    let at = st.now + d;
-                    Kernel::push_event(&mut st, at, pid);
-                    st.procs[pid].status = Status::Waiting;
-                }
-                Ok(Step::Block {
-                    label,
-                    what,
-                    deadline,
-                }) => {
-                    let slot = &mut st.procs[pid];
-                    if slot.pending_wakes > 0 {
-                        slot.pending_wakes -= 1;
+                Ok(Stepped::Call(Step::Done)) => Kernel::retire(&mut st, pid, None, wake),
+                Ok(Stepped::Call(step)) => {
+                    if Kernel::apply(&mut st, pid, step) {
                         woken = true;
                         continue;
                     }
-                    slot.status = Status::Blocked;
-                    slot.reason.clear();
-                    two_part(&label, &what)(&mut slot.reason);
-                    if let Some(d) = deadline {
-                        let at = st.now + d;
-                        Kernel::push_event(&mut st, at, pid);
-                    }
                 }
-                Ok(Step::Done) => Kernel::retire(&mut st, pid, None, wake),
+                Ok(Stepped::Output(out)) => return (Kernel::lent_done(st, pid, Ok(out)), true),
+                Err(payload) if lent => return (Kernel::lent_done(st, pid, Err(payload)), true),
                 Err(payload) => Kernel::retire(&mut st, pid, Some(payload), wake),
             }
-            st.procs[pid].body = comp;
+            st.procs[pid].body = body;
             st.cpu_busy = false;
-            return st;
+            return (st, false);
         }
+    }
+
+    /// Apply `step`, an `Advance` or a `Block`, for `pid`, which owns the
+    /// CPU: by the rules `advance` and `block_on*` follow, except that the
+    /// CPU is not handed on here. `true` when `pid` keeps it — the block
+    /// consumed a banked wake.
+    fn apply(st: &mut KState, pid: Pid, step: Step) -> bool {
+        match step {
+            Step::Advance(d) => {
+                let at = st.now + d;
+                Kernel::push_event(st, at, pid);
+                st.procs[pid].status = Status::Waiting;
+            }
+            Step::Block {
+                label,
+                what,
+                deadline,
+            } => {
+                let slot = &mut st.procs[pid];
+                if slot.pending_wakes > 0 {
+                    slot.pending_wakes -= 1;
+                    return true;
+                }
+                slot.status = Status::Blocked;
+                slot.reason.clear();
+                two_part(&label, &what)(&mut slot.reason);
+                if let Some(d) = deadline {
+                    let at = st.now + d;
+                    Kernel::push_event(st, at, pid);
+                }
+            }
+            Step::Done => unreachable!("`Step::Done` is not a call to apply"),
+        }
+        false
+    }
+
+    /// `pid`'s lent wait ended with `outcome`: leave it for the owner, which
+    /// takes the still-busy CPU over.
+    fn lent_done(
+        mut st: MutexGuard<'_, KState>,
+        pid: Pid,
+        outcome: LentOutcome,
+    ) -> MutexGuard<'_, KState> {
+        let slot = &mut st.procs[pid];
+        slot.stepped = false;
+        slot.lent_out = Some(outcome);
+        st
     }
 
     /// Process exit: mark `pid` finished and release its joiners. A payload
@@ -444,18 +565,24 @@ impl Kernel {
         }
     }
 
-    /// A component step made a blocking call on its own pid. Parking here
-    /// would park the dispatcher for good; end the run and say who and what.
+    /// A component step or a lent wait made a blocking call on its own pid.
+    /// Parking here would park the dispatcher for good; end the run and say
+    /// who and what.
     fn blocking_call_in_step(&self, st: MutexGuard<'_, KState>, pid: Pid, op: &str) -> ! {
         let name = st.procs[pid].name.clone();
-        drop(st);
-        self.abort(
-            pid,
-            &format!(
+        let message = if st.procs[pid].thread.is_none() {
+            format!(
                 "component '{name}' called the blocking kernel operation `{op}` \
                  inside a step; a component returns it as a `Step` instead"
-            ),
-        )
+            )
+        } else {
+            format!(
+                "the lent wait of '{name}' called the blocking kernel operation `{op}` \
+                 inside a step; a driven future awaits it as a `Step` instead"
+            )
+        };
+        drop(st);
+        self.abort(pid, &message)
     }
 
     /// End the run with `outcome` (the first one stands): mark every parked
@@ -473,11 +600,12 @@ impl Kernel {
         wake.rest.extend(st.runner.clone());
     }
 
-    /// `Some(timed_out)` once `pid` owns the CPU, `None` while it still has
-    /// to wait. Unwinds if the simulation is tearing down.
-    fn granted(st: MutexGuard<'_, KState>, pid: Pid) -> Option<bool> {
+    /// The lock once `pid` owns the CPU, `None` while it still has to wait
+    /// (its lent wait still being stepped included). Unwinds if the
+    /// simulation is tearing down.
+    fn granted(st: MutexGuard<'_, KState>, pid: Pid) -> Option<MutexGuard<'_, KState>> {
         match st.procs[pid].status {
-            Status::Running => Some(st.procs[pid].timed_out),
+            Status::Running if !st.procs[pid].stepped => Some(st),
             Status::Poisoned => {
                 drop(st);
                 // resume_unwind skips the panic hook: teardown unwinds are
@@ -488,16 +616,16 @@ impl Kernel {
         }
     }
 
-    /// Park the calling process until it is granted the CPU, and say whether
-    /// the grant was a `block_timeout` deadline. Must be called with `pid`'s
-    /// status already set to Waiting/Blocked, the CPU released and the state
-    /// lock dropped. The status is confirmed under the lock after every
-    /// wake, so spurious wake-ups and stale tokens only cost another round.
-    fn park(&self, pid: Pid) -> bool {
+    /// Park the calling process until it is granted the CPU, and return the
+    /// lock. Must be called with `pid`'s status already set to
+    /// Waiting/Blocked, the CPU released and the state lock dropped. The
+    /// status is confirmed under the lock after every wake, so spurious
+    /// wake-ups and stale tokens only cost another round.
+    fn park(&self, pid: Pid) -> MutexGuard<'_, KState> {
         loop {
             std::thread::park();
-            if let Some(timed_out) = Kernel::granted(self.state.lock(), pid) {
-                return timed_out;
+            if let Some(st) = Kernel::granted(self.state.lock(), pid) {
+                return st;
             }
         }
     }
@@ -514,7 +642,7 @@ impl Kernel {
         reason: impl FnOnce(&mut String),
     ) -> bool {
         debug_assert_eq!(st.procs[pid].status, Status::Running);
-        if st.procs[pid].component {
+        if st.procs[pid].stepped {
             self.blocking_call_in_step(st, pid, "block");
         }
         let slot = &mut st.procs[pid];
@@ -531,8 +659,11 @@ impl Kernel {
         }
         st.cpu_busy = false;
         // `Some`: nothing thread-backed was due before our own wake-up.
-        let timed_out = self.hand_off(st, Some(pid), Wake::default());
-        !timed_out.unwrap_or_else(|| self.park(pid))
+        let st = match self.hand_off(st, Some(pid), Wake::default()) {
+            Some(st) => st,
+            None => self.park(pid),
+        };
+        !st.procs[pid].timed_out
     }
 }
 
@@ -566,7 +697,7 @@ impl Executor for Kernel {
     fn advance(&self, pid: Pid, d: SimDuration) {
         let mut st = self.state.lock();
         debug_assert_eq!(st.procs[pid].status, Status::Running);
-        if st.procs[pid].component {
+        if st.procs[pid].stepped {
             self.blocking_call_in_step(st, pid, "advance");
         }
         let at = st.now + d;
@@ -574,7 +705,7 @@ impl Executor for Kernel {
         st.procs[pid].status = Status::Waiting;
         st.cpu_busy = false;
         if self.hand_off(st, Some(pid), Wake::default()).is_none() {
-            self.park(pid);
+            drop(self.park(pid));
         }
     }
 
@@ -631,10 +762,58 @@ impl Executor for Kernel {
         new_slot(&kernel, name, Some(body))
     }
 
+    fn drive(&self, ctx: &ProcCtx, mut wait: LentWait) -> Box<dyn Any + Send> {
+        let pid = ctx.pid();
+        let mut wake = Wake::default();
+        // Step the wait on this thread for as long as it keeps the CPU.
+        let (st, next) = loop {
+            let step = match poll_once(wait.as_mut()) {
+                Ok(out) => return out,
+                Err(Step::Done) => panic!("{DONE_ON_A_THREAD}"),
+                Err(step) => step,
+            };
+            let mut st = self.state.lock();
+            debug_assert_eq!(st.procs[pid].status, Status::Running);
+            if st.procs[pid].stepped {
+                // A nested drive inside a step: nothing may park here.
+                self.blocking_call_in_step(st, pid, "drive");
+            }
+            let woken = if Kernel::apply(&mut st, pid, step) {
+                true
+            } else {
+                st.cpu_busy = false;
+                match self.dispatch(&mut st, Some(pid), &mut wake) {
+                    // Its own event is next: what lending it would step on
+                    // this very thread.
+                    Next::Me => !st.procs[pid].timed_out,
+                    next => break (st, next),
+                }
+            };
+            drop(st);
+            resume(woken);
+        };
+        // Lend the wait: from here on it is stepped like a component,
+        // starting with whatever `dispatch` just granted the CPU to.
+        let mut st = st;
+        let slot = &mut st.procs[pid];
+        slot.stepped = true;
+        slot.body = Some(Body::Lent(wait));
+        let mut st = match self.follow(st, next, Some(pid), wake) {
+            Some(st) => st,
+            None => self.park(pid),
+        };
+        let outcome = st.procs[pid].lent_out.take();
+        drop(st);
+        match outcome.expect("a finished lent wait leaves its outcome") {
+            Ok(out) => out,
+            Err(payload) => panic::resume_unwind(payload),
+        }
+    }
+
     fn join(&self, me: Pid, target: Pid) {
         loop {
             let mut st = self.state.lock();
-            if st.procs[me].component {
+            if st.procs[me].stepped {
                 self.blocking_call_in_step(st, me, "join");
             }
             if st.procs[target].status == Status::Finished {
@@ -793,25 +972,41 @@ impl ProcCtx {
         self.exec.spawn_component(name, Box::new(f))
     }
 
-    /// The thread driver: run `fut` to its output on this process's own
-    /// thread, each [`Step`] it awaits made as the blocking call. The same
-    /// future a component awaits step by step, so one protocol has one
-    /// implementation whichever kind of process runs it.
+    /// Run the library wait `fut` to its output: the same future a
+    /// component awaits step by step, so one protocol has one
+    /// implementation whichever kind of process runs it. Each [`Step`] it
+    /// awaits is the kernel call a thread would make there, in the same
+    /// order. On [`Backend::Sim`] the wait is lent: once the CPU goes to
+    /// another process, the kernel steps it under this process's pid from
+    /// whichever thread is dispatching, and this thread wakes only when it
+    /// has finished (see the kernel's module docs). Elsewhere the executor
+    /// runs it inline, each step the blocking call.
+    ///
+    /// A lent wait costs a boxed future and a boxed output, so a wait that
+    /// is a single kernel call (a queue pop, a mailbox word) is better made
+    /// as that call: lending it could save no hand-off.
+    ///
+    /// The future must own what it uses (`Send + 'static`): clone the
+    /// `Arc`-backed handles it needs into an `async move` block. It must
+    /// await every kernel call as a `Step`; a blocking call from inside it
+    /// (a nested `drive` that goes `Pending` included) aborts the run once
+    /// the wait is lent.
     ///
     /// # Panics
     ///
     /// If `fut` awaits [`Step::Done`]: a thread leaves only by returning.
-    pub fn drive<F: Future>(&self, fut: F) -> F::Output {
-        let mut fut = std::pin::pin!(fut);
-        loop {
-            match poll_once(fut.as_mut()) {
-                Ok(out) => return out,
-                Err(step) => resume(
-                    step.block_here(self)
-                        .expect("`Step::Done` awaited on a thread"),
-                ),
-            }
-        }
+    /// A panic inside `fut` is raised on this thread, wherever it happened.
+    pub fn drive<F>(&self, fut: F) -> F::Output
+    where
+        F: Future + Send + 'static,
+        F::Output: Send + 'static,
+    {
+        let wait: LentWait = Box::pin(async move { Box::new(fut.await) as Box<dyn Any + Send> });
+        *self
+            .exec
+            .drive(self, wait)
+            .downcast::<F::Output>()
+            .expect("a wait's output has the type it was driven with")
     }
 
     /// Block until process `pid` finishes.
@@ -840,11 +1035,9 @@ fn new_slot(kernel: &Arc<Kernel>, name: &str, body: Option<ComponentBody>) -> Pi
         join_waiters: Vec::new(),
         reason: String::new(),
         thread: None,
-        component: body.is_some(),
-        body: body.map(|body| Component {
-            ctx: ProcCtx::from_executor(kernel.clone(), pid),
-            body,
-        }),
+        stepped: body.is_some(),
+        body: body.map(|body| Body::Component(ProcCtx::from_executor(kernel.clone(), pid), body)),
+        lent_out: None,
     });
     st.live += 1;
     let now = st.now;
@@ -867,7 +1060,7 @@ fn spawn_process(kernel: &Arc<Kernel>, name: &str, f: ProcBody) -> Pid {
                 let mut st = kern.state.lock();
                 st.procs[pid].thread = Some(std::thread::current());
                 if Kernel::granted(st, pid).is_none() {
-                    kern.park(pid);
+                    drop(kern.park(pid));
                 }
                 f(&ctx)
             }));
@@ -983,12 +1176,12 @@ impl Simulation {
         for h in handles {
             let _ = h.join();
         }
-        // A component body left in its slot (blocked at a deadlock, waiting
-        // at an abort) holds a `ProcCtx`, hence this kernel: a cycle that
-        // would leak the whole run. Nothing can step it any more; drop it,
-        // and whatever it captured, outside the lock.
+        // A component body or lent wait left in its slot (blocked at a
+        // deadlock, waiting at an abort) holds a `ProcCtx`, hence this
+        // kernel: a cycle that would leak the whole run. Nothing can step it
+        // any more; drop it, and whatever it captured, outside the lock.
         let mut st = self.kernel.state.lock();
-        let bodies: Vec<Component> = st.procs.iter_mut().filter_map(|p| p.body.take()).collect();
+        let bodies: Vec<Body> = st.procs.iter_mut().filter_map(|p| p.body.take()).collect();
         drop(st);
         drop(bodies);
         let mut st = self.kernel.state.lock();

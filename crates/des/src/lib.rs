@@ -6,7 +6,8 @@
 //! which every simulated process (a PPE thread, an SPE program, an MPI rank,
 //! a Co-Pilot service) runs as a real OS thread — or, for a helper written
 //! as an `async` block awaiting [`Step`]s, as a *component* on whichever
-//! thread is dispatching — yet execution is serialized in strict
+//! thread is dispatching, which also steps a thread's library waits
+//! ([`ProcCtx::drive`]) — yet execution is serialized in strict
 //! `(virtual_time, sequence)` order, so every run is deterministic and
 //! every latency is an explicit, modelled quantity.
 //!
@@ -46,7 +47,8 @@ pub mod sync;
 mod time;
 
 pub use backend::{
-    async_component, drive_component, Backend, ComponentBody, Executor, ProcBody, Spawner, Step,
+    async_component, drive_component, Backend, ComponentBody, Executor, LentWait, ProcBody,
+    Spawner, Step,
 };
 pub use error::{sort_incidents, Incident, IncidentCategory, Pid, SimError, SimReport};
 pub use kernel::{ProcCtx, Simulation};

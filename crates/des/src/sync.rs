@@ -87,10 +87,16 @@ impl<T> MsgQueue<T> {
     }
 
     /// Enqueue `item`, blocking while the queue is full. The item becomes
-    /// available to receivers at `now + latency`. [`MsgQueue::push_async`]
-    /// run on the caller's thread.
+    /// available to receivers at `now + latency`. The thread form of
+    /// [`MsgQueue::push_async`], made with the blocking call: each wait is
+    /// one block, which lending could not make cheaper (see
+    /// [`ProcCtx::drive`]).
     pub fn push(&self, ctx: &ProcCtx, item: T, latency: SimDuration) {
-        ctx.drive(self.push_async(ctx, item, latency));
+        let mut item = item;
+        while let Err(back) = self.poll_push(ctx, item, latency) {
+            item = back;
+            ctx.block_on(&self.label, PUSH_FULL);
+        }
     }
 
     /// [`MsgQueue::push`] as a future, each wait an awaited [`Step`].
@@ -148,10 +154,18 @@ impl<T> MsgQueue<T> {
     }
 
     /// Dequeue the front message, blocking while the queue is empty and
-    /// advancing virtual time to the message's availability instant.
-    /// [`MsgQueue::pop_async`] run on the caller's thread.
+    /// advancing virtual time to the message's availability instant. The
+    /// thread form of [`MsgQueue::pop_async`], made with the blocking
+    /// calls: each wait is one call, which lending could not make cheaper
+    /// (see [`ProcCtx::drive`]).
     pub fn pop(&self, ctx: &ProcCtx) -> T {
-        ctx.drive(self.pop_async(ctx))
+        loop {
+            match self.poll_pop(ctx) {
+                Poll::Ready(item) => return item,
+                Poll::InFlight(wait) => ctx.advance(wait),
+                Poll::Empty => ctx.block_on(&self.label, POP_EMPTY),
+            }
+        }
     }
 
     /// [`MsgQueue::pop`] as a future, each wait an awaited [`Step`].

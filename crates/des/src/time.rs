@@ -41,12 +41,12 @@ impl SimDuration {
     pub const ZERO: SimDuration = SimDuration(0);
 
     /// Construct from integer nanoseconds.
-    pub fn from_nanos(ns: u64) -> SimDuration {
+    pub const fn from_nanos(ns: u64) -> SimDuration {
         SimDuration(ns)
     }
 
     /// Construct from integer microseconds.
-    pub fn from_micros(us: u64) -> SimDuration {
+    pub const fn from_micros(us: u64) -> SimDuration {
         SimDuration(us * 1_000)
     }
 

@@ -12,6 +12,7 @@ use cp_des::{
     SimError, SimReport, SimTime, Simulation, Spawner, Step,
 };
 use parking_lot::Mutex;
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 fn us(n: u64) -> SimDuration {
@@ -27,7 +28,8 @@ enum Helper {
     ThreadDriven,
     /// The state machine as a kernel component.
     Component,
-    /// The `async` form, run inline on a thread by `ProcCtx::drive`.
+    /// The `async` form, run for a thread by `ProcCtx::drive`: lent to the
+    /// kernel, which steps it like a component.
     AsyncInline,
     /// The `async` form as a component, driven from a thread.
     AsyncThreadDriven,
@@ -174,7 +176,7 @@ fn relay_scenario(helper: Helper, seed: u64) -> (SimReport, Vec<(u32, u64)>) {
 /// Run `scenario` with its helper in each of `forms` under seeds 0…8: every
 /// run must match the blocking one in what it observed, its trace, end
 /// time, dispatch count, process count and incident log. Hand-offs match
-/// too, except that a kernel component has fewer.
+/// too, except that a kernel component has fewer and a lent wait no more.
 fn assert_forms_agree<T: PartialEq + std::fmt::Debug>(
     forms: &[Helper],
     scenario: impl Fn(Helper, u64) -> (SimReport, T),
@@ -198,15 +200,23 @@ fn assert_forms_agree<T: PartialEq + std::fmt::Debug>(
                 report.incidents, blocking.incidents,
                 "seed {seed} {other:?}"
             );
-            if !matches!(other, Helper::Component | Helper::AsyncComponent) {
-                assert_eq!(report.handoffs, blocking.handoffs, "seed {seed}");
-            } else {
-                assert!(
+            match other {
+                Helper::ThreadDriven | Helper::AsyncThreadDriven => {
+                    assert_eq!(report.handoffs, blocking.handoffs, "seed {seed}");
+                }
+                // Lent once the CPU goes elsewhere: never more.
+                Helper::AsyncInline => assert!(
+                    report.handoffs <= blocking.handoffs,
+                    "seed {seed}: {} hand-offs lent, {} as a thread",
+                    report.handoffs,
+                    blocking.handoffs
+                ),
+                _ => assert!(
                     report.handoffs < blocking.handoffs,
                     "seed {seed}: {} hand-offs as a component, {} as a thread",
                     report.handoffs,
                     blocking.handoffs
-                );
+                ),
             }
         }
     }
@@ -780,5 +790,436 @@ fn an_async_component_future_is_dropped_on_every_outcome() {
         };
         assert!(expected, "{end:?}: {outcome:?}");
         assert_eq!(after, 1, "{end:?}: future leaked");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Lent waits: a thread that runs a library wait through `ProcCtx::drive`
+// makes the same kernel calls as one that makes them itself, whichever
+// thread ends up polling the future. Each scenario below runs its wait both
+// ways under seeds 0…8 and pins the schedule both must produce: end time,
+// dispatch count and a digest of the `(time, pid)` trace. Driving the wait
+// may only save hand-offs.
+// ---------------------------------------------------------------------------
+
+/// How a scenario's owner makes its wait.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Wait {
+    /// Blocking calls on the owner's thread.
+    Blocking,
+    /// The same wait as a future, run by `ProcCtx::drive`.
+    Driven,
+}
+
+/// `(end time in ns, dispatches, FNV-1a digest of the (time, pid) trace)`.
+type Schedule = (u64, u64, u64);
+
+fn schedule(report: &SimReport) -> Schedule {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for (t, pid) in report.trace.as_ref().expect("traced run") {
+        for b in format!("{}:{pid};", t.as_nanos()).bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    (report.end_time.as_nanos(), report.dispatches, h)
+}
+
+/// Run `scenario` both ways under seeds 0…8: the two must observe the same
+/// and produce the same schedule, and the driven wait must not hand off
+/// more. The schedules, one per seed, for the caller to pin.
+fn driven_agrees<T: PartialEq + std::fmt::Debug>(
+    scenario: impl Fn(Wait, u64) -> (SimReport, T),
+) -> Vec<Schedule> {
+    (0..=8)
+        .map(|seed| {
+            let (blocking, seen) = scenario(Wait::Blocking, seed);
+            let (driven, got) = scenario(Wait::Driven, seed);
+            assert_eq!(got, seen, "seed {seed}: observed");
+            assert_eq!(driven.trace, blocking.trace, "seed {seed}: trace");
+            assert_eq!(driven.dispatches, blocking.dispatches, "seed {seed}");
+            assert_eq!(driven.end_time, blocking.end_time, "seed {seed}");
+            assert!(
+                driven.handoffs <= blocking.handoffs,
+                "seed {seed}: {} hand-offs driven, {} blocking",
+                driven.handoffs,
+                blocking.handoffs
+            );
+            schedule(&driven)
+        })
+        .collect()
+}
+
+/// When the doorbell scenario's setter raises the level, each time after
+/// the last.
+const RAISE_AFTER_US: [u64; 6] = [1, 6, 2, 9, 1, 4];
+
+/// The owner waits six times for a level another process raises: 1 µs to
+/// look, then a 1 µs poll until the level is reached — the shape of the
+/// one-sided doorbell — then 3 µs of work. The setter raises the level on
+/// an uneven schedule, so some waits find it raised at their first look
+/// and some poll until the setter comes round. Logs the polls of each wait,
+/// and in `on_owner` whether a driven wait finished on the owner's thread.
+fn doorbell_scenario(
+    wait: Wait,
+    seed: u64,
+    on_owner: &Arc<Mutex<Vec<bool>>>,
+) -> (SimReport, Vec<u32>) {
+    let level = Arc::new(AtomicU32::new(0));
+    let polls = Arc::new(Mutex::new(Vec::new()));
+    let mut sim = Simulation::with_trace();
+    sim.set_schedule_seed(seed);
+    let (lvl, log, on_owner) = (level.clone(), polls.clone(), on_owner.clone());
+    sim.spawn("owner", move |ctx| {
+        let owner = std::thread::current().id();
+        for want in 1..=RAISE_AFTER_US.len() as u32 {
+            let n = match wait {
+                Wait::Blocking => {
+                    ctx.advance(us(1));
+                    let mut n = 0;
+                    while lvl.load(Ordering::Relaxed) < want {
+                        ctx.advance(us(1));
+                        n += 1;
+                    }
+                    n
+                }
+                Wait::Driven => {
+                    let (lvl, on_owner) = (lvl.clone(), on_owner.clone());
+                    ctx.drive(async move {
+                        Step::Advance(us(1)).await;
+                        let mut n = 0;
+                        while lvl.load(Ordering::Relaxed) < want {
+                            Step::Advance(us(1)).await;
+                            n += 1;
+                        }
+                        on_owner.lock().push(std::thread::current().id() == owner);
+                        n
+                    })
+                }
+            };
+            log.lock().push(n);
+            ctx.advance(us(3));
+        }
+    });
+    sim.spawn("setter", move |ctx| {
+        for after in RAISE_AFTER_US {
+            ctx.advance(us(after));
+            level.fetch_add(1, Ordering::Relaxed);
+        }
+    });
+    let report = sim.run().unwrap();
+    let polls = polls.lock().clone();
+    (report, polls)
+}
+
+#[test]
+fn a_driven_poll_keeps_its_schedule_under_nine_seeds() {
+    let got = driven_agrees(|wait, seed| doorbell_scenario(wait, seed, &Arc::default()));
+    let want: Vec<Schedule> = vec![
+        (29_000, 25, 0x0022_5cb3_092c_ad6c),
+        (30_000, 26, 0x5487_4703_25b6_6174),
+        (30_000, 26, 0x1288_6fae_b017_2274),
+        (29_000, 25, 0x371e_5979_16f0_0aa3),
+        (30_000, 26, 0x5487_4703_25b6_6174),
+        (29_000, 25, 0x371e_5979_16f0_0aa3),
+        (30_000, 26, 0xdb3a_8b7c_90fe_9f5c),
+        (29_000, 25, 0x1819_198f_26fc_d377),
+        (30_000, 26, 0x5fa2_96a4_1de1_224b),
+    ];
+    assert_eq!(got, want);
+}
+
+#[test]
+fn a_lent_wait_finishes_on_its_owners_thread_and_on_others() {
+    let on_owner = Arc::new(Mutex::new(Vec::new()));
+    let (mut blocking, mut driven) = (0, 0);
+    for seed in 0..=8 {
+        blocking += doorbell_scenario(Wait::Blocking, seed, &Arc::default())
+            .0
+            .handoffs;
+        driven += doorbell_scenario(Wait::Driven, seed, &on_owner).0.handoffs;
+    }
+    assert!(
+        driven < blocking,
+        "{driven} hand-offs driven, {blocking} blocking"
+    );
+    // A wait whose level was raised while the owner worked ends on the
+    // owner's thread, which is dispatching when it lends; one that polls
+    // until the setter comes round ends on the setter's.
+    let on_owner = on_owner.lock();
+    assert!(
+        on_owner.contains(&true) && on_owner.contains(&false),
+        "{on_owner:?}"
+    );
+}
+
+/// The owner computes 5 µs while a waker unblocks it at 1 µs (a banked
+/// wake), then waits at a gate three times — the first wait finds the wake
+/// banked — each followed by 2 µs of work inside the wait; the waker opens
+/// the gate twice more. Logs the time each wait ends.
+fn banked_wake_scenario(wait: Wait, seed: u64) -> (SimReport, Vec<u64>) {
+    let ends = Arc::new(Mutex::new(Vec::new()));
+    let mut sim = Simulation::with_trace();
+    sim.set_schedule_seed(seed);
+    let log = ends.clone();
+    let owner = sim.spawn("owner", move |ctx| {
+        ctx.advance(us(5));
+        for _ in 0..3 {
+            match wait {
+                Wait::Blocking => {
+                    ctx.block_on("gate", "open");
+                    ctx.advance(us(2));
+                }
+                Wait::Driven => ctx.drive(async {
+                    Step::Block {
+                        label: "gate".into(),
+                        what: "open".into(),
+                        deadline: None,
+                    }
+                    .await;
+                    Step::Advance(us(2)).await;
+                }),
+            }
+            log.lock().push(ctx.now().as_nanos());
+        }
+    });
+    sim.spawn("waker", move |ctx| {
+        for at in [1, 8, 4] {
+            ctx.advance(us(at));
+            ctx.unblock(owner, SimDuration::ZERO);
+        }
+    });
+    let report = sim.run().unwrap();
+    let ends = ends.lock().clone();
+    (report, ends)
+}
+
+#[test]
+fn a_banked_wake_is_consumed_when_the_wait_is_lent_under_nine_seeds() {
+    let got = driven_agrees(banked_wake_scenario);
+    let want: Vec<Schedule> = vec![
+        (15_000, 11, 0xdef0_bd82_3c69_a2f9),
+        (15_000, 11, 0xdef0_bd82_3c69_a2f9),
+        (15_000, 11, 0xdef0_bd82_3c69_a2f9),
+        (15_000, 11, 0xdef0_bd82_3c69_a2f9),
+        (15_000, 11, 0xdef0_bd82_3c69_a2f9),
+        (15_000, 11, 0xdef0_bd82_3c69_a2f9),
+        (15_000, 11, 0xaf71_851b_5396_ee9d),
+        (15_000, 11, 0xdef0_bd82_3c69_a2f9),
+        (15_000, 11, 0xaf71_851b_5396_ee9d),
+    ];
+    assert_eq!(got, want);
+}
+
+/// The owner makes eight waits: 1 µs of work, then a 4 µs deadline wait at
+/// a gate. A ticker due every microsecond, half a microsecond out of step,
+/// takes the CPU during the work, so the deadline wait happens inside the
+/// lent wait. The waker opens the gate on a schedule that sometimes beats
+/// the deadline, sometimes misses it, and sometimes lands while the owner
+/// works. Logs `(woken, time)` of each wait, and in `lent` how each lent
+/// wait that finished on another thread ended.
+fn deadline_scenario(
+    wait: Wait,
+    seed: u64,
+    lent: &Arc<Mutex<Vec<bool>>>,
+) -> (SimReport, Vec<(bool, u64)>) {
+    let waits = Arc::new(Mutex::new(Vec::new()));
+    let mut sim = Simulation::with_trace();
+    sim.set_schedule_seed(seed);
+    let (log, lent) = (waits.clone(), lent.clone());
+    let owner = sim.spawn("owner", move |ctx| {
+        let owner = std::thread::current().id();
+        for _ in 0..8 {
+            let woken = match wait {
+                Wait::Blocking => {
+                    ctx.advance(us(1));
+                    ctx.block_on_timeout("gate", "open", us(4))
+                }
+                Wait::Driven => {
+                    let lent = lent.clone();
+                    ctx.drive(async move {
+                        Step::Advance(us(1)).await;
+                        let woken = Step::Block {
+                            label: "gate".into(),
+                            what: "open".into(),
+                            deadline: Some(us(4)),
+                        }
+                        .woken()
+                        .await;
+                        if std::thread::current().id() != owner {
+                            lent.lock().push(woken);
+                        }
+                        woken
+                    })
+                }
+            };
+            log.lock().push((woken, ctx.now().as_nanos()));
+        }
+    });
+    sim.spawn("waker", move |ctx| {
+        for after in [6, 2, 9, 1, 3, 7, 2, 5] {
+            ctx.advance(us(after));
+            ctx.unblock(owner, SimDuration::ZERO);
+        }
+    });
+    sim.spawn("ticker", |ctx| {
+        ctx.advance(SimDuration::from_nanos(500));
+        for _ in 0..40 {
+            ctx.advance(us(1));
+        }
+    });
+    let report = sim.run().unwrap();
+    let waits = waits.lock().clone();
+    (report, waits)
+}
+
+#[test]
+fn a_deadline_inside_a_lent_wait_fires_or_is_beaten_under_nine_seeds() {
+    let lent = Arc::new(Mutex::new(Vec::new()));
+    let got = driven_agrees(|wait, seed| {
+        let (report, waits) = deadline_scenario(wait, seed, &lent);
+        let woken = waits.iter().filter(|w| w.0).count();
+        assert!(
+            (1..waits.len()).contains(&woken),
+            "seed {seed}: both outcomes occur: {waits:?}"
+        );
+        (report, waits)
+    });
+    let want: Vec<Schedule> = vec![
+        (40_500, 66, 0x1876_ed14_8f24_ffa7),
+        (40_500, 66, 0x1876_ed14_8f24_ffa7),
+        (40_500, 67, 0xfde4_1e43_c84f_accd),
+        (40_500, 68, 0x1f20_0583_4d94_b30c),
+        (40_500, 67, 0x459f_9ad0_3ebd_f5ba),
+        (40_500, 68, 0x387e_c571_9f41_36d8),
+        (40_500, 67, 0xdae8_488b_32a8_dded),
+        (40_500, 68, 0x1f20_0583_4d94_b30c),
+        (40_500, 67, 0xdae8_488b_32a8_dded),
+    ];
+    assert_eq!(got, want);
+    // Both ends of a deadline wait were met inside a lent wait.
+    let lent = lent.lock();
+    assert!(lent.contains(&true) && lent.contains(&false), "{lent:?}");
+}
+
+/// How the wait of [`ending_wait`] ends after its first 30 µs.
+#[derive(Debug, Clone, Copy)]
+enum WaitEnd {
+    Panic,
+    Abort,
+    /// Blocks at a gate nobody opens.
+    Block,
+}
+
+/// The owner runs a wait that ends as `end` after 30 µs, while `host` sits
+/// in `advance` (so it is the thread that polls the driven wait) and
+/// `parked` is blocked for good.
+fn ending_wait(wait: Wait, end: WaitEnd, seed: u64) -> SimError {
+    let mut sim = Simulation::new();
+    sim.set_schedule_seed(seed);
+    sim.spawn("parked", |ctx| ctx.block("never"));
+    sim.spawn("host", |ctx| {
+        for _ in 0..3 {
+            ctx.advance(us(20));
+        }
+    });
+    sim.spawn("owner", move |ctx| match wait {
+        Wait::Blocking => {
+            ctx.advance(us(30));
+            match end {
+                WaitEnd::Panic => panic!("wait went wrong: {}", 7),
+                WaitEnd::Abort => ctx.abort("PI_Read: not an endpoint"),
+                WaitEnd::Block => ctx.block_on("doorbell", "poll"),
+            }
+        }
+        Wait::Driven => {
+            let c = ctx.clone();
+            ctx.drive(async move {
+                Step::Advance(us(30)).await;
+                match end {
+                    WaitEnd::Panic => panic!("wait went wrong: {}", 7),
+                    WaitEnd::Abort => c.abort("PI_Read: not an endpoint"),
+                    WaitEnd::Block => {
+                        Step::Block {
+                            label: "doorbell".into(),
+                            what: "poll".into(),
+                            deadline: None,
+                        }
+                        .await
+                    }
+                }
+            })
+        }
+    });
+    sim.run().unwrap_err()
+}
+
+#[test]
+fn a_panic_or_abort_inside_a_lent_wait_ends_the_run_naming_its_owner() {
+    for seed in 0..=8 {
+        for wait in [Wait::Blocking, Wait::Driven] {
+            assert_eq!(
+                ending_wait(wait, WaitEnd::Panic, seed),
+                SimError::ProcessPanicked {
+                    pid: 2,
+                    name: "owner".into(),
+                    message: "wait went wrong: 7".into(),
+                },
+                "seed {seed} {wait:?}"
+            );
+            assert_eq!(
+                ending_wait(wait, WaitEnd::Abort, seed),
+                SimError::Aborted {
+                    pid: 2,
+                    name: "owner".into(),
+                    message: "PI_Read: not an endpoint".into(),
+                },
+                "seed {seed} {wait:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn a_deadlock_with_a_lent_wait_reads_the_same() {
+    for seed in 0..=8 {
+        for wait in [Wait::Blocking, Wait::Driven] {
+            let err = ending_wait(wait, WaitEnd::Block, seed);
+            assert_eq!(
+                err.to_string(),
+                "simulation deadlock at 60.000us: all processes blocked\n  \
+                 [0] parked: blocked on never\n  \
+                 [2] owner: blocked on doorbell: poll\n",
+                "seed {seed} {wait:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn a_nested_drive_that_waits_inside_a_lent_wait_aborts_naming_its_owner() {
+    let mut sim = Simulation::new();
+    sim.spawn("host", |ctx| ctx.advance(us(10)));
+    sim.spawn("owner", move |ctx| {
+        let c = ctx.clone();
+        ctx.drive(async move {
+            // `host` is due first: the wait is lent, and stepped from here
+            // on by `host`'s thread as it exits.
+            Step::Advance(us(20)).await;
+            // Ready at once: a nested drive that never waits is fine.
+            assert_eq!(c.drive(async { 7 }), 7);
+            // This one waits: it would park its dispatcher.
+            c.drive(async { Step::Advance(us(1)).await });
+        });
+    });
+    match sim.run() {
+        Err(SimError::Aborted { pid, name, message }) => {
+            assert_eq!((pid, name.as_str()), (1, "owner"));
+            assert!(
+                message.contains("lent wait of 'owner'") && message.contains("`drive`"),
+                "{message}"
+            );
+        }
+        other => panic!("expected an abort, got {other:?}"),
     }
 }

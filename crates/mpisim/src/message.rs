@@ -401,9 +401,26 @@ mod tests {
         }
     }
 
+    /// Receive `pred`'s match on `store` from a thread, through the future a
+    /// component awaits, or give up at `deadline`.
+    fn drive_recv(
+        store: &MailStore,
+        ctx: &ProcCtx,
+        what: &'static str,
+        pred: impl Fn(&Envelope) -> bool + Send + 'static,
+        deadline: Option<SimTime>,
+    ) -> Recv {
+        let (s, c) = (store.clone(), ctx.clone());
+        ctx.drive(async move { s.recv_async(&c, || what.into(), pred, deadline).await })
+    }
+
     /// Receive from a thread, through the future a component awaits.
-    fn recv(store: &MailStore, ctx: &ProcCtx, pred: impl Fn(&Envelope) -> bool) -> Envelope {
-        match ctx.drive(store.recv_async(ctx, || "recv".into(), pred, None)) {
+    fn recv(
+        store: &MailStore,
+        ctx: &ProcCtx,
+        pred: impl Fn(&Envelope) -> bool + Send + 'static,
+    ) -> Envelope {
+        match drive_recv(store, ctx, "recv", pred, None) {
             Recv::Got(env) => env,
             other => panic!("expected an envelope, got {other:?}"),
         }
@@ -555,7 +572,7 @@ mod tests {
         let (old_a, old_b, new_b) = (old.clone(), old, new);
         sim.spawn("pump", move |ctx| {
             let any = |e: &Envelope| e.matches_recv(None, None);
-            let got = ctx.drive(old_a.recv_async(ctx, || "pump recv".into(), any, None));
+            let got = drive_recv(&old_a, ctx, "pump recv", any, None);
             assert_eq!(got, Recv::Dead, "pump must retire on takeover");
         });
         sim.spawn("watchdog", move |ctx| {
@@ -578,7 +595,7 @@ mod tests {
             let mut log = Vec::new();
             for deadline_us in [10, 40, 100, 120] {
                 let at = SimTime::ZERO + SimDuration::from_micros(deadline_us);
-                let got = ctx.drive(s2.recv_async(ctx, || "recv".into(), any, Some(at)));
+                let got = drive_recv(&s2, ctx, "recv", any, Some(at));
                 log.push((matches!(got, Recv::Got(_)), ctx.now().as_nanos()));
             }
             // The message lands at 45 µs: twice too late, then in time; then

@@ -313,6 +313,8 @@ impl MpiWorld {
 }
 
 /// This rank's handle on the world (`MPI_COMM_WORLD` + the owning process).
+/// Cheap to clone: a future that runs on the rank's behalf owns a clone.
+#[derive(Clone)]
 pub struct Comm {
     inner: Arc<WorldInner>,
     rank: Rank,
@@ -492,7 +494,8 @@ impl Comm {
     /// fault plan the two are identical. [`Comm::send_bytes_async`] run on
     /// the rank's own thread.
     pub fn send_bytes(&self, dst: Rank, tag: Tag, dtype: Datatype, count: usize, data: Vec<u8>) {
-        self.drive(self.send_bytes_async(dst, tag, dtype, count, data));
+        let c = self.clone();
+        self.drive(async move { c.send_bytes_async(dst, tag, dtype, count, data).await });
     }
 
     /// [`Comm::send_bytes`] as a future: `None` once this rank's mailbox is
@@ -526,7 +529,8 @@ impl Comm {
         count: usize,
         data: Vec<u8>,
     ) -> Result<(), MpiFault> {
-        self.drive(self.send_async(dst, tag, dtype, count, data))
+        let c = self.clone();
+        self.drive(async move { c.send_async(dst, tag, dtype, count, data).await })
     }
 
     /// The whole of [`Comm::try_send_bytes`] as a future, every wait an
@@ -624,14 +628,19 @@ impl Comm {
     /// Blocking receive matching `src`/`tag` selectors (`None` = wildcard;
     /// a wildcard tag matches only user tags ≥ 0).
     pub fn recv(&self, src: SrcSel, tag: TagSel) -> Msg {
-        self.drive(self.recv_async(src, tag))
+        let c = self.clone();
+        self.drive(async move { c.recv_async(src, tag).await })
     }
 
-    /// Run one of this rank's futures on its own thread, every wait a
-    /// blocking call: the thread form of [`Comm::recv_async`],
-    /// [`Comm::send_async`] and the futures built on them. A dead mailbox
-    /// (`None`) unwinds the process, which [`MpiWorld::launch`] retires.
-    pub fn drive<T>(&self, fut: impl Future<Output = Option<T>>) -> T {
+    /// Run one of this rank's futures for its thread with
+    /// [`ProcCtx::drive`]: the thread form of [`Comm::recv_async`],
+    /// [`Comm::send_async`] and the futures built on them, which own a
+    /// clone of this `Comm`. A dead mailbox (`None`) unwinds the process,
+    /// which [`MpiWorld::launch`] retires.
+    pub fn drive<T: Send + 'static>(
+        &self,
+        fut: impl Future<Output = Option<T>> + Send + 'static,
+    ) -> T {
         self.ctx
             .drive(fut)
             .unwrap_or_else(|| panic::resume_unwind(Box::new(RankDeadUnwind)))
@@ -737,13 +746,14 @@ impl Comm {
         let what = recv_what(src, tag, &format!(", deadline={deadline}"));
         let until = Some(self.ctx.now() + deadline);
         let pred = user_match(src, tag);
-        let got = self.drive(async {
-            match self
+        let (c, w) = (self.clone(), what.clone());
+        let got = self.drive(async move {
+            match c
                 .store()
-                .recv_async(&self.ctx, || what.clone(), pred, until)
+                .recv_async(&c.ctx, || w.clone(), pred, until)
                 .await
             {
-                Recv::Got(env) => self.finish_recv(env).await.map(Some),
+                Recv::Got(env) => c.finish_recv(env).await.map(Some),
                 Recv::TimedOut => Some(None),
                 Recv::Dead => None,
             }

@@ -78,7 +78,8 @@ fn blocking_receiver(world: MpiWorld, log: Log, limit: usize) -> impl FnOnce(&Pr
     move |ctx| {
         let comm = world.attach(ctx, 1);
         for _ in 0..limit {
-            let Some(m) = ctx.drive(comm.recv_async(None, None)) else {
+            let c = comm.clone();
+            let Some(m) = ctx.drive(async move { c.recv_async(None, None).await }) else {
                 return;
             };
             note(&log, ctx, &m);

@@ -187,6 +187,13 @@ impl Recorder {
         }
     }
 
+    /// DES kernel: a hand-off made outside a dispatch — a lent wait that
+    /// finished on another thread passing the CPU to its owner's thread.
+    pub fn record_handoff(&self) {
+        let Some(inner) = &self.inner else { return };
+        inner.lock().metrics.des.handoffs += 1;
+    }
+
     /// A degradation incident (category is the `IncidentCategory`
     /// kebab-case name): counted, and marked as an instant on the
     /// reporting process's lane so failovers are visible in the trace.

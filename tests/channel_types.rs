@@ -7,9 +7,9 @@
 use cellpilot::trace::TraceEvent;
 use cellpilot::{
     classify, render_trace, CellPilotConfig, CellPilotOpts, ChannelKind, CpChannel, Location,
-    SpeProgram, CP_MAIN,
+    PiValue, SpeProgram, CP_MAIN,
 };
-use cp_des::SimReport;
+use cp_des::{SimDuration, SimReport};
 use cp_simnet::{ClusterSpec, NodeId};
 
 fn rank(node: usize) -> Location {
@@ -173,7 +173,7 @@ fn golden_trace_unchanged_by_large_capacities() {
 /// Co-Pilot.
 #[test]
 fn golden_trace_type2_rank_to_local_spe() {
-    assert_golden(ChannelKind::Type2, 0x6753_a07b_3455_70fd, 7, || {
+    assert_golden(ChannelKind::Type2, 0x6753_a07b_3455_70fd, 5, || {
         let mut cfg = traced_cfg();
         let prog = SpeProgram::new("echo", 2048, |spe, _, _| {
             let v = spe.read_vec::<i32>(CpChannel(0)).unwrap();
@@ -262,4 +262,193 @@ fn golden_trace_type5_spe_to_remote_spe() {
         assert_eq!(cfg.channel_kind(xy).unwrap(), ChannelKind::Type5);
         cfg.run_traced(move |cp| cp.run_and_wait_my_spes()).unwrap()
     });
+}
+
+// ---------------------------------------------------------------------------
+// Hand-off pins of the library's virtual-time waits. A one-sided reader
+// polls its doorbell every 1 µs and a writer at a full bounded channel
+// polls for a credit every 1 µs; both pay an OS-thread hand-off per poll
+// unless the wait is stepped by whichever thread is dispatching. Each
+// scenario pins its schedule — end time, dispatch count, trace digest — and
+// its hand-offs per round trip, measured as the difference between a run of
+// `2 * ROUNDS` and one of `ROUNDS` round trips, so start-up and shutdown
+// cancel out.
+// ---------------------------------------------------------------------------
+
+/// Round trips of the shorter run of each hand-off scenario.
+const ROUNDS: usize = 8;
+
+/// A scenario's pinned schedule (of its `ROUNDS`-round-trip run) and cost.
+#[derive(Debug, PartialEq)]
+struct Pinned {
+    end_ns: u64,
+    dispatches: u64,
+    digest: u64,
+    handoffs_per_round_trip: u64,
+}
+
+fn pinned(scenario: impl Fn(usize) -> (SimReport, Vec<TraceEvent>)) -> Pinned {
+    let (short, trace) = scenario(ROUNDS);
+    let (long, _) = scenario(2 * ROUNDS);
+    let extra = long.handoffs - short.handoffs;
+    assert_eq!(extra % ROUNDS as u64, 0, "hand-offs not periodic: {extra}");
+    Pinned {
+        end_ns: short.end_time.as_nanos(),
+        dispatches: short.dispatches,
+        digest: fnv1a(&render_trace(&trace)),
+        handoffs_per_round_trip: extra / ROUNDS as u64,
+    }
+}
+
+/// The 1-byte message of round `r`.
+fn byte(r: usize) -> Vec<PiValue> {
+    vec![PiValue::Byte(vec![r as u8])]
+}
+
+/// `rounds` 1 B round trips over channel type `chan_type` (2–5), every
+/// SPE-read leg one-sided: channel 0 carries the ping, channel 1 the echo.
+/// Types 2 and 3 ping from the main rank, types 4 and 5 from an SPE.
+fn one_sided_pingpong(chan_type: u8, rounds: usize) -> (SimReport, Vec<TraceEvent>) {
+    let mut cfg = traced_cfg();
+    let echo = SpeProgram::new("echo", 2048, move |spe, _, _| {
+        for _ in 0..rounds {
+            let v = spe.read(CpChannel(0), "%b").unwrap();
+            spe.write(CpChannel(1), "%b", &v).unwrap();
+        }
+    });
+    let ping = SpeProgram::new("ping", 2048, move |spe, _, _| {
+        for r in 0..rounds {
+            spe.write(CpChannel(0), "%b", &byte(r)).unwrap();
+            assert_eq!(spe.read(CpChannel(1), "%b").unwrap(), byte(r));
+        }
+    });
+    let remote_parent = |cfg: &mut CellPilotConfig| {
+        cfg.create_process("remote-parent", 0, |cp, _| cp.run_and_wait_my_spes())
+            .unwrap()
+    };
+    let (from, to) = match chan_type {
+        2 => (CP_MAIN, cfg.create_spe_process(&echo, CP_MAIN, 0).unwrap()),
+        3 => {
+            let parent = remote_parent(&mut cfg);
+            (CP_MAIN, cfg.create_spe_process(&echo, parent, 0).unwrap())
+        }
+        4 => (
+            cfg.create_spe_process(&ping, CP_MAIN, 0).unwrap(),
+            cfg.create_spe_process(&echo, CP_MAIN, 1).unwrap(),
+        ),
+        5 => {
+            let parent = remote_parent(&mut cfg);
+            (
+                cfg.create_spe_process(&ping, CP_MAIN, 0).unwrap(),
+                cfg.create_spe_process(&echo, parent, 0).unwrap(),
+            )
+        }
+        other => panic!("no SPE-read channel type {other}"),
+    };
+    let out = cfg.channel(from, to).one_sided().build().unwrap();
+    let back = cfg.channel(to, from);
+    let back = if chan_type >= 4 {
+        back.one_sided()
+    } else {
+        back
+    };
+    back.build().unwrap();
+    assert_eq!(cfg.channel_kind(out).unwrap().type_number(), chan_type);
+    cfg.run_traced(move |cp| {
+        let tasks = cp.run_my_spes();
+        if chan_type <= 3 {
+            for r in 0..rounds {
+                cp.write(CpChannel(0), "%b", &byte(r)).unwrap();
+                assert_eq!(cp.read(CpChannel(1), "%b").unwrap(), byte(r));
+            }
+        }
+        for t in tasks {
+            cp.wait_spe(t);
+        }
+    })
+    .unwrap()
+}
+
+/// `rounds` 1 B messages from the main rank to a worker rank over a type-1
+/// channel of capacity 2 under the default `Block` policy. The writer runs
+/// ahead and the reader drains one message every 10 µs, so from the third
+/// message on each write polls for its credit.
+fn backpressure(rounds: usize) -> (SimReport, Vec<TraceEvent>) {
+    let mut cfg = traced_cfg();
+    let worker = cfg
+        .create_process("worker", 0, move |cp, _| {
+            for r in 0..rounds {
+                cp.ctx().advance(SimDuration::from_micros(10));
+                assert_eq!(cp.read(CpChannel(0), "%b").unwrap(), byte(r));
+            }
+        })
+        .unwrap();
+    let chan = cfg.channel(CP_MAIN, worker).capacity(2).build().unwrap();
+    assert_eq!(cfg.channel_kind(chan).unwrap(), ChannelKind::Type1);
+    cfg.run_traced(move |cp| {
+        for r in 0..rounds {
+            cp.write(chan, "%b", &byte(r)).unwrap();
+        }
+    })
+    .unwrap()
+}
+
+#[test]
+fn one_sided_type2_pingpong_hand_offs() {
+    let got = pinned(|rounds| one_sided_pingpong(2, rounds));
+    let want = Pinned {
+        end_ns: 909_871,
+        dispatches: 499,
+        digest: 0xf00f_b48c_dff3_8f74,
+        handoffs_per_round_trip: 2,
+    };
+    assert_eq!(got, want);
+}
+
+#[test]
+fn one_sided_type3_pingpong_hand_offs() {
+    let got = pinned(|rounds| one_sided_pingpong(3, rounds));
+    let want = Pinned {
+        end_ns: 2_041_835,
+        dispatches: 1424,
+        digest: 0x785f_a113_02e4_4ee5,
+        handoffs_per_round_trip: 2,
+    };
+    assert_eq!(got, want);
+}
+
+#[test]
+fn one_sided_type4_pingpong_hand_offs() {
+    let got = pinned(|rounds| one_sided_pingpong(4, rounds));
+    let want = Pinned {
+        end_ns: 486_899,
+        dispatches: 383,
+        digest: 0x0d3b_09b6_127a_eff3,
+        handoffs_per_round_trip: 2,
+    };
+    assert_eq!(got, want);
+}
+
+#[test]
+fn one_sided_type5_pingpong_hand_offs() {
+    let got = pinned(|rounds| one_sided_pingpong(5, rounds));
+    let want = Pinned {
+        end_ns: 1_479_835,
+        dispatches: 1271,
+        digest: 0xe932_565f_c9b6_0e8a,
+        handoffs_per_round_trip: 2,
+    };
+    assert_eq!(got, want);
+}
+
+#[test]
+fn blocked_credit_wait_hand_offs() {
+    let got = pinned(backpressure);
+    let want = Pinned {
+        end_ns: 674_040,
+        dispatches: 311,
+        digest: 0x1eb0_41ae_75ad_a156,
+        handoffs_per_round_trip: 6,
+    };
+    assert_eq!(got, want);
 }
