@@ -11,7 +11,7 @@
 //! SPE-connected channel types in Table II.
 
 use crate::costs::CellCosts;
-use cp_des::sync::{MsgQueue, Poll};
+use cp_des::sync::MsgQueue;
 use cp_des::{ProcCtx, SimDuration, Step};
 use cp_trace::{HbOp, Recorder};
 use parking_lot::Mutex;
@@ -151,15 +151,6 @@ impl Mailboxes {
         self.write_word(&self.outbound, ctx, costs.spu_channel_op_us, costs, word);
     }
 
-    /// [`Mailboxes::spu_write_outbox`] as a future, each wait an awaited
-    /// [`Step`].
-    pub async fn spu_write_outbox_async(&self, ctx: &ProcCtx, costs: &CellCosts, word: u32) {
-        let (op_us, latency_us) = (costs.spu_channel_op_us, costs.mailbox_latency_us);
-        self.outbound
-            .write(self.rec(), ctx, op_us, latency_us, word)
-            .await;
-    }
-
     /// SPU: write a word to the outbound interrupt mailbox.
     pub fn spu_write_outbox_intr(&self, ctx: &ProcCtx, costs: &CellCosts, word: u32) {
         self.write_word(
@@ -176,6 +167,15 @@ impl Mailboxes {
         let word = self.inbound.q.pop(ctx);
         self.inbound.note_recv(&self.rec(), ctx);
         ctx.advance(SimDuration::from_micros_f64(costs.spu_channel_op_us));
+        word
+    }
+
+    /// [`Mailboxes::spu_read_inbox`] as a future, each wait an awaited
+    /// [`Step`].
+    pub async fn spu_read_inbox_async(&self, ctx: &ProcCtx, costs: &CellCosts) -> u32 {
+        let word = self.inbound.q.pop_async(ctx).await;
+        self.inbound.note_recv(&self.rec(), ctx);
+        Step::Advance(SimDuration::from_micros_f64(costs.spu_channel_op_us)).await;
         word
     }
 
@@ -199,24 +199,6 @@ impl Mailboxes {
         self.outbound.note_recv(&self.rec(), ctx);
         ctx.advance(SimDuration::from_micros_f64(costs.ppe_mmio_op_us));
         word
-    }
-
-    /// PPE: one round of [`Mailboxes::ppe_read_outbox`] without its kernel
-    /// calls, for a component (see [`MsgQueue::poll_pop`]). After
-    /// [`Poll::Ready`] the caller charges `ppe_mmio_op_us`, as the blocking
-    /// read does; after [`Poll::Empty`] it blocks with
-    /// [`Mailboxes::ppe_outbox_empty`].
-    pub fn ppe_poll_outbox(&self, ctx: &ProcCtx) -> Poll<u32> {
-        let polled = self.outbound.q.poll_pop(ctx);
-        if let Poll::Ready(_) = polled {
-            self.outbound.note_recv(&self.rec(), ctx);
-        }
-        polled
-    }
-
-    /// The block a read of the empty outbound mailbox makes.
-    pub fn ppe_outbox_empty(&self) -> Step {
-        self.outbound.q.pop_empty()
     }
 
     /// PPE: non-blocking read of the SPE's outbound mailbox

@@ -21,11 +21,14 @@
 //! * **Type 5** (SPE ↔ remote SPE): the writer's Co-Pilot relays to the
 //!   reader's Co-Pilot via MPI; each does its local-store leg.
 //!
-//! Structurally the Co-Pilot here is three kinds of simulated process: one
-//! **mailbox watcher** per SPE (modelling the real Co-Pilot's polling of
-//! the SPEs' outbound mailboxes), one **MPI pump** (its blocking
-//! `MPI_Recv(ANY_SOURCE)`), and the **service loop** consuming both event
-//! streams in arrival order. None has a thread: each — with, under a fault
+//! Structurally the Co-Pilot here is two kinds of simulated process: one
+//! **MPI pump** (its blocking `MPI_Recv(ANY_SOURCE)`) and the **service
+//! loop** consuming the node's event queue in arrival order. The real
+//! Co-Pilot's polling of the SPEs' outbound mailboxes needs no process: a
+//! poll succeeds at an instant known when the SPE writes its word, so the
+//! SPE's request rings the queue itself at that instant — the mailbox
+//! latency, the MMIO read and the mapped fetch of the request block later
+//! (`SpeCtx::transact`). None has a thread: each — with, under a fault
 //! plan, the heartbeat, the kill timer and the standby — is a `cp-des`
 //! *component*, a straight-line `async` block with a pid and a name of its
 //! own that awaits each wait as a [`Step`], which the simulator runs on
@@ -49,13 +52,12 @@ use crate::location::Location;
 use crate::protocol::{
     completion_err, completion_ok, completion_ok_inline, decode_bundle, decode_mcast,
     CompletionError, Request, CP_BUNDLE_TAG, CP_MCAST_TAG, CP_SHUTDOWN_TAG, OP_POLL, OP_READ,
-    OP_WRITE, OP_WRITE_INLINE, POISON_WORD, REQ_BLOCK_BYTES,
+    OP_WRITE, OP_WRITE_INLINE,
 };
 use crate::runtime::AppShared;
 use crate::tables::{CoEvent, CoState, NodeShared, PendingReq};
 use crate::trace::TraceOp;
 use cp_cellsim::{ls_ea, CellNode};
-use cp_des::sync::Poll;
 use cp_des::{async_component, IncidentCategory, ProcCtx, SimDuration, Step};
 use cp_mpisim::{Comm, Datatype, MpiWorld, Msg};
 use cp_pilot::{EV_READWAIT, EV_WRITE};
@@ -73,9 +75,6 @@ pub(crate) async fn copilot_body(
 ) {
     let ns = shared.node_shared[&node].clone();
     let ctx = comm.ctx();
-    for hw in 0..ns.cell.spe_count() {
-        spawn_watcher(ctx, ns.clone(), hw);
-    }
     spawn_pump(ctx, &world, comm.rank(), ns.clone());
     if let Some(kill_at) = shared.faults.copilot_kill_of(node) {
         // The node-local liveness signal: beat every period until the
@@ -168,59 +167,6 @@ fn spawn_pump(ctx: &ProcCtx, world: &MpiWorld, rank: usize, ns: Arc<NodeShared>)
     ctx.spawn_component(&format!("copilot{node}-pump-r{rank}"), pump);
 }
 
-/// What the PPE pays to read `n` bytes through a local store's mapping.
-fn mapped_read_cost(cell: &CellNode, n: usize) -> SimDuration {
-    SimDuration::from_micros_f64(cell.costs.memcpy_us(n, 1))
-}
-
-/// Spawn the watcher of SPE `hw`'s outbound mailbox: a component paying
-/// each virtual cost the real Co-Pilot's poll-and-fetch pays.
-fn spawn_watcher(ctx: &ProcCtx, ns: Arc<NodeShared>, hw: usize) {
-    let cell = ns.cell.clone();
-    let name = format!("copilot{}-watch-spe{}", cell.id, hw);
-    let watcher = async_component(move |wctx| async move {
-        let mbox = &cell.spes[hw].mbox;
-        loop {
-            let word = loop {
-                match mbox.ppe_poll_outbox(&wctx) {
-                    Poll::Ready(word) => break word,
-                    Poll::InFlight(wait) => Step::Advance(wait).await,
-                    Poll::Empty => mbox.ppe_outbox_empty().await,
-                }
-            };
-            let mmio = cell.costs.ppe_mmio_op_us;
-            Step::Advance(SimDuration::from_micros_f64(mmio)).await;
-            if word == POISON_WORD {
-                return;
-            }
-            // Fetch the 16-byte request block through the problem-state
-            // mapping (an uncached read, charged accordingly).
-            let block = cell
-                .ea_read(ls_ea(hw, word as usize), REQ_BLOCK_BYTES)
-                .expect("request block within local store");
-            let req = Request::decode(&block);
-            Step::Advance(mapped_read_cost(&cell, REQ_BLOCK_BYTES)).await;
-            // An eager inline write stages its payload immediately after the
-            // header: fetch it in the same mapped read (the block is
-            // contiguous in the local store), charging only the extra bytes
-            // — no second MMIO exchange.
-            let inline = if req.op == OP_WRITE_INLINE {
-                let payload = cell
-                    .ea_read(ls_ea(hw, word as usize + REQ_BLOCK_BYTES), req.len as usize)
-                    .expect("inline payload within local store");
-                Step::Advance(mapped_read_cost(&cell, req.len as usize)).await;
-                Some(payload)
-            } else {
-                None
-            };
-            ns.note_queue_push(&wctx);
-            let event = CoEvent::Request { hw, req, inline };
-            ns.queue.push(&wctx, event, SimDuration::ZERO);
-        }
-    });
-    ctx.spawn_component(&name, watcher);
-}
-
 /// Serve the node until shutdown, starting from `state` — `None` for a
 /// standby, which takes the primary's tables when it first needs them.
 /// An incarnation that retires leaves its tables for the standby.
@@ -297,13 +243,7 @@ async fn serve(
                 return None;
             }
             CoEvent::Shutdown => {
-                // Unblock the mailbox watchers so their processes exit, and
-                // retire the heartbeat pair so a standby stands down.
-                for spe in &cell.spes {
-                    spe.mbox
-                        .spu_write_outbox_async(ctx, &cell.costs, POISON_WORD)
-                        .await;
-                }
+                // Retire the heartbeat pair so a standby stands down.
                 ns.hb.stop();
                 // The shutdown *wire message* may have been consumed by a
                 // previous incarnation's pump (the primary pumps it, dies
@@ -555,11 +495,7 @@ impl Proxy<'_> {
     fn writer_dead(self, chan: usize) -> bool {
         let shared = self.shared;
         let from = shared.tables.channels[chan].from;
-        let now = self.ctx.now();
-        let gone = match shared.tables.processes[from.0].location {
-            Location::Rank { rank, .. } => shared.faults.death_of(rank).is_some_and(|at| now >= at),
-            Location::Spe { .. } => shared.spe_gone(from.0, now),
-        };
+        let gone = shared.chan_writer_gone(chan, self.ctx.now());
         if gone {
             self.ctx.report_incident(
                 IncidentCategory::PeerLost,

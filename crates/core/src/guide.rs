@@ -19,7 +19,7 @@
 //!   dormant until their parent calls [`CellPilot::run_spe`]; their body
 //!   receives a [`SpeCtx`] (`spe_rt.rs`).
 //! * **Per Cell node, one Co-Pilot rank** (`copilot.rs`), itself composed
-//!   of a service loop, an MPI pump, and one mailbox watcher per SPE.
+//!   of a service loop and an MPI pump.
 //!
 //! ## Type 1: rank → rank
 //!
@@ -43,8 +43,11 @@
 //! 2. posts the block's address as **one word** in its outbound mailbox
 //!    and blocks on its inbound mailbox.
 //!
-//! The node's mailbox watcher pops the word, fetches the block through the
-//! problem-state mapping, and queues the request to the service loop. When
+//! The Co-Pilot polls the outbound mailbox, reads the word and fetches the
+//! block through the problem-state mapping. No process stands polling:
+//! when the word is written the instant that poll succeeds is known, so
+//! the SPE's own wait queues the request to the service loop at that
+//! instant — a doorbell (`SpeCtx::transact` in `spe_rt.rs`). When
 //! both the MPI message and the request are in hand, the Co-Pilot
 //! translates `buf` to the effective address `ls_ea(spe, buf)`
 //! (`cp-cellsim::memory`), stores the payload straight into the local
@@ -89,11 +92,10 @@
 //!
 //! When every process function has returned, application ranks barrier
 //! (each first joins the SPE processes it started), then rank 0 sends each
-//! Co-Pilot a shutdown message; the Co-Pilot unblocks its watchers with a
-//! poison mailbox word and exits. The simulation ends when no process
-//! remains runnable — and if that happens *before* the application
-//! finishes, the kernel names every blocked process and what it was
-//! waiting for.
+//! Co-Pilot a shutdown message, and the Co-Pilot exits. The simulation
+//! ends when no process remains runnable — and if that happens *before*
+//! the application finishes, the kernel names every blocked process and
+//! what it was waiting for.
 //!
 //! [`CellPilotConfig::create_process`]: crate::CellPilotConfig::create_process
 //! [`CellPilotConfig::create_spe_process`]: crate::CellPilotConfig::create_spe_process

@@ -30,9 +30,6 @@ pub const OP_WRITE_INLINE: u32 = 4;
 /// also the default `eager_threshold` of an eager-enabled channel.
 pub const EAGER_INLINE_MAX: usize = 16;
 
-/// Mailbox word that tells a Co-Pilot mailbox watcher to shut down.
-pub const POISON_WORD: u32 = 0xFFFF_FFFF;
-
 /// MPI tag of the Co-Pilot shutdown message (top of the positive tag
 /// space, far above any channel id).
 pub const CP_SHUTDOWN_TAG: i32 = i32::MAX;
@@ -110,7 +107,7 @@ pub fn decode_mcast(bytes: &[u8]) -> (Vec<u32>, Vec<u8>) {
 /// Size of a request block in SPE local store.
 pub const REQ_BLOCK_BYTES: usize = 16;
 
-/// A decoded SPE request block.
+/// An SPE request block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Request {
     /// [`OP_WRITE`] or [`OP_READ`].
@@ -132,17 +129,6 @@ impl Request {
         b[8..12].copy_from_slice(&self.addr.to_be_bytes());
         b[12..16].copy_from_slice(&self.len.to_be_bytes());
         b
-    }
-
-    /// Decode from the block layout.
-    pub fn decode(b: &[u8]) -> Request {
-        let w = |i: usize| u32::from_be_bytes(b[i..i + 4].try_into().expect("block size"));
-        Request {
-            op: w(0),
-            chan: w(4),
-            addr: w(8),
-            len: w(12),
-        }
     }
 }
 
@@ -210,6 +196,17 @@ pub fn decode_completion(word: u32) -> Result<usize, CompletionError> {
 mod tests {
     use super::*;
 
+    /// Read a request back from its block layout.
+    fn decode(b: &[u8]) -> Request {
+        let w = |i: usize| u32::from_be_bytes(b[i..i + 4].try_into().expect("block size"));
+        Request {
+            op: w(0),
+            chan: w(4),
+            addr: w(8),
+            len: w(12),
+        }
+    }
+
     #[test]
     fn request_roundtrip() {
         let r = Request {
@@ -218,7 +215,7 @@ mod tests {
             addr: 0x3F00,
             len: 1600,
         };
-        assert_eq!(Request::decode(&r.encode()), r);
+        assert_eq!(decode(&r.encode()), r);
     }
 
     #[test]
@@ -246,11 +243,6 @@ mod tests {
         assert_eq!(data, vec![1, 2, 3]);
         let (chans, data) = decode_mcast(&encode_mcast(&[], &[]));
         assert!(chans.is_empty() && data.is_empty());
-    }
-
-    #[test]
-    fn poison_is_not_a_plausible_ls_address() {
-        assert!(POISON_WORD as usize > cp_cellsim::LS_SIZE);
     }
 
     #[test]

@@ -15,7 +15,7 @@ use cp_pilot::{
     value::{check_against_format, check_read_format, pack_message, payload_bytes, unpack_message},
     PiScalar, PiValue, PilotCosts,
 };
-use cp_simnet::{Cluster, FaultPlan, NodeId};
+use cp_simnet::{Cluster, FaultPlan, NodeId, ParkedReader};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
@@ -26,6 +26,26 @@ const TAG_FINI: i32 = -600;
 /// The granularity of the library's virtual-time polls: a one-sided
 /// doorbell, a window registration, a credit, a fence.
 pub(crate) const POLL: SimDuration = SimDuration::from_micros(1);
+
+/// A one-sided reader's looks at its doorbell: one every [`POLL`] from the
+/// instant `origin` its read began. The first look at or after `t`.
+pub(crate) fn doorbell_look(origin: SimTime, t: SimTime) -> SimTime {
+    let period = POLL.as_nanos();
+    let k = t
+        .as_nanos()
+        .saturating_sub(origin.as_nanos())
+        .div_ceil(period);
+    SimTime(origin.as_nanos() + k * period)
+}
+
+/// The look before the first one at or after a put landing at `lands`:
+/// the last look of a reader that polls it which finds the window empty.
+pub(crate) fn look_before_landing(origin: SimTime, lands: SimTime) -> SimTime {
+    doorbell_look(
+        origin,
+        SimTime(lands.as_nanos().saturating_sub(POLL.as_nanos())),
+    )
+}
 
 /// State shared by every process of a CellPilot application.
 pub(crate) struct AppShared {
@@ -148,7 +168,8 @@ impl AppShared {
     /// reader to register its window, charge the fabric transport for the
     /// hop, land the bytes in the window's local store, and apply the
     /// exactly-once fabric put — the reader finds the payload by its own
-    /// doorbell, no Co-Pilot is interrupted. One hop, no relay buffering.
+    /// doorbell, which the put rings with its landing instant before the
+    /// bytes leave; no Co-Pilot is interrupted. One hop, no relay buffering.
     /// Returns the window capacity on overflow. The whole put is one wait
     /// driven for the writer ([`ProcCtx::drive`]).
     #[allow(clippy::too_many_arguments)]
@@ -195,11 +216,17 @@ impl AppShared {
         let t0 = ctx.now();
         let seq = self.next_put_seq(chan);
         let to_node = NodeId(desc.node);
-        Step::Advance(
-            self.cluster
-                .transfer_delay(ctx.now(), from_node, to_node, n),
-        )
-        .await;
+        let flight = self.cluster.transfer_delay(t0, from_node, to_node, n);
+        // Ring the doorbell: a reader parked on it is woken for the look
+        // before the first one that can find the payload (or, that look
+        // being past, for the next one).
+        let lands = t0 + flight;
+        if let Some(reader) = self.fabric.announce(chan as u32, lands) {
+            let at =
+                look_before_landing(reader.origin, lands).max(doorbell_look(reader.origin, t0));
+            wake_reader(ctx, reader, at);
+        }
+        Step::Advance(flight).await;
         let ns = &self.node_shared[&to_node];
         let cell = &ns.cell;
         cell.ea_write(
@@ -228,6 +255,12 @@ impl AppShared {
             .fabric
             .put(chan as u32, seq, data)
             .expect("window stays registered for the run");
+        // A reader parks only while no put is announced, so none is parked
+        // here on the simulator; a wall-clock writer that lands later than
+        // it announced may find one.
+        if let Some(reader) = self.fabric.unpark(chan as u32) {
+            wake_reader(ctx, reader, ctx.now());
+        }
         self.trace
             .record(ctx.now(), who, crate::trace::TraceOp::OneSidedPut, chan, n);
         self.record_one_sided(who, true, chan, n, t0, ctx.now());
@@ -350,6 +383,33 @@ impl AppShared {
         }
     }
 
+    /// When the fault plan has the writer of `chan` gone for good: a
+    /// rank's death, or the crash of an SPE nobody restarts. (A supervised
+    /// SPE is gone only once abandoned, which [`AppShared::abandon_spe`]
+    /// tells its readers.)
+    pub(crate) fn scripted_writer_loss(&self, chan: usize) -> Option<SimTime> {
+        let from = self.tables.channels[chan].from;
+        match self.tables.processes[from.0].location {
+            Location::Rank { rank, .. } => self.faults.death_of(rank),
+            Location::Spe { .. } if self.supervision.is_some() => None,
+            Location::Spe { .. } => self.faults.spe_crash_of(from.0),
+        }
+    }
+
+    /// Mark SPE process `proc` gone for good, and wake the readers parked
+    /// on the windows it writes for their next look, which finds it gone.
+    fn abandon_spe(&self, ctx: &ProcCtx, proc: usize) {
+        self.failed_spes.lock().insert(proc);
+        for (chan, e) in self.tables.channels.iter().enumerate() {
+            if e.from.0 != proc || e.mode != ChannelMode::OneSided {
+                continue;
+            }
+            if let Some(reader) = self.fabric.unpark(chan as u32) {
+                wake_reader(ctx, reader, doorbell_look(reader.origin, ctx.now()));
+            }
+        }
+    }
+
     /// Whether channel `chan` is one-sided.
     pub(crate) fn one_sided_chan(&self, chan: usize) -> bool {
         self.tables
@@ -403,6 +463,15 @@ impl AppShared {
             self.faults.spe_crash_of(proc).is_some_and(|at| now >= at)
         }
     }
+}
+
+/// Wake `reader`, parked on its doorbell, for its look at `at` — unless its
+/// own deadline comes first.
+fn wake_reader(ctx: &ProcCtx, reader: ParkedReader, at: SimTime) {
+    if reader.deadline.is_some_and(|deadline| deadline <= at) {
+        return;
+    }
+    ctx.unblock(reader.pid, at - ctx.now());
 }
 
 /// A handle to a launched SPE process, joinable with
@@ -828,7 +897,7 @@ impl CellPilot {
                                     sctx.advance(p.restart_delay);
                                 }
                                 Some(p) => {
-                                    shared.failed_spes.lock().insert(proc.0);
+                                    shared.abandon_spe(sctx, proc.0);
                                     sctx.report_incident(
                                         IncidentCategory::SpeAbandoned,
                                         &format!(
@@ -840,7 +909,7 @@ impl CellPilot {
                                     break;
                                 }
                                 None => {
-                                    shared.failed_spes.lock().insert(proc.0);
+                                    shared.abandon_spe(sctx, proc.0);
                                     break;
                                 }
                             }

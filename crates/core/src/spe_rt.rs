@@ -14,7 +14,8 @@ use crate::protocol::{
     completion_is_inline, decode_completion, CompletionError, Request, EAGER_INLINE_MAX, OP_POLL,
     OP_READ, OP_WRITE, OP_WRITE_INLINE, REQ_BLOCK_BYTES,
 };
-use crate::runtime::{AppShared, POLL};
+use crate::runtime::{doorbell_look, look_before_landing, AppShared, POLL};
+use crate::tables::CoEvent;
 use cp_cellsim::LsAddr;
 use cp_des::{IncidentCategory, ProcCtx, SimDuration, Step};
 use cp_mpisim::Datatype;
@@ -23,7 +24,7 @@ use cp_pilot::{
     value::{check_against_format, check_read_format, pack_message, payload_bytes, unpack_message},
     PiScalar, PiValue,
 };
-use cp_simnet::NodeId;
+use cp_simnet::{NodeId, ParkedReader};
 use std::sync::Arc;
 
 /// Unwind payload used to retire an SPE process killed by a scripted
@@ -274,26 +275,58 @@ impl SpeCtx {
         ));
     }
 
-    /// Post a request block (header plus optional inline payload) and wait
-    /// for the Co-Pilot's completion word. Returns the byte count and
-    /// whether the completion's payload rode the word inline.
-    fn transact_block(
-        &self,
-        block: &[u8],
-        chan: usize,
-        cap: usize,
-    ) -> Result<(usize, bool), CpError> {
-        let cell = &self.shared.node_shared[&self.node].cell;
-        let spe = &cell.spes[self.hw];
-        spe.ls.write(self.req_block, block)?;
-        spe.mbox
-            .spu_write_outbox(&self.ctx, &cell.costs, self.req_block as u32);
-        let word = spe.mbox.spu_read_inbox(&self.ctx, &cell.costs);
+    /// Post `req` (with an eager write's `inline` payload staged right
+    /// behind it) and wait for the Co-Pilot's completion word. Returns the
+    /// byte count and whether the completion's payload rode the word
+    /// inline.
+    ///
+    /// The Co-Pilot polls the SPE's outbound mailbox, and once the word is
+    /// there reads it (an MMIO access) and fetches the block through the
+    /// problem-state mapping. When the word is written, the instant that
+    /// poll succeeds is already known, so no process stands polling: the
+    /// SPE's own wait rings the request onto the node's event queue at
+    /// exactly that instant, then waits for its inbound mailbox. The fetch
+    /// of the block's last part is a step of its own, so the push is made
+    /// at the instant, and in the same-instant order, that a polling
+    /// process would have made it.
+    fn transact(&self, req: Request, inline: Option<Vec<u8>>) -> Result<(usize, bool), CpError> {
+        let ns = self.shared.node_shared[&self.node].clone();
+        let (cell, hw) = (&ns.cell, self.hw);
+        let ls = &cell.spes[hw].ls;
+        ls.write(self.req_block, &req.encode())?;
+        if let Some(payload) = &inline {
+            ls.write(self.req_block + REQ_BLOCK_BYTES, payload)?;
+        }
+        let costs = &cell.costs;
+        let us = SimDuration::from_micros_f64;
+        let fetch = |n: usize| us(costs.memcpy_us(n, 1));
+        let polled =
+            us(costs.spu_channel_op_us) + us(costs.mailbox_latency_us) + us(costs.ppe_mmio_op_us);
+        // An eager write's payload comes in the same mapped read as the
+        // header, charged for its extra bytes only.
+        let (fetched, last) = match &inline {
+            Some(payload) => (polled + fetch(REQ_BLOCK_BYTES), fetch(payload.len())),
+            None => (polled, fetch(REQ_BLOCK_BYTES)),
+        };
+        let ctx = self.ctx.clone();
+        let word = self.ctx.drive(async move {
+            Step::Advance(fetched).await;
+            Step::Advance(last).await;
+            ns.note_queue_push(&ctx);
+            let event = CoEvent::Request { hw, req, inline };
+            ns.queue.push(&ctx, event, SimDuration::ZERO);
+            let cell = &ns.cell;
+            cell.spes[hw]
+                .mbox
+                .spu_read_inbox_async(&ctx, &cell.costs)
+                .await
+        });
+        let chan = req.chan as usize;
         match decode_completion(word) {
             Ok(n) => Ok((n, completion_is_inline(word))),
             Err(CompletionError::Overflow) => Err(CpError::SpeBufferOverflow {
                 channel: chan,
-                capacity: cap,
+                capacity: req.len as usize,
             }),
             Err(CompletionError::PeerLost) => {
                 let peer = self
@@ -312,12 +345,6 @@ impl SpeCtx {
                 panic!("Co-Pilot reported an internal protocol error")
             }
         }
-    }
-
-    /// Post a classic 16-byte request block and wait for completion.
-    fn transact(&self, req: Request) -> Result<usize, CpError> {
-        self.transact_block(&req.encode(), req.chan as usize, req.len as usize)
-            .map(|(n, _)| n)
     }
 
     /// `PI_Write` from an SPE process: pack into local store, hand the
@@ -345,6 +372,7 @@ impl SpeCtx {
         let conv = parse_format(format)?;
         check_against_format(&conv, values)?;
         let data = pack_message(values);
+        let len = data.len();
         let t0 = self.ctx.now();
         // Flow control: consume a send credit before the message enters
         // the pipeline (a replayed write above skipped this — its credit
@@ -355,25 +383,21 @@ impl SpeCtx {
         let cell = &self.shared.node_shared[&self.node].cell;
         let ls = &cell.spes[self.hw].ls;
         let one_sided = self.shared.one_sided_chan(chan.0);
-        let eager_inline = entry.eager_limit() > 0 && data.len() <= entry.eager_limit();
+        let eager_inline = entry.eager_limit() > 0 && len <= entry.eager_limit();
         let result = if eager_inline && !one_sided {
             // Eager fast path: the payload rides the request block itself,
             // so there is no staging buffer, no address translation, and no
             // DMA read-back on the Co-Pilot side. Relay errors need no
             // unwind (the Co-Pilot drain point returns the credit).
-            let mut block = Request {
+            let req = Request {
                 op: OP_WRITE_INLINE,
                 chan: chan.0 as u32,
                 addr: 0,
-                len: data.len() as u32,
-            }
-            .encode()
-            .to_vec();
-            block.extend_from_slice(&data);
-            self.transact_block(&block, chan.0, data.len())
-                .map(|(n, _)| n)
+                len: len as u32,
+            };
+            self.transact(req, Some(data)).map(|(n, _)| n)
         } else {
-            let buf = match ls.alloc(data.len().max(1), 16) {
+            let buf = match ls.alloc(len.max(1), 16) {
                 Ok(buf) => buf,
                 Err(e) => {
                     // Staging failed before the message entered the pipeline:
@@ -398,7 +422,7 @@ impl SpeCtx {
                     (!eager_inline).then(|| SimDuration::from_micros_f64(cell.costs.dma_setup_us));
                 let who = self.proc_name();
                 self.shared
-                    .one_sided_put(&self.ctx, who, chan.0, self.node, data.clone(), setup)
+                    .one_sided_put(&self.ctx, who, chan.0, self.node, data, setup)
                     .map_err(|cap| {
                         // The put never landed: unwind the credit.
                         self.shared.release_credit(chan.0);
@@ -411,12 +435,13 @@ impl SpeCtx {
                 // Relay errors need no unwind here: a write the Co-Pilot
                 // failed (e.g. a type-4 overflow) was still drained by it, and
                 // the drain point already returned the credit.
-                self.transact(Request {
+                let req = Request {
                     op: OP_WRITE,
                     chan: chan.0 as u32,
                     addr: buf as u32,
-                    len: data.len() as u32,
-                })
+                    len: len as u32,
+                };
+                self.transact(req, None).map(|(n, _)| n)
             };
             let _ = ls.free(buf);
             result
@@ -428,7 +453,7 @@ impl SpeCtx {
                 self.proc_name(),
                 crate::trace::TraceOp::SpeWrite,
                 chan.0,
-                data.len(),
+                len,
             );
             self.shared.record_chan_op(
                 self.proc_name(),
@@ -502,22 +527,21 @@ impl SpeCtx {
                 addr: buf as u32,
                 len: cap as u32,
             };
-            self.transact_block(&req.encode(), chan.0, cap)
-                .and_then(|(n, inline)| {
-                    if inline {
-                        // The payload rode the completion word: pop it from
-                        // the mailbox side-queue into the posted buffer (a
-                        // plain local store, already paid for by the
-                        // Co-Pilot's store-gather burst).
-                        let payload = cell.spes[self.hw]
-                            .mbox
-                            .spu_take_inline()
-                            .expect("inline completion carries a staged payload");
-                        debug_assert_eq!(payload.len(), n);
-                        ls.write(buf, &payload)?;
-                    }
-                    Ok(n)
-                })
+            self.transact(req, None).and_then(|(n, inline)| {
+                if inline {
+                    // The payload rode the completion word: pop it from
+                    // the mailbox side-queue into the posted buffer (a
+                    // plain local store, already paid for by the
+                    // Co-Pilot's store-gather burst).
+                    let payload = cell.spes[self.hw]
+                        .mbox
+                        .spu_take_inline()
+                        .expect("inline completion carries a staged payload");
+                    debug_assert_eq!(payload.len(), n);
+                    ls.write(buf, &payload)?;
+                }
+                Ok(n)
+            })
         };
         let result = got.and_then(|n| {
             let bytes = cell.ls_read_traced(&self.ctx, self.hw, buf, n)?;
@@ -556,11 +580,20 @@ impl SpeCtx {
     }
 
     /// One-sided read body: the window lives in *this* SPE's own local
-    /// store, so the reader spins on its doorbell — a local load, polled
-    /// at 1 µs granularity, deterministic under the DES — until a put
-    /// lands, then moves the payload into the posted buffer with a local
-    /// MFC transfer. The Co-Pilot never touches the data. The poll and the
-    /// landing are one wait driven for the reader ([`ProcCtx::drive`]).
+    /// store, so the reader watches its doorbell — a local load every 1 µs
+    /// from the instant the read began, deterministic under the DES —
+    /// until a put lands, then moves the payload into the posted buffer
+    /// with a local MFC transfer. The Co-Pilot never touches the data. The
+    /// watch and the landing are one wait driven for the reader
+    /// ([`ProcCtx::drive`]).
+    ///
+    /// Only the looks that can find something are taken: with a put in
+    /// flight the reader skips to the look before the first one at or
+    /// after its announced landing, and with none it parks on the window
+    /// until a writer announces one (or until the look that finds its
+    /// writer's scripted loss). Each look it does take happens at the
+    /// instant, and after the step, that it would have when polling every
+    /// period.
     fn one_sided_recv(&self, chan: usize, buf: usize, cap: usize) -> Result<usize, CpError> {
         let (ctx, shared, name) = (
             self.ctx.clone(),
@@ -569,29 +602,60 @@ impl SpeCtx {
         );
         let (node, hw) = (self.node, self.hw);
         self.ctx.drive(async move {
+            let origin = ctx.now();
+            let window = chan as u32;
+            let loss = shared
+                .scripted_writer_loss(chan)
+                .map(|at| doorbell_look(origin, at));
             let landed = loop {
-                match shared.fabric.take(chan as u32) {
-                    Ok(Some(l)) => break l,
-                    _ => {
-                        if shared.chan_writer_gone(chan, ctx.now()) {
-                            let peer = shared.tables.processes[shared.tables.channels[chan].from.0]
-                                .name
-                                .to_string();
-                            ctx.report_incident(
-                                IncidentCategory::PeerLost,
-                                &format!(
-                                    "SPE process '{name}' failing one-sided read on channel \
-                                     {chan}: writer '{peer}' is lost"
-                                ),
-                            );
-                            return Err(CpError::PeerLost {
-                                channel: chan,
-                                peer,
-                            });
-                        }
-                        Step::Advance(POLL).await;
-                    }
+                if let Ok(Some(l)) = shared.fabric.take(window) {
+                    break l;
                 }
+                let now = ctx.now();
+                if shared.chan_writer_gone(chan, now) {
+                    let peer = shared.tables.processes[shared.tables.channels[chan].from.0]
+                        .name
+                        .to_string();
+                    ctx.report_incident(
+                        IncidentCategory::PeerLost,
+                        &format!(
+                            "SPE process '{name}' failing one-sided read on channel \
+                             {chan}: writer '{peer}' is lost"
+                        ),
+                    );
+                    return Err(CpError::PeerLost {
+                        channel: chan,
+                        peer,
+                    });
+                }
+                // A put in flight: skip the looks that cannot see it. None:
+                // park until a writer announces one, or until the look that
+                // finds the writer's scripted loss.
+                let next = match shared.fabric.landing(window).filter(|&at| at >= now) {
+                    Some(lands) => look_before_landing(origin, lands).max(now + POLL),
+                    None => {
+                        let me = ParkedReader {
+                            pid: ctx.pid(),
+                            origin,
+                            deadline: loss,
+                        };
+                        if shared.fabric.park(window, me, now) {
+                            let woken = Step::Block {
+                                label: format!("one-sided window c{chan}").into(),
+                                what: "doorbell (no put in flight)".into(),
+                                deadline: loss.map(|at| at - now),
+                            }
+                            .woken()
+                            .await;
+                            if !woken {
+                                shared.fabric.unpark(window);
+                            }
+                        }
+                        continue;
+                    }
+                };
+                let next = loss.map_or(next, |at| next.min(at));
+                Step::Advance(next - now).await;
             };
             // The payload left the fabric with the `take` above — the
             // channel is drained by that amount even if the posted buffer
@@ -718,12 +782,13 @@ impl SpeCtx {
                 .pending(chan.0 as u32)
                 .is_ok_and(|pending| pending > 0)
         } else {
-            self.transact(Request {
+            let req = Request {
                 op: OP_POLL,
                 chan: chan.0 as u32,
                 addr: 0,
                 len: 0,
-            })? != 0
+            };
+            self.transact(req, None)?.0 != 0
         };
         self.journal(JournalEntry::Poll { chan: chan.0, has });
         Ok(has)

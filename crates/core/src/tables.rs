@@ -135,10 +135,12 @@ impl CpTables {
 
 /// An event on a Co-Pilot's service queue.
 pub(crate) enum CoEvent {
-    /// A request block posted by the SPE on hardware SPE `hw`. For an
-    /// [`crate::protocol::OP_WRITE_INLINE`] request the watcher has already
-    /// pulled the payload out of the request block — it travels here in
-    /// `inline`, so the service loop never touches the SPE's local store.
+    /// A request block posted by the SPE on hardware SPE `hw`, queued by
+    /// the SPE's own wait at the instant the Co-Pilot's mailbox poll and
+    /// mapped fetch of the block would have completed. For an
+    /// [`crate::protocol::OP_WRITE_INLINE`] request the payload was
+    /// fetched with the block — it travels here in `inline`, so the
+    /// service loop never touches the SPE's local store.
     Request {
         hw: usize,
         req: Request,

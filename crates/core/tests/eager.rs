@@ -130,15 +130,20 @@ fn strip_times(seg: &str, key: &str) -> String {
 /// Co-Pilot operations — lanes, op names, channels, event order — with
 /// timestamps and durations blanked and the DES kernel's scheduler
 /// telemetry (queue-depth counters, `"cat":"des"`) dropped. Two runs
-/// with equal digests took the same code path for every message.
+/// with equal digests took the same code path for every message. The
+/// trailer after the event list is cut off first and kept as it is, so a
+/// dropped last event does not take it along.
 fn op_digest(trace: &str) -> String {
     let sep = ",{\"args\":";
-    trace
+    let (events, trailer) = trace.split_at(trace.rfind(']').expect("a trace event list"));
+    let mut digest = events
         .split(sep)
         .filter(|seg| !seg.contains("\"cat\":\"des\""))
         .map(|seg| strip_times(&strip_times(seg, "ts"), "dur"))
         .collect::<Vec<_>>()
-        .join(sep)
+        .join(sep);
+    digest.push_str(trailer);
+    digest
 }
 
 #[test]

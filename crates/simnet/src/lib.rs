@@ -19,4 +19,6 @@ pub use cluster::{Cluster, ClusterSpec, NodeHw, NodeId, NodeKind};
 pub use faults::{CopilotKill, FaultPlan, LinkVerdict, RetryPolicy};
 pub use heartbeat::{Heartbeat, HEARTBEAT_PERIOD, WATCHDOG_TIMEOUT};
 pub use netcosts::NetCosts;
-pub use window::{LandedPut, PutStatus, WindowCounters, WindowDesc, WindowError, WindowFabric};
+pub use window::{
+    LandedPut, ParkedReader, PutStatus, WindowCounters, WindowDesc, WindowError, WindowFabric,
+};

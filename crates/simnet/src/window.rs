@@ -16,7 +16,15 @@
 //! after a failover, [`WindowFabric::take_over_node`] migrates every
 //! window of that node to the adopting rank so in-flight puts keep
 //! routing to a live owner.
+//!
+//! The window is also the reader's **doorbell**. A writer
+//! [announces](WindowFabric::announce) the instant its put will land
+//! before the bytes are on their way, and a reader with nothing in
+//! flight [parks](WindowFabric::park) on the window until one is
+//! announced. The fabric only keeps those two facts; when to wake whom is
+//! the caller's decision.
 
+use cp_des::{Pid, SimTime};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
@@ -106,6 +114,19 @@ pub enum PutStatus {
     Duplicate,
 }
 
+/// A reader parked on a window's doorbell: it looked, found nothing landed
+/// and no put in flight, and waits for a writer to announce one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ParkedReader {
+    /// The reader's process.
+    pub pid: Pid,
+    /// When its read began: the reader looks at the doorbell at this
+    /// instant and at every poll period after it.
+    pub origin: SimTime,
+    /// When the reader wakes by itself if no put is announced first.
+    pub deadline: Option<SimTime>,
+}
+
 /// Progress counters of one window, read by fence/flush primitives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct WindowCounters {
@@ -124,6 +145,10 @@ struct WindowState {
     /// Next put sequence number that is *new*; anything below was applied.
     next_seq: u64,
     taken: u64,
+    /// When the put in flight to this window lands, as its writer
+    /// announced it.
+    landing: Option<SimTime>,
+    parked: Option<ParkedReader>,
 }
 
 #[derive(Debug, Default)]
@@ -174,6 +199,8 @@ impl WindowFabric {
                 landed: VecDeque::new(),
                 next_seq: 0,
                 taken: 0,
+                landing: None,
+                parked: None,
             },
         );
         Ok(())
@@ -193,13 +220,15 @@ impl WindowFabric {
     /// monotonically increasing per-channel sequence number; a sequence
     /// number that was already applied is dropped
     /// ([`PutStatus::Duplicate`]) so crash-restart and failover replays
-    /// deliver exactly once.
+    /// deliver exactly once. Either way the put announced for this window
+    /// has now landed.
     pub fn put(&self, chan: u32, seq: u64, bytes: Vec<u8>) -> Result<PutStatus, WindowError> {
         let mut st = self.inner.lock();
         let w = st
             .windows
             .get_mut(&chan)
             .ok_or(WindowError::Unregistered(chan))?;
+        w.landing = None;
         if bytes.len() as u64 > u64::from(w.desc.len) {
             return Err(WindowError::Overflow {
                 chan,
@@ -227,6 +256,43 @@ impl WindowFabric {
             w.taken += 1;
         }
         Ok(front)
+    }
+
+    /// Announce that a put to `chan` lands at `at`, and take the reader
+    /// parked on the window, if any, for the caller to wake.
+    pub fn announce(&self, chan: u32, at: SimTime) -> Option<ParkedReader> {
+        let mut st = self.inner.lock();
+        let w = st.windows.get_mut(&chan)?;
+        w.landing = Some(at);
+        w.parked.take()
+    }
+
+    /// When the put announced for `chan` lands, if one is in flight.
+    pub fn landing(&self, chan: u32) -> Option<SimTime> {
+        self.inner.lock().windows.get(&chan)?.landing
+    }
+
+    /// Park `reader` on the window of `chan` at `now`, unless a payload
+    /// has landed there or a put is announced to land at or after `now` —
+    /// then `false`, and the reader should look again. A landing announced
+    /// for before `now` that never arrived (its writer unwound
+    /// mid-transfer) is dropped.
+    pub fn park(&self, chan: u32, reader: ParkedReader, now: SimTime) -> bool {
+        let mut st = self.inner.lock();
+        let Some(w) = st.windows.get_mut(&chan) else {
+            return false;
+        };
+        if !w.landed.is_empty() || w.landing.is_some_and(|at| at >= now) {
+            return false;
+        }
+        w.landing = None;
+        w.parked = Some(reader);
+        true
+    }
+
+    /// Take the reader parked on the window of `chan`, if any.
+    pub fn unpark(&self, chan: u32) -> Option<ParkedReader> {
+        self.inner.lock().windows.get_mut(&chan)?.parked.take()
     }
 
     /// Landed-but-untaken payload count (0 means the window is drained —
@@ -390,6 +456,67 @@ mod tests {
         assert_eq!(f.take(0).unwrap().unwrap().bytes, vec![9]);
         // Idempotent: nothing left to move.
         assert_eq!(f.take_over_node(0, 42), 0);
+    }
+
+    fn reader(deadline: Option<SimTime>) -> ParkedReader {
+        ParkedReader {
+            pid: 7,
+            origin: SimTime(1_000),
+            deadline,
+        }
+    }
+
+    #[test]
+    fn announce_hands_the_parked_reader_to_the_writer() {
+        let f = WindowFabric::new();
+        f.register(desc(0, 0, 0, 0, 64)).unwrap();
+        assert_eq!(f.landing(0), None);
+        assert!(f.park(0, reader(None), SimTime(1_000)));
+        assert_eq!(f.announce(0, SimTime(5_500)), Some(reader(None)));
+        assert_eq!(f.landing(0), Some(SimTime(5_500)));
+        // Announced: nothing to hand over again, and no reader may park
+        // until the put has landed.
+        assert_eq!(f.announce(0, SimTime(5_500)), None);
+        assert!(!f.park(0, reader(None), SimTime(2_000)));
+        assert!(!f.park(0, reader(None), SimTime(5_500)));
+        assert_eq!(f.put(0, 0, vec![1]), Ok(PutStatus::Landed));
+        assert_eq!(f.landing(0), None);
+        // Landed but not taken: looking again finds it.
+        assert!(!f.park(0, reader(None), SimTime(6_000)));
+        assert_eq!(f.take(0).unwrap().unwrap().bytes, vec![1]);
+        assert!(f.park(0, reader(None), SimTime(6_000)));
+        assert_eq!(f.unpark(0), Some(reader(None)));
+        assert_eq!(f.unpark(0), None);
+        assert_eq!(f.announce(9, SimTime(1)), None);
+        assert!(!f.park(9, reader(None), SimTime(1)));
+    }
+
+    #[test]
+    fn a_landing_that_never_arrives_is_dropped() {
+        let f = WindowFabric::new();
+        f.register(desc(0, 0, 0, 0, 64)).unwrap();
+        f.announce(0, SimTime(5_500));
+        // The writer unwound mid-transfer: once its landing has passed, a
+        // reader may park again.
+        assert!(f.park(0, reader(Some(SimTime(9_000))), SimTime(6_000)));
+        assert_eq!(f.landing(0), None);
+        assert_eq!(f.unpark(0), Some(reader(Some(SimTime(9_000)))));
+    }
+
+    #[test]
+    fn a_duplicate_put_lands_nothing_and_lets_the_reader_park_again() {
+        let f = WindowFabric::new();
+        f.register(desc(0, 0, 0, 0, 64)).unwrap();
+        assert_eq!(f.put(0, 0, vec![1]), Ok(PutStatus::Landed));
+        assert_eq!(f.take(0).unwrap().unwrap().bytes, vec![1]);
+        // A failover replay of put 0 announces itself and wakes the reader
+        // parked for put 1; the dedup swallows it on landing.
+        assert!(f.park(0, reader(None), SimTime(2_000)));
+        assert_eq!(f.announce(0, SimTime(3_000)), Some(reader(None)));
+        assert_eq!(f.put(0, 0, vec![1]), Ok(PutStatus::Duplicate));
+        assert_eq!(f.landing(0), None);
+        assert_eq!(f.take(0).unwrap(), None);
+        assert!(f.park(0, reader(None), SimTime(3_000)));
     }
 
     proptest::proptest! {

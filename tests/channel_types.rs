@@ -115,10 +115,11 @@ fn assert_golden(
 }
 
 fn traced_cfg() -> CellPilotConfig {
-    CellPilotConfig::one_rank_per_node(
-        ClusterSpec::two_cells_one_xeon(),
-        CellPilotOpts::new().with_trace(),
-    )
+    traced_cfg_on(ClusterSpec::two_cells_one_xeon())
+}
+
+fn traced_cfg_on(spec: ClusterSpec) -> CellPilotConfig {
+    CellPilotConfig::one_rank_per_node(spec, CellPilotOpts::new().with_trace())
 }
 
 /// Type 1: PPE rank 0 <-> PPE rank 1 on another node, pure Pilot/MPI path.
@@ -220,7 +221,7 @@ fn golden_trace_type3_rank_to_remote_spe() {
 /// Co-Pilot.
 #[test]
 fn golden_trace_type4_spe_to_local_spe() {
-    assert_golden(ChannelKind::Type4, 0x4330_0edc_02f1_c124, 11, || {
+    assert_golden(ChannelKind::Type4, 0x4330_0edc_02f1_c124, 9, || {
         let mut cfg = traced_cfg();
         let a = SpeProgram::new("a", 2048, |spe, _, _| {
             spe.write_slice(CpChannel(0), &data()).unwrap();
@@ -242,7 +243,7 @@ fn golden_trace_type4_spe_to_local_spe() {
 /// Type 5: SPEs on two different Cell nodes, relayed by both Co-Pilots.
 #[test]
 fn golden_trace_type5_spe_to_remote_spe() {
-    assert_golden(ChannelKind::Type5, 0x2686_3d58_dd8f_6264, 15, || {
+    assert_golden(ChannelKind::Type5, 0x2686_3d58_dd8f_6264, 13, || {
         let mut cfg = traced_cfg();
         let x = SpeProgram::new("x", 2048, |spe, _, _| {
             spe.write_slice(CpChannel(0), &data()).unwrap();
@@ -266,13 +267,14 @@ fn golden_trace_type5_spe_to_remote_spe() {
 
 // ---------------------------------------------------------------------------
 // Hand-off pins of the library's virtual-time waits. A one-sided reader
-// polls its doorbell every 1 µs and a writer at a full bounded channel
-// polls for a credit every 1 µs; both pay an OS-thread hand-off per poll
-// unless the wait is stepped by whichever thread is dispatching. Each
-// scenario pins its schedule — end time, dispatch count, trace digest — and
-// its hand-offs per round trip, measured as the difference between a run of
-// `2 * ROUNDS` and one of `ROUNDS` round trips, so start-up and shutdown
-// cancel out.
+// looks at its doorbell on a 1 µs grid and a writer at a full bounded
+// channel polls for a credit every 1 µs; both would pay an OS-thread
+// hand-off per step unless the wait is stepped by whichever thread is
+// dispatching, and the reader takes only the looks that can find a put.
+// Each scenario pins its schedule — end time, dispatch count, trace digest —
+// and its hand-offs per round trip, measured as the difference between a
+// run of `2 * ROUNDS` and one of `ROUNDS` round trips, so start-up and
+// shutdown cancel out.
 // ---------------------------------------------------------------------------
 
 /// Round trips of the shorter run of each hand-off scenario.
@@ -309,7 +311,16 @@ fn byte(r: usize) -> Vec<PiValue> {
 /// SPE-read leg one-sided: channel 0 carries the ping, channel 1 the echo.
 /// Types 2 and 3 ping from the main rank, types 4 and 5 from an SPE.
 fn one_sided_pingpong(chan_type: u8, rounds: usize) -> (SimReport, Vec<TraceEvent>) {
-    let mut cfg = traced_cfg();
+    one_sided_pingpong_on(ClusterSpec::two_cells_one_xeon(), chan_type, rounds)
+}
+
+/// [`one_sided_pingpong`] on the cluster `spec`.
+fn one_sided_pingpong_on(
+    spec: ClusterSpec,
+    chan_type: u8,
+    rounds: usize,
+) -> (SimReport, Vec<TraceEvent>) {
+    let mut cfg = traced_cfg_on(spec);
     let echo = SpeProgram::new("echo", 2048, move |spe, _, _| {
         for _ in 0..rounds {
             let v = spe.read(CpChannel(0), "%b").unwrap();
@@ -397,8 +408,8 @@ fn backpressure(rounds: usize) -> (SimReport, Vec<TraceEvent>) {
 fn one_sided_type2_pingpong_hand_offs() {
     let got = pinned(|rounds| one_sided_pingpong(2, rounds));
     let want = Pinned {
-        end_ns: 909_871,
-        dispatches: 499,
+        end_ns: 907_671,
+        dispatches: 333,
         digest: 0xf00f_b48c_dff3_8f74,
         handoffs_per_round_trip: 2,
     };
@@ -409,8 +420,8 @@ fn one_sided_type2_pingpong_hand_offs() {
 fn one_sided_type3_pingpong_hand_offs() {
     let got = pinned(|rounds| one_sided_pingpong(3, rounds));
     let want = Pinned {
-        end_ns: 2_041_835,
-        dispatches: 1424,
+        end_ns: 2_039_635,
+        dispatches: 341,
         digest: 0x785f_a113_02e4_4ee5,
         handoffs_per_round_trip: 2,
     };
@@ -421,8 +432,8 @@ fn one_sided_type3_pingpong_hand_offs() {
 fn one_sided_type4_pingpong_hand_offs() {
     let got = pinned(|rounds| one_sided_pingpong(4, rounds));
     let want = Pinned {
-        end_ns: 486_899,
-        dispatches: 383,
+        end_ns: 484_699,
+        dispatches: 148,
         digest: 0x0d3b_09b6_127a_eff3,
         handoffs_per_round_trip: 2,
     };
@@ -433,8 +444,8 @@ fn one_sided_type4_pingpong_hand_offs() {
 fn one_sided_type5_pingpong_hand_offs() {
     let got = pinned(|rounds| one_sided_pingpong(5, rounds));
     let want = Pinned {
-        end_ns: 1_479_835,
-        dispatches: 1271,
+        end_ns: 1_477_635,
+        dispatches: 156,
         digest: 0xe932_565f_c9b6_0e8a,
         handoffs_per_round_trip: 2,
     };
@@ -445,10 +456,42 @@ fn one_sided_type5_pingpong_hand_offs() {
 fn blocked_credit_wait_hand_offs() {
     let got = pinned(backpressure);
     let want = Pinned {
-        end_ns: 674_040,
-        dispatches: 311,
+        end_ns: 671_840,
+        dispatches: 247,
         digest: 0x1eb0_41ae_75ad_a156,
         handoffs_per_round_trip: 6,
     };
     assert_eq!(got, want);
+}
+
+/// The 1 B type-3 one-sided ping-pong on a wire of `wire_us` one-way
+/// latency: its dispatches per round trip, and the instant and trace
+/// digest of its `ROUNDS`-round-trip run.
+fn type3_pingpong_on_wire(wire_us: f64) -> (u64, u64, u64) {
+    let mut spec = ClusterSpec::two_cells_one_xeon();
+    spec.net.wire_latency_us = wire_us;
+    let (short, trace) = one_sided_pingpong_on(spec.clone(), 3, ROUNDS);
+    let (long, _) = one_sided_pingpong_on(spec, 3, 2 * ROUNDS);
+    let extra = long.dispatches - short.dispatches;
+    assert_eq!(extra % ROUNDS as u64, 0, "dispatches not periodic: {extra}");
+    let last = trace.last().expect("a traced ping-pong").at;
+    (
+        extra / ROUNDS as u64,
+        last.as_nanos(),
+        fnv1a(&render_trace(&trace)),
+    )
+}
+
+/// A one-sided reader is woken at the instant its put lands instead of
+/// being stepped through every 1 µs poll of its flight, so a round trip
+/// costs the same dispatches on a 60 µs wire as on a 600 µs one — while
+/// every traced operation keeps the instant the polling reader gave it
+/// (the last traced instant and the digest are the polling schedule's).
+#[test]
+fn one_sided_dispatches_do_not_scale_with_flight_time() {
+    let (near_rt, near_last, near_digest) = type3_pingpong_on_wire(60.0);
+    let (far_rt, far_last, far_digest) = type3_pingpong_on_wire(600.0);
+    assert_eq!(near_rt, far_rt, "dispatches per round trip follow the wire");
+    assert_eq!((near_last, near_digest), (1_887_895, 0x785f_a113_02e4_4ee5));
+    assert_eq!((far_last, far_digest), (10_527_895, 0xa29c_4c91_4f69_875f));
 }

@@ -10,7 +10,7 @@ use cellpilot::{
     render_trace, CellPilotConfig, CellPilotOpts, ChannelKind, ChannelMode, CpChannel, CpError,
     SpeProgram, SupervisionPolicy, CP_MAIN,
 };
-use cp_des::{IncidentCategory, SimDuration, SimTime};
+use cp_des::{IncidentCategory, SimDuration, SimError, SimReport, SimTime};
 use cp_simnet::{ClusterSpec, FaultPlan, NodeId};
 use proptest::prelude::*;
 use std::sync::{Arc, Mutex};
@@ -253,6 +253,16 @@ fn one_sided_ping_pong(
     Vec<cellpilot::TraceEvent>,
     Vec<Vec<i32>>,
 ) {
+    let (report, trace, out) = one_sided_ping_pong_run(plan, supervise);
+    let cats = report.incidents.iter().map(|i| i.category).collect();
+    (cats, trace, out)
+}
+
+/// [`one_sided_ping_pong`] with the whole report.
+fn one_sided_ping_pong_run(
+    plan: Option<Arc<FaultPlan>>,
+    supervise: bool,
+) -> (SimReport, Vec<cellpilot::TraceEvent>, Vec<Vec<i32>>) {
     let spec = ClusterSpec::two_cells_one_xeon();
     let mut opts = CellPilotOpts::new().with_trace();
     if let Some(p) = plan {
@@ -290,8 +300,12 @@ fn one_sided_ping_pong(
         .run_traced(move |cp| cp.run_and_wait_my_spes())
         .expect("recovery keeps the run alive");
     let out = std::mem::take(&mut *collected.lock().unwrap());
-    let cats = report.incidents.iter().map(|i| i.category).collect();
-    (cats, trace, out)
+    (report, trace, out)
+}
+
+/// A run's incident log, one line per incident.
+fn incident_log(report: &SimReport) -> Vec<String> {
+    report.incidents.iter().map(|i| i.to_string()).collect()
 }
 
 /// Mid-stream instant: when the third one-sided delivery completed.
@@ -317,14 +331,28 @@ fn one_sided_survives_copilot_failover() {
     // The reader SPE lives on node 1 (child of `parent`); its Co-Pilot
     // owns the forward window.
     let plan = Arc::new(FaultPlan::new().kill_copilot(NodeId(1), third_deliver_at(&golden_trace)));
-    let (cats, _trace, out) = one_sided_ping_pong(Some(plan), false);
+    let (report, trace, out) = one_sided_ping_pong_run(Some(plan), false);
     assert_eq!(out, golden_out, "failover must be application-invisible");
+    let cats: Vec<_> = report.incidents.iter().map(|i| i.category).collect();
     assert!(cats.contains(&IncidentCategory::CopilotDeath), "{cats:?}");
     assert!(
         cats.contains(&IncidentCategory::CopilotFailover),
         "{cats:?}"
     );
     assert!(!cats.contains(&IncidentCategory::PeerLost), "{cats:?}");
+    // The readers parked on their doorbells across the takeover are woken
+    // by the puts that follow it: the incidents, and every delivery, keep
+    // the instants the polling readers gave them.
+    assert_eq!(
+        incident_log(&report),
+        [
+            "[491.964us] copilot1 copilot-death: Co-Pilot on node 1 killed by fault plan at \
+             491.964us",
+            "[1600.000us] copilot1-standby copilot-failover: standby Co-Pilot (rank 5) adopting \
+             node 1: primary silent since 400.000us",
+        ]
+    );
+    assert_eq!(fnv1a(&render_trace(&trace)), 0x96a2_6858_9a8d_746e);
 }
 
 /// A supervised writer crash mid-stream restarts from the op journal; the
@@ -336,11 +364,176 @@ fn one_sided_exactly_once_across_supervised_writer_crash() {
     assert!(golden_cats.is_empty(), "{golden_cats:?}");
 
     let plan = Arc::new(FaultPlan::new().crash_spe(2, third_deliver_at(&golden_trace)));
-    let (cats, _trace, out) = one_sided_ping_pong(Some(plan), true);
+    let (report, trace, out) = one_sided_ping_pong_run(Some(plan), true);
     assert_eq!(out, golden_out, "supervised recovery must be lossless");
+    let cats: Vec<_> = report.incidents.iter().map(|i| i.category).collect();
     assert!(cats.contains(&IncidentCategory::SpeCrash), "{cats:?}");
     assert!(cats.contains(&IncidentCategory::SpeRestart), "{cats:?}");
     assert!(!cats.contains(&IncidentCategory::PeerLost), "{cats:?}");
+    // The reader parked while its writer restarts is woken by the
+    // restarted writer's put, at the instant the polling reader found it.
+    assert_eq!(
+        incident_log(&report),
+        [
+            "[562.435us] node0.spe0:writer spe-crash: SPE process 'writer#0' crashed \
+             (scheduled at 491.964us)",
+            "[562.435us] node0.spe0:writer spe-restart: restarting SPE process 'writer#0' from \
+             its last acknowledged operation (attempt 1/2)",
+        ]
+    );
+    assert_eq!(fnv1a(&render_trace(&trace)), 0x78fb_bec7_1be1_4da4);
+}
+
+// ---------------------------------------------------------------------------
+// Wake sources of a parked reader. A one-sided reader with no put in flight
+// parks on its window; each way its writer can be lost must end the read
+// with `PeerLost` at the 1 µs doorbell tick where the polling reader used
+// to notice, and a writer that never writes must end the run as a named
+// deadlock.
+// ---------------------------------------------------------------------------
+
+/// A scripted writer loss in the middle of the run.
+const LOSS_AT: SimTime = SimTime(2_500_500);
+
+/// Three one-sided reads by an SPE reader under `CP_MAIN` on node 0 of a
+/// writer that puts two 1-int messages and is then lost; the writer is a
+/// rank on node 1 (`writer_rank`), or an SPE on node 1 that computes for
+/// 5 ms before its third write. Each read's outcome with its instant, and
+/// the run's incident log.
+fn stranded_reader(opts: CellPilotOpts, writer_rank: bool) -> (Vec<String>, Vec<String>) {
+    let spec = ClusterSpec::two_cells_one_xeon();
+    let mut cfg = CellPilotConfig::one_rank_per_node(spec, opts);
+    let outcomes: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
+    let sink = outcomes.clone();
+    let reader = SpeProgram::new("reader", 2048, move |spe, _, _| {
+        for _ in 0..3 {
+            let got = match spe.read_vec::<i32>(CpChannel(0)) {
+                Ok(v) => format!("{v:?}"),
+                Err(e) => e.to_string(),
+            };
+            sink.lock()
+                .unwrap()
+                .push(format!("{got} at {}", spe.ctx().now()));
+        }
+    });
+    let writer_spe = SpeProgram::new("writer", 2048, |spe, _, _| {
+        for i in 0..2 {
+            spe.write_slice(CpChannel(0), &[i]).unwrap();
+        }
+        spe.ctx().advance(SimDuration::from_millis(5));
+        let _ = spe.write_slice(CpChannel(0), &[2]);
+    });
+    let remote = cfg
+        .create_process("remote", 0, move |cp, _| {
+            if !writer_rank {
+                return cp.run_and_wait_my_spes();
+            }
+            for i in 0..2 {
+                cp.write_slice(CpChannel(0), &[i]).unwrap();
+            }
+        })
+        .unwrap();
+    let r = cfg.create_spe_process(&reader, CP_MAIN, 0).unwrap();
+    let w = if writer_rank {
+        remote
+    } else {
+        let w = cfg.create_spe_process(&writer_spe, remote, 0).unwrap();
+        assert_eq!(w.0, 3, "fault plans in these tests target process id 3");
+        w
+    };
+    cfg.channel(w, r).one_sided().build().unwrap();
+    let report = cfg
+        .run(|cp| cp.run_and_wait_my_spes())
+        .expect("a lost writer fails the read, not the run");
+    let outcomes = std::mem::take(&mut *outcomes.lock().unwrap());
+    (outcomes, incident_log(&report))
+}
+
+#[test]
+fn parked_reader_fails_at_its_rank_writers_scripted_death() {
+    let plan = FaultPlan::new().kill_rank(1, LOSS_AT);
+    let (outcomes, log) = stranded_reader(CellPilotOpts::new().with_faults(Arc::new(plan)), true);
+    assert_eq!(
+        outcomes,
+        [
+            "[0] at 216.622us",
+            "[1] at 279.625us",
+            "channel 0: peer process 'remote' was lost at 2500.625us",
+        ]
+    );
+    assert_eq!(log, [
+        "[2500.500us] reaper-rank1 rank-death: rank 1 killed by fault plan at 2500.500us",
+        "[2500.625us] node0.spe0:reader peer-lost: SPE process 'reader#0' failing one-sided read on channel 0: writer 'remote' is lost",
+    ]);
+}
+
+#[test]
+fn parked_reader_fails_at_its_spe_writers_scripted_crash() {
+    let plan = FaultPlan::new().crash_spe(3, LOSS_AT);
+    let (outcomes, log) = stranded_reader(CellPilotOpts::new().with_faults(Arc::new(plan)), false);
+    assert_eq!(
+        outcomes,
+        [
+            "[0] at 219.622us",
+            "[1] at 283.625us",
+            "channel 0: peer process 'writer#0' was lost at 2500.625us",
+        ]
+    );
+    assert_eq!(log, [
+        "[2500.625us] node0.spe0:reader peer-lost: SPE process 'reader#0' failing one-sided read on channel 0: writer 'writer#0' is lost",
+        "[5278.949us] node1.spe0:writer spe-crash: SPE process 'writer#0' crashed (scheduled at 2500.500us)",
+    ]);
+}
+
+#[test]
+fn parked_reader_is_woken_by_its_writers_abandonment() {
+    let plan = FaultPlan::new().crash_spe(3, LOSS_AT);
+    let opts = CellPilotOpts::new()
+        .with_faults(Arc::new(plan))
+        .with_supervision(SupervisionPolicy {
+            max_restarts: 0,
+            restart_delay: SimDuration::from_micros(50),
+        });
+    let (outcomes, log) = stranded_reader(opts, false);
+    assert_eq!(
+        outcomes,
+        [
+            "[0] at 219.622us",
+            "[1] at 283.625us",
+            "channel 0: peer process 'writer#0' was lost at 5279.625us",
+        ]
+    );
+    assert_eq!(log, [
+        "[5278.949us] node1.spe0:writer spe-abandoned: SPE process 'writer#0' abandoned after 0 restarts; its channels degrade to peer-lost",
+        "[5278.949us] node1.spe0:writer spe-crash: SPE process 'writer#0' crashed (scheduled at 2500.500us)",
+        "[5279.625us] node0.spe0:reader peer-lost: SPE process 'reader#0' failing one-sided read on channel 0: writer 'writer#0' is lost",
+    ]);
+}
+
+/// A reader whose writer never writes stays parked: the run ends as a
+/// deadlock that names it and what it waits on, well before its time
+/// limit.
+#[test]
+fn reader_whose_writer_never_writes_is_a_named_deadlock() {
+    let spec = ClusterSpec::two_cells_one_xeon();
+    let opts = CellPilotOpts::new().with_time_limit(SimDuration::from_millis(50));
+    let mut cfg = CellPilotConfig::one_rank_per_node(spec, opts);
+    let reader = SpeProgram::new("reader", 2048, |spe, _, _| {
+        let _ = spe.read_vec::<i32>(CpChannel(0));
+    });
+    let silent = cfg.create_process("silent", 0, |_, _| {}).unwrap();
+    let r = cfg.create_spe_process(&reader, CP_MAIN, 0).unwrap();
+    cfg.channel(silent, r).one_sided().build().unwrap();
+    match cfg.run(|cp| cp.run_and_wait_my_spes()) {
+        Err(SimError::Deadlock { blocked, .. }) => {
+            let reader = blocked
+                .iter()
+                .find(|(_, name, _)| name == "node0.spe0:reader")
+                .unwrap_or_else(|| panic!("the reader is not in {blocked:?}"));
+            assert_eq!(reader.2, "one-sided window c0: doorbell (no put in flight)");
+        }
+        other => panic!("expected a deadlock naming the reader, got {other:?}"),
+    }
 }
 
 proptest! {
