@@ -5,13 +5,12 @@
 use cellpilot::{render_trace, CellPilotConfig, CellPilotOpts, CpChannel, SpeProgram, CP_MAIN};
 use cp_pilot::PiValue;
 use cp_simnet::ClusterSpec;
+use cp_trace::Recorder;
 
 fn main() {
     let spec = ClusterSpec::two_cells_one_xeon();
-    let opts = CellPilotOpts {
-        trace: true,
-        ..Default::default()
-    };
+    let rec = Recorder::enabled();
+    let opts = CellPilotOpts::new().with_tracing(rec.clone());
     let mut cfg = CellPilotConfig::one_rank_per_node(spec, opts);
     let sender = SpeProgram::new("sender", 2048, |spe, _, _| {
         spe.write(CpChannel(0), "%100d", &[PiValue::Int32((0..100).collect())])
@@ -30,8 +29,8 @@ fn main() {
         "one {} transfer of 400 bytes, traced:\n",
         cfg.channel_kind(chan).unwrap()
     );
-    let (report, trace) = cfg.run_traced(move |cp| cp.run_and_wait_my_spes()).unwrap();
-    print!("{}", render_trace(&trace));
+    let report = cfg.run(move |cp| cp.run_and_wait_my_spes()).unwrap();
+    print!("{}", render_trace(&rec.ops()));
     println!(
         "\ncompleted at virtual t = {:.1} us ({} processes, {} dispatches, {} of them thread hand-offs)",
         report.end_time.as_micros_f64(),

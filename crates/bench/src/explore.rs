@@ -22,6 +22,7 @@ use cellpilot::{
 };
 use cp_des::{SimDuration, SimError, SimReport, SimTime};
 use cp_simnet::{ClusterSpec, FaultPlan, NodeId};
+use cp_trace::Recorder;
 
 use crate::campaign::Violation;
 
@@ -39,8 +40,9 @@ fn fault_replay_payloads() -> Payloads {
 /// the report and the rendered channel trace once the run completed and
 /// the receiver read exactly what was sent.
 pub fn fault_replay(drops: bool, schedule_seed: u64) -> Result<(SimReport, String), String> {
+    let rec = Recorder::enabled();
     let mut opts = CellPilotOpts::new()
-        .with_trace()
+        .with_tracing(rec.clone())
         .with_schedule_seed(schedule_seed);
     if drops {
         opts = opts.with_faults(Arc::new(FaultPlan::new().drop_link(
@@ -75,14 +77,10 @@ pub fn fault_replay(drops: bool, schedule_seed: u64) -> Result<(SimReport, Strin
         ChannelKind::Type5,
         "the scenario must exercise the Co-Pilot → Co-Pilot relay"
     );
-    let (result, trace) = match cfg.run_traced(move |cp| cp.run_and_wait_my_spes()) {
-        Ok((report, trace)) => (Ok(report), render_trace(&trace)),
-        Err(e) => (Err(e), String::new()),
-    };
-    let run = log.into_run(result);
+    let run = log.into_run(cfg.run(move |cp| cp.run_and_wait_my_spes()));
     let report = run.completed()?.clone();
     same_payloads(&fault_replay_payloads(), &run.observed.payloads)?;
-    Ok((report, trace))
+    Ok((report, render_trace(&rec.ops())))
 }
 
 /// A type-5 circular wait under one schedule seed: the deadlock service's

@@ -3,7 +3,8 @@
 //! and exit 0). Usage errors exit 2; the seeded campaigns (chaos,
 //! overload, conformance, explore) and `repro_check` exit 3 on findings
 //! and 0 when clean — the campaign driver's own test pins that a failing
-//! seed gives 3 and still writes its artifact.
+//! seed gives 3 and still writes its artifact. `repro_trace`'s stdout is
+//! pinned byte for byte.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -167,6 +168,25 @@ fn repro_check_emits_parseable_json_and_sarif() {
         .and_then(|r| r.as_arr())
         .unwrap();
     assert_eq!(results.len(), 13);
+}
+
+/// `repro_trace` prints a traced type-5 transfer: every leg with its
+/// virtual instant and byte count, then the run's end time, dispatches and
+/// hand-offs. Its stdout is pinned by an FNV-1a digest.
+#[test]
+fn repro_trace_stdout_is_pinned() {
+    let out = run(env!("CARGO_BIN_EXE_repro_trace"), &[]);
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8(out.stdout).expect("utf-8 stdout");
+    let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in stdout.bytes() {
+        digest ^= u64::from(b);
+        digest = digest.wrapping_mul(0x0100_0000_01b3);
+    }
+    assert_eq!(
+        digest, 0x2abe_7476_9c49_2007,
+        "repro_trace stdout drifted (got {digest:#018x}):\n{stdout}"
+    );
 }
 
 fn scratch(name: &str) -> PathBuf {

@@ -169,12 +169,13 @@ impl BundleCoalescer<'_> {
                 .comm
                 .send_bytes(cp_rank, CP_BUNDLE_TAG, Datatype::Byte, n, payload);
         }
-        self.cp.shared.trace.record(
-            self.cp.ctx().now(),
+        self.cp.shared.recorder.record_op(
+            self.cp.ctx().now().0,
             self.cp.proc_name(),
-            crate::trace::TraceOp::CoalescedFlush,
+            Some(cp_trace::Op::CoalescedFlush),
             self.b.0,
             total,
+            None,
         );
         Ok(())
     }

@@ -111,12 +111,13 @@ impl CellPilot {
         for &c in &entry.channels {
             self.report_chan(cp_pilot::EV_WRITE, c.0);
         }
-        self.shared.trace.record(
-            self.ctx().now(),
-            &self.name(),
-            crate::trace::TraceOp::Broadcast,
+        self.shared.recorder.record_op(
+            self.ctx().now().0,
+            self.proc_name(),
+            Some(cp_trace::Op::Broadcast),
             b.0,
             data.len(),
+            None,
         );
         Ok(())
     }

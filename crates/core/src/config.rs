@@ -33,17 +33,18 @@ use std::sync::Arc;
 
 /// Options for a CellPilot application.
 ///
-/// Construct either field-style (`CellPilotOpts { trace: true,
-/// ..Default::default() }`) or with the chainable `with_*` builders:
+/// Construct either field-style (`CellPilotOpts { deadlock_detection:
+/// true, ..Default::default() }`) or with the chainable `with_*` builders:
 ///
 /// ```
 /// use cellpilot::CellPilotOpts;
 /// use cp_des::SimDuration;
+/// use cp_trace::Recorder;
 ///
 /// let opts = CellPilotOpts::new()
-///     .with_trace()
+///     .with_tracing(Recorder::enabled())
 ///     .with_channel_timeout(SimDuration::from_millis(10));
-/// assert!(opts.trace);
+/// assert!(opts.tracing.is_enabled());
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct CellPilotOpts {
@@ -53,9 +54,6 @@ pub struct CellPilotOpts {
     pub pilot_costs: PilotCosts,
     /// MPI-layer cost model.
     pub mpi_costs: MpiCosts,
-    /// Record a channel-operation trace (see [`crate::trace`]); retrieve
-    /// it with [`CellPilotConfig::run_traced`].
-    pub trace: bool,
     /// Per-channel read deadline for rank-side reads: a read that waits
     /// longer than this (virtual time) fails with [`CpError::Timeout`]
     /// instead of blocking forever. `None` (the default) blocks
@@ -79,13 +77,14 @@ pub struct CellPilotOpts {
     /// Restart crashed SPE work functions instead of failing their
     /// channels; `None` (the default) keeps fail-stop semantics.
     pub supervision: Option<SupervisionPolicy>,
-    /// Cluster-wide observability recorder (see [`cp_trace::Recorder`]).
-    /// Disabled by default; attach an enabled recorder with
-    /// [`CellPilotOpts::with_tracing`] to collect spans, Chrome-trace
-    /// events and a [`cp_trace::MetricsSnapshot`] across the DES kernel,
-    /// the MPI layer, the interconnect and every CellPilot channel
-    /// operation. Recording never consumes virtual time, so enabling it
-    /// does not perturb the schedule.
+    /// Cluster-wide observability recorder (see [`cp_trace::Recorder`]),
+    /// the one tracing switch. Disabled by default; attach an enabled
+    /// recorder with [`CellPilotOpts::with_tracing`] to collect spans,
+    /// Chrome-trace events and a [`cp_trace::MetricsSnapshot`] across the
+    /// DES kernel, the MPI layer, the interconnect and every CellPilot
+    /// channel operation, plus the op log [`crate::render_trace`] renders.
+    /// Recording never consumes virtual time, so enabling it does not
+    /// perturb the schedule.
     pub tracing: Recorder,
     /// Run the `cp-check` static passes: the configure-time wiring
     /// verifier (findings become [`cp_des::IncidentCategory::WiringLint`]
@@ -130,13 +129,6 @@ impl CellPilotOpts {
         CellPilotOpts::default()
     }
 
-    /// Record a channel-operation trace (retrieve with
-    /// [`CellPilotConfig::run_traced`]).
-    pub fn with_trace(mut self) -> CellPilotOpts {
-        self.trace = true;
-        self
-    }
-
     /// Fail rank-side reads that wait longer than `deadline` of virtual
     /// time.
     pub fn with_channel_timeout(mut self, deadline: SimDuration) -> CellPilotOpts {
@@ -177,9 +169,10 @@ impl CellPilotOpts {
     }
 
     /// Attach an observability [`Recorder`] to the run. Pass
-    /// [`Recorder::enabled`] and keep a clone: after the run,
-    /// [`Recorder::snapshot`] yields the aggregated metrics and
-    /// [`Recorder::chrome_trace`] a Chrome `trace_event` JSON export.
+    /// [`Recorder::enabled`] and keep a clone: after the run — failed
+    /// runs included — [`Recorder::snapshot`] yields the aggregated
+    /// metrics, [`Recorder::chrome_trace`] a Chrome `trace_event` JSON
+    /// export and [`Recorder::ops`] the op log.
     pub fn with_tracing(mut self, recorder: Recorder) -> CellPilotOpts {
         self.tracing = recorder;
         self
@@ -757,43 +750,8 @@ impl CellPilotConfig {
         self.opts.lint_config.apply(diags)
     }
 
-    /// `PI_StartAll` + `PI_StopMain` with trace retrieval: like
-    /// [`CellPilotConfig::run`] but returns the recorded channel-operation
-    /// trace (empty unless [`CellPilotOpts::trace`] was set).
-    pub fn run_traced<M>(
-        self,
-        main: M,
-    ) -> Result<(SimReport, Vec<crate::trace::TraceEvent>), SimError>
-    where
-        M: FnOnce(&CellPilot) + Send + 'static,
-    {
-        let sink = if self.opts.trace {
-            crate::trace::TraceSink::enabled()
-        } else {
-            crate::trace::TraceSink::disabled()
-        };
-        let report = self.run_with_sink(main, sink.clone())?;
-        Ok((report, sink.take()))
-    }
-
     /// `PI_StartAll` + `PI_StopMain`: run the execution phase.
     pub fn run<M>(self, main: M) -> Result<SimReport, SimError>
-    where
-        M: FnOnce(&CellPilot) + Send + 'static,
-    {
-        let sink = if self.opts.trace {
-            crate::trace::TraceSink::enabled()
-        } else {
-            crate::trace::TraceSink::disabled()
-        };
-        self.run_with_sink(main, sink)
-    }
-
-    fn run_with_sink<M>(
-        self,
-        main: M,
-        trace: crate::trace::TraceSink,
-    ) -> Result<SimReport, SimError>
     where
         M: FnOnce(&CellPilot) + Send + 'static,
     {
@@ -905,7 +863,6 @@ impl CellPilotConfig {
         let shared = Arc::new(AppShared {
             flow: FlowControl::new(tables.channels.iter().map(|c| c.capacity)),
             tables: tables.clone(),
-            trace,
             cluster: cluster.clone(),
             fabric: cp_simnet::WindowFabric::new(),
             put_seqs: Mutex::new(HashMap::new()),

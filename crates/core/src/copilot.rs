@@ -56,12 +56,12 @@ use crate::protocol::{
 };
 use crate::runtime::AppShared;
 use crate::tables::{CoEvent, CoState, NodeShared, PendingReq};
-use crate::trace::TraceOp;
 use cp_cellsim::{ls_ea, CellNode};
 use cp_des::{async_component, IncidentCategory, ProcCtx, SimDuration, Step};
 use cp_mpisim::{Comm, Datatype, MpiWorld, Msg};
 use cp_pilot::{EV_READWAIT, EV_WRITE};
 use cp_simnet::{NodeId, HEARTBEAT_PERIOD, WATCHDOG_TIMEOUT};
+use cp_trace::{Measure, Op};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
@@ -198,7 +198,15 @@ async fn serve(
     let costs = &shared.costs;
     let cell = &*ns.cell;
     let tables = &shared.tables;
-    let p = Proxy { ctx, shared, cell };
+    // The Co-Pilot's name on the op log and its trace lane, whichever
+    // incarnation serves the node.
+    let name: Arc<str> = format!("copilot{}", cell.id).into();
+    let p = Proxy {
+        ctx,
+        shared,
+        cell,
+        name: &name,
+    };
     // A scripted Co-Pilot stall freezes the service loop once, at the first
     // event serviced at or after its scheduled time: requests and MPI
     // deliveries keep queueing, but nothing is serviced for the duration.
@@ -307,15 +315,14 @@ async fn serve(
                         // message would, preserving FIFO order against any
                         // rendezvous write the same (now unblocked) writer
                         // issues later.
-                        p.trace(TraceOp::CopilotWrite, chan, n);
+                        p.report(Op::CopilotWrite, chan, n, None);
                         p.deliver_or_park(st, chan, chan_msg(comm.rank(), chan, data))
                             .await;
                     }
                     ReaderSide::Mpi(dest_rank) => {
                         comm.send_bytes_async(dest_rank, chan as i32, Datatype::Byte, n, data)
                             .await?;
-                        p.trace(TraceOp::CopilotWrite, chan, n);
-                        p.record_hop(chan, "forward");
+                        p.report(Op::CopilotWrite, chan, n, Some("forward"));
                     }
                 }
             }
@@ -343,8 +350,7 @@ async fn serve(
                         comm.send_bytes_async(dest_rank, chan as i32, Datatype::Byte, n, data)
                             .await?;
                         p.complete(hw, completion_ok(n)).await;
-                        p.trace(TraceOp::CopilotWrite, chan, n);
-                        p.record_hop(chan, "forward");
+                        p.report(Op::CopilotWrite, chan, n, Some("forward"));
                     }
                 }
             }
@@ -454,6 +460,7 @@ struct Proxy<'a> {
     ctx: &'a ProcCtx,
     shared: &'a AppShared,
     cell: &'a CellNode,
+    name: &'a Arc<str>,
 }
 
 impl Proxy<'_> {
@@ -536,8 +543,7 @@ impl Proxy<'_> {
         let mbox = &self.cell.spes[rr.hw].mbox;
         mbox.ppe_write_inbox_inline(self.ctx, &self.cell.costs, word, data.to_vec())
             .await;
-        self.trace(TraceOp::CopilotDeliver, chan, data.len());
-        self.record_hop(chan, "deliver");
+        self.report(Op::CopilotDeliver, chan, data.len(), Some("deliver"));
     }
 
     /// Deliver MPI-borne channel data into a waiting SPE's buffer:
@@ -560,8 +566,7 @@ impl Proxy<'_> {
             .expect("read buffer within local store");
         charge(costs.memcpy_us(data.len(), 1)).await;
         self.complete(rr.hw, completion_ok(data.len())).await;
-        self.trace(TraceOp::CopilotDeliver, chan, data.len());
-        self.record_hop(chan, "deliver");
+        self.report(Op::CopilotDeliver, chan, data.len(), Some("deliver"));
     }
 
     /// Type-4 pairing: both buffer addresses are in hand; `memcpy` between
@@ -587,7 +592,7 @@ impl Proxy<'_> {
             .expect("type-4 buffers within local stores");
         self.complete(w.hw, completion_ok(n)).await;
         self.complete(r.hw, completion_ok(n)).await;
-        self.trace(TraceOp::CopilotPair, chan, n);
+        self.report(Op::CopilotPair, chan, n, None);
     }
 
     /// Write a completion word into SPE `hw`'s inbound mailbox.
@@ -597,30 +602,20 @@ impl Proxy<'_> {
             .await;
     }
 
-    /// Put one Co-Pilot operation on the run's protocol trace.
-    fn trace(self, op: TraceOp, chan: usize, n: usize) {
-        let actor = format!("copilot{}", self.cell.id);
-        self.shared
-            .trace
-            .record(self.ctx.now(), &actor, op, chan, n);
-    }
-
-    /// Count one Co-Pilot proxy hop on `chan` and mark it on the Co-Pilot's
-    /// Chrome-trace lane. A type-5 message records two hops — the
-    /// writer-side MPI forward plus the reader-side delivery — while a purely
-    /// local type-4 pairing records none.
-    fn record_hop(self, chan: usize, what: &str) {
+    /// Report one Co-Pilot operation of `n` bytes on `chan` to the run's
+    /// recorder, counting it as a proxy hop labelled `hop` if it is one. A
+    /// type-5 message makes two hops — the writer-side MPI forward plus
+    /// the reader-side delivery — while a purely local type-4 pairing
+    /// makes none.
+    fn report(self, op: Op, chan: usize, n: usize, hop: Option<&'static str>) {
         let rec = &self.shared.recorder;
         if !rec.is_enabled() {
             return;
         }
-        let Some(entry) = self.shared.tables.channels.get(chan) else {
-            return;
-        };
-        let ty = entry.kind.type_number();
-        rec.record_proxy_hop(ty);
-        let lane = rec.lane(&format!("copilot{}", self.cell.id));
-        let label = format!("{what} c{chan} (type {ty})");
-        rec.instant(lane, "copilot", &label, self.ctx.now().0, None);
+        let hop = hop.map(|what| Measure::ProxyHop {
+            chan_type: self.shared.tables.channels[chan].kind.type_number(),
+            what,
+        });
+        rec.record_op(self.ctx.now().0, self.name, Some(op), chan, n, hop);
     }
 }

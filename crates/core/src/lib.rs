@@ -85,7 +85,7 @@ pub use runtime::{CellPilot, SpeTask};
 pub use spe_rt::SpeCtx;
 pub use tables::CpBundleUsage;
 pub use tables::CpTables;
-pub use trace::{render_trace, TraceEvent, TraceOp, TraceSink};
+pub use trace::render_trace;
 
 // Re-export the pieces users need from the layers below.
 pub use cp_pilot::{PiValue, PilotCosts};

@@ -16,7 +16,9 @@
 //! (Type 1 also covers two ranks co-resident on one node — plain Pilot/MPI
 //! handles both.)
 
+use cp_des::SimTime;
 use cp_simnet::NodeId;
+use cp_trace::Measure;
 use std::fmt;
 
 /// Handle to a CellPilot process (PPE-, non-Cell-, or SPE-resident).
@@ -117,6 +119,17 @@ impl ChannelKind {
             ChannelKind::Type3 => 3,
             ChannelKind::Type4 => 4,
             ChannelKind::Type5 => 5,
+        }
+    }
+
+    /// How the recorder measures a write or read of `payload_bytes` on a
+    /// channel of this kind that its endpoint entered at `t0`.
+    pub(crate) fn measure(self, write: bool, payload_bytes: usize, t0: SimTime) -> Measure {
+        Measure::Channel {
+            chan_type: self.type_number(),
+            write,
+            payload_bytes,
+            t0_ns: t0.0,
         }
     }
 }

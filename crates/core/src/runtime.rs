@@ -16,6 +16,7 @@ use cp_pilot::{
     PiScalar, PiValue, PilotCosts,
 };
 use cp_simnet::{Cluster, FaultPlan, NodeId, ParkedReader};
+use cp_trace::{Measure, Op};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
@@ -55,7 +56,6 @@ pub(crate) struct AppShared {
     /// standby Co-Pilot inherits the accounting across a failover.
     pub flow: crate::flow::FlowControl,
     pub tables: Arc<CpTables>,
-    pub trace: crate::trace::TraceSink,
     /// Cluster hardware: node handles plus the interconnect cost model the
     /// one-sided fabric charges its transfers against.
     pub cluster: Arc<Cluster>,
@@ -98,39 +98,6 @@ impl AppShared {
         self.copilot_route.lock()[&node]
     }
 
-    /// Record one completed channel operation: bump the per-type counters
-    /// and emit a span on the acting process's Chrome-trace lane. `t0` is
-    /// when the operation began (virtual time); recording itself never
-    /// consumes virtual time.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn record_chan_op(
-        &self,
-        who: &str,
-        kind: ChannelKind,
-        chan: usize,
-        write: bool,
-        bytes: usize,
-        t0: SimTime,
-        now: SimTime,
-    ) {
-        if !self.recorder.is_enabled() {
-            return;
-        }
-        let ty = kind.type_number();
-        let dur = now.since(t0).as_nanos();
-        self.recorder
-            .record_channel_op(ty, write, bytes as u64, dur);
-        let lane = self.recorder.lane(who);
-        let verb = if write { "write" } else { "read" };
-        self.recorder.span(
-            lane,
-            "channel",
-            &format!("{verb} c{chan} (type {ty})"),
-            t0.0,
-            dur,
-        );
-    }
-
     /// Allocate the next put sequence number for one-sided channel `chan`.
     pub(crate) fn next_put_seq(&self, chan: usize) -> u64 {
         let mut seqs = self.put_seqs.lock();
@@ -138,29 +105,6 @@ impl AppShared {
         let seq = *s;
         *s += 1;
         seq
-    }
-
-    /// Record one completed one-sided fabric operation (put or get) in the
-    /// observability recorder: per-op latency histogram plus a span on the
-    /// acting process's lane.
-    pub(crate) fn record_one_sided(
-        &self,
-        who: &str,
-        put: bool,
-        chan: usize,
-        bytes: usize,
-        t0: SimTime,
-        now: SimTime,
-    ) {
-        if !self.recorder.is_enabled() {
-            return;
-        }
-        let dur = now.since(t0).as_nanos();
-        self.recorder.record_one_sided_op(put, bytes as u64, dur);
-        let lane = self.recorder.lane(who);
-        let verb = if put { "put" } else { "get" };
-        self.recorder
-            .span(lane, "one-sided", &format!("{verb} c{chan}"), t0.0, dur);
     }
 
     /// Execute one one-sided put on `chan` from the process `who` running
@@ -195,7 +139,7 @@ impl AppShared {
     async fn put(
         &self,
         ctx: &ProcCtx,
-        who: &str,
+        who: &Arc<str>,
         chan: usize,
         from_node: NodeId,
         data: Vec<u8>,
@@ -261,9 +205,12 @@ impl AppShared {
         if let Some(reader) = self.fabric.unpark(chan as u32) {
             wake_reader(ctx, reader, ctx.now());
         }
-        self.trace
-            .record(ctx.now(), who, crate::trace::TraceOp::OneSidedPut, chan, n);
-        self.record_one_sided(who, true, chan, n, t0, ctx.now());
+        let put = Measure::OneSided {
+            put: true,
+            t0_ns: t0.0,
+        };
+        self.recorder
+            .record_op(ctx.now().0, who, Some(Op::OneSidedPut), chan, n, Some(put));
         Ok(n)
     }
 
@@ -597,15 +544,11 @@ impl CellPilot {
                     }
                 })?;
             self.report_chan(cp_pilot::EV_WRITE, chan.0);
-            self.shared.record_chan_op(
-                self.proc_name(),
-                entry.kind,
-                chan.0,
-                true,
-                payload_bytes(values),
-                t0,
-                self.ctx().now(),
-            );
+            // The put already logged the op: this only measures it.
+            let write = entry.kind.measure(true, payload_bytes(values), t0);
+            self.shared
+                .recorder
+                .record_op(self.ctx().now().0, who, None, chan.0, 0, Some(write));
             return Ok(());
         }
         let dest_rank = match self.shared.tables.processes[entry.to.0].location {
@@ -628,21 +571,14 @@ impl CellPilot {
                 self.fault_to_cp(chan, entry.to, fault)
             })?;
         self.report_chan(cp_pilot::EV_WRITE, chan.0);
-        self.shared.trace.record(
-            self.ctx().now(),
+        let write = entry.kind.measure(true, payload_bytes(values), t0);
+        self.shared.recorder.record_op(
+            self.ctx().now().0,
             self.proc_name(),
-            crate::trace::TraceOp::RankWrite,
+            Some(Op::RankWrite),
             chan.0,
             n,
-        );
-        self.shared.record_chan_op(
-            self.proc_name(),
-            entry.kind,
-            chan.0,
-            true,
-            payload_bytes(values),
-            t0,
-            self.ctx().now(),
+            Some(write),
         );
         Ok(())
     }
@@ -761,22 +697,15 @@ impl CellPilot {
             channel: chan.0,
             detail,
         })?;
-        self.charge(payload_bytes(&values));
-        self.shared.trace.record(
-            self.ctx().now(),
+        let n = payload_bytes(&values);
+        self.charge(n);
+        self.shared.recorder.record_op(
+            self.ctx().now().0,
             self.proc_name(),
-            crate::trace::TraceOp::RankRead,
+            Some(Op::RankRead),
             chan.0,
-            payload_bytes(&values),
-        );
-        self.shared.record_chan_op(
-            self.proc_name(),
-            entry.kind,
-            chan.0,
-            false,
-            payload_bytes(&values),
-            t0,
-            self.ctx().now(),
+            n,
+            Some(entry.kind.measure(false, n, t0)),
         );
         Ok(values)
     }
@@ -940,12 +869,13 @@ impl CellPilot {
         };
         let task = SpeTask { pid, process: proc };
         self.spawned.lock().push(task);
-        self.shared.trace.record(
-            self.ctx().now(),
-            &self.name(),
-            crate::trace::TraceOp::RunSpe,
+        self.shared.recorder.record_op(
+            self.ctx().now().0,
+            self.proc_name(),
+            Some(Op::RunSpe),
             proc.0,
             0,
+            None,
         );
         Ok(task)
     }

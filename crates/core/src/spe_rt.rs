@@ -25,6 +25,7 @@ use cp_pilot::{
     PiScalar, PiValue,
 };
 use cp_simnet::{NodeId, ParkedReader};
+use cp_trace::{Measure, Op};
 use std::sync::Arc;
 
 /// Unwind payload used to retire an SPE process killed by a scripted
@@ -448,21 +449,13 @@ impl SpeCtx {
         };
         if result.is_ok() {
             self.journal(JournalEntry::Write { chan: chan.0 });
-            self.shared.trace.record(
-                self.ctx.now(),
+            self.shared.recorder.record_op(
+                self.ctx.now().0,
                 self.proc_name(),
-                crate::trace::TraceOp::SpeWrite,
+                Some(Op::SpeWrite),
                 chan.0,
                 len,
-            );
-            self.shared.record_chan_op(
-                self.proc_name(),
-                entry.kind,
-                chan.0,
-                true,
-                payload_bytes(values),
-                t0,
-                self.ctx.now(),
+                Some(entry.kind.measure(true, payload_bytes(values), t0)),
             );
         }
         result.map(|_| ())
@@ -557,21 +550,13 @@ impl SpeCtx {
                 chan: chan.0,
                 bytes,
             });
-            self.shared.trace.record(
-                self.ctx.now(),
+            self.shared.recorder.record_op(
+                self.ctx.now().0,
                 self.proc_name(),
-                crate::trace::TraceOp::SpeRead,
+                Some(Op::SpeRead),
                 chan.0,
                 n,
-            );
-            self.shared.record_chan_op(
-                self.proc_name(),
-                entry.kind,
-                chan.0,
-                false,
-                payload_bytes(&values),
-                t0,
-                self.ctx.now(),
+                Some(entry.kind.measure(false, payload_bytes(&values), t0)),
             );
             Ok(values)
         });
@@ -691,14 +676,18 @@ impl SpeCtx {
             ))
             .await;
             ns.cell.ls_write_traced(&ctx, hw, buf, &landed.bytes)?;
-            shared.trace.record(
-                ctx.now(),
+            let get = Measure::OneSided {
+                put: false,
+                t0_ns: t0.0,
+            };
+            shared.recorder.record_op(
+                ctx.now().0,
                 &name,
-                crate::trace::TraceOp::OneSidedDeliver,
+                Some(Op::OneSidedDeliver),
                 chan,
                 n,
+                Some(get),
             );
-            shared.record_one_sided(&name, false, chan, n, t0, ctx.now());
             Ok(n)
         })
     }

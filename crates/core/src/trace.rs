@@ -1,156 +1,27 @@
-//! Channel-operation tracing: an optional in-memory log of every channel
-//! operation with virtual timestamps — the observability tool behind the
-//! Co-Pilot overhead analysis (paper §V: "our current analysis is that all
-//! SPE-connected channel types are paying some overhead for the Co-Pilot
-//! process"), and a debugging aid for applications.
+//! Channel-operation trace: the run's op log (see [`cp_trace::OpEvent`])
+//! rendered as an aligned text log with virtual timestamps — the
+//! observability tool behind the Co-Pilot overhead analysis (paper §V:
+//! "our current analysis is that all SPE-connected channel types are
+//! paying some overhead for the Co-Pilot process"), and a debugging aid
+//! for applications.
 //!
-//! Enable with [`CellPilotOpts::trace`] and run via
-//! [`CellPilotConfig::run_traced`]; every event carries the virtual time it
-//! *completed* at, so consecutive events on one process measure the legs
-//! of a transfer.
+//! Attach an enabled recorder with [`CellPilotOpts::with_tracing`], keep a
+//! clone, and render [`cp_trace::Recorder::ops`] after the run — a run that
+//! fails keeps the ops it completed. Every op carries the virtual time it
+//! *completed* at, so consecutive ops on one process measure the legs of a
+//! transfer.
 //!
-//! [`CellPilotOpts::trace`]: crate::CellPilotOpts
-//! [`CellPilotConfig::run_traced`]: crate::CellPilotConfig::run_traced
+//! [`CellPilotOpts::with_tracing`]: crate::CellPilotOpts::with_tracing
 
-use cp_des::SimTime;
-use parking_lot::Mutex;
-use std::fmt;
-use std::sync::Arc;
+use cp_trace::OpEvent;
 
-/// What happened.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceOp {
-    /// A rank-side `PI_Write` completed (message handed to MPI).
-    RankWrite,
-    /// A rank-side `PI_Read` completed (message verified and returned).
-    RankRead,
-    /// An SPE-side `PI_Write` completed (Co-Pilot confirmed).
-    SpeWrite,
-    /// An SPE-side `PI_Read` completed.
-    SpeRead,
-    /// The Co-Pilot finished servicing an SPE write request.
-    CopilotWrite,
-    /// The Co-Pilot delivered data into an SPE read buffer.
-    CopilotDeliver,
-    /// The Co-Pilot paired a type-4 write/read couple.
-    CopilotPair,
-    /// A one-sided put landed in the reader's window (writer side of the
-    /// fabric; the acting process is the writing rank or the writer's
-    /// Co-Pilot).
-    OneSidedPut,
-    /// The owning Co-Pilot moved a landed one-sided payload from the
-    /// window into the reader SPE's posted buffer.
-    OneSidedDeliver,
-    /// An SPE process was launched (`PI_RunSPE`).
-    RunSpe,
-    /// A bundle broadcast was issued by its common endpoint.
-    Broadcast,
-    /// A bundle gather completed at its common endpoint.
-    Gather,
-    /// A coalescer flushed buffered small writes as batched envelopes
-    /// (`bytes` counts the flushed payload total, `subject` is the bundle).
-    CoalescedFlush,
-}
-
-impl fmt::Display for TraceOp {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            TraceOp::RankWrite => "rank-write",
-            TraceOp::RankRead => "rank-read",
-            TraceOp::SpeWrite => "spe-write",
-            TraceOp::SpeRead => "spe-read",
-            TraceOp::CopilotWrite => "copilot-write",
-            TraceOp::CopilotDeliver => "copilot-deliver",
-            TraceOp::CopilotPair => "copilot-pair",
-            TraceOp::OneSidedPut => "one-sided-put",
-            TraceOp::OneSidedDeliver => "one-sided-deliver",
-            TraceOp::RunSpe => "run-spe",
-            TraceOp::Broadcast => "broadcast",
-            TraceOp::Gather => "gather",
-            TraceOp::CoalescedFlush => "coalesced-flush",
-        };
-        f.write_str(s)
-    }
-}
-
-/// One traced event.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceEvent {
-    /// Virtual completion time.
-    pub at: SimTime,
-    /// Acting process name.
-    pub process: String,
-    /// The operation.
-    pub op: TraceOp,
-    /// Channel involved (or the SPE process id for [`TraceOp::RunSpe`]).
-    pub subject: usize,
-    /// Payload bytes moved (0 for control events).
-    pub bytes: usize,
-}
-
-/// Shared trace sink.
-#[derive(Clone, Default)]
-pub struct TraceSink {
-    inner: Option<Arc<Mutex<Vec<TraceEvent>>>>,
-}
-
-impl TraceSink {
-    /// An enabled sink.
-    pub fn enabled() -> TraceSink {
-        TraceSink {
-            inner: Some(Arc::new(Mutex::new(Vec::new()))),
-        }
-    }
-
-    /// A disabled sink (records nothing, costs nothing).
-    pub fn disabled() -> TraceSink {
-        TraceSink { inner: None }
-    }
-
-    /// True if recording.
-    pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
-    }
-
-    pub(crate) fn record(
-        &self,
-        at: SimTime,
-        process: &str,
-        op: TraceOp,
-        subject: usize,
-        bytes: usize,
-    ) {
-        if let Some(sink) = &self.inner {
-            sink.lock().push(TraceEvent {
-                at,
-                process: process.to_string(),
-                op,
-                subject,
-                bytes,
-            });
-        }
-    }
-
-    /// Drain the recorded events, sorted by time.
-    pub fn take(&self) -> Vec<TraceEvent> {
-        match &self.inner {
-            Some(sink) => {
-                let mut v = std::mem::take(&mut *sink.lock());
-                v.sort_by_key(|e| e.at);
-                v
-            }
-            None => Vec::new(),
-        }
-    }
-}
-
-/// Render a trace as an aligned log.
-pub fn render_trace(events: &[TraceEvent]) -> String {
+/// Render an op log as an aligned log, one line per op.
+pub fn render_trace(ops: &[OpEvent]) -> String {
     let mut s = String::new();
-    for e in events {
+    for e in ops {
         s.push_str(&format!(
             "{:>12.3}us {:<24} {:<16} subject={:<4} {}B\n",
-            e.at.as_micros_f64(),
+            e.ts_ns as f64 / 1_000.0,
             e.process,
             e.op.to_string(),
             e.subject,
@@ -163,34 +34,16 @@ pub fn render_trace(events: &[TraceEvent]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn disabled_sink_records_nothing() {
-        let t = TraceSink::disabled();
-        t.record(SimTime(5), "p", TraceOp::RankWrite, 0, 4);
-        assert!(t.take().is_empty());
-        assert!(!t.is_enabled());
-    }
-
-    #[test]
-    fn enabled_sink_sorts_by_time() {
-        let t = TraceSink::enabled();
-        t.record(SimTime(9), "b", TraceOp::RankRead, 1, 8);
-        t.record(SimTime(3), "a", TraceOp::RankWrite, 1, 8);
-        let v = t.take();
-        assert_eq!(v.len(), 2);
-        assert_eq!(v[0].process, "a");
-        assert_eq!(v[1].process, "b");
-        assert!(t.take().is_empty(), "take drains");
-    }
+    use cp_trace::{Op, Recorder};
 
     #[test]
     fn render_is_line_per_event() {
-        let t = TraceSink::enabled();
-        t.record(SimTime(1_500), "main", TraceOp::RunSpe, 2, 0);
-        let out = render_trace(&t.take());
-        assert!(out.contains("run-spe"));
-        assert!(out.contains("main"));
-        assert_eq!(out.lines().count(), 1);
+        let r = Recorder::enabled();
+        r.record_op(1_500, &"main".into(), Some(Op::RunSpe), 2, 0, None);
+        let out = render_trace(&r.ops());
+        assert_eq!(
+            out,
+            "       1.500us main                     run-spe          subject=2    0B\n"
+        );
     }
 }

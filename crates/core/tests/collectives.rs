@@ -7,6 +7,7 @@ use cellpilot::{
 };
 use cp_pilot::PiValue;
 use cp_simnet::ClusterSpec;
+use cp_trace::{Op, Recorder};
 use parking_lot::Mutex;
 use std::sync::Arc;
 
@@ -241,16 +242,14 @@ fn bundle_misuse_is_reported() {
 
 #[test]
 fn trace_records_channel_legs() {
-    use cellpilot::{CellPilotConfig, TraceOp};
+    use cellpilot::CellPilotConfig;
     // A type-2 round trip with tracing on: the trace must show the rank
     // write, the Co-Pilot delivering into the SPE, the SPE's read, the
     // SPE's write serviced by the Co-Pilot, and the rank read — in time
     // order.
     let spec = ClusterSpec::two_cells_one_xeon();
-    let opts = cellpilot::CellPilotOpts {
-        trace: true,
-        ..Default::default()
-    };
+    let rec = Recorder::enabled();
+    let opts = cellpilot::CellPilotOpts::new().with_tracing(rec.clone());
     let mut cfg = CellPilotConfig::one_rank_per_node(spec, opts);
     let echo = SpeProgram::new("echo", 2048, |spe, _, _| {
         let v = spe.read(CpChannel(0), "%d").unwrap();
@@ -259,25 +258,25 @@ fn trace_records_channel_legs() {
     let s = cfg.create_spe_process(&echo, CP_MAIN, 0).unwrap();
     cfg.channel(CP_MAIN, s).build().unwrap();
     cfg.channel(s, CP_MAIN).build().unwrap();
-    let (_report, trace) = cfg
-        .run_traced(move |cp| {
-            let t = cp.run_spe(s, 0, 0).unwrap();
-            cp.write(CpChannel(0), "%d", &[PiValue::Int32(vec![5])])
-                .unwrap();
-            let _ = cp.read(CpChannel(1), "%d").unwrap();
-            cp.wait_spe(t);
-        })
-        .unwrap();
-    let ops: Vec<TraceOp> = trace.iter().map(|e| e.op).collect();
-    assert!(ops.contains(&TraceOp::RunSpe));
-    assert!(ops.contains(&TraceOp::RankWrite));
-    assert!(ops.contains(&TraceOp::CopilotDeliver));
-    assert!(ops.contains(&TraceOp::SpeRead));
-    assert!(ops.contains(&TraceOp::SpeWrite));
-    assert!(ops.contains(&TraceOp::CopilotWrite));
-    assert!(ops.contains(&TraceOp::RankRead));
+    cfg.run(move |cp| {
+        let t = cp.run_spe(s, 0, 0).unwrap();
+        cp.write(CpChannel(0), "%d", &[PiValue::Int32(vec![5])])
+            .unwrap();
+        let _ = cp.read(CpChannel(1), "%d").unwrap();
+        cp.wait_spe(t);
+    })
+    .unwrap();
+    let trace = rec.ops();
+    let ops: Vec<Op> = trace.iter().map(|e| e.op).collect();
+    assert!(ops.contains(&Op::RunSpe));
+    assert!(ops.contains(&Op::RankWrite));
+    assert!(ops.contains(&Op::CopilotDeliver));
+    assert!(ops.contains(&Op::SpeRead));
+    assert!(ops.contains(&Op::SpeWrite));
+    assert!(ops.contains(&Op::CopilotWrite));
+    assert!(ops.contains(&Op::RankRead));
     // Monotone timestamps.
-    assert!(trace.windows(2).all(|w| w[0].at <= w[1].at));
+    assert!(trace.windows(2).all(|w| w[0].ts_ns <= w[1].ts_ns));
     // The render is printable.
     let rendered = cellpilot::render_trace(&trace);
     assert!(rendered.contains("copilot0"));
@@ -348,10 +347,8 @@ fn type5_traverses_both_copilots_three_hops() {
     // reader's Co-Pilot (copilot1) doing the local-store delivery, in
     // that order.
     let spec = ClusterSpec::two_cells_one_xeon();
-    let opts = CellPilotOpts {
-        trace: true,
-        ..Default::default()
-    };
+    let rec = Recorder::enabled();
+    let opts = CellPilotOpts::new().with_tracing(rec.clone());
     let mut cfg = CellPilotConfig::one_rank_per_node(spec, opts);
     let sender = SpeProgram::new("snd", 2048, |spe, _, _| {
         spe.write(CpChannel(0), "%d", &[PiValue::Int32(vec![7])])
@@ -366,35 +363,25 @@ fn type5_traverses_both_copilots_three_hops() {
     let a = cfg.create_spe_process(&sender, CP_MAIN, 0).unwrap();
     let b = cfg.create_spe_process(&receiver, parent, 0).unwrap();
     cfg.channel(a, b).build().unwrap();
-    let (_r, trace) = cfg.run_traced(move |cp| cp.run_and_wait_my_spes()).unwrap();
+    cfg.run(move |cp| cp.run_and_wait_my_spes()).unwrap();
+    let trace = rec.ops();
     let hop_senders: Vec<&str> = trace
         .iter()
-        .filter(|e| {
-            matches!(
-                e.op,
-                cellpilot::TraceOp::CopilotWrite | cellpilot::TraceOp::CopilotDeliver
-            )
-        })
-        .map(|e| e.process.as_str())
+        .filter(|e| matches!(e.op, Op::CopilotWrite | Op::CopilotDeliver))
+        .map(|e| &*e.process)
         .collect();
     assert_eq!(
         hop_senders,
         vec!["copilot0", "copilot1"],
         "writer's Co-Pilot relays, then reader's Co-Pilot delivers"
     );
-    let w = trace
-        .iter()
-        .find(|e| e.op == cellpilot::TraceOp::CopilotWrite)
-        .unwrap();
-    let d = trace
-        .iter()
-        .find(|e| e.op == cellpilot::TraceOp::CopilotDeliver)
-        .unwrap();
+    let w = trace.iter().find(|e| e.op == Op::CopilotWrite).unwrap();
+    let d = trace.iter().find(|e| e.op == Op::CopilotDeliver).unwrap();
     // The wire separates the two Co-Pilot legs by at least its latency.
     assert!(
-        (d.at - w.at).as_micros_f64() >= 60.0,
-        "wire crossing between hops: {} -> {}",
-        w.at,
-        d.at
+        d.ts_ns - w.ts_ns >= 60_000,
+        "wire crossing between hops: {} ns -> {} ns",
+        w.ts_ns,
+        d.ts_ns
     );
 }

@@ -3,12 +3,12 @@
 //! the run completes, and every degradation shows up as a structured
 //! incident in the [`cp_des::SimReport`].
 
-use cellpilot::trace::{TraceEvent, TraceOp};
 use cellpilot::{
     CellPilotConfig, CellPilotOpts, CpChannel, CpError, SpeProgram, SupervisionPolicy, CP_MAIN,
 };
 use cp_des::{IncidentCategory, SimDuration, SimReport, SimTime};
 use cp_simnet::{ClusterSpec, FaultPlan, NodeId};
+use cp_trace::{Op, OpEvent, Recorder};
 use std::sync::{Arc, Mutex};
 
 /// Type-4 blast radius: a crashed SPE writer fails its own channel with
@@ -214,7 +214,10 @@ fn fault_plan_replays_identically() {
                 .crash_spe(4, SimTime::ZERO)
                 .stall_copilot(NodeId(1), SimTime::ZERO, SimDuration::from_millis(5)),
         );
-        let opts = CellPilotOpts::new().with_trace().with_faults(plan);
+        let rec = Recorder::enabled();
+        let opts = CellPilotOpts::new()
+            .with_tracing(rec.clone())
+            .with_faults(plan);
         let mut cfg = CellPilotConfig::one_rank_per_node(spec, opts);
         let writer = SpeProgram::new("writer", 2048, |spe, _, _| {
             spe.write_slice(CpChannel(0), &[5i32; 64]).unwrap();
@@ -242,7 +245,8 @@ fn fault_plan_replays_identically() {
         let b = cfg.create_spe_process(&bereft, recv_ppe, 1).unwrap();
         cfg.channel(w, r).build().unwrap();
         cfg.channel(d, b).build().unwrap();
-        cfg.run_traced(move |cp| cp.run_and_wait_my_spes()).unwrap()
+        let report = cfg.run(move |cp| cp.run_and_wait_my_spes()).unwrap();
+        (report, rec.ops())
     };
 
     let (report_a, trace_a) = run_once();
@@ -268,9 +272,10 @@ fn fault_plan_replays_identically() {
 fn ping_pong(
     plan: Option<Arc<FaultPlan>>,
     supervise: bool,
-) -> (SimReport, Vec<TraceEvent>, Vec<Vec<i32>>) {
+) -> (SimReport, Vec<OpEvent>, Vec<Vec<i32>>) {
     let spec = ClusterSpec::two_cells_one_xeon();
-    let mut opts = CellPilotOpts::new().with_trace();
+    let rec = Recorder::enabled();
+    let mut opts = CellPilotOpts::new().with_tracing(rec.clone());
     if let Some(p) = plan {
         opts = opts.with_faults(p);
     }
@@ -293,8 +298,8 @@ fn ping_pong(
     let ack = cfg.channel(CP_MAIN, s).build().unwrap();
     let collected = Arc::new(Mutex::new(Vec::new()));
     let sink = collected.clone();
-    let (report, trace) = cfg
-        .run_traced(move |cp| {
+    let report = cfg
+        .run(move |cp| {
             let t = cp.run_spe(s, 0, 0).unwrap();
             for i in 0..5i32 {
                 let v = cp.read_vec::<i32>(data).unwrap();
@@ -305,19 +310,19 @@ fn ping_pong(
         })
         .expect("recovery keeps the run alive");
     let out = std::mem::take(&mut *collected.lock().unwrap());
-    (report, trace, out)
+    (report, rec.ops(), out)
 }
 
 /// The virtual time main completed its third read in a trace — a point
 /// guaranteed to be mid-stream, with acknowledged operations behind the
 /// writer and live ones ahead of it.
-fn third_read_at(trace: &[TraceEvent]) -> SimTime {
+fn third_read_at(trace: &[OpEvent]) -> SimTime {
     trace
         .iter()
-        .filter(|e| e.op == TraceOp::RankRead && e.process == "main")
+        .filter(|e| e.op == Op::RankRead && &*e.process == "main")
         .nth(2)
+        .map(|e| SimTime(e.ts_ns))
         .expect("the golden run makes five rank reads")
-        .at
 }
 
 /// The tentpole recovery guarantee, SPE side: a supervised SPE crashed

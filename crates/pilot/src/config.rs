@@ -20,30 +20,36 @@ use cp_des::{Backend, SimDuration, SimError, SimReport};
 use cp_mpisim::{MpiCosts, MpiWorld};
 use cp_native::Runner;
 use cp_simnet::{ClusterSpec, FaultPlan, NodeId, RetryPolicy};
+use cp_trace::Recorder;
 use std::sync::Arc;
 
 /// Options for a Pilot application (the `-pisvc=` command-line options).
 ///
-/// Construct either field-style (`PilotOpts { call_log: true,
+/// Construct either field-style (`PilotOpts { deadlock_detection: true,
 /// ..Default::default() }`) or with the chainable `with_*` builders:
 ///
 /// ```
 /// use cp_pilot::PilotOpts;
 /// use cp_des::SimDuration;
+/// use cp_trace::Recorder;
 ///
 /// let opts = PilotOpts::new()
 ///     .with_deadlock_service()
+///     .with_tracing(Recorder::enabled())
 ///     .with_channel_timeout(SimDuration::from_millis(5));
 /// assert!(opts.deadlock_detection);
+/// assert!(opts.tracing.is_enabled());
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct PilotOpts {
     /// Enable the deadlock-detection service (`-pisvc=d`). Consumes one
     /// MPI process.
     pub deadlock_detection: bool,
-    /// Log every channel call with its virtual timestamp (`-pisvc=c`);
-    /// retrieve the log with [`PilotConfig::run_logged`].
-    pub call_log: bool,
+    /// The run's observability recorder, disabled by default. An enabled
+    /// one is Pilot's call log (`-pisvc=c`): every channel call lands in
+    /// its op log ([`Recorder::ops`]) with its virtual timestamp, beside
+    /// the MPI and kernel metrics. Recording never consumes virtual time.
+    pub tracing: Recorder,
     /// Pilot-layer cost model.
     pub costs: PilotCosts,
     /// MPI-layer cost model.
@@ -93,9 +99,10 @@ impl PilotOpts {
         self
     }
 
-    /// Log every channel call with its virtual timestamp.
-    pub fn with_call_log(mut self) -> PilotOpts {
-        self.call_log = true;
+    /// Record the run on `recorder` (keep a clone to read it back, a
+    /// failed run included).
+    pub fn with_tracing(mut self, recorder: Recorder) -> PilotOpts {
+        self.tracing = recorder;
         self
     }
 
@@ -334,33 +341,9 @@ impl PilotConfig {
         self.opts.lint_config.apply(diags)
     }
 
-    /// `PI_StartAll` + `PI_StopMain` with call-log retrieval: like
-    /// [`PilotConfig::run`] but also returns the channel-call log (empty
-    /// unless [`PilotOpts::call_log`] is set).
-    pub fn run_logged<M>(
-        self,
-        main: M,
-    ) -> Result<(SimReport, Vec<crate::runtime::CallRecord>), SimError>
-    where
-        M: FnOnce(&Pilot) + Send + 'static,
-    {
-        let sink = crate::runtime::CallLog::new(self.opts.call_log);
-        let s2 = sink.clone();
-        let report = self.run_with_log(main, s2)?;
-        Ok((report, sink.take()))
-    }
-
     /// `PI_StartAll` + `PI_StopMain`: run the execution phase to
     /// completion. `main` runs as `PI_MAIN` on rank 0.
     pub fn run<M>(self, main: M) -> Result<SimReport, SimError>
-    where
-        M: FnOnce(&Pilot) + Send + 'static,
-    {
-        let sink = crate::runtime::CallLog::new(self.opts.call_log);
-        self.run_with_log(main, sink)
-    }
-
-    fn run_with_log<M>(self, main: M, log: crate::runtime::CallLog) -> Result<SimReport, SimError>
     where
         M: FnOnce(&Pilot) + Send + 'static,
     {
@@ -403,9 +386,11 @@ impl PilotConfig {
             faults,
             opts.retry,
         );
+        world.set_recorder(opts.tracing.clone());
         let tables = Arc::new(tables);
         let mut sim = Runner::for_backend(opts.backend);
         sim.set_schedule_seed(opts.schedule_seed);
+        sim.set_recorder(opts.tracing.clone());
         // Application processes.
         for (pidx, body) in bodies.into_iter().enumerate() {
             let entry = &tables.processes[pidx];
@@ -420,10 +405,10 @@ impl PilotConfig {
                     debug_assert_eq!(pidx, 0);
                 }
                 Some(f) => {
-                    let log = log.clone();
+                    let rec = opts.tracing.clone();
                     let deadline = opts.channel_timeout;
                     world.launch(&mut sim, rank, &name, move |comm| {
-                        let pilot = Pilot::new(comm, tables, costs, PiProcess(pidx), log, deadline);
+                        let pilot = Pilot::new(comm, tables, costs, PiProcess(pidx), rec, deadline);
                         f(&pilot, index);
                         pilot.finish();
                     });
@@ -433,10 +418,10 @@ impl PilotConfig {
         {
             let tables2 = tables.clone();
             let costs = opts.costs.clone();
-            let log = log.clone();
+            let rec = opts.tracing.clone();
             let deadline = opts.channel_timeout;
             world.launch(&mut sim, 0, "main", move |comm| {
-                let pilot = Pilot::new(comm, tables2, costs, PiProcess(0), log, deadline);
+                let pilot = Pilot::new(comm, tables2, costs, PiProcess(0), rec, deadline);
                 main(&pilot);
                 pilot.finish();
             });

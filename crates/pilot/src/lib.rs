@@ -52,7 +52,7 @@ pub use config::{PilotConfig, PilotOpts};
 pub use cp_des::Backend;
 pub use error::PilotError;
 pub use fmt::{parse_format, Conversion, CountSpec, FmtError};
-pub use runtime::{CallLog, CallRecord, Pilot, PilotCosts};
+pub use runtime::{Pilot, PilotCosts};
 pub use service::{
     decode_event, detector, encode_event, DlEndpoint, DlEvent, WaitGraph, EVENT_LEN, EV_FINISH,
     EV_READWAIT, EV_WRITE, GRACE_US, POLL_US, TAG_SVC,

@@ -12,6 +12,7 @@ use crate::value::{
 };
 use cp_des::{IncidentCategory, ProcCtx, SimDuration};
 use cp_mpisim::{Comm, Datatype, MpiFault};
+use cp_trace::{Op, Recorder};
 use std::sync::Arc;
 
 /// Pilot-layer cost model: what the library's own bookkeeping (format
@@ -38,62 +39,17 @@ impl Default for PilotCosts {
 /// Internal barrier tag for `PI_StopMain`.
 const TAG_FINI: i32 = -600;
 
-/// One logged channel call (`-pisvc=c`).
-#[derive(Debug, Clone)]
-pub struct CallRecord {
-    /// Virtual completion time.
-    pub at: cp_des::SimTime,
-    /// Calling process name.
-    pub process: String,
-    /// "write", "read", "broadcast", "gather", or "select".
-    pub op: &'static str,
-    /// Channel or bundle id.
-    pub subject: usize,
-}
-
-/// Shared call-log sink.
-#[derive(Clone, Default)]
-pub struct CallLog {
-    inner: Option<std::sync::Arc<parking_lot::Mutex<Vec<CallRecord>>>>,
-}
-
-impl CallLog {
-    pub(crate) fn new(enabled: bool) -> CallLog {
-        CallLog {
-            inner: enabled.then(|| std::sync::Arc::new(parking_lot::Mutex::new(Vec::new()))),
-        }
-    }
-
-    fn record(&self, at: cp_des::SimTime, process: &str, op: &'static str, subject: usize) {
-        if let Some(sink) = &self.inner {
-            sink.lock().push(CallRecord {
-                at,
-                process: process.to_string(),
-                op,
-                subject,
-            });
-        }
-    }
-
-    pub(crate) fn take(&self) -> Vec<CallRecord> {
-        match &self.inner {
-            Some(sink) => {
-                let mut v = std::mem::take(&mut *sink.lock());
-                v.sort_by_key(|r| r.at);
-                v
-            }
-            None => Vec::new(),
-        }
-    }
-}
-
 /// A process's handle on the running Pilot application.
 pub struct Pilot {
     comm: Comm,
     tables: Arc<Tables>,
     costs: PilotCosts,
     me: PiProcess,
-    log: CallLog,
+    /// This process's name, as the op log records it.
+    name: Arc<str>,
+    /// The run's recorder (`-pisvc=c`: every channel call lands in its op
+    /// log).
+    recorder: Recorder,
     deadline: Option<SimDuration>,
 }
 
@@ -103,17 +59,31 @@ impl Pilot {
         tables: Arc<Tables>,
         costs: PilotCosts,
         me: PiProcess,
-        log: CallLog,
+        recorder: Recorder,
         deadline: Option<SimDuration>,
     ) -> Pilot {
+        let name = tables.processes[me.0].name.as_str().into();
         Pilot {
             comm,
             tables,
             costs,
             me,
-            log,
+            name,
+            recorder,
             deadline,
         }
+    }
+
+    /// Log one completed channel call.
+    fn log(&self, op: Op, subject: usize, bytes: usize) {
+        self.recorder.record_op(
+            self.ctx().now().0,
+            &self.name,
+            Some(op),
+            subject,
+            bytes,
+            None,
+        );
     }
 
     /// This process's handle.
@@ -123,7 +93,7 @@ impl Pilot {
 
     /// This process's configured name.
     pub fn name(&self) -> String {
-        self.tables.processes[self.me.0].name.clone()
+        self.name.to_string()
     }
 
     /// Total Pilot processes (including `PI_MAIN`).
@@ -195,8 +165,7 @@ impl Pilot {
             .try_send_bytes(dst, Tables::chan_tag(chan), Datatype::Byte, n, bytes)
             .map_err(|fault| self.fault_to_pilot(chan, entry.to, fault))?;
         self.svc_event(self.chan_event(service::EV_WRITE, chan));
-        self.log
-            .record(self.ctx().now(), &self.name(), "write", chan.0);
+        self.log(Op::RankWrite, chan.0, n);
         Ok(())
     }
 
@@ -258,9 +227,9 @@ impl Pilot {
             channel: chan.0,
             detail,
         })?;
-        self.charge(payload_bytes(&values));
-        self.log
-            .record(self.ctx().now(), &self.name(), "read", chan.0);
+        let n = payload_bytes(&values);
+        self.charge(n);
+        self.log(Op::RankRead, chan.0, n);
         Ok(values)
     }
 
@@ -396,8 +365,7 @@ impl Pilot {
         for &c in &bundle.channels {
             self.svc_event(self.chan_event(service::EV_WRITE, c));
         }
-        self.log
-            .record(self.ctx().now(), &self.name(), "broadcast", b.0);
+        self.log(Op::Broadcast, b.0, data.len());
         Ok(())
     }
 
@@ -436,8 +404,8 @@ impl Pilot {
             self.charge(payload_bytes(&values));
             out.push(values);
         }
-        self.log
-            .record(self.ctx().now(), &self.name(), "gather", b.0);
+        let n = out.iter().map(|v| payload_bytes(v)).sum();
+        self.log(Op::Gather, b.0, n);
         Ok(out)
     }
 
@@ -466,8 +434,7 @@ impl Pilot {
         let (_, tag, _, _) = self
             .comm
             .probe_match("PI_Select", |e| tags.contains(&e.tag));
-        self.log
-            .record(self.ctx().now(), &self.name(), "select", b.0);
+        self.log(Op::Select, b.0, 0);
         Ok(PiChannel(tag as usize))
     }
 

@@ -4,6 +4,7 @@
 use cp_des::SimError;
 use cp_pilot::{pi_read, pi_write, BundleUsage, PiValue, PilotConfig, PilotOpts, PI_MAIN};
 use cp_simnet::{ClusterSpec, NodeId, NodeKind};
+use cp_trace::{Op, Recorder};
 use parking_lot::Mutex;
 use std::sync::Arc;
 
@@ -453,13 +454,14 @@ fn heterogeneous_endpoints_xeon_to_ppe() {
 }
 
 #[test]
-fn call_log_records_ops_in_time_order() {
-    // -pisvc=c: the call log shows every channel operation, timestamped.
+fn op_log_records_pilot_calls_in_time_order() {
+    // -pisvc=c: the recorder's op log shows every channel call, timestamped.
+    let rec = Recorder::enabled();
     let mut cfg = PilotConfig::new(
         commodity_spec(2),
         (0..2).map(NodeId).collect(),
         PilotOpts {
-            call_log: true,
+            tracing: rec.clone(),
             ..Default::default()
         },
     );
@@ -476,39 +478,51 @@ fn call_log_records_ops_in_time_order() {
         .unwrap();
     let c0 = cfg.create_channel(PI_MAIN, w).unwrap();
     let c1 = cfg.create_channel(w, PI_MAIN).unwrap();
-    let (_report, log) = cfg
-        .run_logged(move |p| {
-            pi_write!(p, c0, "%d", 5);
-            let _ = pi_read!(p, c1, "%d");
-        })
-        .unwrap();
-    let ops: Vec<(&str, usize, String)> = log
-        .iter()
-        .map(|r| (r.op, r.subject, r.process.clone()))
-        .collect();
-    assert_eq!(ops.len(), 4, "{ops:?}");
-    assert_eq!(ops[0], ("write", 0, "main".into()));
-    assert_eq!(ops[1], ("read", 0, "worker".into()));
-    assert_eq!(ops[2], ("write", 1, "worker".into()));
-    assert_eq!(ops[3], ("read", 1, "main".into()));
-    assert!(log.windows(2).all(|w| w[0].at <= w[1].at));
+    cfg.run(move |p| {
+        pi_write!(p, c0, "%d", 5);
+        let _ = pi_read!(p, c1, "%d");
+    })
+    .unwrap();
+    let log = rec.ops();
+    let ops: Vec<(Op, usize, &str)> = log.iter().map(|r| (r.op, r.subject, &*r.process)).collect();
+    assert_eq!(
+        ops,
+        [
+            (Op::RankWrite, 0, "main"),
+            (Op::RankRead, 0, "worker"),
+            (Op::RankWrite, 1, "worker"),
+            (Op::RankRead, 1, "main"),
+        ]
+    );
+    assert!(log.windows(2).all(|w| w[0].ts_ns <= w[1].ts_ns));
+    // One switch: the same recorder also saw the MPI layer and the kernel.
+    let snap = rec.snapshot();
+    assert!(
+        snap.mpi.sends >= 2,
+        "two channel messages, plus PI_StopMain's"
+    );
+    assert!(snap.des.dispatches > 0);
 }
 
 #[test]
-fn call_log_disabled_is_empty() {
-    let mut cfg = cfg_n(2);
+fn untraced_run_logs_no_ops() {
+    let rec = Recorder::disabled();
+    let mut cfg = PilotConfig::new(
+        commodity_spec(2),
+        (0..2).map(NodeId).collect(),
+        PilotOpts::new().with_tracing(rec.clone()),
+    );
     let w = cfg
         .create_process("worker", 0, |p, _| {
             let _ = pi_read!(p, cp_pilot::PiChannel(0), "%d");
         })
         .unwrap();
     let c0 = cfg.create_channel(PI_MAIN, w).unwrap();
-    let (_report, log) = cfg
-        .run_logged(move |p| {
-            pi_write!(p, c0, "%d", 1);
-        })
-        .unwrap();
-    assert!(log.is_empty());
+    cfg.run(move |p| {
+        pi_write!(p, c0, "%d", 1);
+    })
+    .unwrap();
+    assert!(rec.ops().is_empty());
 }
 
 #[test]
@@ -565,16 +579,16 @@ fn typed_helpers_roundtrip() {
 fn builder_opts_match_field_style() {
     let built = PilotOpts::new()
         .with_deadlock_service()
-        .with_call_log()
+        .with_tracing(Recorder::enabled())
         .with_channel_timeout(cp_des::SimDuration::from_millis(7));
     let field = PilotOpts {
         deadlock_detection: true,
-        call_log: true,
+        tracing: Recorder::enabled(),
         channel_timeout: Some(cp_des::SimDuration::from_millis(7)),
         ..Default::default()
     };
     assert_eq!(built.deadlock_detection, field.deadlock_detection);
-    assert_eq!(built.call_log, field.call_log);
+    assert_eq!(built.tracing.is_enabled(), field.tracing.is_enabled());
     assert_eq!(built.channel_timeout, field.channel_timeout);
     assert!(built.faults.is_none());
     assert_eq!(built.retry.max_retries, field.retry.max_retries);

@@ -77,15 +77,8 @@ mod tests {
     fn export_is_valid_trace_event_json() {
         let r = Recorder::enabled();
         let main = r.lane("main");
-        let copilot = r.lane("copilot1");
         r.span(main, "channel", "write c0 (type 5)", 1_000, 189_000);
-        r.instant(
-            copilot,
-            "incident",
-            "incident: copilot-failover",
-            50_000,
-            Some("x".into()),
-        );
+        r.record_incident(50_000, "copilot1", "copilot-failover", "x");
         r.counter(r.lane("kernel"), "des", "queue depth", 2_000, 7.0);
         let text = r.chrome_trace();
         let doc = Json::parse(&text).expect("chrome export must parse");

@@ -4,14 +4,15 @@
 //! the MPI layer, the CellPilot runtime, the bench drivers) records what it
 //! does through one shared [`Recorder`]: spans and instants keyed on
 //! *simulated* time, plus always-cheap counters that aggregate into a
-//! [`MetricsSnapshot`]. [`chrome_trace`] exports a recording as Chrome
+//! [`MetricsSnapshot`], and an op log ([`OpEvent`]: one line per completed
+//! channel operation, read back as CellPilot's channel-operation trace and
+//! Pilot's call log). [`chrome_trace`] exports a recording as Chrome
 //! `trace_event` JSON that loads in `about://tracing` / Perfetto, one lane
 //! per rank/SPE/Co-Pilot.
 //!
-//! The recorder follows the same handle pattern as the runtime's own
-//! `TraceSink`: a disabled recorder is a `None` inside and every recording
-//! call returns immediately, so instrumented hot paths cost one branch when
-//! observability is off. Crucially, recording **never consumes virtual
+//! A recorder is a handle: a disabled one is a `None` inside and every
+//! recording call returns immediately, so instrumented hot paths cost one
+//! branch when observability is off. Crucially, recording **never consumes virtual
 //! time** — enabling tracing cannot perturb the deterministic schedule, so
 //! golden-run byte-identity and schedule-exploration equivalence hold with
 //! or without it.
@@ -27,6 +28,7 @@ pub mod chrome;
 pub mod hb;
 pub mod json;
 pub mod metrics;
+pub mod ops;
 pub mod recorder;
 
 pub use chrome::chrome_trace;
@@ -36,4 +38,5 @@ pub use metrics::{
     ChannelTypeMetrics, DesMetrics, FlowMetrics, LatencyStats, MetricsSnapshot, MpiMetrics,
     NetMetrics, OneSidedMetrics,
 };
+pub use ops::{Measure, Op, OpEvent};
 pub use recorder::{Event, Phase, Recorder};

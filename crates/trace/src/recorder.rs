@@ -3,6 +3,7 @@
 use crate::chrome;
 use crate::hb::{HbEvent, HbOp};
 use crate::metrics::{MetricsSnapshot, MetricsState, CHANNEL_TYPE_COUNT};
+use crate::ops::{Measure, Op, OpEvent};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -46,6 +47,7 @@ struct State {
     events: Vec<Event>,
     metrics: MetricsState,
     hb: Vec<HbEvent>,
+    ops: Vec<OpEvent>,
 }
 
 impl State {
@@ -67,6 +69,29 @@ impl State {
 /// Sample the kernel queue-depth counter once per this many dispatches, so
 /// long runs cannot balloon the trace with one event per context switch.
 const QUEUE_SAMPLE_EVERY: u64 = 64;
+
+/// The metrics slot of Table-I channel type `chan_type` (1..=5).
+fn type_index(chan_type: u8) -> usize {
+    assert!(
+        (1..=CHANNEL_TYPE_COUNT as u8).contains(&chan_type),
+        "channel type {chan_type} out of range"
+    );
+    usize::from(chan_type - 1)
+}
+
+/// A complete span over `[t0_ns, ts_ns]`, its lane still to be set.
+fn span(category: &'static str, name: String, t0_ns: u64, ts_ns: u64) -> Event {
+    Event {
+        ts_ns: t0_ns,
+        dur_ns: ts_ns.saturating_sub(t0_ns),
+        lane: 0,
+        phase: Phase::Complete,
+        name,
+        category,
+        value: 0.0,
+        detail: None,
+    }
+}
 
 /// Handle to one run's recording, shared by every instrumented layer.
 ///
@@ -122,28 +147,6 @@ impl Recorder {
             category,
             value: 0.0,
             detail: None,
-        });
-    }
-
-    /// Record an instant marker on `lane`.
-    pub fn instant(
-        &self,
-        lane: u32,
-        category: &'static str,
-        name: &str,
-        ts_ns: u64,
-        detail: Option<String>,
-    ) {
-        let Some(inner) = &self.inner else { return };
-        inner.lock().push(Event {
-            ts_ns,
-            dur_ns: 0,
-            lane,
-            phase: Phase::Instant,
-            name: name.to_string(),
-            category,
-            value: 0.0,
-            detail,
         });
     }
 
@@ -281,55 +284,83 @@ impl Recorder {
         inner.lock().metrics.net.heartbeats += 1;
     }
 
-    /// CellPilot runtime: a completed channel operation on a channel of
-    /// Table-I type `chan_type` (1..=5); `latency_ns` is the virtual time
-    /// the endpoint spent inside the operation.
-    pub fn record_channel_op(&self, chan_type: u8, write: bool, bytes: u64, latency_ns: u64) {
-        let Some(inner) = &self.inner else { return };
-        assert!(
-            (1..=CHANNEL_TYPE_COUNT as u8).contains(&chan_type),
-            "channel type {chan_type} out of range"
-        );
-        let mut st = inner.lock();
-        let c = &mut st.metrics.channel[(chan_type - 1) as usize];
-        if write {
-            c.writes += 1;
-        } else {
-            c.reads += 1;
-        }
-        c.bytes += bytes;
-        c.latencies_ns.push(latency_ns);
-    }
-
-    /// CellPilot runtime: a Co-Pilot relayed a message of type
-    /// `chan_type` one hop (writer-side MPI forward or reader-side
-    /// delivery to the destination SPE).
-    pub fn record_proxy_hop(&self, chan_type: u8) {
-        let Some(inner) = &self.inner else { return };
-        assert!(
-            (1..=CHANNEL_TYPE_COUNT as u8).contains(&chan_type),
-            "channel type {chan_type} out of range"
-        );
-        inner.lock().metrics.channel[(chan_type - 1) as usize].proxy_hops += 1;
-    }
-
-    /// CellPilot runtime: a completed one-sided window-fabric operation —
-    /// a `put` landing bytes in a remote window (`put == true`) or a `get`
-    /// delivering a landed put to the reader (`put == false`);
-    /// `latency_ns` is the virtual time the acting side spent inside the
-    /// operation.
-    pub fn record_one_sided_op(&self, put: bool, bytes: u64, latency_ns: u64) {
+    /// CellPilot and Pilot runtimes: report one completed operation by
+    /// `process` at `ts_ns`, once. `op` (when some) is its op-log line
+    /// (see [`OpEvent`] for what `bytes` counts); `measure` (when some) is
+    /// what the metrics and the Chrome trace take from it.
+    pub fn record_op(
+        &self,
+        ts_ns: u64,
+        process: &Arc<str>,
+        op: Option<Op>,
+        subject: usize,
+        bytes: usize,
+        measure: Option<Measure>,
+    ) {
         let Some(inner) = &self.inner else { return };
         let mut st = inner.lock();
-        let os = &mut st.metrics.one_sided;
-        if put {
-            os.puts += 1;
-            os.put_latencies_ns.push(latency_ns);
-        } else {
-            os.gets += 1;
-            os.get_latencies_ns.push(latency_ns);
+        if let Some(op) = op {
+            st.ops.push(OpEvent {
+                ts_ns,
+                process: process.clone(),
+                op,
+                subject,
+                bytes,
+            });
         }
-        os.bytes += bytes;
+        let Some(measure) = measure else { return };
+        let event = match measure {
+            Measure::Channel {
+                chan_type,
+                write,
+                payload_bytes,
+                t0_ns,
+            } => {
+                let c = &mut st.metrics.channel[type_index(chan_type)];
+                if write {
+                    c.writes += 1;
+                } else {
+                    c.reads += 1;
+                }
+                c.bytes += payload_bytes as u64;
+                c.latencies_ns.push(ts_ns.saturating_sub(t0_ns));
+                let verb = if write { "write" } else { "read" };
+                span(
+                    "channel",
+                    format!("{verb} c{subject} (type {chan_type})"),
+                    t0_ns,
+                    ts_ns,
+                )
+            }
+            Measure::OneSided { put, t0_ns } => {
+                let os = &mut st.metrics.one_sided;
+                if put {
+                    os.puts += 1;
+                    os.put_latencies_ns.push(ts_ns.saturating_sub(t0_ns));
+                } else {
+                    os.gets += 1;
+                    os.get_latencies_ns.push(ts_ns.saturating_sub(t0_ns));
+                }
+                os.bytes += bytes as u64;
+                let verb = if put { "put" } else { "get" };
+                span("one-sided", format!("{verb} c{subject}"), t0_ns, ts_ns)
+            }
+            Measure::ProxyHop { chan_type, what } => {
+                st.metrics.channel[type_index(chan_type)].proxy_hops += 1;
+                Event {
+                    ts_ns,
+                    dur_ns: 0,
+                    lane: 0,
+                    phase: Phase::Instant,
+                    name: format!("{what} c{subject} (type {chan_type})"),
+                    category: "copilot",
+                    value: 0.0,
+                    detail: None,
+                }
+            }
+        };
+        let lane = st.lane_id(process);
+        st.push(Event { lane, ..event });
     }
 
     /// CellPilot runtime: a write on bounded channel `chan` was granted a
@@ -381,6 +412,17 @@ impl Recorder {
         }
     }
 
+    /// The op log, stably sorted by completion time (ties keep record
+    /// order).
+    pub fn ops(&self) -> Vec<OpEvent> {
+        let Some(inner) = &self.inner else {
+            return Vec::new();
+        };
+        let mut ops = inner.lock().ops.clone();
+        ops.sort_by_key(|e| e.ts_ns);
+        ops
+    }
+
     /// Collapse the counters into a [`MetricsSnapshot`] (all zero when the
     /// recorder is disabled).
     pub fn snapshot(&self) -> MetricsSnapshot {
@@ -425,7 +467,14 @@ mod tests {
         let r = Recorder::default();
         assert!(!r.is_enabled());
         r.record_dispatch(10, 3, true);
-        r.record_channel_op(5, true, 100, 1000);
+        let main: Arc<str> = "main".into();
+        let write = Measure::Channel {
+            chan_type: 5,
+            write: true,
+            payload_bytes: 100,
+            t0_ns: 0,
+        };
+        r.record_op(1000, &main, Some(Op::SpeWrite), 0, 109, Some(write));
         r.record_incident(10, "main", "spe-crash", "x");
         r.record_hb(
             "node0.spe0:w",
@@ -439,6 +488,7 @@ mod tests {
         assert_eq!(r.lane("main"), 0);
         assert!(r.hb_events().is_empty());
         assert!(r.events().is_empty());
+        assert!(r.ops().is_empty());
         assert!(r.lanes().is_empty());
         let snap = r.snapshot();
         assert_eq!(snap.des.dispatches, 0);
@@ -468,11 +518,11 @@ mod tests {
     fn events_sort_by_virtual_time() {
         let r = Recorder::enabled();
         let lane = r.lane("main");
-        r.instant(lane, "channel", "later", 500, None);
+        r.record_incident(500, "main", "spe-crash", "later");
         r.span(lane, "channel", "earlier", 100, 50);
         let ev = r.events();
         assert_eq!(ev[0].name, "earlier");
-        assert_eq!(ev[1].name, "later");
+        assert_eq!(ev[1].detail.as_deref(), Some("later"));
     }
 
     #[test]
@@ -497,27 +547,66 @@ mod tests {
         assert!(counters >= 1);
     }
 
+    /// A type-`chan_type` channel op by `who` over `[t0_ns, ts_ns]`.
+    fn chan_op(r: &Recorder, who: &Arc<str>, chan_type: u8, write: bool, t0_ns: u64, ts_ns: u64) {
+        let op = if write { Op::RankWrite } else { Op::RankRead };
+        let m = Measure::Channel {
+            chan_type,
+            write,
+            payload_bytes: 1600,
+            t0_ns,
+        };
+        r.record_op(ts_ns, who, Some(op), 0, 1609, Some(m));
+    }
+
     #[test]
     fn channel_ops_aggregate_per_type() {
         let r = Recorder::enabled();
-        r.record_channel_op(4, true, 1600, 112_000);
-        r.record_channel_op(4, false, 1600, 112_000);
-        r.record_proxy_hop(5);
-        r.record_proxy_hop(5);
+        let (main, copilot): (Arc<str>, Arc<str>) = ("main".into(), "copilot1".into());
+        chan_op(&r, &main, 4, true, 0, 112_000);
+        chan_op(&r, &main, 4, false, 0, 112_000);
+        for _ in 0..2 {
+            let hop = Measure::ProxyHop {
+                chan_type: 5,
+                what: "forward",
+            };
+            r.record_op(5, &copilot, None, 3, 0, Some(hop));
+        }
         let snap = r.snapshot();
         assert_eq!(snap.channel_types[3].writes, 1);
         assert_eq!(snap.channel_types[3].reads, 1);
         assert_eq!(snap.channel_types[3].bytes, 3200);
         assert_eq!(snap.channel_types[3].latency_us.median, 112.0);
         assert_eq!(snap.channel_types[4].proxy_hops, 2);
+        let events = r.events();
+        let names: Vec<&str> = events.iter().map(|e| e.name.as_str()).collect();
+        assert_eq!(
+            names,
+            [
+                "write c0 (type 4)",
+                "read c0 (type 4)",
+                "forward c3 (type 5)",
+                "forward c3 (type 5)"
+            ]
+        );
+        assert_eq!(r.lanes(), ["main", "copilot1"]);
+        // Only the ops given an `Op` are logged.
+        assert_eq!(r.ops().len(), 2);
     }
 
     #[test]
     fn one_sided_ops_aggregate() {
         let r = Recorder::enabled();
-        r.record_one_sided_op(true, 1600, 80_000);
-        r.record_one_sided_op(true, 1600, 82_000);
-        r.record_one_sided_op(false, 1600, 6_000);
+        let who: Arc<str> = "sender#0".into();
+        for (put, t0_ns, ts_ns) in [(true, 0, 80_000), (true, 1_000, 83_000), (false, 0, 6_000)] {
+            let op = if put {
+                Op::OneSidedPut
+            } else {
+                Op::OneSidedDeliver
+            };
+            let m = Measure::OneSided { put, t0_ns };
+            r.record_op(ts_ns, &who, Some(op), 0, 1600, Some(m));
+        }
         let snap = r.snapshot();
         assert_eq!(snap.one_sided.puts, 2);
         assert_eq!(snap.one_sided.gets, 1);
@@ -526,7 +615,30 @@ mod tests {
         assert_eq!(snap.one_sided.get_latency_us.max, 6.0);
         assert!(snap.one_sided.throughput_mb_s > 0.0);
         // Disabled recorder: single-branch no-op.
-        Recorder::default().record_one_sided_op(true, 1, 1);
+        let m = Measure::OneSided {
+            put: true,
+            t0_ns: 0,
+        };
+        Recorder::default().record_op(1, &who, Some(Op::OneSidedPut), 0, 1, Some(m));
+    }
+
+    #[test]
+    fn op_log_sorts_stably_by_time() {
+        let r = Recorder::enabled();
+        let (a, b): (Arc<str>, Arc<str>) = ("a".into(), "b".into());
+        r.record_op(9, &b, Some(Op::RankRead), 1, 8, None);
+        r.record_op(3, &a, Some(Op::RankWrite), 1, 8, None);
+        r.record_op(9, &a, Some(Op::Select), 2, 0, None);
+        let ops = r.ops();
+        let order: Vec<(&str, Op)> = ops.iter().map(|e| (&*e.process, e.op)).collect();
+        assert_eq!(
+            order,
+            [("a", Op::RankWrite), ("b", Op::RankRead), ("a", Op::Select)]
+        );
+        // The log is kept apart from the Chrome-trace events and lanes.
+        assert!(r.events().is_empty());
+        assert!(r.lanes().is_empty());
+        assert_eq!(r.ops(), ops, "reading the log does not drain it");
     }
 
     #[test]

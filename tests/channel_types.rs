@@ -4,13 +4,13 @@
 //! regression tests: one pinned trace digest per channel type, with the
 //! byte-identical-replay guarantee checked on every run.
 
-use cellpilot::trace::TraceEvent;
 use cellpilot::{
     classify, render_trace, CellPilotConfig, CellPilotOpts, ChannelKind, CpChannel, Location,
     PiValue, SpeProgram, CP_MAIN,
 };
 use cp_des::{SimDuration, SimReport};
 use cp_simnet::{ClusterSpec, NodeId};
+use cp_trace::{OpEvent, Recorder};
 
 fn rank(node: usize) -> Location {
     Location::Rank {
@@ -85,19 +85,24 @@ fn data() -> Vec<i32> {
     (0..PAYLOAD as i32).collect()
 }
 
-/// Run `scenario` twice; assert non-empty byte-identical traces, the pinned
-/// digest, and the pinned count of kernel hand-offs (dispatches that woke
-/// another OS thread — the part of a run's host cost that is a property of
-/// the program, not of the machine).
+/// Run `scenario` twice traced; assert non-empty byte-identical traces,
+/// the pinned digest, and the pinned count of kernel hand-offs (dispatches
+/// that woke another OS thread — the part of a run's host cost that is a
+/// property of the program, not of the machine). A third, untraced run
+/// must take the same schedule: tracing observes a run, it never moves it.
 fn assert_golden(
     kind: ChannelKind,
     pinned: u64,
     handoffs: u64,
-    scenario: impl Fn() -> (SimReport, Vec<TraceEvent>),
+    scenario: impl Fn(&Recorder) -> SimReport,
 ) {
-    let (report, a) = scenario();
-    let (again, b) = scenario();
-    let (a, b) = (render_trace(&a), render_trace(&b));
+    let traced = || {
+        let rec = Recorder::enabled();
+        let report = scenario(&rec);
+        (report, render_trace(&rec.ops()))
+    };
+    let (report, a) = traced();
+    let (again, b) = traced();
     assert!(!a.is_empty(), "{kind} scenario produced no trace");
     assert_eq!(a, b, "{kind} replay must be byte-identical");
     assert_eq!(report.handoffs, again.handoffs, "{kind} hand-offs replay");
@@ -112,21 +117,28 @@ fn assert_golden(
         "{kind} trace digest drifted (got {:#018x}); current trace:\n{a}",
         fnv1a(&a)
     );
+    let untraced = scenario(&Recorder::disabled());
+    let schedule = |r: &SimReport| (r.end_time, r.dispatches, r.handoffs);
+    assert_eq!(
+        schedule(&untraced),
+        schedule(&report),
+        "{kind}: tracing changed the run"
+    );
 }
 
-fn traced_cfg() -> CellPilotConfig {
-    traced_cfg_on(ClusterSpec::two_cells_one_xeon())
+fn traced_cfg(rec: &Recorder) -> CellPilotConfig {
+    traced_cfg_on(ClusterSpec::two_cells_one_xeon(), rec)
 }
 
-fn traced_cfg_on(spec: ClusterSpec) -> CellPilotConfig {
-    CellPilotConfig::one_rank_per_node(spec, CellPilotOpts::new().with_trace())
+fn traced_cfg_on(spec: ClusterSpec, rec: &Recorder) -> CellPilotConfig {
+    CellPilotConfig::one_rank_per_node(spec, CellPilotOpts::new().with_tracing(rec.clone()))
 }
 
 /// Type 1: PPE rank 0 <-> PPE rank 1 on another node, pure Pilot/MPI path.
 #[test]
 fn golden_trace_type1_rank_to_rank() {
-    assert_golden(ChannelKind::Type1, 0xcb00_3640_5a3d_da16, 5, || {
-        let mut cfg = traced_cfg();
+    assert_golden(ChannelKind::Type1, 0xcb00_3640_5a3d_da16, 5, |rec| {
+        let mut cfg = traced_cfg(rec);
         let worker = cfg
             .create_process("worker", 0, |cp, _| {
                 let v = cp.read_vec::<i32>(CpChannel(0)).unwrap();
@@ -136,7 +148,7 @@ fn golden_trace_type1_rank_to_rank() {
         let out = cfg.channel(CP_MAIN, worker).build().unwrap();
         let back = cfg.channel(worker, CP_MAIN).build().unwrap();
         assert_eq!(cfg.channel_kind(out).unwrap(), ChannelKind::Type1);
-        cfg.run_traced(move |cp| {
+        cfg.run(move |cp| {
             cp.write_slice(out, &data()).unwrap();
             assert_eq!(cp.read_vec::<i32>(back).unwrap(), data());
         })
@@ -152,8 +164,8 @@ fn golden_trace_type1_rank_to_rank() {
 /// saturate changes nothing.
 #[test]
 fn golden_trace_unchanged_by_large_capacities() {
-    assert_golden(ChannelKind::Type1, 0xcb00_3640_5a3d_da16, 5, || {
-        let mut cfg = traced_cfg();
+    assert_golden(ChannelKind::Type1, 0xcb00_3640_5a3d_da16, 5, |rec| {
+        let mut cfg = traced_cfg(rec);
         let worker = cfg
             .create_process("worker", 0, |cp, _| {
                 let v = cp.read_vec::<i32>(CpChannel(0)).unwrap();
@@ -162,7 +174,7 @@ fn golden_trace_unchanged_by_large_capacities() {
             .unwrap();
         let out = cfg.channel(CP_MAIN, worker).capacity(1024).build().unwrap();
         let back = cfg.channel(worker, CP_MAIN).capacity(1024).build().unwrap();
-        cfg.run_traced(move |cp| {
+        cfg.run(move |cp| {
             cp.write_slice(out, &data()).unwrap();
             assert_eq!(cp.read_vec::<i32>(back).unwrap(), data());
         })
@@ -174,8 +186,8 @@ fn golden_trace_unchanged_by_large_capacities() {
 /// Co-Pilot.
 #[test]
 fn golden_trace_type2_rank_to_local_spe() {
-    assert_golden(ChannelKind::Type2, 0x6753_a07b_3455_70fd, 5, || {
-        let mut cfg = traced_cfg();
+    assert_golden(ChannelKind::Type2, 0x6753_a07b_3455_70fd, 5, |rec| {
+        let mut cfg = traced_cfg(rec);
         let prog = SpeProgram::new("echo", 2048, |spe, _, _| {
             let v = spe.read_vec::<i32>(CpChannel(0)).unwrap();
             spe.write_slice(CpChannel(1), &v).unwrap();
@@ -184,7 +196,7 @@ fn golden_trace_type2_rank_to_local_spe() {
         let to_spe = cfg.channel(CP_MAIN, spe).build().unwrap();
         let back = cfg.channel(spe, CP_MAIN).build().unwrap();
         assert_eq!(cfg.channel_kind(to_spe).unwrap(), ChannelKind::Type2);
-        cfg.run_traced(move |cp| {
+        cfg.run(move |cp| {
             let task = cp.run_spe(spe, 0, 0).unwrap();
             cp.write_slice(to_spe, &data()).unwrap();
             assert_eq!(cp.read_vec::<i32>(back).unwrap(), data());
@@ -197,8 +209,8 @@ fn golden_trace_type2_rank_to_local_spe() {
 /// Type 3: remote PPE rank <-> SPE, relayed by the SPE node's Co-Pilot.
 #[test]
 fn golden_trace_type3_rank_to_remote_spe() {
-    assert_golden(ChannelKind::Type3, 0x906c_d23f_4df4_9fe2, 7, || {
-        let mut cfg = traced_cfg();
+    assert_golden(ChannelKind::Type3, 0x906c_d23f_4df4_9fe2, 7, |rec| {
+        let mut cfg = traced_cfg(rec);
         let prog = SpeProgram::new("src", 2048, |spe, _, _| {
             spe.write_slice(CpChannel(0), &data()).unwrap();
             assert_eq!(spe.read_vec::<i32>(CpChannel(1)).unwrap(), data());
@@ -213,7 +225,7 @@ fn golden_trace_type3_rank_to_remote_spe() {
         let out = cfg.channel(spe, worker).build().unwrap();
         let _back = cfg.channel(worker, spe).build().unwrap();
         assert_eq!(cfg.channel_kind(out).unwrap(), ChannelKind::Type3);
-        cfg.run_traced(move |cp| cp.run_and_wait_my_spes()).unwrap()
+        cfg.run(move |cp| cp.run_and_wait_my_spes()).unwrap()
     });
 }
 
@@ -221,8 +233,8 @@ fn golden_trace_type3_rank_to_remote_spe() {
 /// Co-Pilot.
 #[test]
 fn golden_trace_type4_spe_to_local_spe() {
-    assert_golden(ChannelKind::Type4, 0x4330_0edc_02f1_c124, 9, || {
-        let mut cfg = traced_cfg();
+    assert_golden(ChannelKind::Type4, 0x4330_0edc_02f1_c124, 9, |rec| {
+        let mut cfg = traced_cfg(rec);
         let a = SpeProgram::new("a", 2048, |spe, _, _| {
             spe.write_slice(CpChannel(0), &data()).unwrap();
             assert_eq!(spe.read_vec::<i32>(CpChannel(1)).unwrap(), data());
@@ -236,15 +248,15 @@ fn golden_trace_type4_spe_to_local_spe() {
         let ab = cfg.channel(pa, pb).build().unwrap();
         let _ba = cfg.channel(pb, pa).build().unwrap();
         assert_eq!(cfg.channel_kind(ab).unwrap(), ChannelKind::Type4);
-        cfg.run_traced(move |cp| cp.run_and_wait_my_spes()).unwrap()
+        cfg.run(move |cp| cp.run_and_wait_my_spes()).unwrap()
     });
 }
 
 /// Type 5: SPEs on two different Cell nodes, relayed by both Co-Pilots.
 #[test]
 fn golden_trace_type5_spe_to_remote_spe() {
-    assert_golden(ChannelKind::Type5, 0x2686_3d58_dd8f_6264, 13, || {
-        let mut cfg = traced_cfg();
+    assert_golden(ChannelKind::Type5, 0x2686_3d58_dd8f_6264, 13, |rec| {
+        let mut cfg = traced_cfg(rec);
         let x = SpeProgram::new("x", 2048, |spe, _, _| {
             spe.write_slice(CpChannel(0), &data()).unwrap();
             assert_eq!(spe.read_vec::<i32>(CpChannel(1)).unwrap(), data());
@@ -261,7 +273,7 @@ fn golden_trace_type5_spe_to_remote_spe() {
         let xy = cfg.channel(px, py).build().unwrap();
         let _yx = cfg.channel(py, px).build().unwrap();
         assert_eq!(cfg.channel_kind(xy).unwrap(), ChannelKind::Type5);
-        cfg.run_traced(move |cp| cp.run_and_wait_my_spes()).unwrap()
+        cfg.run(move |cp| cp.run_and_wait_my_spes()).unwrap()
     });
 }
 
@@ -289,7 +301,7 @@ struct Pinned {
     handoffs_per_round_trip: u64,
 }
 
-fn pinned(scenario: impl Fn(usize) -> (SimReport, Vec<TraceEvent>)) -> Pinned {
+fn pinned(scenario: impl Fn(usize) -> (SimReport, Vec<OpEvent>)) -> Pinned {
     let (short, trace) = scenario(ROUNDS);
     let (long, _) = scenario(2 * ROUNDS);
     let extra = long.handoffs - short.handoffs;
@@ -310,7 +322,7 @@ fn byte(r: usize) -> Vec<PiValue> {
 /// `rounds` 1 B round trips over channel type `chan_type` (2–5), every
 /// SPE-read leg one-sided: channel 0 carries the ping, channel 1 the echo.
 /// Types 2 and 3 ping from the main rank, types 4 and 5 from an SPE.
-fn one_sided_pingpong(chan_type: u8, rounds: usize) -> (SimReport, Vec<TraceEvent>) {
+fn one_sided_pingpong(chan_type: u8, rounds: usize) -> (SimReport, Vec<OpEvent>) {
     one_sided_pingpong_on(ClusterSpec::two_cells_one_xeon(), chan_type, rounds)
 }
 
@@ -319,8 +331,9 @@ fn one_sided_pingpong_on(
     spec: ClusterSpec,
     chan_type: u8,
     rounds: usize,
-) -> (SimReport, Vec<TraceEvent>) {
-    let mut cfg = traced_cfg_on(spec);
+) -> (SimReport, Vec<OpEvent>) {
+    let rec = Recorder::enabled();
+    let mut cfg = traced_cfg_on(spec, &rec);
     let echo = SpeProgram::new("echo", 2048, move |spe, _, _| {
         for _ in 0..rounds {
             let v = spe.read(CpChannel(0), "%b").unwrap();
@@ -365,7 +378,7 @@ fn one_sided_pingpong_on(
     };
     back.build().unwrap();
     assert_eq!(cfg.channel_kind(out).unwrap().type_number(), chan_type);
-    cfg.run_traced(move |cp| {
+    let report = cfg.run(move |cp| {
         let tasks = cp.run_my_spes();
         if chan_type <= 3 {
             for r in 0..rounds {
@@ -376,16 +389,17 @@ fn one_sided_pingpong_on(
         for t in tasks {
             cp.wait_spe(t);
         }
-    })
-    .unwrap()
+    });
+    (report.unwrap(), rec.ops())
 }
 
 /// `rounds` 1 B messages from the main rank to a worker rank over a type-1
 /// channel of capacity 2 under the default `Block` policy. The writer runs
 /// ahead and the reader drains one message every 10 µs, so from the third
 /// message on each write polls for its credit.
-fn backpressure(rounds: usize) -> (SimReport, Vec<TraceEvent>) {
-    let mut cfg = traced_cfg();
+fn backpressure(rounds: usize) -> (SimReport, Vec<OpEvent>) {
+    let rec = Recorder::enabled();
+    let mut cfg = traced_cfg(&rec);
     let worker = cfg
         .create_process("worker", 0, move |cp, _| {
             for r in 0..rounds {
@@ -396,12 +410,12 @@ fn backpressure(rounds: usize) -> (SimReport, Vec<TraceEvent>) {
         .unwrap();
     let chan = cfg.channel(CP_MAIN, worker).capacity(2).build().unwrap();
     assert_eq!(cfg.channel_kind(chan).unwrap(), ChannelKind::Type1);
-    cfg.run_traced(move |cp| {
+    let report = cfg.run(move |cp| {
         for r in 0..rounds {
             cp.write(chan, "%b", &byte(r)).unwrap();
         }
-    })
-    .unwrap()
+    });
+    (report.unwrap(), rec.ops())
 }
 
 #[test]
@@ -474,12 +488,8 @@ fn type3_pingpong_on_wire(wire_us: f64) -> (u64, u64, u64) {
     let (long, _) = one_sided_pingpong_on(spec, 3, 2 * ROUNDS);
     let extra = long.dispatches - short.dispatches;
     assert_eq!(extra % ROUNDS as u64, 0, "dispatches not periodic: {extra}");
-    let last = trace.last().expect("a traced ping-pong").at;
-    (
-        extra / ROUNDS as u64,
-        last.as_nanos(),
-        fnv1a(&render_trace(&trace)),
-    )
+    let last = trace.last().expect("a traced ping-pong").ts_ns;
+    (extra / ROUNDS as u64, last, fnv1a(&render_trace(&trace)))
 }
 
 /// A one-sided reader is woken at the instant its put lands instead of

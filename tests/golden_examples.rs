@@ -1,6 +1,6 @@
 //! Golden sim-trace digests for the application examples: scaled-down but
 //! structurally faithful replicas of `mandelbrot_farm` and
-//! `pipeline_overlay` run under `with_trace` on the sim backend (the
+//! `pipeline_overlay` run under `with_tracing` on the sim backend (the
 //! conformance oracle), and the rendered trace is pinned by an FNV-1a
 //! digest. Any change to scheduling, routing, costs, or event order drifts
 //! a digest here before it shows up in any figure — and each scenario runs
@@ -15,6 +15,7 @@ use cp_cellsim::OverlaySegment;
 use cp_des::SimDuration;
 use cp_pilot::PiValue;
 use cp_simnet::ClusterSpec;
+use cp_trace::Recorder;
 
 fn fnv1a(s: &str) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -40,10 +41,10 @@ fn assert_golden(what: &str, pinned: u64, scenario: impl Fn() -> String) {
     );
 }
 
-fn traced_cfg() -> CellPilotConfig {
+fn traced_cfg(rec: &Recorder) -> CellPilotConfig {
     CellPilotConfig::one_rank_per_node(
         ClusterSpec::two_cells_one_xeon(),
-        CellPilotOpts::new().with_trace(),
+        CellPilotOpts::new().with_tracing(rec.clone()),
     )
 }
 
@@ -77,7 +78,8 @@ fn row_pixels(py: usize) -> Vec<u32> {
 #[test]
 fn golden_trace_mandelbrot_farm() {
     assert_golden("mandelbrot_farm", 0x5eec_cefb_0920_2e6e, || {
-        let mut cfg = traced_cfg();
+        let rec = Recorder::enabled();
+        let mut cfg = traced_cfg(&rec);
         let worker = SpeProgram::new("mandel-worker", 6144, |spe, _, _| {
             let w = spe.index() as usize;
             let (task, result) = (CpChannel(2 * w), CpChannel(2 * w + 1));
@@ -117,59 +119,58 @@ fn golden_trace_mandelbrot_farm() {
             let result = cfg.channel(s, CP_MAIN).build().unwrap();
             chans.push((task, result));
         }
-        let (_r, t) = cfg
-            .run_traced(move |cp| {
-                let mut ts = Vec::new();
-                for p in 0..cp.process_count() {
-                    if let Ok(t) = cp.run_spe(CpProcess(p), 0, 0) {
-                        ts.push(t);
-                    }
+        cfg.run(move |cp| {
+            let mut ts = Vec::new();
+            for p in 0..cp.process_count() {
+                if let Ok(t) = cp.run_spe(CpProcess(p), 0, 0) {
+                    ts.push(t);
                 }
-                let mut image = vec![Vec::new(); HEIGHT];
-                let mut next_row = 0usize;
-                let mut done_rows = 0usize;
-                for &(task, _) in &chans {
-                    cp.write(task, "%d", &[PiValue::Int32(vec![next_row as i32])])
-                        .unwrap();
-                    next_row += 1;
-                }
-                while done_rows < HEIGHT {
-                    let mut any = false;
-                    for &(task, result) in &chans {
-                        if cp.channel_has_data(result).unwrap() {
-                            any = true;
-                            let vals = cp.read(result, &format!("%d %{WIDTH}u")).unwrap();
-                            let PiValue::Int32(r) = &vals[0] else {
-                                unreachable!()
-                            };
-                            let PiValue::UInt32(px) = &vals[1] else {
-                                unreachable!()
-                            };
-                            image[r[0] as usize] = px.clone();
-                            done_rows += 1;
-                            if next_row < HEIGHT {
-                                cp.write(task, "%d", &[PiValue::Int32(vec![next_row as i32])])
-                                    .unwrap();
-                                next_row += 1;
-                            }
+            }
+            let mut image = vec![Vec::new(); HEIGHT];
+            let mut next_row = 0usize;
+            let mut done_rows = 0usize;
+            for &(task, _) in &chans {
+                cp.write(task, "%d", &[PiValue::Int32(vec![next_row as i32])])
+                    .unwrap();
+                next_row += 1;
+            }
+            while done_rows < HEIGHT {
+                let mut any = false;
+                for &(task, result) in &chans {
+                    if cp.channel_has_data(result).unwrap() {
+                        any = true;
+                        let vals = cp.read(result, &format!("%d %{WIDTH}u")).unwrap();
+                        let PiValue::Int32(r) = &vals[0] else {
+                            unreachable!()
+                        };
+                        let PiValue::UInt32(px) = &vals[1] else {
+                            unreachable!()
+                        };
+                        image[r[0] as usize] = px.clone();
+                        done_rows += 1;
+                        if next_row < HEIGHT {
+                            cp.write(task, "%d", &[PiValue::Int32(vec![next_row as i32])])
+                                .unwrap();
+                            next_row += 1;
                         }
                     }
-                    if !any {
-                        cp.ctx().advance(SimDuration::from_micros(20));
-                    }
                 }
-                for &(task, _) in &chans {
-                    cp.write(task, "%d", &[PiValue::Int32(vec![-1])]).unwrap();
+                if !any {
+                    cp.ctx().advance(SimDuration::from_micros(20));
                 }
-                for (py, row) in image.iter().enumerate() {
-                    assert_eq!(row, &row_pixels(py), "row {py}");
-                }
-                for t in ts {
-                    cp.wait_spe(t);
-                }
-            })
-            .unwrap();
-        render_trace(&t)
+            }
+            for &(task, _) in &chans {
+                cp.write(task, "%d", &[PiValue::Int32(vec![-1])]).unwrap();
+            }
+            for (py, row) in image.iter().enumerate() {
+                assert_eq!(row, &row_pixels(py), "row {py}");
+            }
+            for t in ts {
+                cp.wait_spe(t);
+            }
+        })
+        .unwrap();
+        render_trace(&rec.ops())
     });
 }
 
@@ -209,7 +210,8 @@ fn integrate_stage(x: &[f64]) -> f64 {
 #[test]
 fn golden_trace_pipeline_overlay() {
     assert_golden("pipeline_overlay", 0x6275_af54_ea89_92b2, || {
-        let mut cfg = traced_cfg();
+        let rec = Recorder::enabled();
+        let mut cfg = traced_cfg(&rec);
         let producer = SpeProgram::new("producer", 4096, |spe, _, _| {
             for b in 0..BLOCKS {
                 let block: Vec<f64> = (0..BLOCK)
@@ -276,25 +278,24 @@ fn golden_trace_pipeline_overlay() {
         let w = cfg.create_spe_process(&worker, CP_MAIN, 1).unwrap();
         cfg.channel(p, w).build().unwrap();
         cfg.channel(w, CP_MAIN).build().unwrap();
-        let (_r, t) = cfg
-            .run_traced(move |cp| {
-                let t1 = cp.run_spe(p, 0, 0).unwrap();
-                let t2 = cp.run_spe(w, 0, 0).unwrap();
-                let vals = cp.read(CpChannel(1), &format!("%{BLOCKS}lf")).unwrap();
-                let PiValue::Float64(results) = &vals[0] else {
-                    unreachable!()
-                };
-                for (b, &got) in results.iter().enumerate() {
-                    let block: Vec<f64> = (0..BLOCK)
-                        .map(|i| ((b * BLOCK + i) as f64 * 0.1).sin())
-                        .collect();
-                    let expect = integrate_stage(&filter_stage(&window_stage(&block)));
-                    assert!((got - expect).abs() < 1e-9, "block {b}");
-                }
-                cp.wait_spe(t1);
-                cp.wait_spe(t2);
-            })
-            .unwrap();
-        render_trace(&t)
+        cfg.run(move |cp| {
+            let t1 = cp.run_spe(p, 0, 0).unwrap();
+            let t2 = cp.run_spe(w, 0, 0).unwrap();
+            let vals = cp.read(CpChannel(1), &format!("%{BLOCKS}lf")).unwrap();
+            let PiValue::Float64(results) = &vals[0] else {
+                unreachable!()
+            };
+            for (b, &got) in results.iter().enumerate() {
+                let block: Vec<f64> = (0..BLOCK)
+                    .map(|i| ((b * BLOCK + i) as f64 * 0.1).sin())
+                    .collect();
+                let expect = integrate_stage(&filter_stage(&window_stage(&block)));
+                assert!((got - expect).abs() < 1e-9, "block {b}");
+            }
+            cp.wait_spe(t1);
+            cp.wait_spe(t2);
+        })
+        .unwrap();
+        render_trace(&rec.ops())
     });
 }

@@ -12,6 +12,7 @@ use cellpilot::{
 };
 use cp_des::{IncidentCategory, SimDuration, SimError, SimReport, SimTime};
 use cp_simnet::{ClusterSpec, FaultPlan, NodeId};
+use cp_trace::{Op, OpEvent, Recorder};
 use proptest::prelude::*;
 use std::sync::{Arc, Mutex};
 
@@ -46,10 +47,10 @@ fn assert_golden(kind: ChannelKind, pinned: u64, scenario: impl Fn() -> String) 
     );
 }
 
-fn traced_cfg() -> CellPilotConfig {
+fn traced_cfg(rec: &Recorder) -> CellPilotConfig {
     CellPilotConfig::one_rank_per_node(
         ClusterSpec::two_cells_one_xeon(),
-        CellPilotOpts::new().with_trace(),
+        CellPilotOpts::new().with_tracing(rec.clone()),
     )
 }
 
@@ -58,7 +59,8 @@ fn traced_cfg() -> CellPilotConfig {
 #[test]
 fn golden_one_sided_type2() {
     assert_golden(ChannelKind::Type2, 0xe3f1_3e79_d73a_6949, || {
-        let mut cfg = traced_cfg();
+        let rec = Recorder::enabled();
+        let mut cfg = traced_cfg(&rec);
         let prog = SpeProgram::new("echo", 2048, |spe, _, _| {
             let v = spe.read_vec::<i32>(CpChannel(0)).unwrap();
             spe.write_slice(CpChannel(1), &v).unwrap();
@@ -69,15 +71,14 @@ fn golden_one_sided_type2() {
         assert_eq!(cfg.channel_kind(to_spe).unwrap(), ChannelKind::Type2);
         assert_eq!(cfg.channel_mode(to_spe), Some(ChannelMode::OneSided));
         assert_eq!(cfg.channel_mode(back), Some(ChannelMode::Rendezvous));
-        let (_r, t) = cfg
-            .run_traced(move |cp| {
-                let task = cp.run_spe(spe, 0, 0).unwrap();
-                cp.write_slice(to_spe, &data()).unwrap();
-                assert_eq!(cp.read_vec::<i32>(back).unwrap(), data());
-                cp.wait_spe(task);
-            })
-            .unwrap();
-        render_trace(&t)
+        cfg.run(move |cp| {
+            let task = cp.run_spe(spe, 0, 0).unwrap();
+            cp.write_slice(to_spe, &data()).unwrap();
+            assert_eq!(cp.read_vec::<i32>(back).unwrap(), data());
+            cp.wait_spe(task);
+        })
+        .unwrap();
+        render_trace(&rec.ops())
     });
 }
 
@@ -86,7 +87,8 @@ fn golden_one_sided_type2() {
 #[test]
 fn golden_one_sided_type3() {
     assert_golden(ChannelKind::Type3, 0xfd87_97c6_dbde_3814, || {
-        let mut cfg = traced_cfg();
+        let rec = Recorder::enabled();
+        let mut cfg = traced_cfg(&rec);
         let prog = SpeProgram::new("src", 2048, |spe, _, _| {
             spe.write_slice(CpChannel(0), &data()).unwrap();
             assert_eq!(spe.read_vec::<i32>(CpChannel(1)).unwrap(), data());
@@ -102,8 +104,8 @@ fn golden_one_sided_type3() {
         let back = cfg.channel(worker, spe).one_sided().build().unwrap();
         assert_eq!(cfg.channel_kind(out).unwrap(), ChannelKind::Type3);
         assert_eq!(cfg.channel_mode(back), Some(ChannelMode::OneSided));
-        let (_r, t) = cfg.run_traced(move |cp| cp.run_and_wait_my_spes()).unwrap();
-        render_trace(&t)
+        cfg.run(move |cp| cp.run_and_wait_my_spes()).unwrap();
+        render_trace(&rec.ops())
     });
 }
 
@@ -112,7 +114,8 @@ fn golden_one_sided_type3() {
 #[test]
 fn golden_one_sided_type4() {
     assert_golden(ChannelKind::Type4, 0xc32c_0afb_775e_18f0, || {
-        let mut cfg = traced_cfg();
+        let rec = Recorder::enabled();
+        let mut cfg = traced_cfg(&rec);
         let a = SpeProgram::new("a", 2048, |spe, _, _| {
             spe.write_slice(CpChannel(0), &data()).unwrap();
             assert_eq!(spe.read_vec::<i32>(CpChannel(1)).unwrap(), data());
@@ -126,8 +129,8 @@ fn golden_one_sided_type4() {
         let ab = cfg.channel(pa, pb).one_sided().build().unwrap();
         let _ba = cfg.channel(pb, pa).one_sided().build().unwrap();
         assert_eq!(cfg.channel_kind(ab).unwrap(), ChannelKind::Type4);
-        let (_r, t) = cfg.run_traced(move |cp| cp.run_and_wait_my_spes()).unwrap();
-        render_trace(&t)
+        cfg.run(move |cp| cp.run_and_wait_my_spes()).unwrap();
+        render_trace(&rec.ops())
     });
 }
 
@@ -136,7 +139,8 @@ fn golden_one_sided_type4() {
 #[test]
 fn golden_one_sided_type5() {
     assert_golden(ChannelKind::Type5, 0xc562_90a5_7660_6e19, || {
-        let mut cfg = traced_cfg();
+        let rec = Recorder::enabled();
+        let mut cfg = traced_cfg(&rec);
         let x = SpeProgram::new("x", 2048, |spe, _, _| {
             spe.write_slice(CpChannel(0), &data()).unwrap();
             assert_eq!(spe.read_vec::<i32>(CpChannel(1)).unwrap(), data());
@@ -153,8 +157,8 @@ fn golden_one_sided_type5() {
         let xy = cfg.channel(px, py).one_sided().build().unwrap();
         let _yx = cfg.channel(py, px).one_sided().build().unwrap();
         assert_eq!(cfg.channel_kind(xy).unwrap(), ChannelKind::Type5);
-        let (_r, t) = cfg.run_traced(move |cp| cp.run_and_wait_my_spes()).unwrap();
-        render_trace(&t)
+        cfg.run(move |cp| cp.run_and_wait_my_spes()).unwrap();
+        render_trace(&rec.ops())
     });
 }
 
@@ -248,11 +252,7 @@ fn put_larger_than_the_window_overflows() {
 fn one_sided_ping_pong(
     plan: Option<Arc<FaultPlan>>,
     supervise: bool,
-) -> (
-    Vec<IncidentCategory>,
-    Vec<cellpilot::TraceEvent>,
-    Vec<Vec<i32>>,
-) {
+) -> (Vec<IncidentCategory>, Vec<OpEvent>, Vec<Vec<i32>>) {
     let (report, trace, out) = one_sided_ping_pong_run(plan, supervise);
     let cats = report.incidents.iter().map(|i| i.category).collect();
     (cats, trace, out)
@@ -262,9 +262,10 @@ fn one_sided_ping_pong(
 fn one_sided_ping_pong_run(
     plan: Option<Arc<FaultPlan>>,
     supervise: bool,
-) -> (SimReport, Vec<cellpilot::TraceEvent>, Vec<Vec<i32>>) {
+) -> (SimReport, Vec<OpEvent>, Vec<Vec<i32>>) {
     let spec = ClusterSpec::two_cells_one_xeon();
-    let mut opts = CellPilotOpts::new().with_trace();
+    let rec = Recorder::enabled();
+    let mut opts = CellPilotOpts::new().with_tracing(rec.clone());
     if let Some(p) = plan {
         opts = opts.with_faults(p);
     }
@@ -296,11 +297,11 @@ fn one_sided_ping_pong_run(
     let fwd = cfg.channel(w, r).one_sided().build().unwrap();
     let _ack = cfg.channel(r, w).one_sided().build().unwrap();
     assert_eq!(cfg.channel_kind(fwd).unwrap(), ChannelKind::Type5);
-    let (report, trace) = cfg
-        .run_traced(move |cp| cp.run_and_wait_my_spes())
+    let report = cfg
+        .run(move |cp| cp.run_and_wait_my_spes())
         .expect("recovery keeps the run alive");
     let out = std::mem::take(&mut *collected.lock().unwrap());
-    (report, trace, out)
+    (report, rec.ops(), out)
 }
 
 /// A run's incident log, one line per incident.
@@ -309,13 +310,13 @@ fn incident_log(report: &SimReport) -> Vec<String> {
 }
 
 /// Mid-stream instant: when the third one-sided delivery completed.
-fn third_deliver_at(trace: &[cellpilot::TraceEvent]) -> SimTime {
+fn third_deliver_at(trace: &[OpEvent]) -> SimTime {
     trace
         .iter()
-        .filter(|e| e.op == cellpilot::TraceOp::OneSidedDeliver && e.subject == 0)
+        .filter(|e| e.op == Op::OneSidedDeliver && e.subject == 0)
         .nth(2)
+        .map(|e| SimTime(e.ts_ns))
         .expect("the golden run delivers five forward messages")
-        .at
 }
 
 /// Killing the reader-side Co-Pilot mid-stream migrates window ownership
@@ -534,6 +535,50 @@ fn reader_whose_writer_never_writes_is_a_named_deadlock() {
         }
         other => panic!("expected a deadlock naming the reader, got {other:?}"),
     }
+}
+
+/// A run that fails keeps its op log: the caller's clone of the recorder
+/// still renders every op completed before the run deadlocked.
+#[test]
+fn deadlocked_run_keeps_its_op_log() {
+    let rec = Recorder::enabled();
+    let spec = ClusterSpec::two_cells_one_xeon();
+    let opts = CellPilotOpts::new()
+        .with_tracing(rec.clone())
+        .with_time_limit(SimDuration::from_millis(50));
+    let mut cfg = CellPilotConfig::one_rank_per_node(spec, opts);
+    let reader = SpeProgram::new("reader", 2048, |spe, _, _| {
+        assert_eq!(spe.read_vec::<i32>(CpChannel(0)).unwrap(), data());
+        let _ = spe.read_vec::<i32>(CpChannel(0));
+    });
+    let writer = cfg
+        .create_process("writer", 0, |cp, _| {
+            cp.write_slice(CpChannel(0), &data()).unwrap()
+        })
+        .unwrap();
+    let r = cfg.create_spe_process(&reader, CP_MAIN, 0).unwrap();
+    cfg.channel(writer, r).one_sided().build().unwrap();
+    let result = cfg.run(|cp| cp.run_and_wait_my_spes());
+    assert!(
+        matches!(result, Err(SimError::Deadlock { .. })),
+        "expected a deadlock, got {result:?}"
+    );
+    let ops: Vec<(Op, String)> = rec
+        .ops()
+        .iter()
+        .map(|e| (e.op, e.process.to_string()))
+        .collect();
+    assert_eq!(
+        ops,
+        [
+            (Op::RunSpe, "main".to_string()),
+            (Op::OneSidedPut, "writer".to_string()),
+            (Op::OneSidedDeliver, "reader#0".to_string()),
+            (Op::SpeRead, "reader#0".to_string()),
+        ]
+    );
+    let rendered = render_trace(&rec.ops());
+    assert_eq!(rendered.lines().count(), 4, "{rendered}");
 }
 
 proptest! {
