@@ -29,11 +29,7 @@ use crate::tables::{CoalescePolicy, CpBundleUsage};
 use crate::CpChannel;
 use cp_des::SimTime;
 use cp_mpisim::Datatype;
-use cp_pilot::{
-    fmt::parse_format,
-    value::{check_against_format, pack_message, payload_bytes},
-    PiValue,
-};
+use cp_pilot::PiValue;
 use cp_simnet::NodeId;
 use std::collections::BTreeMap;
 
@@ -107,9 +103,7 @@ impl BundleCoalescer<'_> {
                 detail: format!("channel {} is not a member", chan.0),
             });
         }
-        let conv = parse_format(format)?;
-        check_against_format(&conv, values)?;
-        let data = pack_message(values);
+        let msg = cp_pilot::pack_checked(format, values)?;
         if self.deadline_expired() {
             self.flush()?;
         }
@@ -119,9 +113,9 @@ impl BundleCoalescer<'_> {
         self.cp
             .shared
             .acquire_credit(self.cp.ctx(), self.cp.proc_name(), chan.0)?;
-        self.charge(payload_bytes(values));
+        self.cp.ep.charge(msg.payload);
         self.opened_at.get_or_insert(self.cp.ctx().now());
-        self.buf.push((chan.0, data));
+        self.buf.push((chan.0, msg.data));
         if self.buf.len() >= self.policy.max_batch || self.deadline_expired() {
             self.flush()?;
         }
@@ -152,7 +146,7 @@ impl BundleCoalescer<'_> {
             match tables.processes[tables.channels[c].to.0].location {
                 Location::Rank { rank, .. } => {
                     self.cp
-                        .comm
+                        .comm()
                         .send_bytes(rank, c as i32, Datatype::Byte, n, data);
                 }
                 Location::Spe { node, .. } => {
@@ -166,7 +160,7 @@ impl BundleCoalescer<'_> {
             let cp_rank = self.cp.shared.copilot_rank(node);
             let n = payload.len();
             self.cp
-                .comm
+                .comm()
                 .send_bytes(cp_rank, CP_BUNDLE_TAG, Datatype::Byte, n, payload);
         }
         self.cp.shared.recorder.record_op(
@@ -185,14 +179,6 @@ impl BundleCoalescer<'_> {
             let waited_ns = self.cp.ctx().now().as_nanos().saturating_sub(t0.as_nanos());
             waited_ns as f64 >= self.policy.deadline_us * 1_000.0
         })
-    }
-
-    fn charge(&self, bytes: usize) {
-        let us = self.cp.shared.pilot_costs.op_us
-            + bytes as f64 * self.cp.shared.pilot_costs.per_byte_us;
-        self.cp
-            .ctx()
-            .advance(cp_des::SimDuration::from_micros_f64(us));
     }
 }
 

@@ -23,11 +23,7 @@ use crate::runtime::CellPilot;
 use crate::spe_rt::SpeCtx;
 use crate::tables::{CpBundleEntry, CpBundleUsage};
 use cp_mpisim::Datatype;
-use cp_pilot::{
-    fmt::parse_format,
-    value::{check_against_format, pack_message, payload_bytes},
-    PiValue,
-};
+use cp_pilot::PiValue;
 use cp_simnet::NodeId;
 use std::collections::BTreeMap;
 
@@ -68,10 +64,9 @@ impl CellPilot {
         let tables = self.shared.tables.clone();
         let entry = bundle_entry(&tables, b)?;
         check_common(entry, self.me, CpBundleUsage::Broadcast, b)?;
-        let conv = parse_format(format)?;
-        check_against_format(&conv, values)?;
-        let data = pack_message(values);
-        self.charge_collective(payload_bytes(values));
+        let msg = cp_pilot::pack_checked(format, values)?;
+        self.ep.charge(msg.payload);
+        let data = msg.data;
         // Group SPE readers by node; rank readers send individually.
         // BTreeMap: multicast send order must be deterministic.
         //
@@ -144,48 +139,33 @@ impl CellPilot {
     /// writers' locations, since SPE-originated data arrives via the
     /// writers' Co-Pilots under the same channel tags.
     pub fn select(&self, b: CpBundle) -> Result<crate::CpChannel, CpError> {
-        let tables = self.shared.tables.clone();
-        {
-            let entry = bundle_entry(&tables, b)?;
-            check_common(entry, self.me, CpBundleUsage::Gather, b)?;
-        }
-        let tags: Vec<i32> = tables.bundles[b.0]
-            .channels
-            .iter()
-            .map(|c| c.0 as i32)
-            .collect();
+        let tags = self.select_tags(b)?;
         let (_, tag, _, _) = self
-            .comm
+            .comm()
             .probe_match("PI_Select", |e| tags.contains(&e.tag));
         Ok(crate::CpChannel(tag as usize))
     }
 
     /// `PI_TrySelect` (extension): non-blocking [`CellPilot::select`].
     pub fn try_select(&self, b: CpBundle) -> Result<Option<crate::CpChannel>, CpError> {
-        let tables = self.shared.tables.clone();
-        {
-            let entry = bundle_entry(&tables, b)?;
-            check_common(entry, self.me, CpBundleUsage::Gather, b)?;
-        }
-        let tags: Vec<i32> = tables.bundles[b.0]
-            .channels
-            .iter()
-            .map(|c| c.0 as i32)
-            .collect();
+        let tags = self.select_tags(b)?;
         Ok(self
-            .comm
+            .comm()
             .iprobe_match(|e| tags.contains(&e.tag))
             .map(|(_, tag, _, _)| crate::CpChannel(tag as usize)))
     }
 
-    fn charge_collective(&self, bytes: usize) {
-        let us = self.shared.pilot_costs.op_us + bytes as f64 * self.shared.pilot_costs.per_byte_us;
-        self.ctx().advance(cp_des::SimDuration::from_micros_f64(us));
+    /// The channel tags of gather bundle `b`, checking that this process
+    /// is its common endpoint (the reader), which alone may select on it.
+    fn select_tags(&self, b: CpBundle) -> Result<Vec<i32>, CpError> {
+        let entry = bundle_entry(&self.shared.tables, b)?;
+        check_common(entry, self.me, CpBundleUsage::Gather, b)?;
+        Ok(entry.channels.iter().map(|c| c.0 as i32).collect())
     }
 
     fn comm_send(&self, rank: usize, tag: i32, data: Vec<u8>) {
         let n = data.len();
-        self.comm.send_bytes(rank, tag, Datatype::Byte, n, data);
+        self.comm().send_bytes(rank, tag, Datatype::Byte, n, data);
     }
 }
 
@@ -232,11 +212,12 @@ where
     let mut acc: Option<Vec<f64>> = None;
     for row in rows {
         let PiValue::Float64(vals) = &row[0] else {
-            return Err(CpError::Args(cp_pilot::MatchError::TypeMismatch {
+            return Err(cp_pilot::MatchError::TypeMismatch {
                 index: 0,
                 expected: Datatype::Float64,
                 got: row[0].dtype(),
-            }));
+            }
+            .into());
         };
         acc = Some(match acc {
             None => vals.clone(),

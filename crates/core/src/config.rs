@@ -24,7 +24,7 @@ use crate::tables::{
 use cp_des::{Backend, Incident, IncidentCategory, SimDuration, SimError, SimReport};
 use cp_mpisim::{MpiCosts, MpiWorld};
 use cp_native::Runner;
-use cp_pilot::PilotCosts;
+use cp_pilot::{PilotCosts, PilotError};
 use cp_simnet::{ClusterSpec, FaultPlan, NodeId, RetryPolicy};
 use cp_trace::Recorder;
 use parking_lot::Mutex;
@@ -55,7 +55,7 @@ pub struct CellPilotOpts {
     /// MPI-layer cost model.
     pub mpi_costs: MpiCosts,
     /// Per-channel read deadline for rank-side reads: a read that waits
-    /// longer than this (virtual time) fails with [`CpError::Timeout`]
+    /// longer than this (virtual time) fails with [`PilotError::Timeout`]
     /// instead of blocking forever. `None` (the default) blocks
     /// indefinitely.
     pub channel_timeout: Option<SimDuration>,
@@ -508,7 +508,7 @@ impl CellPilotConfig {
                 self.channels
                     .get(c.0)
                     .map(|e| (e.from, e.to))
-                    .ok_or(CpError::NoSuchChannel(c.0))
+                    .ok_or(CpError::Pilot(PilotError::NoSuchChannel(c.0)))
             })
             .collect::<Result<_, _>>()?;
         let common = match usage {
@@ -903,12 +903,7 @@ impl CellPilotConfig {
             let index = entry.index;
             let shared = shared.clone();
             world.launch(&mut sim, rank, &name, move |comm| {
-                let cp = CellPilot {
-                    comm,
-                    shared,
-                    me: CpProcess(pidx),
-                    spawned: Mutex::new(Vec::new()),
-                };
+                let cp = CellPilot::new(comm, shared, CpProcess(pidx));
                 f(&cp, index);
                 cp.finish();
             });
@@ -923,12 +918,7 @@ impl CellPilotConfig {
                     comm.ctx()
                         .report_incident(IncidentCategory::WiringLint, &d.to_string());
                 }
-                let cp = CellPilot {
-                    comm,
-                    shared,
-                    me: CpProcess(0),
-                    spawned: Mutex::new(Vec::new()),
-                };
+                let cp = CellPilot::new(comm, shared, CpProcess(0));
                 main(&cp);
                 cp.finish();
             });
@@ -950,7 +940,7 @@ impl CellPilotConfig {
         }
         // Deadlock-detection service.
         if let Some(det_rank) = tables.detector_rank {
-            let expected = crate::dlsvc::finishers(&tables, &shared.faults);
+            let expected = cp_pilot::finishers(&shared.faults, tables.app_ranks());
             world.launch_async(&mut sim, det_rank, "cp-deadlock-svc", move |comm| {
                 cp_pilot::detector(comm, expected, |ep| ep.to_string())
             });

@@ -16,10 +16,9 @@
 //! `spe(1,3) -> copilot(1) -> rank 0 -> spe(1,3)`.
 
 use crate::location::Location;
-use crate::tables::{CpTables, ProcKind};
-use cp_mpisim::{Comm, Datatype};
-use cp_pilot::{encode_event, DlEndpoint, DlEvent, TAG_SVC};
-use cp_simnet::FaultPlan;
+use crate::tables::CpTables;
+use cp_mpisim::Comm;
+use cp_pilot::{DlEndpoint, DlEvent};
 
 /// The detector endpoint for a process location.
 pub(crate) fn dl_endpoint(loc: &Location) -> DlEndpoint {
@@ -43,64 +42,31 @@ pub(crate) fn chan_event(tables: &CpTables, kind: u8, chan: usize) -> DlEvent {
         Location::Spe { node, .. } => Some(node.0 as u32),
         Location::Rank { .. } => None,
     };
-    DlEvent {
+    DlEvent::on_channel(
         kind,
-        chan: chan as u32,
-        reader: dl_endpoint(reader_loc),
-        writer: dl_endpoint(writer_loc),
+        chan,
+        dl_endpoint(reader_loc),
+        dl_endpoint(writer_loc),
         via,
-    }
+    )
 }
 
-/// Fire-and-forget an event to the detector, if the service is enabled.
-/// `None` when the reporter's own mailbox is dead (see
-/// [`Comm::send_bytes_async`]); a rank reports from its thread through
-/// [`Comm::drive`].
-pub(crate) async fn report(comm: &Comm, tables: &CpTables, ev: DlEvent) -> Option<()> {
-    if let Some(det) = tables.detector_rank {
-        let payload = encode_event(&ev);
-        let n = payload.len();
-        comm.send_bytes_async(det, TAG_SVC, Datatype::Byte, n, payload)
-            .await?;
-    }
-    Some(())
-}
-
-/// [`report`] a `kind` event on channel `chan`.
+/// Report a `kind` event on channel `chan` from a Co-Pilot, on behalf of
+/// its SPE ([`cp_pilot::report`]).
 pub(crate) async fn report_chan(
     comm: &Comm,
     tables: &CpTables,
     kind: u8,
     chan: usize,
 ) -> Option<()> {
-    report(comm, tables, chan_event(tables, kind, chan)).await
-}
-
-/// How many `EV_FINISH` reports end the detector ([`cp_pilot::detector`]):
-/// one per application rank that can finish. Ranks with a scheduled death
-/// in the fault plan never reach their finish barrier, so they are
-/// excluded symmetrically (the same rule
-/// [`crate::runtime::CellPilot::finish`] applies to its end-of-run
-/// barrier).
-pub(crate) fn finishers(tables: &CpTables, faults: &FaultPlan) -> usize {
-    tables
-        .processes
-        .iter()
-        .filter(|p| {
-            matches!(p.kind, ProcKind::Rank)
-                && match p.location {
-                    Location::Rank { rank, .. } => faults.death_of(rank).is_none(),
-                    Location::Spe { .. } => false,
-                }
-        })
-        .count()
+    cp_pilot::report(comm, tables.detector_rank, chan_event(tables, kind, chan)).await
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::location::{ChannelKind, ChannelMode, CpProcess};
-    use crate::tables::{CpChanEntry, CpProcEntry};
+    use crate::tables::{CpChanEntry, CpProcEntry, ProcKind};
     use cp_pilot::{WaitGraph, EV_READWAIT, EV_WRITE};
     use cp_simnet::NodeId;
     use std::collections::BTreeMap;

@@ -5,6 +5,9 @@
 //! raised by the layers underneath — the Pilot library ([`PilotError`])
 //! and the simulation kernel ([`SimError`]) — are wrapped rather than
 //! re-spelled, and remain reachable through [`std::error::Error::source`].
+//! A channel operation's failures are Pilot's own: a rank's channel
+//! endpoint is Pilot's ([`cp_pilot::RankEndpoint`]), and the SPE side
+//! raises the same [`PilotError`]s.
 //! Callers that only care about the coarse class of a failure (was it
 //! misuse? a resource limit? an injected fault?) match on the stable
 //! [`CpError::kind`] accessor instead of the full variant list.
@@ -82,8 +85,6 @@ pub enum CpError {
     },
     /// Unknown process handle.
     NoSuchProcess(usize),
-    /// Unknown channel handle.
-    NoSuchChannel(usize),
     /// Channel endpoints must be distinct.
     SelfChannel,
     /// `PI_CreateSPE` with a parent that is not a PPE-resident process on a
@@ -110,31 +111,6 @@ pub enum CpError {
     },
     /// The SPE process is already running.
     AlreadyRunning(usize),
-    /// Write attempted by a process that is not the channel's writer.
-    NotWriter {
-        /// The channel id.
-        channel: usize,
-        /// The offending process.
-        caller: String,
-    },
-    /// Read attempted by a process that is not the channel's reader.
-    NotReader {
-        /// The channel id.
-        channel: usize,
-        /// The offending process.
-        caller: String,
-    },
-    /// Malformed format string.
-    Format(FmtError),
-    /// Arguments do not satisfy the format.
-    Args(MatchError),
-    /// Reader's format disagrees with the writer's message.
-    FormatMismatch {
-        /// The channel id.
-        channel: usize,
-        /// The disagreement.
-        detail: MatchError,
-    },
     /// The incoming message does not fit the SPE's read buffer.
     SpeBufferOverflow {
         /// The channel id.
@@ -177,28 +153,14 @@ pub enum CpError {
     LocalStore(LsError),
     /// SPE context management failed.
     SpeRun(SpeRunError),
-    /// A channel operation missed its deadline or exhausted its retry
-    /// budget without the peer being known dead.
-    Timeout {
-        /// The channel id.
-        channel: usize,
-        /// What ran out of time (operation and bound).
-        detail: String,
-    },
     /// Credit-based flow control refused the send: the channel was at its
     /// configured capacity and the overload policy shed the message
     /// (`Shed`) or abandoned a bounded wait (`DeadlineDrop`). The wrapped
     /// [`OverloadError`] is reachable through
     /// [`std::error::Error::source`].
     Backpressure(OverloadError),
-    /// The channel's peer process was lost to an injected fault.
-    PeerLost {
-        /// The channel id.
-        channel: usize,
-        /// Name of the lost peer process.
-        peer: String,
-    },
-    /// An error surfaced by the Pilot layer underneath.
+    /// A failure of the Pilot layer underneath: every channel operation's
+    /// own (unknown channel, wrong caller, format, timeout, lost peer).
     Pilot(PilotError),
     /// An error surfaced by the simulation kernel.
     Sim(SimError),
@@ -210,7 +172,6 @@ impl CpError {
         match self {
             CpError::TooManyProcesses { .. }
             | CpError::NoSuchProcess(_)
-            | CpError::NoSuchChannel(_)
             | CpError::SelfChannel
             | CpError::BadSpeParent { .. }
             | CpError::NoSuchBundle(_)
@@ -222,19 +183,21 @@ impl CpError {
             CpError::NotParent { .. }
             | CpError::NotSpeProcess(_)
             | CpError::AlreadyRunning(_)
-            | CpError::NotWriter { .. }
-            | CpError::NotReader { .. }
             | CpError::BundleMisuse { .. } => ErrorKind::Usage,
-            CpError::Format(_) | CpError::Args(_) | CpError::FormatMismatch { .. } => {
-                ErrorKind::Format
-            }
             CpError::NoFreeSpe { .. }
             | CpError::SpeBufferOverflow { .. }
             | CpError::LocalStore(_)
             | CpError::SpeRun(_) => ErrorKind::Resource,
-            CpError::Timeout { .. } | CpError::PeerLost { .. } => ErrorKind::Fault,
             CpError::Backpressure(_) => ErrorKind::Backpressure,
-            CpError::Pilot(_) => ErrorKind::Pilot,
+            CpError::Pilot(e) => match e {
+                PilotError::NoSuchChannel(_) => ErrorKind::Config,
+                PilotError::NotWriter { .. } | PilotError::NotReader { .. } => ErrorKind::Usage,
+                PilotError::Format(_) | PilotError::Args(_) | PilotError::FormatMismatch { .. } => {
+                    ErrorKind::Format
+                }
+                PilotError::Timeout { .. } | PilotError::PeerLost { .. } => ErrorKind::Fault,
+                _ => ErrorKind::Pilot,
+            },
             CpError::Sim(_) => ErrorKind::Sim,
         }
     }
@@ -248,7 +211,6 @@ impl fmt::Display for CpError {
                 "PI_CreateProcess: all {available} MPI processes already assigned"
             ),
             CpError::NoSuchProcess(p) => write!(f, "no such process (id {p})"),
-            CpError::NoSuchChannel(c) => write!(f, "no such channel (id {c})"),
             CpError::SelfChannel => {
                 write!(f, "PI_CreateChannel: endpoints must be distinct processes")
             }
@@ -277,20 +239,6 @@ impl fmt::Display for CpError {
             CpError::AlreadyRunning(p) => {
                 write!(f, "PI_RunSPE: SPE process {p} is already running")
             }
-            CpError::NotWriter { channel, caller } => write!(
-                f,
-                "PI_Write: process '{caller}' is not the writer of channel {channel}"
-            ),
-            CpError::NotReader { channel, caller } => write!(
-                f,
-                "PI_Read: process '{caller}' is not the reader of channel {channel}"
-            ),
-            CpError::Format(e) => write!(f, "bad format string: {e}"),
-            CpError::Args(e) => write!(f, "arguments do not satisfy format: {e}"),
-            CpError::FormatMismatch { channel, detail } => write!(
-                f,
-                "PI_Read on channel {channel}: reader format disagrees with writer: {detail}"
-            ),
             CpError::SpeBufferOverflow { channel, capacity } => write!(
                 f,
                 "PI_Read on channel {channel}: message exceeds the SPE read buffer \
@@ -319,16 +267,10 @@ impl fmt::Display for CpError {
             }
             CpError::LocalStore(e) => write!(f, "{e}"),
             CpError::SpeRun(e) => write!(f, "{e}"),
-            CpError::Timeout { channel, detail } => {
-                write!(f, "channel {channel} operation timed out: {detail}")
-            }
             CpError::Backpressure(e) => {
                 write!(f, "PI_Write backpressure: {e}")
             }
-            CpError::PeerLost { channel, peer } => {
-                write!(f, "channel {channel}: peer process '{peer}' was lost")
-            }
-            CpError::Pilot(e) => write!(f, "pilot layer: {e}"),
+            CpError::Pilot(e) => write!(f, "{e}"),
             CpError::Sim(e) => write!(f, "simulation: {e}"),
         }
     }
@@ -337,9 +279,6 @@ impl fmt::Display for CpError {
 impl std::error::Error for CpError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            CpError::Format(e) => Some(e),
-            CpError::Args(e) => Some(e),
-            CpError::FormatMismatch { detail, .. } => Some(detail),
             CpError::LocalStore(e) => Some(e),
             CpError::SpeRun(e) => Some(e),
             CpError::Pilot(e) => Some(e),
@@ -352,13 +291,13 @@ impl std::error::Error for CpError {
 
 impl From<FmtError> for CpError {
     fn from(e: FmtError) -> Self {
-        CpError::Format(e)
+        CpError::Pilot(e.into())
     }
 }
 
 impl From<MatchError> for CpError {
     fn from(e: MatchError) -> Self {
-        CpError::Args(e)
+        CpError::Pilot(e.into())
     }
 }
 
@@ -414,21 +353,29 @@ mod tests {
         assert_eq!(CpError::NotSpeProcess(1).kind(), ErrorKind::Usage);
         assert_eq!(CpError::NoFreeSpe { node: 0 }.kind(), ErrorKind::Resource);
         assert_eq!(
-            CpError::Timeout {
+            CpError::Pilot(PilotError::Timeout {
                 channel: 0,
                 detail: "x".into()
-            }
+            })
             .kind(),
             ErrorKind::Fault
         );
         assert_eq!(
-            CpError::PeerLost {
+            CpError::Pilot(PilotError::PeerLost {
                 channel: 0,
                 peer: "p".into()
-            }
+            })
             .kind(),
             ErrorKind::Fault
         );
+        // The channel failures Pilot raises keep the kinds they had as
+        // CpError's own variants; the rest stay Pilot's.
+        assert_eq!(
+            CpError::Pilot(PilotError::NoSuchChannel(0)).kind(),
+            ErrorKind::Config
+        );
+        let e: CpError = cp_pilot::parse_format("%q").unwrap_err().into();
+        assert_eq!(e.kind(), ErrorKind::Format);
         assert_eq!(
             CpError::Pilot(PilotError::SelfChannel).kind(),
             ErrorKind::Pilot
@@ -468,10 +415,10 @@ mod tests {
         assert_eq!(e.kind(), ErrorKind::Backpressure);
         assert_ne!(
             e.kind(),
-            CpError::Timeout {
+            CpError::Pilot(PilotError::Timeout {
                 channel: 4,
                 detail: "x".into()
-            }
+            })
             .kind()
         );
         let src = e.source().expect("overload source");

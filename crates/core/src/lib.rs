@@ -70,7 +70,6 @@ mod protocol;
 mod runtime;
 mod spe_rt;
 mod tables;
-pub mod trace;
 
 pub use coalesce::BundleCoalescer;
 pub use collective::{reduce_f64, CpBundle};
@@ -85,10 +84,10 @@ pub use runtime::{CellPilot, SpeTask};
 pub use spe_rt::SpeCtx;
 pub use tables::CpBundleUsage;
 pub use tables::CpTables;
-pub use trace::render_trace;
 
 // Re-export the pieces users need from the layers below.
 pub use cp_pilot::{PiValue, PilotCosts};
+pub use cp_trace::render_trace;
 // Static-analysis surface (see `cp-check`): diagnostics come back through
 // `SimReport` incidents or a strict-mode abort, both rendering these types.
 pub use cp_check::{CheckCode, Diagnostic, LintConfig, LintLevel, Severity};

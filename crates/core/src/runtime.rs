@@ -9,20 +9,16 @@ use crate::location::{ChannelKind, ChannelMode, CpChannel, CpProcess, Location};
 use crate::spe_rt::JournalEntry;
 use crate::tables::{CpTables, NodeShared, ProcKind};
 use cp_des::{IncidentCategory, Pid, ProcCtx, SimDuration, SimTime, Step};
-use cp_mpisim::{Comm, Datatype, MpiFault, SrcSel};
+use cp_mpisim::{Comm, Datatype, SrcSel};
 use cp_pilot::{
-    fmt::parse_format,
-    value::{check_against_format, check_read_format, pack_message, payload_bytes, unpack_message},
-    PiScalar, PiValue, PilotCosts,
+    fmt::parse_format, PiScalar, PiValue, PilotCosts, PilotError, RankEndpoint, Route, EV_READWAIT,
+    EV_WRITE,
 };
 use cp_simnet::{Cluster, FaultPlan, NodeId, ParkedReader};
 use cp_trace::{Measure, Op};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
-
-/// Internal barrier tag for end-of-run synchronization.
-const TAG_FINI: i32 = -600;
 
 /// The granularity of the library's virtual-time polls: a one-sided
 /// doorbell, a window registration, a credit, a fence.
@@ -373,11 +369,7 @@ impl AppShared {
         ctx: &ProcCtx,
         chan: CpChannel,
     ) -> Result<(), CpError> {
-        let entry = self
-            .tables
-            .channels
-            .get(chan.0)
-            .ok_or(CpError::NoSuchChannel(chan.0))?;
+        let entry = self.tables.channel(chan.0)?;
         if entry.mode != ChannelMode::OneSided {
             return Err(CpError::WindowMisuse {
                 channel: chan.0,
@@ -438,13 +430,33 @@ impl SpeTask {
 
 /// The per-process handle of a PPE or non-Cell CellPilot process.
 pub struct CellPilot {
-    pub(crate) comm: Comm,
+    /// This process's channel endpoint: Pilot's, so a type-1 channel is
+    /// plain Pilot.
+    pub(crate) ep: RankEndpoint,
     pub(crate) shared: Arc<AppShared>,
     pub(crate) me: CpProcess,
     pub(crate) spawned: Mutex<Vec<SpeTask>>,
 }
 
 impl CellPilot {
+    /// The handle of rank process `me`, attached to `comm`.
+    pub(crate) fn new(comm: Comm, shared: Arc<AppShared>, me: CpProcess) -> CellPilot {
+        let ep = RankEndpoint::new(
+            comm,
+            shared.pilot_costs.clone(),
+            shared.tables.processes[me.0].name.clone(),
+            shared.recorder.clone(),
+            shared.tables.detector_rank,
+            shared.channel_timeout,
+        );
+        CellPilot {
+            ep,
+            shared,
+            me,
+            spawned: Mutex::new(Vec::new()),
+        }
+    }
+
     /// This process's handle.
     pub fn process(&self) -> CpProcess {
         self.me
@@ -457,7 +469,7 @@ impl CellPilot {
 
     /// This process's configured name, borrowed from the tables.
     pub(crate) fn proc_name(&self) -> &Arc<str> {
-        &self.shared.tables.processes[self.me.0].name
+        self.ep.name()
     }
 
     /// Total CellPilot processes (rank-backed and SPE).
@@ -472,68 +484,76 @@ impl CellPilot {
 
     /// The channel's Table-I classification.
     pub fn channel_kind(&self, chan: CpChannel) -> Result<ChannelKind, CpError> {
-        self.shared
-            .tables
-            .channels
-            .get(chan.0)
-            .map(|e| e.kind)
-            .ok_or(CpError::NoSuchChannel(chan.0))
+        Ok(self.shared.tables.channel(chan.0)?.kind)
     }
 
     /// The simulated-process context (for modelling compute time).
     pub fn ctx(&self) -> &ProcCtx {
-        self.comm.ctx()
+        self.ep.ctx()
     }
 
-    /// Report `ev` to the deadlock service, if it is enabled.
-    pub(crate) fn report(&self, ev: cp_pilot::DlEvent) {
-        if self.shared.tables.detector_rank.is_none() {
-            return;
-        }
-        let (comm, tables) = (self.comm.clone(), self.shared.tables.clone());
-        self.comm
-            .drive(async move { crate::dlsvc::report(&comm, &tables, ev).await });
+    /// The MPI communicator.
+    pub(crate) fn comm(&self) -> &Comm {
+        self.ep.comm()
     }
 
     /// Report a `kind` event on channel `chan` to the deadlock service.
     pub(crate) fn report_chan(&self, kind: u8, chan: usize) {
-        self.report(crate::dlsvc::chan_event(&self.shared.tables, kind, chan));
+        self.ep
+            .report(crate::dlsvc::chan_event(&self.shared.tables, kind, chan));
     }
 
-    fn charge(&self, bytes: usize) {
-        let us = self.shared.pilot_costs.op_us + bytes as f64 * self.shared.pilot_costs.per_byte_us;
-        self.ctx().advance(SimDuration::from_micros_f64(us));
+    /// The name of process `p`.
+    fn name_of(&self, p: CpProcess) -> &str {
+        &self.shared.tables.processes[p.0].name
+    }
+
+    /// Begin a write (`EV_WRITE`) or read (`EV_READWAIT`) on `chan`.
+    fn route(&self, kind: u8, chan: usize) -> Route<'_> {
+        let tables = &self.shared.tables;
+        let entry = &tables.channels[chan];
+        let peer = if kind == EV_WRITE {
+            entry.to
+        } else {
+            entry.from
+        };
+        let event = crate::dlsvc::chan_event(tables, kind, chan);
+        self.ep.route(
+            chan,
+            self.name_of(peer),
+            event,
+            Some(entry.kind.type_number()),
+        )
     }
 
     /// `PI_Write` from a PPE / non-Cell process: works on every channel
     /// type whose writer is this process; the library routes via plain MPI
     /// (type 1) or the reader's Co-Pilot (types 2/3) transparently.
     pub fn write(&self, chan: CpChannel, format: &str, values: &[PiValue]) -> Result<(), CpError> {
-        let entry = self
-            .shared
-            .tables
-            .channels
-            .get(chan.0)
-            .ok_or(CpError::NoSuchChannel(chan.0))?;
-        if entry.from != self.me {
-            return Err(CpError::NotWriter {
-                channel: chan.0,
-                caller: self.name(),
-            });
-        }
-        let conv = parse_format(format)?;
-        check_against_format(&conv, values)?;
-        let data = pack_message(values);
-        let t0 = self.ctx().now();
+        let entry = self.shared.tables.channel(chan.0)?;
+        PilotError::check_writer(
+            entry.from == self.me,
+            chan.0,
+            self.proc_name(),
+            self.name_of(entry.from),
+        )?;
+        let route = self.route(EV_WRITE, chan.0);
+        let msg = cp_pilot::pack_checked(format, values)?;
         self.shared
             .acquire_credit(self.ctx(), self.proc_name(), chan.0)?;
-        self.charge(payload_bytes(values));
+        self.ep.charge(msg.payload);
         if entry.mode == ChannelMode::OneSided {
             // One-sided transport: land the message directly in the reader
             // SPE's window over the fabric — no Co-Pilot relay hop.
-            let who = self.proc_name();
             self.shared
-                .one_sided_put(self.ctx(), who, chan.0, self.node(), data, None)
+                .one_sided_put(
+                    self.ctx(),
+                    self.proc_name(),
+                    chan.0,
+                    self.node(),
+                    msg.data,
+                    None,
+                )
                 .map_err(|cap| {
                     // The message never entered the pipeline: unwind its
                     // credit so a failed send does not leak capacity.
@@ -543,81 +563,23 @@ impl CellPilot {
                         capacity: cap as usize,
                     }
                 })?;
-            self.report_chan(cp_pilot::EV_WRITE, chan.0);
+            self.ep.report(route.event);
             // The put already logged the op: this only measures it.
-            let write = entry.kind.measure(true, payload_bytes(values), t0);
-            self.shared
-                .recorder
-                .record_op(self.ctx().now().0, who, None, chan.0, 0, Some(write));
+            self.ep
+                .record(None, chan.0, 0, route.measure(true, msg.payload));
             return Ok(());
         }
         let dest_rank = match self.shared.tables.processes[entry.to.0].location {
             Location::Rank { rank, .. } => rank,
             Location::Spe { node, .. } => self.shared.copilot_rank(node),
         };
-        let n = data.len();
-        self.comm
-            .try_send_bytes(
-                dest_rank,
-                CpTables::chan_tag(chan.0),
-                Datatype::Byte,
-                n,
-                data,
-            )
-            .map_err(|fault| {
-                // The send never took: unwind the credit (credit leaks on
-                // failed sends would slowly strangle a bounded channel).
-                self.shared.release_credit(chan.0);
-                self.fault_to_cp(chan, entry.to, fault)
-            })?;
-        self.report_chan(cp_pilot::EV_WRITE, chan.0);
-        let write = entry.kind.measure(true, payload_bytes(values), t0);
-        self.shared.recorder.record_op(
-            self.ctx().now().0,
-            self.proc_name(),
-            Some(Op::RankWrite),
-            chan.0,
-            n,
-            Some(write),
-        );
-        Ok(())
-    }
-
-    /// Map an MPI-layer fault on `chan` (whose far endpoint is `peer`) to
-    /// the CellPilot error, recording a structured incident in the
-    /// [`cp_des::SimReport`] so degraded runs are observable. A timeout on
-    /// a channel whose peer SPE has a scheduled crash that already fired
-    /// is upgraded to [`CpError::PeerLost`] — the peer is gone, not slow.
-    fn fault_to_cp(&self, chan: CpChannel, peer: CpProcess, fault: MpiFault) -> CpError {
-        let peer_name = self.shared.tables.processes[peer.0].name.to_string();
-        let peer_crashed = self.shared.spe_gone(peer.0, self.ctx().now());
-        let err = match fault {
-            MpiFault::PeerLost { .. } => CpError::PeerLost {
-                channel: chan.0,
-                peer: peer_name,
-            },
-            MpiFault::Timeout { .. } | MpiFault::SendLost { .. } if peer_crashed => {
-                CpError::PeerLost {
-                    channel: chan.0,
-                    peer: peer_name,
-                }
-            }
-            MpiFault::Timeout { what } => CpError::Timeout {
-                channel: chan.0,
-                detail: what,
-            },
-            MpiFault::SendLost { attempts, .. } => CpError::Timeout {
-                channel: chan.0,
-                detail: format!("message to '{peer_name}' lost after {attempts} send attempts"),
-            },
-        };
-        let category = match err {
-            CpError::PeerLost { .. } => IncidentCategory::PeerLost,
-            _ => IncidentCategory::ChannelTimeout,
-        };
-        self.ctx()
-            .report_incident(category, &format!("process '{}': {err}", self.name()));
-        err
+        let gone = || self.shared.spe_gone(entry.to.0, self.ctx().now());
+        self.ep.send(&route, dest_rank, msg, gone).map_err(|e| {
+            // The send never took: unwind the credit (credit leaks on
+            // failed sends would slowly strangle a bounded channel).
+            self.shared.release_credit(chan.0);
+            e.into()
+        })
     }
 
     /// Typed `PI_Write`: send one slice of a single scalar type without
@@ -659,76 +621,33 @@ impl CellPilot {
 
     /// `PI_Read` from a PPE / non-Cell process.
     pub fn read(&self, chan: CpChannel, format: &str) -> Result<Vec<PiValue>, CpError> {
-        let entry = self
-            .shared
-            .tables
-            .channels
-            .get(chan.0)
-            .ok_or(CpError::NoSuchChannel(chan.0))?;
-        if entry.to != self.me {
-            return Err(CpError::NotReader {
-                channel: chan.0,
-                caller: self.name(),
-            });
-        }
+        let entry = self.shared.tables.channel(chan.0)?;
+        PilotError::check_reader(
+            entry.to == self.me,
+            chan.0,
+            self.proc_name(),
+            self.name_of(entry.to),
+        )?;
         let conv = parse_format(format)?;
-        let t0 = self.ctx().now();
-        let src_sel = self.chan_src_sel(entry.from);
-        let tag = Some(CpTables::chan_tag(chan.0));
-        // Deadline-bounded reads cannot participate in a deadlock (they
-        // always come back), and a timed-out read would leave a stale edge
-        // in the wait-for graph — so only unbounded reads report.
-        if self.shared.channel_timeout.is_none() {
-            self.report_chan(cp_pilot::EV_READWAIT, chan.0);
-        }
-        let msg = match self.shared.channel_timeout {
-            None => self.comm.recv(src_sel, tag),
-            Some(d) => self
-                .comm
-                .try_recv_deadline(src_sel, tag, d)
-                .map_err(|fault| self.fault_to_cp(chan, entry.from, fault))?,
-        };
+        let route = self.route(EV_READWAIT, chan.0);
+        let gone = || self.shared.spe_gone(entry.from.0, self.ctx().now());
+        let raw = self.ep.recv(&route, self.chan_src_sel(entry.from), gone)?;
         // The message left the pipeline the moment it was received —
         // return its send credit even if the format check below fails.
         self.shared.release_credit(chan.0);
-        let values = unpack_message(&msg.data).expect("well-formed channel message");
-        let segs: Vec<(Datatype, usize)> = values.iter().map(|v| (v.dtype(), v.len())).collect();
-        check_read_format(&conv, &segs).map_err(|detail| CpError::FormatMismatch {
-            channel: chan.0,
-            detail,
-        })?;
-        let n = payload_bytes(&values);
-        self.charge(n);
-        self.shared.recorder.record_op(
-            self.ctx().now().0,
-            self.proc_name(),
-            Some(Op::RankRead),
-            chan.0,
-            n,
-            Some(entry.kind.measure(false, n, t0)),
-        );
-        Ok(values)
+        Ok(self.ep.deliver(&route, &conv, &raw)?)
     }
 
     /// Non-blocking check whether a read on `chan` would find data.
     pub fn channel_has_data(&self, chan: CpChannel) -> Result<bool, CpError> {
-        let entry = self
-            .shared
-            .tables
-            .channels
-            .get(chan.0)
-            .ok_or(CpError::NoSuchChannel(chan.0))?;
-        if entry.to != self.me {
-            return Err(CpError::NotReader {
-                channel: chan.0,
-                caller: self.name(),
-            });
-        }
-        let src_sel = self.chan_src_sel(entry.from);
-        Ok(self
-            .comm
-            .iprobe(src_sel, Some(CpTables::chan_tag(chan.0)))
-            .is_some())
+        let entry = self.shared.tables.channel(chan.0)?;
+        PilotError::check_reader(
+            entry.to == self.me,
+            chan.0,
+            self.proc_name(),
+            self.name_of(entry.to),
+        )?;
+        Ok(self.ep.has_data(chan.0, self.chan_src_sel(entry.from)))
     }
 
     /// The MPI source selector for channel data written by `from`: the
@@ -919,77 +838,37 @@ impl CellPilot {
     }
 
     /// End-of-run synchronization: wait for this process's SPE children,
-    /// barrier with every other application process, then (on rank 0) tell
-    /// the Co-Pilots to shut down. Called automatically when a process
-    /// function or `main` returns.
+    /// run `PI_StopMain` with every other application rank
+    /// ([`RankEndpoint::stop_main`]), then (on rank 0) tell the Co-Pilots
+    /// to shut down. Called automatically when a process function or
+    /// `main` returns.
     pub(crate) fn finish(&self) {
         let children: Vec<SpeTask> = std::mem::take(&mut *self.spawned.lock());
         for t in children {
             self.ctx().join(t.pid);
         }
-        let my_rank = self
-            .shared
-            .tables
-            .rank_of(self.me)
-            .expect("finish called from a rank process");
-        // Ranks with a death scheduled in the fault plan are excluded
-        // symmetrically from the barrier: rank 0 does not wait for them
-        // and they do not enter it (both sides consult the same plan, so
-        // survivors are never wedged on a corpse).
-        let dead = |r: usize| self.shared.faults.death_of(r).is_some();
-        if dead(my_rank) {
+        let tables = &self.shared.tables;
+        if !self.ep.stop_main(tables.app_ranks()) || self.comm().rank() != 0 {
             return;
         }
-        // Tell the deadlock service this rank is done; the detector counts
-        // finishes from exactly the ranks that pass the death check above.
-        self.report(cp_pilot::DlEvent::finish());
-        let peers: Vec<usize> = self
-            .shared
-            .tables
-            .processes
-            .iter()
-            .filter_map(|p| match p.location {
-                Location::Rank { rank, .. } if rank != 0 && !dead(rank) => Some(rank),
-                _ => None,
-            })
-            .collect();
-        if my_rank == 0 {
-            for &r in &peers {
-                let _ = self.comm.recv(Some(r), Some(TAG_FINI));
+        for &cp_rank in tables.copilot_ranks.values() {
+            if self.shared.faults.death_of(cp_rank).is_some() {
+                continue;
             }
-            for &r in &peers {
-                self.comm
-                    .send_bytes(r, TAG_FINI, Datatype::Byte, 0, Vec::new());
-            }
-            for (_node, &cp_rank) in self.shared.tables.copilot_ranks.iter() {
-                if dead(cp_rank) {
-                    continue;
-                }
-                self.comm.send_bytes(
-                    cp_rank,
-                    crate::protocol::CP_SHUTDOWN_TAG,
-                    Datatype::Byte,
-                    0,
-                    Vec::new(),
-                );
-            }
-        } else {
-            self.comm
-                .send_bytes(0, TAG_FINI, Datatype::Byte, 0, Vec::new());
-            let _ = self.comm.recv(Some(0), Some(TAG_FINI));
+            self.comm().send_bytes(
+                cp_rank,
+                crate::protocol::CP_SHUTDOWN_TAG,
+                Datatype::Byte,
+                0,
+                Vec::new(),
+            );
         }
     }
 
     /// Abort the application with a CellPilot diagnostic carrying the
     /// source location of the offending call.
     pub fn abort_loc(&self, err: &CpError, file: &str, line: u32) -> ! {
-        self.ctx().abort(&format!(
-            "[{}:{}] in process '{}': {}",
-            file,
-            line,
-            self.name(),
-            err
-        ));
+        self.ep.abort_loc(err, file, line)
     }
 }
 

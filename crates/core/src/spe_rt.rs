@@ -18,11 +18,11 @@ use crate::runtime::{doorbell_look, look_before_landing, AppShared, POLL};
 use crate::tables::CoEvent;
 use cp_cellsim::LsAddr;
 use cp_des::{IncidentCategory, ProcCtx, SimDuration, Step};
-use cp_mpisim::Datatype;
 use cp_pilot::{
     fmt::{parse_format, Conversion, CountSpec},
-    value::{check_against_format, check_read_format, pack_message, payload_bytes, unpack_message},
-    PiScalar, PiValue,
+    pack_checked, unpack_checked,
+    value::payload_bytes,
+    Packed, PiScalar, PiValue, PilotError,
 };
 use cp_simnet::{NodeId, ParkedReader};
 use cp_trace::{Measure, Op};
@@ -337,10 +337,11 @@ impl SpeCtx {
                     .get(chan)
                     .map(|e| self.shared.tables.processes[e.from.0].name.to_string())
                     .unwrap_or_else(|| "<unknown>".to_string());
-                Err(CpError::PeerLost {
+                Err(PilotError::PeerLost {
                     channel: chan,
                     peer,
-                })
+                }
+                .into())
             }
             Err(CompletionError::Internal) => {
                 panic!("Co-Pilot reported an internal protocol error")
@@ -352,27 +353,20 @@ impl SpeCtx {
     /// buffer to the Co-Pilot, wait for completion.
     pub fn write(&self, chan: CpChannel, format: &str, values: &[PiValue]) -> Result<(), CpError> {
         self.crash_checkpoint();
-        let entry = self
-            .shared
-            .tables
-            .channels
-            .get(chan.0)
-            .ok_or(CpError::NoSuchChannel(chan.0))?;
-        if entry.from != self.me {
-            return Err(CpError::NotWriter {
-                channel: chan.0,
-                caller: self.name(),
-            });
-        }
+        let entry = self.shared.tables.channel(chan.0)?;
+        PilotError::check_writer(
+            entry.from == self.me,
+            chan.0,
+            self.proc_name(),
+            &self.shared.tables.processes[entry.from.0].name,
+        )?;
         if let Some(done) = self.replay_next() {
             match done {
                 JournalEntry::Write { chan: c } if c == chan.0 => return Ok(()),
                 other => self.replay_diverged(&other, &format!("write on channel {}", chan.0)),
             }
         }
-        let conv = parse_format(format)?;
-        check_against_format(&conv, values)?;
-        let data = pack_message(values);
+        let Packed { data, payload } = pack_checked(format, values)?;
         let len = data.len();
         let t0 = self.ctx.now();
         // Flow control: consume a send credit before the message enters
@@ -380,7 +374,7 @@ impl SpeCtx {
         // was consumed by the acknowledged original).
         self.shared
             .acquire_credit(&self.ctx, self.proc_name(), chan.0)?;
-        self.charge(payload_bytes(values));
+        self.charge(payload);
         let cell = &self.shared.node_shared[&self.node].cell;
         let ls = &cell.spes[self.hw].ls;
         let one_sided = self.shared.one_sided_chan(chan.0);
@@ -455,7 +449,7 @@ impl SpeCtx {
                 Some(Op::SpeWrite),
                 chan.0,
                 len,
-                Some(entry.kind.measure(true, payload_bytes(values), t0)),
+                Some(entry.kind.measure(true, payload, t0)),
             );
         }
         result.map(|_| ())
@@ -477,30 +471,18 @@ impl SpeCtx {
         limit: usize,
     ) -> Result<Vec<PiValue>, CpError> {
         self.crash_checkpoint();
-        let entry = self
-            .shared
-            .tables
-            .channels
-            .get(chan.0)
-            .ok_or(CpError::NoSuchChannel(chan.0))?;
-        if entry.to != self.me {
-            return Err(CpError::NotReader {
-                channel: chan.0,
-                caller: self.name(),
-            });
-        }
+        let entry = self.shared.tables.channel(chan.0)?;
+        PilotError::check_reader(
+            entry.to == self.me,
+            chan.0,
+            self.proc_name(),
+            &self.shared.tables.processes[entry.to.0].name,
+        )?;
         let conv = parse_format(format)?;
         if let Some(done) = self.replay_next() {
             match done {
                 JournalEntry::Read { chan: c, bytes } if c == chan.0 => {
-                    let values = unpack_message(&bytes).expect("journaled bytes round-trip");
-                    let segs: Vec<(Datatype, usize)> =
-                        values.iter().map(|v| (v.dtype(), v.len())).collect();
-                    check_read_format(&conv, &segs).map_err(|detail| CpError::FormatMismatch {
-                        channel: chan.0,
-                        detail,
-                    })?;
-                    return Ok(values);
+                    return Ok(unpack_checked(chan.0, &conv, &bytes)?);
                 }
                 other => self.replay_diverged(&other, &format!("read on channel {}", chan.0)),
             }
@@ -538,13 +520,7 @@ impl SpeCtx {
         };
         let result = got.and_then(|n| {
             let bytes = cell.ls_read_traced(&self.ctx, self.hw, buf, n)?;
-            let values = unpack_message(&bytes).expect("well-formed channel message");
-            let segs: Vec<(Datatype, usize)> =
-                values.iter().map(|v| (v.dtype(), v.len())).collect();
-            check_read_format(&conv, &segs).map_err(|detail| CpError::FormatMismatch {
-                channel: chan.0,
-                detail,
-            })?;
+            let values = unpack_checked(chan.0, &conv, &bytes)?;
             self.charge(payload_bytes(&values));
             self.journal(JournalEntry::Read {
                 chan: chan.0,
@@ -608,10 +584,11 @@ impl SpeCtx {
                              {chan}: writer '{peer}' is lost"
                         ),
                     );
-                    return Err(CpError::PeerLost {
+                    return Err(PilotError::PeerLost {
                         channel: chan,
                         peer,
-                    });
+                    }
+                    .into());
                 }
                 // A put in flight: skip the looks that cannot see it. None:
                 // park until a writer announces one, or until the look that
@@ -744,18 +721,13 @@ impl SpeCtx {
     /// one-sided channels it is a local doorbell load.
     pub fn channel_has_data(&self, chan: CpChannel) -> Result<bool, CpError> {
         self.crash_checkpoint();
-        let entry = self
-            .shared
-            .tables
-            .channels
-            .get(chan.0)
-            .ok_or(CpError::NoSuchChannel(chan.0))?;
-        if entry.to != self.me {
-            return Err(CpError::NotReader {
-                channel: chan.0,
-                caller: self.name(),
-            });
-        }
+        let entry = self.shared.tables.channel(chan.0)?;
+        PilotError::check_reader(
+            entry.to == self.me,
+            chan.0,
+            self.proc_name(),
+            &self.shared.tables.processes[entry.to.0].name,
+        )?;
         if let Some(done) = self.replay_next() {
             match done {
                 JournalEntry::Poll { chan: c, has } if c == chan.0 => return Ok(has),
@@ -859,7 +831,7 @@ mod tests {
         let conv = parse_format("%b %100Lf").unwrap();
         assert_eq!(
             exact_packed_size(&conv),
-            Some(pack_message(&vals).len()),
+            Some(cp_pilot::pack_message(&vals).len()),
             "completion_ok roundtrip sanity: {}",
             completion_ok(0)
         );

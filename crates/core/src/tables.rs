@@ -7,6 +7,7 @@ use cp_cellsim::CellNode;
 use cp_des::sync::MsgQueue;
 use cp_des::ProcCtx;
 use cp_mpisim::Msg;
+use cp_pilot::PilotError;
 use cp_simnet::{Heartbeat, NodeId};
 use cp_trace::{HbOp, Recorder};
 use parking_lot::Mutex;
@@ -120,16 +121,17 @@ pub struct CpTables {
 }
 
 impl CpTables {
-    pub(crate) fn chan_tag(c: usize) -> i32 {
-        c as i32
-    }
-
-    /// The MPI rank backing a `Location::Rank` process.
-    pub(crate) fn rank_of(&self, p: CpProcess) -> Option<usize> {
-        match self.processes[p.0].location {
+    /// The MPI ranks of the application's rank processes.
+    pub(crate) fn app_ranks(&self) -> impl Iterator<Item = usize> + '_ {
+        self.processes.iter().filter_map(|p| match p.location {
             Location::Rank { rank, .. } => Some(rank),
             Location::Spe { .. } => None,
-        }
+        })
+    }
+
+    /// Channel `c`'s entry, or Pilot's `NoSuchChannel`.
+    pub(crate) fn channel(&self, c: usize) -> Result<&CpChanEntry, PilotError> {
+        self.channels.get(c).ok_or(PilotError::NoSuchChannel(c))
     }
 }
 

@@ -7,6 +7,7 @@ use cellpilot::{
 };
 use cp_mpisim::LongDouble;
 use cp_pilot::PiValue;
+use cp_pilot::PilotError;
 use cp_simnet::ClusterSpec;
 
 fn payload_small() -> Vec<PiValue> {
@@ -253,7 +254,7 @@ fn wrong_spe_writer_aborts() {
     let mut cfg = CellPilotConfig::one_rank_per_node(spec, CellPilotOpts::default());
     let intruder = SpeProgram::new("intruder", 2048, |spe, _, _| {
         match spe.write(CpChannel(0), "%b", &[PiValue::Byte(vec![1])]) {
-            Err(CpError::NotWriter { channel: 0, .. }) => {}
+            Err(CpError::Pilot(PilotError::NotWriter { channel: 0, .. })) => {}
             other => panic!("expected NotWriter, got {other:?}"),
         }
     });
@@ -385,7 +386,7 @@ fn spe_channel_has_data_poll() {
         // Polling a channel I do not read is misuse.
         assert!(matches!(
             spe.channel_has_data(CpChannel(1)),
-            Err(CpError::NotReader { .. })
+            Err(CpError::Pilot(PilotError::NotReader { .. }))
         ));
     });
     let s = cfg.create_spe_process(&poller, CP_MAIN, 0).unwrap();

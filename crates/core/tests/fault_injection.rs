@@ -7,6 +7,7 @@ use cellpilot::{
     CellPilotConfig, CellPilotOpts, CpChannel, CpError, SpeProgram, SupervisionPolicy, CP_MAIN,
 };
 use cp_des::{IncidentCategory, SimDuration, SimReport, SimTime};
+use cp_pilot::PilotError;
 use cp_simnet::{ClusterSpec, FaultPlan, NodeId};
 use cp_trace::{Op, OpEvent, Recorder};
 use std::sync::{Arc, Mutex};
@@ -32,7 +33,7 @@ fn type4_spe_crash_fails_only_touching_channels() {
     let bereft = SpeProgram::new("bereft", 2048, |spe, _, _| {
         let err = spe.read_vec::<i32>(CpChannel(0)).unwrap_err();
         match err {
-            CpError::PeerLost { channel, peer } => {
+            CpError::Pilot(PilotError::PeerLost { channel, peer }) => {
                 assert_eq!(channel, 0);
                 assert!(peer.starts_with("dying"), "{peer}");
             }
@@ -99,7 +100,7 @@ fn type5_spe_crash_blast_radius_spans_nodes() {
     });
     let bereft = SpeProgram::new("bereft", 2048, |spe, _, _| {
         match spe.read_vec::<i32>(CpChannel(0)).unwrap_err() {
-            CpError::PeerLost { channel: 0, peer } => {
+            CpError::Pilot(PilotError::PeerLost { channel: 0, peer }) => {
                 assert!(peer.starts_with("dying"), "{peer}")
             }
             other => panic!("expected PeerLost on channel 0, got {other}"),
@@ -232,7 +233,7 @@ fn fault_plan_replays_identically() {
         let bereft = SpeProgram::new("bereft", 2048, |spe, _, _| {
             assert!(matches!(
                 spe.read_vec::<u8>(CpChannel(1)).unwrap_err(),
-                CpError::PeerLost { channel: 1, .. }
+                CpError::Pilot(PilotError::PeerLost { channel: 1, .. })
             ));
         });
         let recv_ppe = cfg
@@ -405,7 +406,7 @@ fn restart_exhaustion_abandons_spe_and_degrades_to_peer_lost() {
         .run(move |cp| {
             let t = cp.run_spe(s, 0, 0).unwrap();
             match cp.read_vec::<i32>(chan) {
-                Err(CpError::PeerLost { channel: 0, peer }) => {
+                Err(CpError::Pilot(PilotError::PeerLost { channel: 0, peer })) => {
                     assert!(peer.starts_with("doomed"), "{peer}")
                 }
                 other => panic!("expected PeerLost after abandonment, got {other:?}"),

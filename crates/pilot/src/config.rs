@@ -10,8 +10,9 @@
 //! synchronizes on an internal barrier and the simulation ends
 //! (`PI_StopMain`).
 
+use crate::endpoint::{finishers, PilotCosts};
 use crate::error::PilotError;
-use crate::runtime::{Pilot, PilotCosts};
+use crate::runtime::Pilot;
 use crate::service::{self, DlEndpoint};
 use crate::table::{
     BundleEntry, BundleUsage, ChannelEntry, PiBundle, PiChannel, PiProcess, ProcessEntry, Tables,
@@ -428,9 +429,10 @@ impl PilotConfig {
         }
         // Deadlock-detection service.
         if let Some(det_rank) = tables.detector_rank {
+            let ranks = tables.processes.iter().map(|p| p.rank);
+            let expected = finishers(world.fault_plan(), ranks);
             let tables = tables.clone();
             world.launch_async(&mut sim, det_rank, "pilot-deadlock-svc", move |comm| {
-                let expected = tables.processes.len();
                 service::detector(comm, expected, move |ep| match ep {
                     DlEndpoint::Rank(r) => tables.name_of_rank(*r),
                     other => other.to_string(),

@@ -178,7 +178,44 @@ impl fmt::Display for PilotError {
     }
 }
 
-impl std::error::Error for PilotError {}
+impl PilotError {
+    /// A `PI_Write`'s caller check: `NotWriter` unless `caller` is (`ok`)
+    /// channel `channel`'s writer, `writer`.
+    pub fn check_writer(ok: bool, channel: usize, caller: &str, writer: &str) -> Result<(), Self> {
+        if ok {
+            return Ok(());
+        }
+        Err(PilotError::NotWriter {
+            channel,
+            caller: caller.into(),
+            writer: writer.into(),
+        })
+    }
+
+    /// A `PI_Read`'s caller check: `NotReader` unless `caller` is (`ok`)
+    /// channel `channel`'s reader, `reader`.
+    pub fn check_reader(ok: bool, channel: usize, caller: &str, reader: &str) -> Result<(), Self> {
+        if ok {
+            return Ok(());
+        }
+        Err(PilotError::NotReader {
+            channel,
+            caller: caller.into(),
+            reader: reader.into(),
+        })
+    }
+}
+
+impl std::error::Error for PilotError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            PilotError::Format(e) => Some(e),
+            PilotError::Args(e) => Some(e),
+            PilotError::FormatMismatch { detail, .. } => Some(detail),
+            _ => None,
+        }
+    }
+}
 
 impl From<FmtError> for PilotError {
     fn from(e: FmtError) -> Self {

@@ -41,6 +41,7 @@
 //! abort-with-source-location diagnostics.
 
 mod config;
+mod endpoint;
 mod error;
 pub mod fmt;
 mod runtime;
@@ -50,12 +51,15 @@ pub mod value;
 
 pub use config::{PilotConfig, PilotOpts};
 pub use cp_des::Backend;
+pub use endpoint::{
+    finishers, pack_checked, unpack_checked, Packed, PilotCosts, RankEndpoint, Route,
+};
 pub use error::PilotError;
 pub use fmt::{parse_format, Conversion, CountSpec, FmtError};
-pub use runtime::{Pilot, PilotCosts};
+pub use runtime::Pilot;
 pub use service::{
-    decode_event, detector, encode_event, DlEndpoint, DlEvent, WaitGraph, EVENT_LEN, EV_FINISH,
-    EV_READWAIT, EV_WRITE, GRACE_US, POLL_US, TAG_SVC,
+    decode_event, detector, encode_event, report, DlEndpoint, DlEvent, WaitGraph, EVENT_LEN,
+    EV_FINISH, EV_READWAIT, EV_WRITE, GRACE_US, POLL_US, TAG_SVC,
 };
 pub use table::{BundleUsage, PiBundle, PiChannel, PiProcess, Tables, PI_MAIN};
 pub use value::{pack_message, payload_bytes, unpack_message, MatchError, PiScalar, PiValue};

@@ -21,7 +21,7 @@
 
 use crate::error::PilotError;
 use cp_des::{SimDuration, Step};
-use cp_mpisim::{Comm, Msg};
+use cp_mpisim::{Comm, Datatype, Msg};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -92,6 +92,25 @@ pub struct DlEvent {
 }
 
 impl DlEvent {
+    /// A `kind` event ([`EV_WRITE`] or [`EV_READWAIT`]) on channel `chan`
+    /// between the resolved endpoints; `via` names the Co-Pilot node that
+    /// relays an SPE reader's waits.
+    pub fn on_channel(
+        kind: u8,
+        chan: usize,
+        reader: DlEndpoint,
+        writer: DlEndpoint,
+        via: Option<u32>,
+    ) -> DlEvent {
+        DlEvent {
+            kind,
+            chan: chan as u32,
+            reader,
+            writer,
+            via,
+        }
+    }
+
     /// A finish event; the endpoint fields are unused.
     pub fn finish() -> DlEvent {
         DlEvent {
@@ -126,6 +145,20 @@ fn get_endpoint(bytes: &[u8], at: usize) -> Result<DlEndpoint, String> {
         1 => Ok(DlEndpoint::Spe { node: a, slot: b }),
         t => Err(format!("unknown endpoint tag {t} at offset {at}")),
     }
+}
+
+/// Send `ev` to the detector at rank `detector`, if the service runs:
+/// fire and forget. `None` when the reporter's own mailbox is dead (see
+/// [`Comm::send_bytes_async`]); a rank drives it from its thread, a
+/// Co-Pilot awaits it.
+pub async fn report(comm: &Comm, detector: Option<usize>, ev: DlEvent) -> Option<()> {
+    if let Some(det) = detector {
+        let payload = encode_event(&ev);
+        let n = payload.len();
+        comm.send_bytes_async(det, TAG_SVC, Datatype::Byte, n, payload)
+            .await?;
+    }
+    Some(())
 }
 
 /// Encode an event into its fixed [`EVENT_LEN`]-byte wire form.

@@ -1,10 +1,10 @@
 //! End-to-end Pilot application tests: full configure→execute runs on the
 //! simulated cluster.
 
-use cp_des::SimError;
+use cp_des::{SimError, SimReport};
 use cp_pilot::{pi_read, pi_write, BundleUsage, PiValue, PilotConfig, PilotOpts, PI_MAIN};
 use cp_simnet::{ClusterSpec, NodeId, NodeKind};
-use cp_trace::{Op, Recorder};
+use cp_trace::{render_trace, Op, Recorder};
 use parking_lot::Mutex;
 use std::sync::Arc;
 
@@ -16,15 +16,24 @@ fn commodity_spec(n: usize) -> ClusterSpec {
 }
 
 fn cfg_n(ranks: usize) -> PilotConfig {
+    cfg_traced(ranks, PilotOpts::default(), &Recorder::disabled())
+}
+
+/// `ranks` commodity ranks, one per node, under `opts` recorded on `rec`.
+fn cfg_traced(ranks: usize, opts: PilotOpts, rec: &Recorder) -> PilotConfig {
     let spec = commodity_spec(ranks);
     let placement = (0..ranks).map(NodeId).collect();
-    PilotConfig::new(spec, placement, PilotOpts::default())
+    PilotConfig::new(spec, placement, opts.with_tracing(rec.clone()))
 }
 
 #[test]
 fn paper_style_write_read_roundtrip() {
-    // The paper's first example: PI_Write(workerdata, "%1000f", data).
-    let mut cfg = cfg_n(2);
+    paper_roundtrip(&Recorder::disabled());
+}
+
+/// The paper's first example: PI_Write(workerdata, "%1000f", data).
+fn paper_roundtrip(rec: &Recorder) -> SimReport {
+    let mut cfg = cfg_traced(2, PilotOpts::new(), rec);
     let worker = cfg
         .create_process("worker", 0, |p, _| {
             let vals = pi_read!(p, cp_pilot::PiChannel(0), "%1000f");
@@ -42,7 +51,7 @@ fn paper_style_write_read_roundtrip() {
         let data: Vec<f32> = (0..1000).map(|i| i as f32).collect();
         pi_write!(p, workerdata, "%1000f", data);
     })
-    .unwrap();
+    .unwrap()
 }
 
 #[test]
@@ -303,14 +312,12 @@ fn deadlock_service_diagnoses_circular_wait() {
 
 #[test]
 fn deadlock_service_stays_quiet_on_healthy_pingpong() {
-    // The grace-period logic must not flag a real exchange as deadlock.
-    let spec = commodity_spec(4);
-    let placement = (0..4).map(NodeId).collect();
-    let opts = PilotOpts {
-        deadlock_detection: true,
-        ..Default::default()
-    };
-    let mut cfg = PilotConfig::new(spec, placement, opts);
+    dl_pingpong(&Recorder::disabled());
+}
+
+/// The grace-period logic must not flag a real exchange as deadlock.
+fn dl_pingpong(rec: &Recorder) -> SimReport {
+    let mut cfg = cfg_traced(4, PilotOpts::new().with_deadlock_service(), rec);
     let ping = cfg
         .create_process("ping", 0, |p, _| {
             for i in 0..20 {
@@ -333,7 +340,7 @@ fn deadlock_service_stays_quiet_on_healthy_pingpong() {
         .unwrap();
     let _c0 = cfg.create_channel(ping, pong).unwrap();
     let _c1 = cfg.create_channel(pong, ping).unwrap();
-    cfg.run(|_p| {}).unwrap();
+    cfg.run(|_p| {}).unwrap()
 }
 
 #[test]
@@ -527,10 +534,14 @@ fn untraced_run_logs_no_ops() {
 
 #[test]
 fn broadcast_tree_spans_eleven_ranks() {
-    // A 10-receiver broadcast bundle exercises a 4-level binomial tree
-    // (receivers forward inside their read calls).
+    bcast_tree(&Recorder::disabled());
+}
+
+/// A 10-receiver broadcast bundle exercises a 4-level binomial tree
+/// (receivers forward inside their read calls).
+fn bcast_tree(rec: &Recorder) -> SimReport {
     let n = 10;
-    let mut cfg = cfg_n(n + 1);
+    let mut cfg = cfg_traced(n + 1, PilotOpts::new(), rec);
     let mut chans = Vec::new();
     let mut procs = Vec::new();
     for i in 0..n {
@@ -550,7 +561,7 @@ fn broadcast_tree_spans_eleven_ranks() {
         p.broadcast(bundle, "%32ld", &[PiValue::Int64((0..32).collect())])
             .unwrap();
     })
-    .unwrap();
+    .unwrap()
 }
 
 #[test]
@@ -596,11 +607,13 @@ fn builder_opts_match_field_style() {
 
 #[test]
 fn read_times_out_under_channel_deadline() {
+    read_deadline(&Recorder::disabled());
+}
+
+fn read_deadline(rec: &Recorder) -> SimReport {
     use cp_pilot::PilotError;
-    let spec = commodity_spec(2);
-    let placement = (0..2).map(NodeId).collect();
     let opts = PilotOpts::new().with_channel_timeout(cp_des::SimDuration::from_millis(5));
-    let mut cfg = PilotConfig::new(spec, placement, opts);
+    let mut cfg = cfg_traced(2, opts, rec);
     let w = cfg
         .create_process("worker", 0, |p, _| {
             // Nobody ever writes channel 0: the read must fail after 5 ms
@@ -623,23 +636,26 @@ fn read_times_out_under_channel_deadline() {
         "{:?}",
         report.incidents
     );
+    report
 }
 
 #[test]
 fn rank_death_fails_only_touching_channels() {
+    rank_death(&Recorder::disabled());
+}
+
+/// Blast radius: losing "victim" fails main's channel from victim but
+/// leaves the bystander channel fully usable.
+fn rank_death(rec: &Recorder) -> SimReport {
     use cp_des::SimTime;
     use cp_pilot::PilotError;
     use cp_simnet::FaultPlan;
 
-    // Blast radius: losing "victim" fails main's channel from victim but
-    // leaves the bystander channel fully usable.
-    let spec = commodity_spec(3);
-    let placement = (0..3).map(NodeId).collect();
     let plan = Arc::new(FaultPlan::new().kill_rank(1, SimTime(1_000_000))); // 1 ms
     let opts = PilotOpts::new()
         .with_channel_timeout(cp_des::SimDuration::from_millis(5))
         .with_faults(plan);
-    let mut cfg = PilotConfig::new(spec, placement, opts);
+    let mut cfg = cfg_traced(3, opts, rec);
     let victim = cfg
         .create_process("victim", 0, |p, _| {
             // Dies at 1 ms without ever writing its channel.
@@ -679,6 +695,7 @@ fn rank_death_fails_only_touching_channels() {
         "{:?}",
         report.incidents
     );
+    report
 }
 
 #[test]
@@ -706,10 +723,14 @@ fn write_to_dead_peer_errors() {
 
 #[test]
 fn select_server_drains_clients_in_readiness_order() {
-    // A server uses PI_Select in a loop to serve whichever client is
-    // ready — the "Unix select" pattern the paper describes.
+    select_server(&Recorder::disabled());
+}
+
+/// A server uses PI_Select in a loop to serve whichever client is ready —
+/// the "Unix select" pattern the paper describes.
+fn select_server(rec: &Recorder) -> SimReport {
     let n = 4;
-    let mut cfg = cfg_n(n + 1);
+    let mut cfg = cfg_traced(n + 1, PilotOpts::new(), rec);
     let mut chans = Vec::new();
     for i in 0..n {
         let w = cfg
@@ -735,6 +756,120 @@ fn select_server_drains_clients_in_readiness_order() {
         }
         // Readiness order is reverse client order.
         assert_eq!(served, vec![3, 2, 1, 0]);
+    })
+    .unwrap()
+}
+
+fn fnv1a(s: &str) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in s.bytes() {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0100_0000_01b3);
+    }
+    h
+}
+
+/// Pilot's rank path, pinned: each scenario's `(end_time ns, dispatches,
+/// hand-offs, FNV-1a of its rendered op log)`. Any change to the timing,
+/// order or routing of Pilot's channel calls shows up here.
+#[test]
+fn rank_path_goldens() {
+    type Scenario = fn(&Recorder) -> SimReport;
+    /// `(end_time ns, dispatches, hand-offs, op-log digest)`.
+    type Pin = (u64, u64, u64, u64);
+    let pins: [(&str, Scenario, Pin); 6] = [
+        (
+            "paper round trip",
+            paper_roundtrip,
+            (315_149, 13, 5, 0x5584_9e55_2b2e_ca14),
+        ),
+        (
+            "broadcast tree",
+            bcast_tree,
+            (448_757, 107, 56, 0xdb1f_67c3_9117_423a),
+        ),
+        (
+            "select server",
+            select_server,
+            (40_182_247, 53, 17, 0x04fc_7b4b_0222_552d),
+        ),
+        (
+            "read deadline",
+            read_deadline,
+            (5_140_000, 9, 5, 0xcbf2_9ce4_8422_2325),
+        ),
+        (
+            "rank death",
+            rank_death,
+            (5_083_542, 17, 7, 0xdad9_5a35_797d_2210),
+        ),
+        (
+            "deadlock-service ping-pong",
+            dl_pingpong,
+            (3_244_936, 423, 50, 0xf4d5_1f39_8c51_4108),
+        ),
+    ];
+    for (name, scenario, pin) in pins {
+        let rec = Recorder::enabled();
+        let report = scenario(&rec);
+        let got = (
+            report.end_time.as_nanos(),
+            report.dispatches,
+            report.handoffs,
+            fnv1a(&render_trace(&rec.ops())),
+        );
+        assert_eq!(got, pin, "{name} (digest {:#018x})", got.3);
+    }
+}
+
+#[test]
+fn try_select_rejects_a_caller_that_is_not_the_common_endpoint() {
+    use cp_pilot::{PiBundle, PilotError};
+    let mut cfg = cfg_n(2);
+    let client = cfg
+        .create_process("client", 0, |p, _| {
+            // The bundle's channels are read by main: a probe of the
+            // client's own mailbox could only ever come back empty.
+            match p.try_select(PiBundle(0)) {
+                Err(PilotError::BundleMisuse { bundle: 0, .. }) => {}
+                other => panic!("expected BundleMisuse, got {other:?}"),
+            }
+            pi_write!(p, cp_pilot::PiChannel(0), "%d", 1);
+        })
+        .unwrap();
+    let chan = cfg.create_channel(client, PI_MAIN).unwrap();
+    let bundle = cfg.create_bundle(BundleUsage::Select, &[chan]).unwrap();
+    assert_eq!(bundle, PiBundle(0));
+    cfg.run(move |p| {
+        let _ = pi_read!(p, chan, "%d");
+    })
+    .unwrap();
+}
+
+#[test]
+fn deadlock_service_expects_no_finish_from_a_rank_the_plan_kills() {
+    use cp_des::SimTime;
+    use cp_pilot::PilotError;
+    use cp_simnet::FaultPlan;
+
+    // "victim" dies at 1 ms and never reaches PI_StopMain: the detector
+    // must not wait for its finish, or the healthy rest of the run ends
+    // as a simulation deadlock on the detector's receive.
+    let plan = Arc::new(FaultPlan::new().kill_rank(1, SimTime(1_000_000)));
+    let opts = PilotOpts::new()
+        .with_deadlock_service()
+        .with_channel_timeout(cp_des::SimDuration::from_millis(5))
+        .with_faults(plan);
+    let mut cfg = PilotConfig::new(commodity_spec(3), (0..3).map(NodeId).collect(), opts);
+    let victim = cfg
+        .create_process("victim", 0, |p, _| {
+            p.ctx().advance(cp_des::SimDuration::from_millis(2));
+        })
+        .unwrap();
+    let chan = cfg.create_channel(victim, PI_MAIN).unwrap();
+    cfg.run(move |p| match p.read(chan, "%d") {
+        Err(PilotError::PeerLost { peer, .. }) => assert_eq!(peer, "victim"),
+        other => panic!("expected PeerLost, got {other:?}"),
     })
     .unwrap();
 }

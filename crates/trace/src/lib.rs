@@ -38,5 +38,5 @@ pub use metrics::{
     ChannelTypeMetrics, DesMetrics, FlowMetrics, LatencyStats, MetricsSnapshot, MpiMetrics,
     NetMetrics, OneSidedMetrics,
 };
-pub use ops::{Measure, Op, OpEvent};
+pub use ops::{render_trace, Measure, Op, OpEvent};
 pub use recorder::{Event, Phase, Recorder};

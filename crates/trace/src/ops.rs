@@ -1,9 +1,14 @@
 //! The op log: one line per completed runtime operation (a channel write
 //! or read, a Co-Pilot relay step, a one-sided put or delivery, an SPE
 //! launch, a bundle operation), kept by the [`crate::Recorder`] apart from
-//! its Chrome-trace events. CellPilot renders it as its channel-operation
-//! trace (`cellpilot::render_trace`), and Pilot's `-pisvc=c` call log is
-//! the same log read back with [`crate::Recorder::ops`].
+//! its Chrome-trace events. [`render_trace`] renders it as the
+//! channel-operation trace with virtual timestamps: the observability tool
+//! behind the Co-Pilot overhead analysis (paper §V: "our current analysis
+//! is that all SPE-connected channel types are paying some overhead for
+//! the Co-Pilot process"), and Pilot's `-pisvc=c` call log. Every op
+//! carries the virtual time it *completed* at, so consecutive ops on one
+//! process measure the legs of a transfer; a run that fails keeps the ops
+//! it completed.
 
 use std::fmt;
 use std::sync::Arc;
@@ -126,4 +131,38 @@ pub enum Measure {
         /// `"forward"` (writer-side MPI send) or `"deliver"`.
         what: &'static str,
     },
+}
+
+/// Render an op log (see [`crate::Recorder::ops`]) as an aligned text log,
+/// one line per op.
+pub fn render_trace(ops: &[OpEvent]) -> String {
+    let mut s = String::new();
+    for e in ops {
+        s.push_str(&format!(
+            "{:>12.3}us {:<24} {:<16} subject={:<4} {}B\n",
+            e.ts_ns as f64 / 1_000.0,
+            e.process,
+            e.op.to_string(),
+            e.subject,
+            e.bytes
+        ));
+    }
+    s
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Recorder;
+
+    #[test]
+    fn render_is_line_per_event() {
+        let r = Recorder::enabled();
+        r.record_op(1_500, &"main".into(), Some(Op::RunSpe), 2, 0, None);
+        let out = render_trace(&r.ops());
+        assert_eq!(
+            out,
+            "       1.500us main                     run-spe          subject=2    0B\n"
+        );
+    }
 }

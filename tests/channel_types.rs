@@ -505,3 +505,113 @@ fn one_sided_dispatches_do_not_scale_with_flight_time() {
     assert_eq!((near_last, near_digest), (1_887_895, 0x785f_a113_02e4_4ee5));
     assert_eq!((far_last, far_digest), (10_527_895, 0xa29c_4c91_4f69_875f));
 }
+
+// ---------------------------------------------------------------------------
+// Type 1 is plain Pilot: the same rank <-> rank program run through
+// `PilotConfig` and through `CellPilotConfig` gives the same schedule and the
+// same op log, with and without the deadlock service.
+// ---------------------------------------------------------------------------
+
+/// Round trips of the type-1 equivalence ping-pong.
+const T1_ROUNDS: usize = 20;
+
+/// Two commodity nodes: no Cell node, so CellPilot starts no Co-Pilot.
+fn commodity_pair() -> ClusterSpec {
+    ClusterSpec {
+        nodes: vec![cp_simnet::NodeKind::Commodity { cores: 4 }; 2],
+        ..ClusterSpec::two_cells_one_xeon()
+    }
+}
+
+/// The 1600 B message of round `r`.
+fn t1_msg(r: usize) -> Vec<u8> {
+    (0..1600).map(|i| (i + r) as u8).collect()
+}
+
+/// A schedule and its op log, as `(ts, op, channel)`.
+type T1Run = (u64, u64, Vec<(u64, cp_trace::Op, usize)>);
+
+fn t1_run(report: SimReport, rec: &Recorder) -> T1Run {
+    let ops = rec
+        .ops()
+        .iter()
+        .map(|e| (e.ts_ns, e.op, e.subject))
+        .collect();
+    (report.end_time.as_nanos(), report.dispatches, ops)
+}
+
+/// The ping-pong through Pilot; its detector, when on, is rank 2 on node 0.
+fn t1_pilot(deadlock: bool) -> T1Run {
+    use cp_pilot::{PiChannel, PilotConfig, PilotOpts, PI_MAIN};
+    let rec = Recorder::enabled();
+    let mut opts = PilotOpts::new().with_tracing(rec.clone());
+    let mut placement = vec![NodeId(0), NodeId(1)];
+    if deadlock {
+        opts = opts.with_deadlock_service();
+        placement.push(NodeId(0));
+    }
+    let mut cfg = PilotConfig::new(commodity_pair(), placement, opts);
+    let worker = cfg
+        .create_process("worker", 0, |p, _| {
+            for _ in 0..T1_ROUNDS {
+                let v = p.read_vec::<u8>(PiChannel(0)).unwrap();
+                p.write_slice(PiChannel(1), &v).unwrap();
+            }
+        })
+        .unwrap();
+    let out = cfg.create_channel(PI_MAIN, worker).unwrap();
+    let back = cfg.create_channel(worker, PI_MAIN).unwrap();
+    let report = cfg
+        .run(move |p| {
+            for r in 0..T1_ROUNDS {
+                p.write_slice(out, &t1_msg(r)).unwrap();
+                assert_eq!(p.read_vec::<u8>(back).unwrap(), t1_msg(r));
+            }
+        })
+        .unwrap();
+    t1_run(report, &rec)
+}
+
+/// The ping-pong through CellPilot, which places its detector on node 0.
+fn t1_cellpilot(deadlock: bool) -> T1Run {
+    let rec = Recorder::enabled();
+    let mut opts = CellPilotOpts::new().with_tracing(rec.clone());
+    if deadlock {
+        opts = opts.with_deadlock_service();
+    }
+    let mut cfg = CellPilotConfig::new(commodity_pair(), vec![NodeId(0), NodeId(1)], opts);
+    let worker = cfg
+        .create_process("worker", 0, |cp, _| {
+            for _ in 0..T1_ROUNDS {
+                let v = cp.read_vec::<u8>(CpChannel(0)).unwrap();
+                cp.write_slice(CpChannel(1), &v).unwrap();
+            }
+        })
+        .unwrap();
+    let out = cfg.channel(CP_MAIN, worker).build().unwrap();
+    let back = cfg.channel(worker, CP_MAIN).build().unwrap();
+    assert_eq!(cfg.channel_kind(out).unwrap(), ChannelKind::Type1);
+    let report = cfg
+        .run(move |cp| {
+            for r in 0..T1_ROUNDS {
+                cp.write_slice(out, &t1_msg(r)).unwrap();
+                assert_eq!(cp.read_vec::<u8>(back).unwrap(), t1_msg(r));
+            }
+        })
+        .unwrap();
+    t1_run(report, &rec)
+}
+
+#[test]
+fn type1_is_plain_pilot() {
+    for (deadlock, end_ns, dispatches) in [(false, 4_728_960, 207), (true, 4_730_982, 413)] {
+        let pilot = t1_pilot(deadlock);
+        let cellpilot = t1_cellpilot(deadlock);
+        assert_eq!(pilot, cellpilot, "deadlock service {deadlock}");
+        assert_eq!(
+            (pilot.0, pilot.1),
+            (end_ns, dispatches),
+            "deadlock service {deadlock}"
+        );
+    }
+}
