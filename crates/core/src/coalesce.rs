@@ -20,16 +20,16 @@
 //! [`write`]: BundleCoalescer::write
 //! [`CP_BUNDLE_TAG`]: crate::protocol::CP_BUNDLE_TAG
 
-use crate::collective::CpBundle;
+use crate::collective::{bundle_op, CpBundle};
 use crate::error::CpError;
 use crate::location::Location;
 use crate::protocol::{encode_bundle, CP_BUNDLE_TAG};
 use crate::runtime::CellPilot;
-use crate::tables::{CoalescePolicy, CpBundleUsage};
+use crate::tables::CoalescePolicy;
 use crate::CpChannel;
 use cp_des::SimTime;
 use cp_mpisim::Datatype;
-use cp_pilot::PiValue;
+use cp_pilot::{BundleUsage, PiValue, PilotError};
 use cp_simnet::NodeId;
 use std::collections::BTreeMap;
 
@@ -54,27 +54,13 @@ impl CellPilot {
     ///
     /// [`CellPilotConfig::coalesce_bundle`]: crate::CellPilotConfig::coalesce_bundle
     pub fn coalescer(&self, b: CpBundle) -> Result<BundleCoalescer<'_>, CpError> {
-        let entry = self
-            .shared
-            .tables
-            .bundles
-            .get(b.0)
-            .ok_or(CpError::NoSuchBundle(b.0))?;
-        if entry.usage != CpBundleUsage::Broadcast {
-            return Err(CpError::BundleMisuse {
-                bundle: b.0,
-                detail: format!("bundle usage is {:?}", entry.usage),
-            });
-        }
-        if entry.common != self.me {
-            return Err(CpError::BundleMisuse {
-                bundle: b.0,
-                detail: "only the common endpoint may coalesce".into(),
-            });
-        }
-        let policy = entry.coalesce.ok_or(CpError::BundleMisuse {
+        let op = "coalescer";
+        bundle_op(&self.shared.tables, b, op, BundleUsage::Broadcast, self.me)?;
+        let policy = self.shared.tables.coalesce[b.0].ok_or_else(|| PilotError::BundleMisuse {
             bundle: b.0,
-            detail: "bundle has no coalescing policy (CellPilotConfig::coalesce_bundle)".into(),
+            detail: format!(
+                "{op}: bundle has no coalescing policy (CellPilotConfig::coalesce_bundle)"
+            ),
         })?;
         Ok(BundleCoalescer {
             cp: self,
@@ -96,12 +82,13 @@ impl BundleCoalescer<'_> {
         format: &str,
         values: &[PiValue],
     ) -> Result<(), CpError> {
-        let tables = self.cp.shared.tables.clone();
-        if !tables.bundles[self.b.0].channels.contains(&chan) {
-            return Err(CpError::BundleMisuse {
+        let tables = &self.cp.shared.tables;
+        if !tables.decls.bundle(self.b.0)?.channels.contains(&chan.0) {
+            return Err(PilotError::BundleMisuse {
                 bundle: self.b.0,
                 detail: format!("channel {} is not a member", chan.0),
-            });
+            }
+            .into());
         }
         let msg = cp_pilot::pack_checked(format, values)?;
         if self.deadline_expired() {
@@ -143,7 +130,7 @@ impl BundleCoalescer<'_> {
         let mut per_node: BTreeMap<NodeId, Vec<(u32, Vec<u8>)>> = BTreeMap::new();
         for (c, data) in entries {
             let n = data.len();
-            match tables.processes[tables.channels[c].to.0].location {
+            match tables.processes[tables.ends(c).to].location {
                 Location::Rank { rank, .. } => {
                     self.cp
                         .comm()

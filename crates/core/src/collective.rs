@@ -6,7 +6,12 @@
 //! Pilot's MPMD convention is kept: only the bundle's common endpoint
 //! calls [`CellPilot::broadcast`] / [`CellPilot::gather`] (or the
 //! [`SpeCtx`] equivalents when the common endpoint is itself an SPE);
-//! every other member just reads or writes its own channel.
+//! every other member just reads or writes its own channel. Bundles are
+//! declared, and every bundle operation checked, by Pilot's table
+//! ([`cp_pilot::DeclTable::bundle_op`]): the bundle exists, has the
+//! operation's usage (`select` needs a `Select` bundle, `gather` a
+//! `Gather` one) and the caller is its common endpoint. What is
+//! CellPilot's own is the transport below.
 //!
 //! Broadcast from a rank endpoint is **hierarchical**: receivers are
 //! grouped by location, rank receivers get individual messages, and each
@@ -21,9 +26,9 @@ use crate::location::{CpProcess, Location};
 use crate::protocol::{encode_mcast, CP_MCAST_TAG};
 use crate::runtime::CellPilot;
 use crate::spe_rt::SpeCtx;
-use crate::tables::{CpBundleEntry, CpBundleUsage};
+use crate::tables::CpTables;
 use cp_mpisim::Datatype;
-use cp_pilot::PiValue;
+use cp_pilot::{BundleDecl, BundleUsage, PiValue};
 use cp_simnet::NodeId;
 use std::collections::BTreeMap;
 
@@ -31,29 +36,16 @@ use std::collections::BTreeMap;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CpBundle(pub usize);
 
-fn bundle_entry(tables: &crate::tables::CpTables, b: CpBundle) -> Result<&CpBundleEntry, CpError> {
-    tables.bundles.get(b.0).ok_or(CpError::NoSuchBundle(b.0))
-}
-
-fn check_common(
-    entry: &CpBundleEntry,
-    me: CpProcess,
-    usage: CpBundleUsage,
+/// Bundle `b` of `tables`, checked for bundle operation `op` by process
+/// `me` ([`cp_pilot::DeclTable::bundle_op`]).
+pub(crate) fn bundle_op<'t>(
+    tables: &'t CpTables,
     b: CpBundle,
-) -> Result<(), CpError> {
-    if entry.usage != usage {
-        return Err(CpError::BundleMisuse {
-            bundle: b.0,
-            detail: format!("bundle usage is {:?}", entry.usage),
-        });
-    }
-    if entry.common != me {
-        return Err(CpError::BundleMisuse {
-            bundle: b.0,
-            detail: "only the common endpoint may invoke the collective".into(),
-        });
-    }
-    Ok(())
+    op: &str,
+    usage: BundleUsage,
+    me: CpProcess,
+) -> Result<&'t BundleDecl, CpError> {
+    Ok(tables.decls.bundle_op(b.0, op, usage, Some(me.0))?)
 }
 
 impl CellPilot {
@@ -62,8 +54,7 @@ impl CellPilot {
     /// own channel.
     pub fn broadcast(&self, b: CpBundle, format: &str, values: &[PiValue]) -> Result<(), CpError> {
         let tables = self.shared.tables.clone();
-        let entry = bundle_entry(&tables, b)?;
-        check_common(entry, self.me, CpBundleUsage::Broadcast, b)?;
+        let entry = bundle_op(&tables, b, "PI_Broadcast", BundleUsage::Broadcast, self.me)?;
         let msg = cp_pilot::pack_checked(format, values)?;
         self.ep.charge(msg.payload);
         let data = msg.data;
@@ -79,20 +70,19 @@ impl CellPilot {
         let mut per_node: BTreeMap<NodeId, Vec<u32>> = BTreeMap::new();
         let mut grouped_unsent: Vec<usize> = Vec::new();
         for &c in &entry.channels {
-            let chan = &tables.channels[c.0];
-            if let Err(e) = self.shared.acquire_credit(self.ctx(), &self.name(), c.0) {
+            if let Err(e) = self.shared.acquire_credit(self.ctx(), &self.name(), c) {
                 for &u in &grouped_unsent {
                     self.shared.release_credit(u);
                 }
                 return Err(e);
             }
-            match tables.processes[chan.to.0].location {
+            match tables.processes[tables.ends(c).to].location {
                 Location::Rank { rank, .. } => {
-                    self.comm_send(rank, c.0 as i32, data.clone());
+                    self.comm_send(rank, c as i32, data.clone());
                 }
                 Location::Spe { node, .. } => {
-                    grouped_unsent.push(c.0);
-                    per_node.entry(node).or_default().push(c.0 as u32);
+                    grouped_unsent.push(c);
+                    per_node.entry(node).or_default().push(c as u32);
                 }
             }
         }
@@ -104,7 +94,7 @@ impl CellPilot {
         // One write credit per member channel: every receiver (rank or
         // SPE) reports its own read wait against its own channel.
         for &c in &entry.channels {
-            self.report_chan(cp_pilot::EV_WRITE, c.0);
+            self.report_chan(cp_pilot::EV_WRITE, c);
         }
         self.shared.recorder.record_op(
             self.ctx().now().0,
@@ -121,25 +111,21 @@ impl CellPilot {
     /// the bundle, in channel order. Writers — rank or SPE — each call
     /// their side's `write` on their own channel.
     pub fn gather(&self, b: CpBundle, format: &str) -> Result<Vec<Vec<PiValue>>, CpError> {
-        let tables = self.shared.tables.clone();
-        let channels = {
-            let entry = bundle_entry(&tables, b)?;
-            check_common(entry, self.me, CpBundleUsage::Gather, b)?;
-            entry.channels.clone()
-        };
-        let mut out = Vec::with_capacity(channels.len());
-        for c in channels {
-            out.push(self.read(c, format)?);
+        let tables = &self.shared.tables;
+        let entry = bundle_op(tables, b, "PI_Gather", BundleUsage::Gather, self.me)?;
+        let mut out = Vec::with_capacity(entry.channels.len());
+        for &c in &entry.channels {
+            out.push(self.read(crate::CpChannel(c), format)?);
         }
         Ok(out)
     }
 
-    /// `PI_Select` (extension): block until some channel of a gather
+    /// `PI_Select` (extension): block until some channel of a select
     /// bundle has data ready at this (rank) endpoint — whatever the
     /// writers' locations, since SPE-originated data arrives via the
     /// writers' Co-Pilots under the same channel tags.
     pub fn select(&self, b: CpBundle) -> Result<crate::CpChannel, CpError> {
-        let tags = self.select_tags(b)?;
+        let tags = self.select_tags(b, "PI_Select")?;
         let (_, tag, _, _) = self
             .comm()
             .probe_match("PI_Select", |e| tags.contains(&e.tag));
@@ -148,19 +134,19 @@ impl CellPilot {
 
     /// `PI_TrySelect` (extension): non-blocking [`CellPilot::select`].
     pub fn try_select(&self, b: CpBundle) -> Result<Option<crate::CpChannel>, CpError> {
-        let tags = self.select_tags(b)?;
+        let tags = self.select_tags(b, "PI_TrySelect")?;
         Ok(self
             .comm()
             .iprobe_match(|e| tags.contains(&e.tag))
             .map(|(_, tag, _, _)| crate::CpChannel(tag as usize)))
     }
 
-    /// The channel tags of gather bundle `b`, checking that this process
-    /// is its common endpoint (the reader), which alone may select on it.
-    fn select_tags(&self, b: CpBundle) -> Result<Vec<i32>, CpError> {
-        let entry = bundle_entry(&self.shared.tables, b)?;
-        check_common(entry, self.me, CpBundleUsage::Gather, b)?;
-        Ok(entry.channels.iter().map(|c| c.0 as i32).collect())
+    /// The channel tags of select bundle `b`, checking that `op` is a
+    /// select by the bundle's common endpoint (the reader), which alone
+    /// may select on it.
+    fn select_tags(&self, b: CpBundle, op: &str) -> Result<Vec<i32>, CpError> {
+        let entry = bundle_op(&self.shared.tables, b, op, BundleUsage::Select, self.me)?;
+        Ok(entry.channels.iter().map(|&c| c as i32).collect())
     }
 
     fn comm_send(&self, rank: usize, tag: i32, data: Vec<u8>) {
@@ -176,13 +162,15 @@ impl SpeCtx {
     /// principle).
     pub fn broadcast(&self, b: CpBundle, format: &str, values: &[PiValue]) -> Result<(), CpError> {
         let tables = self.shared_tables();
-        let channels = {
-            let entry = bundle_entry(&tables, b)?;
-            check_common(entry, self.process(), CpBundleUsage::Broadcast, b)?;
-            entry.channels.clone()
-        };
-        for c in channels {
-            self.write(c, format, values)?;
+        let entry = bundle_op(
+            &tables,
+            b,
+            "PI_Broadcast",
+            BundleUsage::Broadcast,
+            self.process(),
+        )?;
+        for &c in &entry.channels {
+            self.write(crate::CpChannel(c), format, values)?;
         }
         Ok(())
     }
@@ -190,14 +178,10 @@ impl SpeCtx {
     /// Gather at an SPE common endpoint: read every channel in order.
     pub fn gather(&self, b: CpBundle, format: &str) -> Result<Vec<Vec<PiValue>>, CpError> {
         let tables = self.shared_tables();
-        let channels = {
-            let entry = bundle_entry(&tables, b)?;
-            check_common(entry, self.process(), CpBundleUsage::Gather, b)?;
-            entry.channels.clone()
-        };
-        let mut out = Vec::with_capacity(channels.len());
-        for c in channels {
-            out.push(self.read(c, format)?);
+        let entry = bundle_op(&tables, b, "PI_Gather", BundleUsage::Gather, self.process())?;
+        let mut out = Vec::with_capacity(entry.channels.len());
+        for &c in &entry.channels {
+            out.push(self.read(crate::CpChannel(c), format)?);
         }
         Ok(out)
     }

@@ -18,13 +18,11 @@ use crate::flow::{FlowControl, OverloadPolicy};
 use crate::location::{classify, ChannelMode, CpChannel, CpProcess, Location};
 use crate::program::SpeProgram;
 use crate::runtime::{AppShared, CellPilot};
-use crate::tables::{
-    CpBundleEntry, CpBundleUsage, CpChanEntry, CpProcEntry, CpTables, NodeShared, ProcKind,
-};
+use crate::tables::{CoalescePolicy, CpChanEntry, CpProcEntry, CpTables, NodeShared, ProcKind};
 use cp_des::{Backend, Incident, IncidentCategory, SimDuration, SimError, SimReport};
 use cp_mpisim::{MpiCosts, MpiWorld};
 use cp_native::Runner;
-use cp_pilot::{PilotCosts, PilotError};
+use cp_pilot::{BundleUsage, PilotCosts, PilotError};
 use cp_simnet::{ClusterSpec, FaultPlan, NodeId, RetryPolicy};
 use cp_trace::Recorder;
 use parking_lot::Mutex;
@@ -263,10 +261,9 @@ pub struct CellPilotConfig {
     spec: ClusterSpec,
     placement: Vec<NodeId>,
     opts: CellPilotOpts,
-    processes: Vec<CpProcEntry>,
-    channels: Vec<CpChanEntry>,
-    bundles: Vec<CpBundleEntry>,
-    bundled: std::collections::HashSet<usize>,
+    /// The declarations and CellPilot's columns; the launch ranks are
+    /// filled in by `run`.
+    tables: CpTables,
     bodies: Vec<Option<RankBody>>,
     next_rank: usize,
     spe_slots: HashMap<NodeId, usize>,
@@ -281,27 +278,41 @@ impl CellPilotConfig {
         for n in &placement {
             assert!(n.0 < spec.nodes.len(), "placement names missing node {n}");
         }
-        let processes = vec![CpProcEntry {
-            name: "main".into(),
-            location: Location::Rank {
-                rank: 0,
-                node: placement[0],
-            },
-            index: 0,
-            kind: ProcKind::Rank,
-        }];
-        CellPilotConfig {
+        let mut cfg = CellPilotConfig {
             spec,
             placement,
             opts,
-            processes,
-            channels: Vec::new(),
-            bundles: Vec::new(),
-            bundled: std::collections::HashSet::new(),
-            bodies: vec![None],
+            tables: CpTables::default(),
+            bodies: Vec::new(),
             next_rank: 1,
             spe_slots: HashMap::new(),
-        }
+        };
+        cfg.add_process(
+            "main".into(),
+            CpProcEntry {
+                location: Location::Rank {
+                    rank: 0,
+                    node: cfg.placement[0],
+                },
+                index: 0,
+                kind: ProcKind::Rank,
+            },
+            None,
+        );
+        cfg
+    }
+
+    /// Declare a process with CellPilot columns `entry` and, for a rank
+    /// process, its `body`.
+    fn add_process(
+        &mut self,
+        name: Arc<str>,
+        entry: CpProcEntry,
+        body: Option<RankBody>,
+    ) -> CpProcess {
+        self.tables.processes.push(entry);
+        self.bodies.push(body);
+        CpProcess(self.tables.decls.add_process(name))
     }
 
     /// Convenience: one application rank per cluster node.
@@ -321,24 +332,22 @@ impl CellPilotConfig {
         F: FnOnce(&CellPilot, i32) + Send + 'static,
     {
         if self.processes_available() == 0 {
-            return Err(CpError::TooManyProcesses {
+            return Err(PilotError::TooManyProcesses {
                 available: self.placement.len(),
-            });
+            }
+            .into());
         }
         let rank = self.next_rank;
         self.next_rank += 1;
-        let id = CpProcess(self.processes.len());
-        self.processes.push(CpProcEntry {
-            name: name.into(),
+        let entry = CpProcEntry {
             location: Location::Rank {
                 rank,
                 node: self.placement[rank],
             },
             index,
             kind: ProcKind::Rank,
-        });
-        self.bodies.push(Some(Box::new(f)));
-        Ok(id)
+        };
+        Ok(self.add_process(name.into(), entry, Some(Box::new(f))))
     }
 
     /// `PI_CreateSPE`: an SPE process associated with `program`, parented
@@ -351,9 +360,10 @@ impl CellPilotConfig {
         index: i32,
     ) -> Result<CpProcess, CpError> {
         let pe = self
+            .tables
             .processes
             .get(parent.0)
-            .ok_or(CpError::NoSuchProcess(parent.0))?;
+            .ok_or(PilotError::NoSuchProcess(parent.0))?;
         let node = match pe.location {
             Location::Rank { node, .. } => node,
             Location::Spe { .. } => {
@@ -372,9 +382,7 @@ impl CellPilotConfig {
         let slot = self.spe_slots.entry(node).or_insert(0);
         let my_slot = *slot;
         *slot += 1;
-        let id = CpProcess(self.processes.len());
-        self.processes.push(CpProcEntry {
-            name: format!("{}#{}", program.name(), index).into(),
+        let entry = CpProcEntry {
             location: Location::Spe {
                 node,
                 slot: my_slot,
@@ -384,9 +392,9 @@ impl CellPilotConfig {
                 program: program.clone(),
                 parent,
             },
-        });
-        self.bodies.push(None);
-        Ok(id)
+        };
+        let name = format!("{}#{}", program.name(), index).into();
+        Ok(self.add_process(name, entry, None))
     }
 
     /// Begin declaring a unidirectional channel between any two processes,
@@ -429,26 +437,16 @@ impl CellPilotConfig {
         eager: Option<usize>,
         max_payload: Option<usize>,
     ) -> Result<CpChannel, CpError> {
-        let fe = self
-            .processes
-            .get(from.0)
-            .ok_or(CpError::NoSuchProcess(from.0))?;
-        let te = self
-            .processes
-            .get(to.0)
-            .ok_or(CpError::NoSuchProcess(to.0))?;
-        if from == to {
-            return Err(CpError::SelfChannel);
-        }
+        let id = CpChannel(self.tables.decls.check_channel(from.0, to.0)?);
+        let (fe, te) = (&self.tables.processes[from.0], &self.tables.processes[to.0]);
         let kind = classify(fe.location, te.location);
-        let id = CpChannel(self.channels.len());
         if mode == ChannelMode::OneSided && !te.location.is_spe() {
             return Err(CpError::WindowMisuse {
                 channel: id.0,
                 detail: format!(
                     "one-sided channels land data in the reader's local store, \
                      but reader '{}' is rank-resident",
-                    te.name
+                    self.tables.name(to.0)
                 ),
             });
         }
@@ -476,9 +474,8 @@ impl CellPilotConfig {
                     .into(),
             });
         }
-        self.channels.push(CpChanEntry {
-            from,
-            to,
+        self.tables.decls.add_channel(from.0, to.0)?;
+        self.tables.channels.push(CpChanEntry {
             kind,
             mode,
             window,
@@ -493,53 +490,17 @@ impl CellPilotConfig {
     /// `PI_CreateBundle` (extension): group channels sharing a common
     /// endpoint — which may be a rank *or an SPE process* — for a
     /// collective usage. For broadcast the common endpoint is the single
-    /// writer; for gather it is the single reader.
+    /// writer; for gather and select it is the single reader. Checked as
+    /// Pilot's [`cp_pilot::DeclTable::add_bundle`] checks it.
     pub fn create_bundle(
         &mut self,
-        usage: CpBundleUsage,
+        usage: BundleUsage,
         channels: &[CpChannel],
     ) -> Result<CpBundle, CpError> {
-        if channels.is_empty() {
-            return Err(CpError::EmptyBundle);
-        }
-        let ends: Vec<(CpProcess, CpProcess)> = channels
-            .iter()
-            .map(|&c| {
-                self.channels
-                    .get(c.0)
-                    .map(|e| (e.from, e.to))
-                    .ok_or(CpError::Pilot(PilotError::NoSuchChannel(c.0)))
-            })
-            .collect::<Result<_, _>>()?;
-        let common = match usage {
-            CpBundleUsage::Broadcast => {
-                let w = ends[0].0;
-                if !ends.iter().all(|&(f, _)| f == w) {
-                    return Err(CpError::BundleCommonEndpoint);
-                }
-                w
-            }
-            CpBundleUsage::Gather => {
-                let r = ends[0].1;
-                if !ends.iter().all(|&(_, t)| t == r) {
-                    return Err(CpError::BundleCommonEndpoint);
-                }
-                r
-            }
-        };
-        for &c in channels {
-            if !self.bundled.insert(c.0) {
-                return Err(CpError::ChannelAlreadyBundled(c.0));
-            }
-        }
-        let id = CpBundle(self.bundles.len());
-        self.bundles.push(CpBundleEntry {
-            usage,
-            channels: channels.to_vec(),
-            common,
-            coalesce: None,
-        });
-        Ok(id)
+        let members: Vec<usize> = channels.iter().map(|c| c.0).collect();
+        let id = self.tables.decls.add_bundle(usage, &members)?;
+        self.tables.coalesce.push(None);
+        Ok(CpBundle(id))
     }
 
     /// Enable **vectored coalescing** on a broadcast bundle: consecutive
@@ -555,31 +516,22 @@ impl CellPilotConfig {
         max_batch: usize,
         deadline_us: f64,
     ) -> Result<(), CpError> {
-        let entry = self
-            .bundles
-            .get_mut(b.0)
-            .ok_or(CpError::NoSuchBundle(b.0))?;
-        if entry.usage != CpBundleUsage::Broadcast {
-            return Err(CpError::BundleMisuse {
-                bundle: b.0,
-                detail: "coalescing batches the common writer's outgoing traffic, \
-                         so it only applies to broadcast bundles"
-                    .into(),
-            });
-        }
+        // Coalescing batches the common writer's outgoing traffic.
+        let op = "coalesce_bundle";
+        self.tables
+            .decls
+            .bundle_op(b.0, op, BundleUsage::Broadcast, None)?;
+        let misuse = |detail: &str| PilotError::BundleMisuse {
+            bundle: b.0,
+            detail: format!("{op}: {detail}"),
+        };
         if max_batch == 0 {
-            return Err(CpError::BundleMisuse {
-                bundle: b.0,
-                detail: "coalesce batch size must be nonzero".into(),
-            });
+            return Err(misuse("batch size must be nonzero").into());
         }
         if deadline_us.is_nan() || deadline_us <= 0.0 {
-            return Err(CpError::BundleMisuse {
-                bundle: b.0,
-                detail: "coalesce deadline must be positive".into(),
-            });
+            return Err(misuse("deadline must be positive").into());
         }
-        entry.coalesce = Some(crate::tables::CoalescePolicy {
+        self.tables.coalesce[b.0] = Some(CoalescePolicy {
             max_batch,
             deadline_us,
         });
@@ -588,36 +540,38 @@ impl CellPilotConfig {
 
     /// The Table-I classification of a configured channel.
     pub fn channel_kind(&self, c: CpChannel) -> Option<crate::location::ChannelKind> {
-        self.channels.get(c.0).map(|e| e.kind)
+        self.tables.channels.get(c.0).map(|e| e.kind)
     }
 
     /// The transport mode of a configured channel (rendezvous relay or
     /// one-sided window fabric).
     pub fn channel_mode(&self, c: CpChannel) -> Option<ChannelMode> {
-        self.channels.get(c.0).map(|e| e.mode)
+        self.tables.channels.get(c.0).map(|e| e.mode)
     }
 
     /// Number of channels configured so far.
     pub fn channel_count(&self) -> usize {
-        self.channels.len()
+        self.tables.channels.len()
     }
 
     /// Number of processes configured so far (including `CP_MAIN` and SPE
     /// processes).
     pub fn process_count(&self) -> usize {
-        self.processes.len()
+        self.tables.processes.len()
     }
 
     /// The configured name of a process.
     pub fn process_name(&self, p: CpProcess) -> Option<&str> {
-        self.processes.get(p.0).map(|e| &*e.name)
+        (p.0 < self.process_count()).then(|| &**self.tables.name(p.0))
     }
 
     /// Summarize the configured architecture: one `(name, location
     /// description, channel count as writer, as reader)` row per process —
     /// handy for logging what `PI_StartAll` is about to launch.
     pub fn architecture_summary(&self) -> Vec<(String, String, usize, usize)> {
-        self.processes
+        let channels = self.tables.decls.channels();
+        self.tables
+            .processes
             .iter()
             .enumerate()
             .map(|(i, e)| {
@@ -625,9 +579,9 @@ impl CellPilotConfig {
                     Location::Rank { rank, node } => format!("rank {rank} on {node}"),
                     Location::Spe { node, slot } => format!("SPE process {slot} on {node}"),
                 };
-                let writes = self.channels.iter().filter(|c| c.from.0 == i).count();
-                let reads = self.channels.iter().filter(|c| c.to.0 == i).count();
-                (e.name.to_string(), loc, writes, reads)
+                let writes = channels.iter().filter(|c| c.from == i).count();
+                let reads = channels.iter().filter(|c| c.to == i).count();
+                (self.tables.name(i).to_string(), loc, writes, reads)
             })
             .collect()
     }
@@ -660,24 +614,23 @@ impl CellPilotConfig {
                 g.add_copilot(i);
             }
         }
-        for e in &self.processes {
+        for (p, e) in self.tables.processes.iter().enumerate() {
+            let name = self.tables.name(p);
             match e.location {
                 Location::Rank { rank, node } => {
-                    g.add_rank_process(&e.name, rank, node.0);
+                    g.add_rank_process(name, rank, node.0);
                 }
                 Location::Spe { node, slot } => {
-                    g.add_spe_process(&e.name, node.0, slot);
+                    g.add_spe_process(name, node.0, slot);
                 }
             }
         }
-        for c in &self.channels {
-            g.add_channel(c.from.0, c.to.0);
-        }
+        self.tables.decls.wire(&mut g);
         // Flow-control declarations for the CP013 lint. Strict runs opt
         // into the unbounded-channel advisory (it is only a warning, never
         // an abort).
         g.set_flow_strict(self.opts.strict_checks);
-        for (i, c) in self.channels.iter().enumerate() {
+        for (i, c) in self.tables.channels.iter().enumerate() {
             g.set_channel_flow(
                 i,
                 c.capacity,
@@ -686,7 +639,7 @@ impl CellPilotConfig {
         }
         // Eager/coalescing declarations for the CP014 lint, payload
         // promises for the CP203 advisory.
-        for (i, c) in self.channels.iter().enumerate() {
+        for (i, c) in self.tables.channels.iter().enumerate() {
             if let Some(threshold) = c.eager {
                 g.set_channel_eager(i, threshold);
             }
@@ -710,12 +663,14 @@ impl CellPilotConfig {
         // that the reader has a window.
         const AUTO_WINDOW_BASE: u32 = 0x1000_0000;
         let mut auto_next: HashMap<(usize, usize), u32> = HashMap::new();
-        for (i, c) in self.channels.iter().enumerate() {
+        for (i, c) in self.tables.channels.iter().enumerate() {
             if c.mode != ChannelMode::OneSided {
                 continue;
             }
             g.mark_one_sided(i);
-            if let Location::Spe { node, slot } = self.processes[c.to.0].location {
+            if let Location::Spe { node, slot } =
+                self.tables.processes[self.tables.ends(i).to].location
+            {
                 let len = c
                     .window
                     .map(|(_, l)| l)
@@ -732,16 +687,8 @@ impl CellPilotConfig {
                 g.add_window(i, node.0, slot, start, len);
             }
         }
-        for b in &self.bundles {
-            let usage = match b.usage {
-                CpBundleUsage::Broadcast => cp_check::GraphBundleUsage::Broadcast,
-                CpBundleUsage::Gather => cp_check::GraphBundleUsage::Gather,
-            };
-            let members: Vec<usize> = b.channels.iter().map(|c| c.0).collect();
-            g.add_bundle(usage, &members, b.common.0);
-        }
-        for (i, b) in self.bundles.iter().enumerate() {
-            if let Some(cp) = b.coalesce {
+        for (i, policy) in self.tables.coalesce.iter().enumerate() {
+            if let Some(cp) = policy {
                 g.set_bundle_coalesce(i, cp.max_batch);
             }
         }
@@ -783,10 +730,7 @@ impl CellPilotConfig {
             spec,
             mut placement,
             opts,
-            processes,
-            channels,
-            bundles,
-            bundled: _,
+            mut tables,
             bodies,
             next_rank: _,
             spe_slots: _,
@@ -838,14 +782,10 @@ impl CellPilotConfig {
         } else {
             None
         };
-        let tables = Arc::new(CpTables {
-            processes,
-            channels,
-            bundles,
-            copilot_ranks: copilot_ranks.clone(),
-            standby_ranks: standby_ranks.clone(),
-            detector_rank,
-        });
+        tables.copilot_ranks = copilot_ranks.clone();
+        tables.standby_ranks = standby_ranks.clone();
+        tables.detector_rank = detector_rank;
+        let tables = Arc::new(tables);
         let mut node_shared = HashMap::new();
         for (i, hw) in cluster.nodes.iter().enumerate() {
             if let Some(cell) = &hw.cell {
@@ -899,7 +839,7 @@ impl CellPilotConfig {
             let Location::Rank { rank, .. } = entry.location else {
                 unreachable!("bodies exist only for rank processes")
             };
-            let name = entry.name.clone();
+            let name = tables.name(pidx).clone();
             let index = entry.index;
             let shared = shared.clone();
             world.launch(&mut sim, rank, &name, move |comm| {
@@ -1356,13 +1296,29 @@ mod tests {
     }
 
     #[test]
+    fn rejected_bundle_marks_no_channel() {
+        let mut c = cfg();
+        let a = c.create_process("a", 0, |_, _| {}).unwrap();
+        let b = c.create_process("b", 0, |_, _| {}).unwrap();
+        let c1 = c.channel(crate::CP_MAIN, a).build().unwrap();
+        let c2 = c.channel(crate::CP_MAIN, b).build().unwrap();
+        let usage = BundleUsage::Broadcast;
+        assert_eq!(c.create_bundle(usage, &[c2]), Ok(CpBundle(0)));
+        let bundled = |ch: CpChannel| Err(CpError::Pilot(PilotError::ChannelAlreadyBundled(ch.0)));
+        assert_eq!(c.create_bundle(usage, &[c1, c2]), bundled(c2));
+        assert_eq!(c.create_bundle(usage, &[c1, c1]), bundled(c1));
+        // Neither rejected bundle left c1 marked.
+        assert_eq!(c.create_bundle(usage, &[c1]), Ok(CpBundle(1)));
+    }
+
+    #[test]
     fn rank_exhaustion() {
         let mut c = cfg();
         c.create_process("a", 0, |_, _| {}).unwrap();
         c.create_process("b", 0, |_, _| {}).unwrap();
         assert!(matches!(
             c.create_process("c", 0, |_, _| {}),
-            Err(CpError::TooManyProcesses { .. })
+            Err(CpError::Pilot(PilotError::TooManyProcesses { .. }))
         ));
         // But SPE processes are unlimited by ranks.
         let prog = SpeProgram::new("w", 1024, |_, _, _| {});

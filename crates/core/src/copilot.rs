@@ -474,7 +474,7 @@ impl Proxy<'_> {
 
     fn reader_side(self, chan: usize) -> ReaderSide {
         let tables = &self.shared.tables;
-        match tables.processes[tables.channels[chan].to.0].location {
+        match tables.processes[tables.ends(chan).to].location {
             Location::Rank { rank, .. } => ReaderSide::Mpi(rank),
             Location::Spe { node, .. } if node.0 == self.cell.id => ReaderSide::LocalSpe,
             // Consult the live route: after a failover the reader's node is
@@ -487,7 +487,7 @@ impl Proxy<'_> {
     fn local_writer(self, chan: usize) -> bool {
         let tables = &self.shared.tables;
         matches!(
-            tables.processes[tables.channels[chan].from.0].location,
+            tables.processes[tables.ends(chan).from].location,
             Location::Spe { node, .. } if node.0 == self.cell.id
         )
     }
@@ -501,14 +501,15 @@ impl Proxy<'_> {
     /// fail-fast semantics.)
     fn writer_dead(self, chan: usize) -> bool {
         let shared = self.shared;
-        let from = shared.tables.channels[chan].from;
+        let from = shared.tables.ends(chan).from;
         let gone = shared.chan_writer_gone(chan, self.ctx.now());
         if gone {
             self.ctx.report_incident(
                 IncidentCategory::PeerLost,
                 &format!(
                     "Co-Pilot on node {} failing read on channel {chan}: writer '{}' is lost",
-                    self.cell.id, shared.tables.processes[from.0].name
+                    self.cell.id,
+                    shared.tables.name(from)
                 ),
             );
         }

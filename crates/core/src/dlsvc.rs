@@ -35,9 +35,9 @@ pub(crate) fn dl_endpoint(loc: &Location) -> DlEndpoint {
 /// endpoints. SPE readers get a `via` hop naming the Co-Pilot that relays
 /// their waits, so diagnostics can render the full proxy chain.
 pub(crate) fn chan_event(tables: &CpTables, kind: u8, chan: usize) -> DlEvent {
-    let entry = &tables.channels[chan];
-    let reader_loc = &tables.processes[entry.to.0].location;
-    let writer_loc = &tables.processes[entry.from.0].location;
+    let entry = tables.ends(chan);
+    let reader_loc = &tables.processes[entry.to].location;
+    let writer_loc = &tables.processes[entry.from].location;
     let via = match reader_loc {
         Location::Spe { node, .. } => Some(node.0 as u32),
         Location::Rank { .. } => None,
@@ -65,66 +65,45 @@ pub(crate) async fn report_chan(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::location::{ChannelKind, ChannelMode, CpProcess};
+    use crate::location::{ChannelKind, ChannelMode};
     use crate::tables::{CpChanEntry, CpProcEntry, ProcKind};
     use cp_pilot::{WaitGraph, EV_READWAIT, EV_WRITE};
     use cp_simnet::NodeId;
-    use std::collections::BTreeMap;
 
     /// rank 0 on node 2 <-> spe(1,3): one channel each way (type 3).
     fn tables() -> CpTables {
-        let processes = vec![
-            CpProcEntry {
-                name: "main".into(),
-                location: Location::Rank {
-                    rank: 0,
-                    node: NodeId(2),
-                },
-                index: 0,
-                kind: ProcKind::Rank,
+        let mut t = CpTables::default();
+        let locations = [
+            Location::Rank {
+                rank: 0,
+                node: NodeId(2),
             },
-            CpProcEntry {
-                name: "worker".into(),
-                location: Location::Spe {
-                    node: NodeId(1),
-                    slot: 3,
-                },
+            Location::Spe {
+                node: NodeId(1),
+                slot: 3,
+            },
+        ];
+        for (name, location) in ["main", "worker"].into_iter().zip(locations) {
+            t.decls.add_process(name.into());
+            t.processes.push(CpProcEntry {
+                location,
                 index: 0,
                 kind: ProcKind::Rank, // kind is irrelevant to chan_event
-            },
-        ];
-        let channels = vec![
-            CpChanEntry {
-                from: CpProcess(0),
-                to: CpProcess(1),
-                kind: ChannelKind::Type3,
-                mode: ChannelMode::Rendezvous,
-                window: None,
-                capacity: None,
-                policy: crate::OverloadPolicy::Block,
-                eager: None,
-                max_payload: None,
-            },
-            CpChanEntry {
-                from: CpProcess(1),
-                to: CpProcess(0),
-                kind: ChannelKind::Type3,
-                mode: ChannelMode::Rendezvous,
-                window: None,
-                capacity: None,
-                policy: crate::OverloadPolicy::Block,
-                eager: None,
-                max_payload: None,
-            },
-        ];
-        CpTables {
-            processes,
-            channels,
-            bundles: Vec::new(),
-            copilot_ranks: BTreeMap::new(),
-            standby_ranks: BTreeMap::new(),
-            detector_rank: None,
+            });
         }
+        for (from, to) in [(0, 1), (1, 0)] {
+            t.decls.add_channel(from, to).unwrap();
+            t.channels.push(CpChanEntry {
+                kind: ChannelKind::Type3,
+                mode: ChannelMode::Rendezvous,
+                window: None,
+                capacity: None,
+                policy: crate::OverloadPolicy::Block,
+                eager: None,
+                max_payload: None,
+            });
+        }
+        t
     }
 
     #[test]

@@ -7,7 +7,11 @@
 //! re-spelled, and remain reachable through [`std::error::Error::source`].
 //! A channel operation's failures are Pilot's own: a rank's channel
 //! endpoint is Pilot's ([`cp_pilot::RankEndpoint`]), and the SPE side
-//! raises the same [`PilotError`]s.
+//! raises the same [`PilotError`]s. So are the configure phase's and the
+//! bundle operations': processes, channels and bundles are declared and
+//! checked through Pilot's table ([`cp_pilot::DeclTable`]), so CellPilot
+//! adds only the variants Pilot has no counterpart for (SPE processes,
+//! windows, capacities, local store, backpressure).
 //! Callers that only care about the coarse class of a failure (was it
 //! misuse? a resource limit? an injected fault?) match on the stable
 //! [`CpError::kind`] accessor instead of the full variant list.
@@ -78,15 +82,6 @@ impl std::error::Error for OverloadError {}
 /// Everything a CellPilot call can report.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CpError {
-    /// `PI_CreateProcess` when every MPI rank is already assigned.
-    TooManyProcesses {
-        /// Ranks the launch configuration provided.
-        available: usize,
-    },
-    /// Unknown process handle.
-    NoSuchProcess(usize),
-    /// Channel endpoints must be distinct.
-    SelfChannel,
     /// `PI_CreateSPE` with a parent that is not a PPE-resident process on a
     /// Cell node.
     BadSpeParent {
@@ -118,21 +113,6 @@ pub enum CpError {
         /// The buffer capacity that was exceeded.
         capacity: usize,
     },
-    /// Unknown bundle handle.
-    NoSuchBundle(usize),
-    /// A bundle with no channels.
-    EmptyBundle,
-    /// Bundle channels do not share the required common endpoint.
-    BundleCommonEndpoint,
-    /// A channel was placed in more than one bundle.
-    ChannelAlreadyBundled(usize),
-    /// Wrong bundle operation or caller.
-    BundleMisuse {
-        /// The bundle id.
-        bundle: usize,
-        /// What was wrong.
-        detail: String,
-    },
     /// A flow-control capacity was declared incorrectly (zero).
     BadCapacity {
         /// The channel id.
@@ -159,8 +139,10 @@ pub enum CpError {
     /// [`OverloadError`] is reachable through
     /// [`std::error::Error::source`].
     Backpressure(OverloadError),
-    /// A failure of the Pilot layer underneath: every channel operation's
-    /// own (unknown channel, wrong caller, format, timeout, lost peer).
+    /// A failure of the Pilot layer underneath: every declaration's own
+    /// (rank exhaustion, unknown handle, self-channel, bundle shape) and
+    /// every channel or bundle operation's (wrong caller or usage, format,
+    /// timeout, lost peer).
     Pilot(PilotError),
     /// An error surfaced by the simulation kernel.
     Sim(SimError),
@@ -170,28 +152,29 @@ impl CpError {
     /// The coarse, stable classification of this error (see [`ErrorKind`]).
     pub fn kind(&self) -> ErrorKind {
         match self {
-            CpError::TooManyProcesses { .. }
-            | CpError::NoSuchProcess(_)
-            | CpError::SelfChannel
-            | CpError::BadSpeParent { .. }
-            | CpError::NoSuchBundle(_)
-            | CpError::EmptyBundle
-            | CpError::BundleCommonEndpoint
-            | CpError::ChannelAlreadyBundled(_)
+            CpError::BadSpeParent { .. }
             | CpError::BadCapacity { .. }
             | CpError::WindowMisuse { .. } => ErrorKind::Config,
-            CpError::NotParent { .. }
-            | CpError::NotSpeProcess(_)
-            | CpError::AlreadyRunning(_)
-            | CpError::BundleMisuse { .. } => ErrorKind::Usage,
+            CpError::NotParent { .. } | CpError::NotSpeProcess(_) | CpError::AlreadyRunning(_) => {
+                ErrorKind::Usage
+            }
             CpError::NoFreeSpe { .. }
             | CpError::SpeBufferOverflow { .. }
             | CpError::LocalStore(_)
             | CpError::SpeRun(_) => ErrorKind::Resource,
             CpError::Backpressure(_) => ErrorKind::Backpressure,
             CpError::Pilot(e) => match e {
-                PilotError::NoSuchChannel(_) => ErrorKind::Config,
-                PilotError::NotWriter { .. } | PilotError::NotReader { .. } => ErrorKind::Usage,
+                PilotError::TooManyProcesses { .. }
+                | PilotError::NoSuchProcess(_)
+                | PilotError::NoSuchChannel(_)
+                | PilotError::NoSuchBundle(_)
+                | PilotError::SelfChannel
+                | PilotError::EmptyBundle
+                | PilotError::BundleCommonEndpoint
+                | PilotError::ChannelAlreadyBundled(_) => ErrorKind::Config,
+                PilotError::NotWriter { .. }
+                | PilotError::NotReader { .. }
+                | PilotError::BundleMisuse { .. } => ErrorKind::Usage,
                 PilotError::Format(_) | PilotError::Args(_) | PilotError::FormatMismatch { .. } => {
                     ErrorKind::Format
                 }
@@ -206,14 +189,6 @@ impl CpError {
 impl fmt::Display for CpError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CpError::TooManyProcesses { available } => write!(
-                f,
-                "PI_CreateProcess: all {available} MPI processes already assigned"
-            ),
-            CpError::NoSuchProcess(p) => write!(f, "no such process (id {p})"),
-            CpError::SelfChannel => {
-                write!(f, "PI_CreateChannel: endpoints must be distinct processes")
-            }
             CpError::BadSpeParent { parent, reason } => {
                 write!(
                     f,
@@ -244,21 +219,6 @@ impl fmt::Display for CpError {
                 "PI_Read on channel {channel}: message exceeds the SPE read buffer \
                  ({capacity} B); use a fixed-count format or raise the buffer limit"
             ),
-            CpError::NoSuchBundle(b) => write!(f, "no such bundle (id {b})"),
-            CpError::EmptyBundle => write!(f, "PI_CreateBundle: no channels given"),
-            CpError::BundleCommonEndpoint => write!(
-                f,
-                "PI_CreateBundle: channels must share a common endpoint on the bundle side"
-            ),
-            CpError::ChannelAlreadyBundled(c) => {
-                write!(
-                    f,
-                    "PI_CreateBundle: channel {c} already belongs to a bundle"
-                )
-            }
-            CpError::BundleMisuse { bundle, detail } => {
-                write!(f, "bundle {bundle} misuse: {detail}")
-            }
             CpError::BadCapacity { channel, detail } => {
                 write!(f, "channel {channel} capacity misuse: {detail}")
             }
@@ -349,7 +309,14 @@ mod tests {
 
     #[test]
     fn kinds_are_stable_coarse_classes() {
-        assert_eq!(CpError::SelfChannel.kind(), ErrorKind::Config);
+        assert_eq!(
+            CpError::WindowMisuse {
+                channel: 0,
+                detail: "x".into()
+            }
+            .kind(),
+            ErrorKind::Config
+        );
         assert_eq!(CpError::NotSpeProcess(1).kind(), ErrorKind::Usage);
         assert_eq!(CpError::NoFreeSpe { node: 0 }.kind(), ErrorKind::Resource);
         assert_eq!(
@@ -368,16 +335,33 @@ mod tests {
             .kind(),
             ErrorKind::Fault
         );
-        // The channel failures Pilot raises keep the kinds they had as
-        // CpError's own variants; the rest stay Pilot's.
+        // The declaration and channel failures Pilot raises keep the kinds
+        // they had as CpError's own variants; the rest stay Pilot's.
+        let config = [
+            PilotError::TooManyProcesses { available: 3 },
+            PilotError::NoSuchProcess(0),
+            PilotError::NoSuchChannel(0),
+            PilotError::NoSuchBundle(0),
+            PilotError::SelfChannel,
+            PilotError::EmptyBundle,
+            PilotError::BundleCommonEndpoint,
+            PilotError::ChannelAlreadyBundled(0),
+        ];
+        for e in config {
+            assert_eq!(CpError::Pilot(e.clone()).kind(), ErrorKind::Config, "{e}");
+        }
         assert_eq!(
-            CpError::Pilot(PilotError::NoSuchChannel(0)).kind(),
-            ErrorKind::Config
+            CpError::Pilot(PilotError::BundleMisuse {
+                bundle: 0,
+                detail: "x".into()
+            })
+            .kind(),
+            ErrorKind::Usage
         );
         let e: CpError = cp_pilot::parse_format("%q").unwrap_err().into();
         assert_eq!(e.kind(), ErrorKind::Format);
         assert_eq!(
-            CpError::Pilot(PilotError::SelfChannel).kind(),
+            CpError::Pilot(PilotError::CircularWait { cycle: Vec::new() }).kind(),
             ErrorKind::Pilot
         );
     }
@@ -398,7 +382,7 @@ mod tests {
             .contains("limit"));
         let e: CpError = LsError::BadFree(4).into();
         assert!(e.source().is_some());
-        assert!(CpError::SelfChannel.source().is_none());
+        assert!(CpError::NotSpeProcess(1).source().is_none());
     }
 
     #[test]

@@ -76,13 +76,14 @@ pub use collective::{reduce_f64, CpBundle};
 pub use config::{CellPilotConfig, CellPilotOpts, ChannelBuilder, SupervisionPolicy, TypedChannel};
 pub use costs::{CellPilotCosts, SPE_RUNTIME_FOOTPRINT};
 pub use cp_des::Backend;
+/// Bundle usages are Pilot's; the old name stays for existing callers.
+pub use cp_pilot::BundleUsage as CpBundleUsage;
 pub use error::{CpError, ErrorKind, OverloadError};
 pub use flow::OverloadPolicy;
 pub use location::{classify, ChannelKind, ChannelMode, CpChannel, CpProcess, Location, CP_MAIN};
 pub use program::SpeProgram;
 pub use runtime::{CellPilot, SpeTask};
 pub use spe_rt::SpeCtx;
-pub use tables::CpBundleUsage;
 pub use tables::CpTables;
 
 // Re-export the pieces users need from the layers below.

@@ -317,12 +317,12 @@ impl AppShared {
     /// liveness check behind blocking reads (a reader must fail with
     /// `PeerLost` rather than wait forever on a dead writer).
     pub(crate) fn chan_writer_gone(&self, chan: usize, now: SimTime) -> bool {
-        let from = self.tables.channels[chan].from;
-        match self.tables.processes[from.0].location {
+        let from = self.tables.ends(chan).from;
+        match self.tables.processes[from].location {
             crate::location::Location::Rank { rank, .. } => {
                 self.faults.death_of(rank).is_some_and(|at| now >= at)
             }
-            crate::location::Location::Spe { .. } => self.spe_gone(from.0, now),
+            crate::location::Location::Spe { .. } => self.spe_gone(from, now),
         }
     }
 
@@ -331,11 +331,11 @@ impl AppShared {
     /// SPE is gone only once abandoned, which [`AppShared::abandon_spe`]
     /// tells its readers.)
     pub(crate) fn scripted_writer_loss(&self, chan: usize) -> Option<SimTime> {
-        let from = self.tables.channels[chan].from;
-        match self.tables.processes[from.0].location {
+        let from = self.tables.ends(chan).from;
+        match self.tables.processes[from].location {
             Location::Rank { rank, .. } => self.faults.death_of(rank),
             Location::Spe { .. } if self.supervision.is_some() => None,
-            Location::Spe { .. } => self.faults.spe_crash_of(from.0),
+            Location::Spe { .. } => self.faults.spe_crash_of(from),
         }
     }
 
@@ -344,7 +344,7 @@ impl AppShared {
     fn abandon_spe(&self, ctx: &ProcCtx, proc: usize) {
         self.failed_spes.lock().insert(proc);
         for (chan, e) in self.tables.channels.iter().enumerate() {
-            if e.from.0 != proc || e.mode != ChannelMode::OneSided {
+            if self.tables.ends(chan).from != proc || e.mode != ChannelMode::OneSided {
                 continue;
             }
             if let Some(reader) = self.fabric.unpark(chan as u32) {
@@ -369,7 +369,7 @@ impl AppShared {
         ctx: &ProcCtx,
         chan: CpChannel,
     ) -> Result<(), CpError> {
-        let entry = self.tables.channel(chan.0)?;
+        let (_, entry) = self.tables.channel(chan.0)?;
         if entry.mode != ChannelMode::OneSided {
             return Err(CpError::WindowMisuse {
                 channel: chan.0,
@@ -444,7 +444,7 @@ impl CellPilot {
         let ep = RankEndpoint::new(
             comm,
             shared.pilot_costs.clone(),
-            shared.tables.processes[me.0].name.clone(),
+            shared.tables.name(me.0).clone(),
             shared.recorder.clone(),
             shared.tables.detector_rank,
             shared.channel_timeout,
@@ -484,7 +484,7 @@ impl CellPilot {
 
     /// The channel's Table-I classification.
     pub fn channel_kind(&self, chan: CpChannel) -> Result<ChannelKind, CpError> {
-        Ok(self.shared.tables.channel(chan.0)?.kind)
+        Ok(self.shared.tables.channel(chan.0)?.1.kind)
     }
 
     /// The simulated-process context (for modelling compute time).
@@ -504,19 +504,15 @@ impl CellPilot {
     }
 
     /// The name of process `p`.
-    fn name_of(&self, p: CpProcess) -> &str {
-        &self.shared.tables.processes[p.0].name
+    fn name_of(&self, p: usize) -> &str {
+        self.shared.tables.name(p)
     }
 
     /// Begin a write (`EV_WRITE`) or read (`EV_READWAIT`) on `chan`.
     fn route(&self, kind: u8, chan: usize) -> Route<'_> {
         let tables = &self.shared.tables;
-        let entry = &tables.channels[chan];
-        let peer = if kind == EV_WRITE {
-            entry.to
-        } else {
-            entry.from
-        };
+        let (ends, entry) = (tables.ends(chan), &tables.channels[chan]);
+        let peer = if kind == EV_WRITE { ends.to } else { ends.from };
         let event = crate::dlsvc::chan_event(tables, kind, chan);
         self.ep.route(
             chan,
@@ -530,12 +526,12 @@ impl CellPilot {
     /// type whose writer is this process; the library routes via plain MPI
     /// (type 1) or the reader's Co-Pilot (types 2/3) transparently.
     pub fn write(&self, chan: CpChannel, format: &str, values: &[PiValue]) -> Result<(), CpError> {
-        let entry = self.shared.tables.channel(chan.0)?;
+        let (ends, entry) = self.shared.tables.channel(chan.0)?;
         PilotError::check_writer(
-            entry.from == self.me,
+            ends.from == self.me.0,
             chan.0,
             self.proc_name(),
-            self.name_of(entry.from),
+            self.name_of(ends.from),
         )?;
         let route = self.route(EV_WRITE, chan.0);
         let msg = cp_pilot::pack_checked(format, values)?;
@@ -569,11 +565,11 @@ impl CellPilot {
                 .record(None, chan.0, 0, route.measure(true, msg.payload));
             return Ok(());
         }
-        let dest_rank = match self.shared.tables.processes[entry.to.0].location {
+        let dest_rank = match self.shared.tables.processes[ends.to].location {
             Location::Rank { rank, .. } => rank,
             Location::Spe { node, .. } => self.shared.copilot_rank(node),
         };
-        let gone = || self.shared.spe_gone(entry.to.0, self.ctx().now());
+        let gone = || self.shared.spe_gone(ends.to, self.ctx().now());
         self.ep.send(&route, dest_rank, msg, gone).map_err(|e| {
             // The send never took: unwind the credit (credit leaks on
             // failed sends would slowly strangle a bounded channel).
@@ -621,17 +617,17 @@ impl CellPilot {
 
     /// `PI_Read` from a PPE / non-Cell process.
     pub fn read(&self, chan: CpChannel, format: &str) -> Result<Vec<PiValue>, CpError> {
-        let entry = self.shared.tables.channel(chan.0)?;
+        let (ends, _) = self.shared.tables.channel(chan.0)?;
         PilotError::check_reader(
-            entry.to == self.me,
+            ends.to == self.me.0,
             chan.0,
             self.proc_name(),
-            self.name_of(entry.to),
+            self.name_of(ends.to),
         )?;
         let conv = parse_format(format)?;
         let route = self.route(EV_READWAIT, chan.0);
-        let gone = || self.shared.spe_gone(entry.from.0, self.ctx().now());
-        let raw = self.ep.recv(&route, self.chan_src_sel(entry.from), gone)?;
+        let gone = || self.shared.spe_gone(ends.from, self.ctx().now());
+        let raw = self.ep.recv(&route, self.chan_src_sel(ends.from), gone)?;
         // The message left the pipeline the moment it was received —
         // return its send credit even if the format check below fails.
         self.shared.release_credit(chan.0);
@@ -640,14 +636,14 @@ impl CellPilot {
 
     /// Non-blocking check whether a read on `chan` would find data.
     pub fn channel_has_data(&self, chan: CpChannel) -> Result<bool, CpError> {
-        let entry = self.shared.tables.channel(chan.0)?;
+        let (ends, _) = self.shared.tables.channel(chan.0)?;
         PilotError::check_reader(
-            entry.to == self.me,
+            ends.to == self.me.0,
             chan.0,
             self.proc_name(),
-            self.name_of(entry.to),
+            self.name_of(ends.to),
         )?;
-        Ok(self.ep.has_data(chan.0, self.chan_src_sel(entry.from)))
+        Ok(self.ep.has_data(chan.0, self.chan_src_sel(ends.from)))
     }
 
     /// The MPI source selector for channel data written by `from`: the
@@ -655,8 +651,8 @@ impl CellPilot {
     /// when that node has a standby Co-Pilot, because the proxy rank can
     /// change mid-stream across a failover (the channel tag alone
     /// identifies the stream).
-    fn chan_src_sel(&self, from: CpProcess) -> SrcSel {
-        match self.shared.tables.processes[from.0].location {
+    fn chan_src_sel(&self, from: usize) -> SrcSel {
+        match self.shared.tables.processes[from].location {
             Location::Rank { rank, .. } => Some(rank),
             Location::Spe { node, .. } => {
                 if self.shared.tables.standby_ranks.contains_key(&node) {
@@ -679,7 +675,7 @@ impl CellPilot {
             .tables
             .processes
             .get(proc.0)
-            .ok_or(CpError::NoSuchProcess(proc.0))?;
+            .ok_or(PilotError::NoSuchProcess(proc.0))?;
         let (program, parent) = match &entry.kind {
             ProcKind::Spe { program, parent } => (program.clone(), *parent),
             ProcKind::Rank => return Err(CpError::NotSpeProcess(proc.0)),
@@ -719,7 +715,7 @@ impl CellPilot {
                 // process retires cleanly and only channels touching the
                 // dead SPE fail. Any other unwind (a real panic, simulation
                 // teardown) is re-raised after the same cleanup.
-                let name = &shared.tables.processes[proc.0].name;
+                let name = shared.tables.name(proc.0);
                 let mut attempts = 0u32;
                 loop {
                     let spe_ctx =

@@ -80,11 +80,10 @@ impl SpeCtx {
         // window larger. Everyone else keeps the classic 16-byte block —
         // local-store layout (and with it every golden trace) is untouched
         // unless eager inlining was asked for.
-        let touches_eager = shared
-            .tables
-            .channels
-            .iter()
-            .any(|e| e.eager.is_some() && (e.from == me || e.to == me));
+        let touches_eager = shared.tables.channels.iter().enumerate().any(|(c, e)| {
+            let ends = shared.tables.ends(c);
+            e.eager.is_some() && (ends.from == me.0 || ends.to == me.0)
+        });
         let block_len = REQ_BLOCK_BYTES + if touches_eager { EAGER_INLINE_MAX } else { 0 };
         let req_block = cell.spes[hw]
             .ls
@@ -99,7 +98,7 @@ impl SpeCtx {
         // data survives the restart, and window regions are deliberately
         // never freed at teardown for the same reason.
         for (c, e) in shared.tables.channels.iter().enumerate() {
-            if e.mode != ChannelMode::OneSided || e.to != me {
+            if e.mode != ChannelMode::OneSided || shared.tables.ends(c).to != me.0 {
                 continue;
             }
             if shared.fabric.window(c as u32).is_some() {
@@ -153,7 +152,7 @@ impl SpeCtx {
 
     /// This process's configured name, borrowed from the tables.
     fn proc_name(&self) -> &Arc<str> {
-        &self.shared.tables.processes[self.me.0].name
+        self.shared.tables.name(self.me.0)
     }
 
     /// The Cell node hosting this SPE.
@@ -330,13 +329,12 @@ impl SpeCtx {
                 capacity: req.len as usize,
             }),
             Err(CompletionError::PeerLost) => {
-                let peer = self
-                    .shared
-                    .tables
-                    .channels
-                    .get(chan)
-                    .map(|e| self.shared.tables.processes[e.from.0].name.to_string())
-                    .unwrap_or_else(|| "<unknown>".to_string());
+                let tables = &self.shared.tables;
+                let peer = tables
+                    .decls
+                    .channel(chan)
+                    .map(|e| tables.name(e.from).to_string())
+                    .unwrap_or_else(|_| "<unknown>".to_string());
                 Err(PilotError::PeerLost {
                     channel: chan,
                     peer,
@@ -353,12 +351,12 @@ impl SpeCtx {
     /// buffer to the Co-Pilot, wait for completion.
     pub fn write(&self, chan: CpChannel, format: &str, values: &[PiValue]) -> Result<(), CpError> {
         self.crash_checkpoint();
-        let entry = self.shared.tables.channel(chan.0)?;
+        let (ends, entry) = self.shared.tables.channel(chan.0)?;
         PilotError::check_writer(
-            entry.from == self.me,
+            ends.from == self.me.0,
             chan.0,
             self.proc_name(),
-            &self.shared.tables.processes[entry.from.0].name,
+            self.shared.tables.name(ends.from),
         )?;
         if let Some(done) = self.replay_next() {
             match done {
@@ -471,12 +469,12 @@ impl SpeCtx {
         limit: usize,
     ) -> Result<Vec<PiValue>, CpError> {
         self.crash_checkpoint();
-        let entry = self.shared.tables.channel(chan.0)?;
+        let (ends, entry) = self.shared.tables.channel(chan.0)?;
         PilotError::check_reader(
-            entry.to == self.me,
+            ends.to == self.me.0,
             chan.0,
             self.proc_name(),
-            &self.shared.tables.processes[entry.to.0].name,
+            self.shared.tables.name(ends.to),
         )?;
         let conv = parse_format(format)?;
         if let Some(done) = self.replay_next() {
@@ -574,8 +572,9 @@ impl SpeCtx {
                 }
                 let now = ctx.now();
                 if shared.chan_writer_gone(chan, now) {
-                    let peer = shared.tables.processes[shared.tables.channels[chan].from.0]
-                        .name
+                    let peer = shared
+                        .tables
+                        .name(shared.tables.ends(chan).from)
                         .to_string();
                     ctx.report_incident(
                         IncidentCategory::PeerLost,
@@ -721,12 +720,12 @@ impl SpeCtx {
     /// one-sided channels it is a local doorbell load.
     pub fn channel_has_data(&self, chan: CpChannel) -> Result<bool, CpError> {
         self.crash_checkpoint();
-        let entry = self.shared.tables.channel(chan.0)?;
+        let (ends, _) = self.shared.tables.channel(chan.0)?;
         PilotError::check_reader(
-            entry.to == self.me,
+            ends.to == self.me.0,
             chan.0,
             self.proc_name(),
-            &self.shared.tables.processes[entry.to.0].name,
+            self.shared.tables.name(ends.to),
         )?;
         if let Some(done) = self.replay_next() {
             match done {

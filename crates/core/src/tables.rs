@@ -7,7 +7,7 @@ use cp_cellsim::CellNode;
 use cp_des::sync::MsgQueue;
 use cp_des::ProcCtx;
 use cp_mpisim::Msg;
-use cp_pilot::PilotError;
+use cp_pilot::{ChannelDecl, DeclTable, PilotError};
 use cp_simnet::{Heartbeat, NodeId};
 use cp_trace::{HbOp, Recorder};
 use parking_lot::Mutex;
@@ -26,17 +26,16 @@ pub(crate) enum ProcKind {
     },
 }
 
+/// A process's CellPilot columns (its name is in [`CpTables::decls`]).
 pub(crate) struct CpProcEntry {
-    /// Shared, so a process's lent waits name it without allocating.
-    pub name: Arc<str>,
     pub location: Location,
     pub index: i32,
     pub kind: ProcKind,
 }
 
+/// A channel's CellPilot columns (its endpoints are in
+/// [`CpTables::decls`]).
 pub(crate) struct CpChanEntry {
-    pub from: CpProcess,
-    pub to: CpProcess,
     pub kind: ChannelKind,
     /// Transport selected at construction: Co-Pilot relay (default) or
     /// the one-sided window fabric.
@@ -76,15 +75,6 @@ impl CpChanEntry {
     }
 }
 
-/// What a CellPilot bundle is for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CpBundleUsage {
-    /// One writer (the common endpoint) to many readers.
-    Broadcast,
-    /// Many writers to one reader (the common endpoint).
-    Gather,
-}
-
 /// Size/deadline triggers for vectored coalescing on a bundle, from
 /// `CellPilotConfig::coalesce_bundle`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -96,20 +86,17 @@ pub(crate) struct CoalescePolicy {
     pub deadline_us: f64,
 }
 
-pub(crate) struct CpBundleEntry {
-    pub usage: CpBundleUsage,
-    pub channels: Vec<crate::location::CpChannel>,
-    pub common: CpProcess,
-    /// Vectored-coalescing triggers; `None` = coalescing off.
-    pub coalesce: Option<CoalescePolicy>,
-}
-
 /// The immutable application architecture, shared by every rank, Co-Pilot
-/// and SPE process.
+/// and SPE process: Pilot's declaration table, and beside it CellPilot's
+/// own columns, by the same ids.
+#[derive(Default)]
 pub struct CpTables {
+    /// Process names, channel endpoints and bundles.
+    pub(crate) decls: DeclTable,
     pub(crate) processes: Vec<CpProcEntry>,
     pub(crate) channels: Vec<CpChanEntry>,
-    pub(crate) bundles: Vec<CpBundleEntry>,
+    /// Each bundle's vectored-coalescing triggers; `None` = off.
+    pub(crate) coalesce: Vec<Option<CoalescePolicy>>,
     /// Co-Pilot MPI rank per Cell node.
     pub(crate) copilot_ranks: BTreeMap<NodeId, usize>,
     /// Standby Co-Pilot rank per Cell node whose primary has a scripted
@@ -129,9 +116,19 @@ impl CpTables {
         })
     }
 
-    /// Channel `c`'s entry, or Pilot's `NoSuchChannel`.
-    pub(crate) fn channel(&self, c: usize) -> Result<&CpChanEntry, PilotError> {
-        self.channels.get(c).ok_or(PilotError::NoSuchChannel(c))
+    /// Channel `c`'s endpoints and columns, or Pilot's `NoSuchChannel`.
+    pub(crate) fn channel(&self, c: usize) -> Result<(&ChannelDecl, &CpChanEntry), PilotError> {
+        Ok((self.decls.channel(c)?, &self.channels[c]))
+    }
+
+    /// The endpoints of channel `c` (a declared id).
+    pub(crate) fn ends(&self, c: usize) -> &ChannelDecl {
+        &self.decls.channels()[c]
+    }
+
+    /// Process `p`'s name.
+    pub(crate) fn name(&self, p: usize) -> &Arc<str> {
+        self.decls.name(p)
     }
 }
 

@@ -5,7 +5,7 @@
 use cellpilot::{
     reduce_f64, CellPilotConfig, CellPilotOpts, CpBundleUsage, CpChannel, SpeProgram, CP_MAIN,
 };
-use cp_pilot::PiValue;
+use cp_pilot::{PiValue, PilotError};
 use cp_simnet::ClusterSpec;
 use cp_trace::{Op, Recorder};
 use parking_lot::Mutex;
@@ -224,19 +224,21 @@ fn bundle_misuse_is_reported() {
     // Mixed writers cannot form a broadcast bundle.
     assert!(matches!(
         cfg.create_bundle(CpBundleUsage::Broadcast, &[c1, c3]),
-        Err(cellpilot::CpError::BundleCommonEndpoint)
+        Err(cellpilot::CpError::Pilot(PilotError::BundleCommonEndpoint))
     ));
     // Empty bundle.
     assert!(matches!(
         cfg.create_bundle(CpBundleUsage::Gather, &[]),
-        Err(cellpilot::CpError::EmptyBundle)
+        Err(cellpilot::CpError::Pilot(PilotError::EmptyBundle))
     ));
     // Double membership.
     cfg.create_bundle(CpBundleUsage::Broadcast, &[c1, c2])
         .unwrap();
     assert!(matches!(
         cfg.create_bundle(CpBundleUsage::Broadcast, &[c1]),
-        Err(cellpilot::CpError::ChannelAlreadyBundled(_))
+        Err(cellpilot::CpError::Pilot(
+            PilotError::ChannelAlreadyBundled(_)
+        ))
     ));
 }
 
@@ -284,7 +286,7 @@ fn trace_records_channel_legs() {
 
 #[test]
 fn select_over_mixed_writers() {
-    // A gather bundle with one SPE writer and one rank writer; select
+    // A select bundle with one SPE writer and one rank writer; select
     // returns whichever channel has data first.
     let spec = ClusterSpec::two_cells_one_xeon();
     let mut cfg = CellPilotConfig::one_rank_per_node(spec, CellPilotOpts::default());
@@ -302,7 +304,7 @@ fn select_over_mixed_writers() {
     let s = cfg.create_spe_process(&slow_spe, CP_MAIN, 0).unwrap();
     let c0 = cfg.channel(s, CP_MAIN).build().unwrap();
     let c1 = cfg.channel(fast_rank, CP_MAIN).build().unwrap();
-    let bundle = cfg.create_bundle(CpBundleUsage::Gather, &[c0, c1]).unwrap();
+    let bundle = cfg.create_bundle(CpBundleUsage::Select, &[c0, c1]).unwrap();
     cfg.run(move |cp| {
         let t = cp.run_spe(s, 0, 0).unwrap();
         let first = cp.select(bundle).unwrap();
@@ -331,7 +333,7 @@ fn select_misuse_rejected() {
         // select on a broadcast bundle is misuse.
         assert!(matches!(
             cp.select(bundle),
-            Err(cellpilot::CpError::BundleMisuse { .. })
+            Err(cellpilot::CpError::Pilot(PilotError::BundleMisuse { .. }))
         ));
         cp.broadcast(bundle, "%b", &[PiValue::Byte(vec![0])])
             .unwrap();

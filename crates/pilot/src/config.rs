@@ -14,9 +14,7 @@ use crate::endpoint::{finishers, PilotCosts};
 use crate::error::PilotError;
 use crate::runtime::Pilot;
 use crate::service::{self, DlEndpoint};
-use crate::table::{
-    BundleEntry, BundleUsage, ChannelEntry, PiBundle, PiChannel, PiProcess, ProcessEntry, Tables,
-};
+use crate::table::{BundleUsage, PiBundle, PiChannel, PiProcess, ProcessEntry, Tables};
 use cp_des::{Backend, SimDuration, SimError, SimReport};
 use cp_mpisim::{MpiCosts, MpiWorld};
 use cp_native::Runner;
@@ -180,11 +178,8 @@ impl PilotConfig {
     pub fn new(spec: ClusterSpec, placement: Vec<NodeId>, opts: PilotOpts) -> PilotConfig {
         assert!(!placement.is_empty(), "need at least one rank for PI_MAIN");
         let mut tables = Tables::default();
-        tables.processes.push(ProcessEntry {
-            name: "main".into(),
-            rank: 0,
-            index: 0,
-        });
+        tables.decls.add_process("main".into());
+        tables.processes.push(ProcessEntry { rank: 0, index: 0 });
         if opts.deadlock_detection {
             assert!(
                 placement.len() >= 2,
@@ -234,12 +229,8 @@ impl PilotConfig {
         }
         let rank = self.next_rank;
         self.next_rank += 1;
-        let id = PiProcess(self.tables.processes.len());
-        self.tables.processes.push(ProcessEntry {
-            name: name.to_string(),
-            rank,
-            index,
-        });
+        let id = PiProcess(self.tables.decls.add_process(name.into()));
+        self.tables.processes.push(ProcessEntry { rank, index });
         self.bodies.push(Some(Box::new(f)));
         Ok(id)
     }
@@ -250,18 +241,7 @@ impl PilotConfig {
         from: PiProcess,
         to: PiProcess,
     ) -> Result<PiChannel, PilotError> {
-        self.tables.process(from)?;
-        self.tables.process(to)?;
-        if from == to {
-            return Err(PilotError::SelfChannel);
-        }
-        let id = PiChannel(self.tables.channels.len());
-        self.tables.channels.push(ChannelEntry {
-            from,
-            to,
-            bundle: None,
-        });
-        Ok(id)
+        self.tables.decls.add_channel(from.0, to.0).map(PiChannel)
     }
 
     /// `PI_CreateBundle`: group channels sharing a common endpoint for a
@@ -272,44 +252,8 @@ impl PilotConfig {
         usage: BundleUsage,
         channels: &[PiChannel],
     ) -> Result<PiBundle, PilotError> {
-        if channels.is_empty() {
-            return Err(PilotError::EmptyBundle);
-        }
-        let ends: Vec<(PiProcess, PiProcess)> = channels
-            .iter()
-            .map(|&c| self.tables.channel(c).map(|e| (e.from, e.to)))
-            .collect::<Result<_, _>>()?;
-        let common = match usage {
-            BundleUsage::Broadcast => {
-                let w = ends[0].0;
-                if !ends.iter().all(|&(f, _)| f == w) {
-                    return Err(PilotError::BundleCommonEndpoint);
-                }
-                w
-            }
-            BundleUsage::Gather | BundleUsage::Select => {
-                let r = ends[0].1;
-                if !ends.iter().all(|&(_, t)| t == r) {
-                    return Err(PilotError::BundleCommonEndpoint);
-                }
-                r
-            }
-        };
-        for &c in channels {
-            if self.tables.channels[c.0].bundle.is_some() {
-                return Err(PilotError::ChannelAlreadyBundled(c.0));
-            }
-        }
-        let id = PiBundle(self.tables.bundles.len());
-        for &c in channels {
-            self.tables.channels[c.0].bundle = Some(id);
-        }
-        self.tables.bundles.push(BundleEntry {
-            usage,
-            channels: channels.to_vec(),
-            common,
-        });
-        Ok(id)
+        let members: Vec<usize> = channels.iter().map(|c| c.0).collect();
+        self.tables.decls.add_bundle(usage, &members).map(PiBundle)
     }
 
     /// Run the `cp-check` configure-time passes — the wiring verifier and
@@ -322,21 +266,10 @@ impl PilotConfig {
     /// [`PilotOpts::lint_config`] is applied before returning.
     pub fn check(&self) -> Vec<cp_check::Diagnostic> {
         let mut g = cp_check::WiringGraph::new(self.placement.len());
-        for e in &self.tables.processes {
-            g.add_rank_process(&e.name, e.rank, self.placement[e.rank].0);
+        for (p, e) in self.tables.processes.iter().enumerate() {
+            g.add_rank_process(self.tables.decls.name(p), e.rank, self.placement[e.rank].0);
         }
-        for c in &self.tables.channels {
-            g.add_channel(c.from.0, c.to.0);
-        }
-        for b in &self.tables.bundles {
-            let usage = match b.usage {
-                BundleUsage::Broadcast => cp_check::GraphBundleUsage::Broadcast,
-                // Gather and Select share the single-reader shape.
-                BundleUsage::Gather | BundleUsage::Select => cp_check::GraphBundleUsage::Gather,
-            };
-            let members: Vec<usize> = b.channels.iter().map(|c| c.0).collect();
-            g.add_bundle(usage, &members, b.common.0);
-        }
+        self.tables.decls.wire(&mut g);
         let mut diags = cp_check::verify(&g);
         diags.extend(cp_check::analyze(&g));
         self.opts.lint_config.apply(diags)
@@ -397,7 +330,7 @@ impl PilotConfig {
             let entry = &tables.processes[pidx];
             let rank = entry.rank;
             let index = entry.index;
-            let name = entry.name.clone();
+            let name = tables.decls.name(pidx).clone();
             let tables = tables.clone();
             let costs = opts.costs.clone();
             match body {
@@ -613,6 +546,19 @@ mod tests {
             Err(SimError::Aborted { message, .. }) => assert!(message.contains("sim-only")),
             other => panic!("expected sim-only abort, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn bundle_rejects_a_channel_listed_twice() {
+        let mut c = cfg();
+        let a = c.create_process("a", 0, |_, _| {}).unwrap();
+        let ch = c.create_channel(a, crate::PI_MAIN).unwrap();
+        assert_eq!(
+            c.create_bundle(BundleUsage::Gather, &[ch, ch]),
+            Err(PilotError::ChannelAlreadyBundled(ch.0))
+        );
+        // The rejected bundle left the channel free.
+        assert_eq!(c.create_bundle(BundleUsage::Gather, &[ch]), Ok(PiBundle(0)));
     }
 
     #[test]

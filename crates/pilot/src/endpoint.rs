@@ -53,9 +53,13 @@ impl PilotCosts {
 const TAG_FINI: i32 = -600;
 
 /// One channel operation's routing, resolved by the caller's tables.
+#[derive(Clone, Copy)]
 pub struct Route<'a> {
-    /// The channel id, which is also its MPI tag.
+    /// The channel id.
     pub chan: usize,
+    /// The MPI tag the message travels under: the channel id, or the tree
+    /// tag of the broadcast bundle a Pilot read receives through.
+    pub tag: i32,
     /// The far endpoint's name: the reader of a write, the writer of a read.
     pub peer: &'a str,
     /// What the deadlock detector is told: an `EV_WRITE` after a write, an
@@ -170,6 +174,7 @@ impl RankEndpoint {
     ) -> Route<'a> {
         Route {
             chan,
+            tag: chan as i32,
             peer,
             event,
             chan_type,
@@ -193,7 +198,7 @@ impl RankEndpoint {
     ) -> Result<(), PilotError> {
         let n = msg.data.len();
         self.comm
-            .try_send_bytes(dst, route.chan as i32, Datatype::Byte, n, msg.data)
+            .try_send_bytes(dst, route.tag, Datatype::Byte, n, msg.data)
             .map_err(|fault| self.fault(route, gone(), fault))?;
         self.report(route.event);
         self.record(
@@ -205,7 +210,7 @@ impl RankEndpoint {
         Ok(())
     }
 
-    /// Receive the next message on the route's channel from `src`. An
+    /// Receive the next message on the route's tag from `src`. An
     /// unbounded read reports its wait first; a read under the deadline
     /// does not, since it cannot take part in a deadlock and a timed-out
     /// read would leave a stale edge in the wait-for graph. `gone` as for
@@ -216,7 +221,7 @@ impl RankEndpoint {
         src: SrcSel,
         gone: impl FnOnce() -> bool,
     ) -> Result<Vec<u8>, PilotError> {
-        let tag = Some(route.chan as i32);
+        let tag = Some(route.tag);
         let msg = match self.deadline {
             None => {
                 self.report(route.event);

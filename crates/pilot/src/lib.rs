@@ -61,5 +61,8 @@ pub use service::{
     decode_event, detector, encode_event, report, DlEndpoint, DlEvent, WaitGraph, EVENT_LEN,
     EV_FINISH, EV_READWAIT, EV_WRITE, GRACE_US, POLL_US, TAG_SVC,
 };
-pub use table::{BundleUsage, PiBundle, PiChannel, PiProcess, Tables, PI_MAIN};
+pub use table::{
+    BundleDecl, BundleUsage, ChannelDecl, DeclTable, PiBundle, PiChannel, PiProcess, Tables,
+    PI_MAIN,
+};
 pub use value::{pack_message, payload_bytes, unpack_message, MatchError, PiScalar, PiValue};

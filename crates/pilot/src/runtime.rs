@@ -6,7 +6,7 @@ use crate::endpoint::{pack_checked, PilotCosts, RankEndpoint, Route};
 use crate::error::PilotError;
 use crate::fmt::parse_format;
 use crate::service::{self, DlEndpoint, DlEvent};
-use crate::table::{BundleUsage, PiBundle, PiChannel, PiProcess, Tables};
+use crate::table::{BundleDecl, BundleUsage, PiBundle, PiChannel, PiProcess, Tables};
 use crate::value::{payload_bytes, PiScalar, PiValue};
 use cp_des::{ProcCtx, SimDuration};
 use cp_mpisim::{Comm, Datatype};
@@ -30,7 +30,7 @@ impl Pilot {
         recorder: Recorder,
         deadline: Option<SimDuration>,
     ) -> Pilot {
-        let name = tables.processes[me.0].name.as_str().into();
+        let name = tables.decls.name(me.0).clone();
         let detector = tables.detector_rank;
         Pilot {
             ep: RankEndpoint::new(comm, costs, name, recorder, detector, deadline),
@@ -56,7 +56,7 @@ impl Pilot {
 
     /// Total Pilot processes (including `PI_MAIN`).
     pub fn process_count(&self) -> usize {
-        self.tables.processes.len()
+        self.tables.decls.process_count()
     }
 
     /// The simulated-process context (for modelling compute time with
@@ -71,19 +71,19 @@ impl Pilot {
     }
 
     /// The name of process `p`.
-    fn proc_name(&self, p: PiProcess) -> &str {
-        &self.tables.processes[p.0].name
+    fn proc_name(&self, p: usize) -> &str {
+        self.tables.decls.name(p)
     }
 
     /// The MPI rank of process `p` (Pilot processes are always ranks).
-    fn rank(&self, p: PiProcess) -> usize {
-        self.tables.processes[p.0].rank
+    fn rank(&self, p: usize) -> usize {
+        self.tables.processes[p].rank
     }
 
     /// Begin a write (`EV_WRITE`) or read (`EV_READWAIT`) on `chan`; its
     /// detector event names both endpoints by rank.
-    fn route(&self, kind: u8, chan: PiChannel) -> Route<'_> {
-        let entry = &self.tables.channels[chan.0];
+    fn route(&self, kind: u8, chan: usize) -> Route<'_> {
+        let entry = &self.tables.decls.channels()[chan];
         let (reader, writer) = (entry.to, entry.from);
         let peer = if kind == service::EV_WRITE {
             reader
@@ -92,12 +92,12 @@ impl Pilot {
         };
         let event = DlEvent::on_channel(
             kind,
-            chan.0,
+            chan,
             DlEndpoint::Rank(self.rank(reader)),
             DlEndpoint::Rank(self.rank(writer)),
             None,
         );
-        self.ep.route(chan.0, self.proc_name(peer), event, None)
+        self.ep.route(chan, self.proc_name(peer), event, None)
     }
 
     /// `PI_Write`: send `values` described by `format` on `chan`. Only the
@@ -108,14 +108,14 @@ impl Pilot {
         format: &str,
         values: &[PiValue],
     ) -> Result<(), PilotError> {
-        let entry = self.tables.channel(chan)?;
+        let entry = self.tables.decls.channel(chan.0)?;
         PilotError::check_writer(
-            entry.from == self.me,
+            entry.from == self.me.0,
             chan.0,
             self.ep.name(),
             self.proc_name(entry.from),
         )?;
-        let route = self.route(service::EV_WRITE, chan);
+        let route = self.route(service::EV_WRITE, chan.0);
         let msg = pack_checked(format, values)?;
         self.ep.charge(msg.payload);
         self.ep.send(&route, self.rank(entry.to), msg, || false)
@@ -127,18 +127,18 @@ impl Pilot {
     /// (only the broadcaster calls [`Pilot::broadcast`]; every receiver
     /// just reads its own channel — Pilot's MPMD convention).
     pub fn read(&self, chan: PiChannel, format: &str) -> Result<Vec<PiValue>, PilotError> {
-        let entry = self.tables.channel(chan)?;
+        let entry = self.tables.decls.channel(chan.0)?;
         PilotError::check_reader(
-            entry.to == self.me,
+            entry.to == self.me.0,
             chan.0,
             self.ep.name(),
             self.proc_name(entry.to),
         )?;
         let conv = parse_format(format)?;
-        let route = self.route(service::EV_READWAIT, chan);
+        let route = self.route(service::EV_READWAIT, chan.0);
         let raw = match entry.bundle {
-            Some(b) if self.tables.bundle(b)?.usage == BundleUsage::Broadcast => {
-                self.bcast_tree_recv(b)?
+            Some(b) if self.tables.decls.bundle(b)?.usage == BundleUsage::Broadcast => {
+                self.bcast_tree_recv(&route, b)?
             }
             _ => self
                 .ep
@@ -165,10 +165,12 @@ impl Pilot {
     }
 
     /// Receive leg of the binomial broadcast tree for bundle `b`: receive
-    /// from the parent, forward to children, return the raw message.
-    fn bcast_tree_recv(&self, b: PiBundle) -> Result<Vec<u8>, PilotError> {
-        let members = self.bundle_member_ranks(b)?;
-        let my_rank = self.rank(self.me);
+    /// the read's message from the tree parent under the bundle's tag (with
+    /// the read's deadline and detector report), forward it to the
+    /// children, and return it.
+    fn bcast_tree_recv(&self, route: &Route, b: usize) -> Result<Vec<u8>, PilotError> {
+        let members = self.bundle_member_ranks(self.tables.decls.bundle(b)?);
+        let my_rank = self.rank(self.me.0);
         let my_idx = members
             .iter()
             .position(|&r| r == my_rank)
@@ -177,9 +179,10 @@ impl Pilot {
         let tag = Tables::bundle_tag(b);
         // Parent: clear my lowest set bit.
         let parent = my_idx & (my_idx - 1);
-        let msg = self.comm().recv(Some(members[parent]), Some(tag));
-        self.forward_bcast(&members, my_idx, tag, &msg.data);
-        Ok(msg.data)
+        let tree = Route { tag, ..*route };
+        let data = self.ep.recv(&tree, Some(members[parent]), || false)?;
+        self.forward_bcast(&members, my_idx, tag, &data);
+        Ok(data)
     }
 
     fn forward_bcast(&self, members: &[usize], my_idx: usize, tag: i32, data: &[u8]) {
@@ -209,19 +212,14 @@ impl Pilot {
         }
     }
 
-    fn bundle_member_ranks(&self, b: PiBundle) -> Result<Vec<usize>, PilotError> {
-        let bundle = self.tables.bundle(b)?;
-        let mut members = vec![self.rank(bundle.common)];
-        for &c in &bundle.channels {
-            let e = self.tables.channel(c)?;
-            let other = if e.from == bundle.common {
-                e.to
-            } else {
-                e.from
-            };
-            members.push(self.rank(other));
-        }
-        Ok(members)
+    /// The ranks of broadcast bundle `bundle`'s tree: the writer, then
+    /// each member channel's reader.
+    fn bundle_member_ranks(&self, bundle: &BundleDecl) -> Vec<usize> {
+        let channels = self.tables.decls.channels();
+        std::iter::once(bundle.common)
+            .chain(bundle.channels.iter().map(|&c| channels[c].to))
+            .map(|p| self.rank(p))
+            .collect()
     }
 
     /// `PI_Broadcast`: send `values` to every reader of the bundle's
@@ -233,26 +231,11 @@ impl Pilot {
         format: &str,
         values: &[PiValue],
     ) -> Result<(), PilotError> {
-        let bundle = self.tables.bundle(b)?;
-        if bundle.usage != BundleUsage::Broadcast {
-            return Err(PilotError::BundleMisuse {
-                bundle: b.0,
-                detail: "PI_Broadcast on a non-broadcast bundle".into(),
-            });
-        }
-        if bundle.common != self.me {
-            return Err(PilotError::BundleMisuse {
-                bundle: b.0,
-                detail: format!(
-                    "only the common endpoint '{}' may broadcast",
-                    self.proc_name(bundle.common)
-                ),
-            });
-        }
+        let bundle = self.bundle_op(b, "PI_Broadcast", BundleUsage::Broadcast)?;
         let msg = pack_checked(format, values)?;
         self.ep.charge(msg.payload);
-        let members = self.bundle_member_ranks(b)?;
-        self.forward_bcast(&members, 0, Tables::bundle_tag(b), &msg.data);
+        let members = self.bundle_member_ranks(bundle);
+        self.forward_bcast(&members, 0, Tables::bundle_tag(b.0), &msg.data);
         for &c in &bundle.channels {
             self.ep.report(self.route(service::EV_WRITE, c).event);
         }
@@ -264,29 +247,14 @@ impl Pilot {
     /// in channel order. Only the common endpoint (the reader) calls this;
     /// writers each call [`Pilot::write`] on their own channel.
     pub fn gather(&self, b: PiBundle, format: &str) -> Result<Vec<Vec<PiValue>>, PilotError> {
-        let bundle = self.tables.bundle(b)?.clone();
-        if bundle.usage != BundleUsage::Gather {
-            return Err(PilotError::BundleMisuse {
-                bundle: b.0,
-                detail: "PI_Gather on a non-gather bundle".into(),
-            });
-        }
-        if bundle.common != self.me {
-            return Err(PilotError::BundleMisuse {
-                bundle: b.0,
-                detail: format!(
-                    "only the common endpoint '{}' may gather",
-                    self.proc_name(bundle.common)
-                ),
-            });
-        }
+        let bundle = self.bundle_op(b, "PI_Gather", BundleUsage::Gather)?;
         let conv = parse_format(format)?;
         let mut out = Vec::with_capacity(bundle.channels.len());
         for &c in &bundle.channels {
-            let from = self.tables.channel(c)?.from;
+            let from = self.tables.decls.channels()[c].from;
             let route = self.route(service::EV_READWAIT, c);
             let raw = self.ep.recv(&route, Some(self.rank(from)), || false)?;
-            out.push(self.ep.accept(c.0, &conv, &raw)?);
+            out.push(self.ep.accept(c, &conv, &raw)?);
         }
         let n = out.iter().map(|v| payload_bytes(v)).sum();
         self.log(Op::Gather, b.0, n);
@@ -320,19 +288,7 @@ impl Pilot {
     /// select by the bundle's common endpoint (the reader: only its own
     /// mailbox holds the bundle's messages).
     fn select_tags(&self, b: PiBundle, op: &str) -> Result<Vec<i32>, PilotError> {
-        let bundle = self.tables.bundle(b)?;
-        if bundle.usage != BundleUsage::Select {
-            return Err(PilotError::BundleMisuse {
-                bundle: b.0,
-                detail: format!("{op} on a non-select bundle"),
-            });
-        }
-        if bundle.common != self.me {
-            return Err(PilotError::BundleMisuse {
-                bundle: b.0,
-                detail: "only the common endpoint may select".into(),
-            });
-        }
+        let bundle = self.bundle_op(b, op, BundleUsage::Select)?;
         Ok(bundle
             .channels
             .iter()
@@ -340,12 +296,22 @@ impl Pilot {
             .collect())
     }
 
+    /// Bundle `b`, checked for bundle operation `op` by this process.
+    fn bundle_op(
+        &self,
+        b: PiBundle,
+        op: &str,
+        usage: BundleUsage,
+    ) -> Result<&BundleDecl, PilotError> {
+        self.tables.decls.bundle_op(b.0, op, usage, Some(self.me.0))
+    }
+
     /// `PI_ChannelHasData`: non-blocking check whether a read on `chan`
     /// would find a message waiting.
     pub fn channel_has_data(&self, chan: PiChannel) -> Result<bool, PilotError> {
-        let entry = self.tables.channel(chan)?;
+        let entry = self.tables.decls.channel(chan.0)?;
         PilotError::check_reader(
-            entry.to == self.me,
+            entry.to == self.me.0,
             chan.0,
             self.ep.name(),
             self.proc_name(entry.to),

@@ -873,3 +873,37 @@ fn deadlock_service_expects_no_finish_from_a_rank_the_plan_kills() {
     })
     .unwrap();
 }
+
+#[test]
+fn broadcast_read_times_out_under_channel_deadline() {
+    use cp_pilot::PilotError;
+    // A broadcast bundle whose writer never broadcasts: each reader's
+    // read is a receive from its tree parent, and the channel deadline
+    // bounds it like any other read.
+    let opts = PilotOpts::new().with_channel_timeout(cp_des::SimDuration::from_millis(5));
+    let mut cfg = cfg_traced(3, opts, &Recorder::disabled());
+    let mut chans = Vec::new();
+    for i in 0..2 {
+        let r = cfg
+            .create_process("r", i, |p, idx| {
+                let before = p.ctx().now();
+                let chan = idx as usize;
+                match p.read(cp_pilot::PiChannel(chan), "%d") {
+                    Err(PilotError::Timeout { channel, .. }) if channel == chan => {}
+                    other => panic!("expected a timeout on channel {chan}, got {other:?}"),
+                }
+                let waited = p.ctx().now().since(before);
+                assert!(waited >= cp_des::SimDuration::from_millis(5));
+            })
+            .unwrap();
+        chans.push(cfg.create_channel(PI_MAIN, r).unwrap());
+    }
+    cfg.create_bundle(BundleUsage::Broadcast, &chans).unwrap();
+    let report = cfg.run(|_p| {}).unwrap();
+    let timeouts = report
+        .incidents
+        .iter()
+        .filter(|i| i.category == cp_des::IncidentCategory::ChannelTimeout)
+        .count();
+    assert_eq!(timeouts, 2, "{:?}", report.incidents);
+}

@@ -615,3 +615,128 @@ fn type1_is_plain_pilot() {
         );
     }
 }
+
+/// The same bad declarations and bundle operations, in the same order:
+/// an unknown process, a self channel, an empty bundle, a mixed common
+/// endpoint, a member listed twice, a channel already bundled, rank
+/// exhaustion, then at run time a gather on a broadcast bundle (main), a
+/// broadcast by a process that is not its writer (a) and a select on a
+/// gather bundle (b).
+const CONFIGURE_ERRORS: usize = 10;
+
+fn configure_errors_pilot() -> Vec<cp_pilot::PilotError> {
+    use cp_pilot::{BundleUsage, PiBundle, PiProcess, PilotConfig, PilotOpts, PI_MAIN};
+    let ran = std::sync::Arc::new(parking_lot::Mutex::new(Vec::new()));
+    let spec = ClusterSpec::two_cells_one_xeon();
+    let mut cfg = PilotConfig::one_rank_per_node(spec, PilotOpts::new());
+    let r = ran.clone();
+    let a = cfg
+        .create_process("a", 0, move |p, _| {
+            let e = p.broadcast(PiBundle(0), "%d", &[PiValue::from(1i32)]);
+            r.lock().push((1, e.unwrap_err()));
+        })
+        .unwrap();
+    let r = ran.clone();
+    let b = cfg
+        .create_process("b", 0, move |p, _| {
+            r.lock().push((2, p.select(PiBundle(1)).unwrap_err()))
+        })
+        .unwrap();
+    let c1 = cfg.create_channel(PI_MAIN, a).unwrap();
+    let c2 = cfg.create_channel(PI_MAIN, b).unwrap();
+    let c3 = cfg.create_channel(a, b).unwrap();
+    let mut errs = vec![
+        cfg.create_channel(PI_MAIN, PiProcess(9)).unwrap_err(),
+        cfg.create_channel(a, a).unwrap_err(),
+        cfg.create_bundle(BundleUsage::Broadcast, &[]).unwrap_err(),
+        cfg.create_bundle(BundleUsage::Broadcast, &[c1, c3])
+            .unwrap_err(),
+        cfg.create_bundle(BundleUsage::Gather, &[c3, c3])
+            .unwrap_err(),
+    ];
+    cfg.create_bundle(BundleUsage::Broadcast, &[c1, c2])
+        .unwrap();
+    errs.push(
+        cfg.create_bundle(BundleUsage::Broadcast, &[c1])
+            .unwrap_err(),
+    );
+    cfg.create_bundle(BundleUsage::Gather, &[c3]).unwrap();
+    errs.push(cfg.create_process("c", 0, |_, _| {}).unwrap_err());
+    let r = ran.clone();
+    cfg.run(move |p| r.lock().push((0, p.gather(PiBundle(0), "%d").unwrap_err())))
+        .unwrap();
+    let mut ran = ran.lock().clone();
+    ran.sort_by_key(|&(who, _)| who);
+    errs.extend(ran.into_iter().map(|(_, e)| e));
+    errs
+}
+
+fn configure_errors_cellpilot() -> Vec<cellpilot::CpError> {
+    use cellpilot::{CpBundle, CpBundleUsage, CpProcess};
+    let ran = std::sync::Arc::new(parking_lot::Mutex::new(Vec::new()));
+    let spec = ClusterSpec::two_cells_one_xeon();
+    let mut cfg = CellPilotConfig::one_rank_per_node(spec, CellPilotOpts::new());
+    let r = ran.clone();
+    let a = cfg
+        .create_process("a", 0, move |cp, _| {
+            let e = cp.broadcast(CpBundle(0), "%d", &[PiValue::from(1i32)]);
+            r.lock().push((1, e.unwrap_err()));
+        })
+        .unwrap();
+    let r = ran.clone();
+    let b = cfg
+        .create_process("b", 0, move |cp, _| {
+            r.lock().push((2, cp.select(CpBundle(1)).unwrap_err()))
+        })
+        .unwrap();
+    let c1 = cfg.channel(CP_MAIN, a).build().unwrap();
+    let c2 = cfg.channel(CP_MAIN, b).build().unwrap();
+    let c3 = cfg.channel(a, b).build().unwrap();
+    let mut errs = vec![
+        cfg.channel(CP_MAIN, CpProcess(9)).build().unwrap_err(),
+        cfg.channel(a, a).build().unwrap_err(),
+        cfg.create_bundle(CpBundleUsage::Broadcast, &[])
+            .unwrap_err(),
+        cfg.create_bundle(CpBundleUsage::Broadcast, &[c1, c3])
+            .unwrap_err(),
+        cfg.create_bundle(CpBundleUsage::Gather, &[c3, c3])
+            .unwrap_err(),
+    ];
+    cfg.create_bundle(CpBundleUsage::Broadcast, &[c1, c2])
+        .unwrap();
+    errs.push(
+        cfg.create_bundle(CpBundleUsage::Broadcast, &[c1])
+            .unwrap_err(),
+    );
+    cfg.create_bundle(CpBundleUsage::Gather, &[c3]).unwrap();
+    errs.push(cfg.create_process("c", 0, |_, _| {}).unwrap_err());
+    let r = ran.clone();
+    cfg.run(move |cp| {
+        r.lock()
+            .push((0, cp.gather(CpBundle(0), "%d").unwrap_err()))
+    })
+    .unwrap();
+    let mut ran = ran.lock().clone();
+    ran.sort_by_key(|&(who, _)| who);
+    errs.extend(ran.into_iter().map(|(_, e)| e));
+    errs
+}
+
+#[test]
+fn configure_phase_is_plain_pilot() {
+    use cellpilot::{CpError, ErrorKind};
+    let pilot = configure_errors_pilot();
+    let cellpilot = configure_errors_cellpilot();
+    assert_eq!(pilot.len(), CONFIGURE_ERRORS);
+    assert_eq!(cellpilot.len(), CONFIGURE_ERRORS);
+    for (i, (p, cp)) in pilot.into_iter().zip(cellpilot).enumerate() {
+        assert_eq!(cp, CpError::Pilot(p.clone()), "case {i}");
+        assert_eq!(cp.to_string(), p.to_string(), "case {i}");
+        let want = if i < 7 {
+            ErrorKind::Config
+        } else {
+            ErrorKind::Usage
+        };
+        assert_eq!(cp.kind(), want, "case {i}: {cp}");
+    }
+}
