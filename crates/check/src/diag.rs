@@ -115,7 +115,7 @@ impl CheckCode {
             CheckCode::Cp011 => "overlapping or duplicate one-sided window registration",
             CheckCode::Cp012 => "one-sided traffic without a usable window",
             CheckCode::Cp013 => "inert or inconsistent flow-control declaration",
-            CheckCode::Cp014 => "eager/coalescing declaration can never take effect",
+            CheckCode::Cp014 => "coalescing declaration can never take effect",
             CheckCode::Cp101 => "unordered overlapping local-store DMA accesses",
             CheckCode::Cp201 => "credit-deadlock cycle of Block-bounded channels",
             CheckCode::Cp202 => "Co-Pilot relay saturated by static channel fan-in",

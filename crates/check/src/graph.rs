@@ -183,8 +183,8 @@ pub struct WiringGraph {
 }
 
 /// Bytes one mailbox/control-word exchange can carry inline: the 4-deep
-/// inbound mailbox × 4-byte words. An eager threshold above this is inert
-/// for the excess — CP014 flags it.
+/// inbound mailbox × 4-byte words (CellPilot's `build()` rejects an eager
+/// threshold above it).
 pub const MAILBOX_INLINE_CAPACITY: usize = 16;
 
 impl WiringGraph {

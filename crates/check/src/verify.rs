@@ -2,7 +2,7 @@
 //! [`WiringGraph`].
 
 use crate::diag::{CheckCode, Diagnostic, Severity};
-use crate::graph::{GraphBundleUsage, GraphEndpoint, WiringGraph, MAILBOX_INLINE_CAPACITY};
+use crate::graph::{GraphBundleUsage, GraphEndpoint, WiringGraph};
 use std::collections::BTreeMap;
 
 fn ep(g: &WiringGraph, p: usize) -> Vec<String> {
@@ -376,32 +376,10 @@ pub fn verify(g: &WiringGraph) -> Vec<Diagnostic> {
         }
     }
 
-    // Eager/coalescing checks (CP014), appended after the CP013 group so
-    // existing diagnostic orderings are unchanged. Both halves are
-    // warnings: the configurations are inert or contradictory, never
-    // unsafe. First per-channel (an eager threshold the mailbox exchange
-    // cannot honor), then per-bundle (a coalescing batch that the member
-    // channel's capacity can never accumulate), each in index order.
-    for (&c, &threshold) in &g.channel_eager {
-        if threshold > MAILBOX_INLINE_CAPACITY {
-            let endpoints = g
-                .channels
-                .get(c)
-                .and_then(|ch| ch.writer)
-                .map(|p| ep(g, p))
-                .unwrap_or_default();
-            out.push(Diagnostic::new(
-                CheckCode::Cp014,
-                Severity::Warning,
-                format!(
-                    "channel {c} declares an eager threshold of {threshold} bytes, but one \
-                     mailbox exchange carries at most {MAILBOX_INLINE_CAPACITY}: payloads \
-                     above {MAILBOX_INLINE_CAPACITY} bytes always take the DMA path"
-                ),
-                endpoints,
-            ));
-        }
-    }
+    // Coalescing checks (CP014), appended after the CP013 group so
+    // existing diagnostic orderings are unchanged: a warning per bundle
+    // whose coalescing batch a member channel's capacity can never
+    // accumulate (inert, never unsafe), in index order.
     for (&b, &batch) in &g.bundle_coalesce {
         let Some(bundle) = g.bundles.get(b) else {
             continue;
@@ -651,22 +629,6 @@ mod tests {
     }
 
     #[test]
-    fn oversized_eager_threshold_draws_cp014() {
-        let mut g = base();
-        let main = g.add_rank_process("main", 0, 0);
-        let s0a = g.add_spe_process("s0a", 0, 0);
-        let c = g.add_channel(main, s0a);
-        g.set_channel_eager(c, MAILBOX_INLINE_CAPACITY); // at the limit: fine
-        assert_eq!(verify(&g), Vec::new());
-        g.set_channel_eager(c, 64);
-        let d = verify(&g);
-        assert_eq!(codes(&d), vec!["CP014"]);
-        assert!(!d[0].is_error(), "CP014 is a warning");
-        assert!(d[0].message.contains("64 bytes"), "{}", d[0].message);
-        assert_eq!(d[0].endpoints, vec!["rank 0"]);
-    }
-
-    #[test]
     fn coalesce_batch_above_member_capacity_draws_cp014() {
         let mut g = base();
         let main = g.add_rank_process("main", 0, 0);
@@ -694,10 +656,14 @@ mod tests {
     fn cp014_orders_after_cp013_group() {
         let mut g = base();
         let main = g.add_rank_process("main", 0, 0);
-        let xeon = g.add_rank_process("xeon", 1, 2);
-        let c = g.add_channel(main, xeon);
-        g.set_channel_flow(c, None, false); // inert policy: CP013
-        g.set_channel_eager(c, 64); // oversized threshold: CP014
+        let s0a = g.add_spe_process("s0a", 0, 0);
+        let s0b = g.add_spe_process("s0b", 0, 1);
+        let c0 = g.add_channel(main, s0a);
+        let c1 = g.add_channel(main, s0b);
+        g.set_channel_flow(c0, Some(4), true);
+        g.set_channel_flow(c1, None, false); // inert policy: CP013
+        let b = g.add_bundle(GraphBundleUsage::Broadcast, &[c0, c1], main);
+        g.set_bundle_coalesce(b, 16); // c0 never holds a batch: CP014
         assert_eq!(codes(&verify(&g)), vec!["CP013", "CP014"]);
     }
 

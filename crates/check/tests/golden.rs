@@ -97,16 +97,14 @@ fn wiring_catalogue() -> Vec<(CheckCode, Vec<Diagnostic>)> {
     g.add_spe_process("b", 0, 0);
     out.push((CheckCode::Cp010, cp_check::verify(&g)));
 
-    // CP014 (warning): an eager threshold no mailbox exchange can honor,
-    // and a coalescing batch a bounded member channel can never
-    // accumulate.
+    // CP014 (warning): a coalescing batch a bounded member channel can
+    // never accumulate.
     let mut g = base();
     let main = g.add_rank_process("main", 0, 0);
     let s0a = g.add_spe_process("s0a", 0, 0);
     let s0b = g.add_spe_process("s0b", 0, 1);
     let c0 = g.add_channel(main, s0a);
     let c1 = g.add_channel(main, s0b);
-    g.set_channel_eager(c0, 64);
     g.set_channel_flow(c1, Some(4), true);
     let b = g.add_bundle(GraphBundleUsage::Broadcast, &[c0, c1], main);
     g.set_bundle_coalesce(b, 16);

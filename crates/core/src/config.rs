@@ -466,12 +466,25 @@ impl CellPilotConfig {
                 });
             }
         }
-        if capacity == Some(0) {
-            return Err(CpError::BadCapacity {
-                channel: id.0,
-                detail: "capacity must be nonzero (a zero-credit channel can never \
-                         accept a write)"
+        let inline_max = crate::protocol::EAGER_INLINE_MAX;
+        let bad_option = match (capacity, eager) {
+            (Some(0), _) => Some(
+                "capacity must be nonzero (a zero-credit channel can never accept a write)".into(),
+            ),
+            (_, Some(0)) => Some(
+                "eager threshold must be nonzero (a zero-byte threshold inlines nothing: \
+                 leave eager off)"
                     .into(),
+            ),
+            (_, Some(n)) if n > inline_max => Some(format!(
+                "eager threshold of {n} bytes exceeds the {inline_max} one mailbox exchange carries"
+            )),
+            _ => None,
+        };
+        if let Some(detail) = bad_option {
+            return Err(CpError::BadChannelOption {
+                channel: id.0,
+                detail,
             });
         }
         self.tables.decls.add_channel(from.0, to.0)?;
@@ -637,8 +650,8 @@ impl CellPilotConfig {
                 c.policy == crate::flow::OverloadPolicy::Block,
             );
         }
-        // Eager/coalescing declarations for the CP014 lint, payload
-        // promises for the CP203 advisory.
+        // Eager thresholds for CP202–CP204, payload promises for the CP203
+        // advisory.
         for (i, c) in self.tables.channels.iter().enumerate() {
             if let Some(threshold) = c.eager {
                 g.set_channel_eager(i, threshold);
@@ -1011,10 +1024,10 @@ impl ChannelBuilder<'_> {
         self
     }
 
-    /// Enable eager inlining with an explicit byte threshold. Values above
-    /// `EAGER_INLINE_MAX` (16) are clamped at run time (one
-    /// mailbox exchange cannot carry more) — the `cp-check` wiring
-    /// verifier flags such configs as CP014.
+    /// Enable eager inlining with an explicit byte threshold, from 1 to
+    /// `EAGER_INLINE_MAX` (16, what one mailbox exchange carries):
+    /// [`ChannelBuilder::build`] rejects any other value with an
+    /// [`crate::ErrorKind::Config`] error.
     pub fn eager_threshold(mut self, threshold: usize) -> Self {
         self.eager = Some(threshold);
         self
@@ -1238,6 +1251,56 @@ mod tests {
         // Misuse does not consume a channel id: the next declaration still
         // gets id 0.
         assert_eq!(c.channel(crate::CP_MAIN, s).build().unwrap(), CpChannel(0));
+    }
+
+    /// Build a main-to-SPE channel with `option` set: it fails as a
+    /// Config error whose text is `text`, and consumes no channel id.
+    fn assert_bad_option(option: impl FnOnce(ChannelBuilder) -> ChannelBuilder, text: &str) {
+        let mut c = cfg();
+        let prog = SpeProgram::new("w", 1024, |_, _, _| {});
+        let s = c.create_spe_process(&prog, crate::CP_MAIN, 0).unwrap();
+        let err = option(c.channel(crate::CP_MAIN, s)).build().unwrap_err();
+        assert!(matches!(err, CpError::BadChannelOption { channel: 0, .. }));
+        assert_eq!(err.kind(), crate::ErrorKind::Config);
+        assert_eq!(err.to_string(), text);
+        assert_eq!(c.channel(crate::CP_MAIN, s).build().unwrap(), CpChannel(0));
+    }
+
+    #[test]
+    fn zero_capacity_is_rejected() {
+        assert_bad_option(
+            |b| b.capacity(0),
+            "channel 0: invalid option: capacity must be nonzero (a zero-credit \
+             channel can never accept a write)",
+        );
+    }
+
+    #[test]
+    fn zero_eager_threshold_is_rejected() {
+        assert_bad_option(
+            |b| b.eager_threshold(0),
+            "channel 0: invalid option: eager threshold must be nonzero (a \
+             zero-byte threshold inlines nothing: leave eager off)",
+        );
+    }
+
+    #[test]
+    fn eager_threshold_above_the_mailbox_is_rejected() {
+        assert_bad_option(
+            |b| b.eager_threshold(crate::protocol::EAGER_INLINE_MAX + 1),
+            "channel 0: invalid option: eager threshold of 17 bytes exceeds the 16 \
+             one mailbox exchange carries",
+        );
+        // The bounds themselves hold.
+        let mut c = cfg();
+        let prog = SpeProgram::new("w", 1024, |_, _, _| {});
+        let s = c.create_spe_process(&prog, crate::CP_MAIN, 0).unwrap();
+        for n in [1, crate::protocol::EAGER_INLINE_MAX] {
+            c.channel(crate::CP_MAIN, s)
+                .eager_threshold(n)
+                .build()
+                .unwrap();
+        }
     }
 
     #[test]

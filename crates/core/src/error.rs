@@ -113,8 +113,10 @@ pub enum CpError {
         /// The buffer capacity that was exceeded.
         capacity: usize,
     },
-    /// A flow-control capacity was declared incorrectly (zero).
-    BadCapacity {
+    /// A channel option was declared with a value it cannot take: a zero
+    /// capacity, or an eager threshold of zero or above what one mailbox
+    /// exchange carries.
+    BadChannelOption {
         /// The channel id.
         channel: usize,
         /// What was wrong.
@@ -153,7 +155,7 @@ impl CpError {
     pub fn kind(&self) -> ErrorKind {
         match self {
             CpError::BadSpeParent { .. }
-            | CpError::BadCapacity { .. }
+            | CpError::BadChannelOption { .. }
             | CpError::WindowMisuse { .. } => ErrorKind::Config,
             CpError::NotParent { .. } | CpError::NotSpeProcess(_) | CpError::AlreadyRunning(_) => {
                 ErrorKind::Usage
@@ -219,8 +221,8 @@ impl fmt::Display for CpError {
                 "PI_Read on channel {channel}: message exceeds the SPE read buffer \
                  ({capacity} B); use a fixed-count format or raise the buffer limit"
             ),
-            CpError::BadCapacity { channel, detail } => {
-                write!(f, "channel {channel} capacity misuse: {detail}")
+            CpError::BadChannelOption { channel, detail } => {
+                write!(f, "channel {channel}: invalid option: {detail}")
             }
             CpError::WindowMisuse { channel, detail } => {
                 write!(f, "channel {channel} window misuse: {detail}")

@@ -11,6 +11,8 @@
 //! mailbox exchange to one word each way is what keeps the SPE-resident
 //! runtime small and the latency close to a bare mailbox round trip.
 
+use cp_mpisim::Msg;
+
 /// SPE request opcode: this SPE is writing on the channel.
 pub const OP_WRITE: u32 = 1;
 /// SPE request opcode: this SPE wants to read from the channel.
@@ -102,6 +104,25 @@ pub fn decode_mcast(bytes: &[u8]) -> (Vec<u32>, Vec<u8>) {
         ));
     }
     (chans, bytes[4 + 4 * n..].to_vec())
+}
+
+/// The `(channel, payload)` entries a message to a Co-Pilot carries: each
+/// channel of a multicast ([`CP_MCAST_TAG`]) with its own copy of the
+/// payload, each entry of a coalesced bundle envelope ([`CP_BUNDLE_TAG`]),
+/// or else the message itself on the channel its tag names.
+pub fn decode_envelope(msg: Msg) -> impl Iterator<Item = (usize, Vec<u8>)> {
+    let (mcast, bundle, plain) = match msg.tag {
+        CP_MCAST_TAG => (Some(decode_mcast(&msg.data)), None, None),
+        CP_BUNDLE_TAG => (None, Some(decode_bundle(&msg.data)), None),
+        tag => (None, None, Some((tag as u32, msg.data))),
+    };
+    let copies =
+        |(chans, data): (Vec<u32>, Vec<u8>)| chans.into_iter().map(move |c| (c, data.clone()));
+    let entries = mcast
+        .into_iter()
+        .flat_map(copies)
+        .chain(bundle.into_iter().flatten());
+    entries.chain(plain).map(|(c, d)| (c as usize, d))
 }
 
 /// Size of a request block in SPE local store.

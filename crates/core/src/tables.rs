@@ -64,14 +64,12 @@ pub(crate) struct CpChanEntry {
 }
 
 impl CpChanEntry {
-    /// The byte bound under which a payload actually goes inline: the
-    /// configured threshold clamped to what the mailbox exchange can carry
-    /// ([`crate::protocol::EAGER_INLINE_MAX`]; CP014 warns when the
-    /// configured value exceeds it). Zero when eager inlining is off.
+    /// The byte bound under which a payload goes inline: the configured
+    /// threshold, which `build()` holds to 1 ..=
+    /// [`crate::protocol::EAGER_INLINE_MAX`]. Zero when eager inlining is
+    /// off.
     pub fn eager_limit(&self) -> usize {
-        self.eager
-            .unwrap_or(0)
-            .min(crate::protocol::EAGER_INLINE_MAX)
+        self.eager.unwrap_or(0)
     }
 }
 
@@ -157,8 +155,9 @@ pub(crate) enum CoEvent {
     Die,
 }
 
-/// A stored SPE request awaiting its counterpart.
-#[derive(Debug, Clone, Copy)]
+/// A stored SPE request awaiting its counterpart: its buffer in the SPE's
+/// local store.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct PendingReq {
     pub hw: usize,
     pub addr: u32,
@@ -176,8 +175,9 @@ pub(crate) struct CoState {
     pub pending_reads: HashMap<usize, VecDeque<PendingReq>>,
     /// Local write requests waiting for their type-4 partner, per channel.
     pub pending_writes: HashMap<usize, VecDeque<PendingReq>>,
-    /// MPI data that arrived before the local reader asked, per channel.
-    pub pending_mpi: HashMap<usize, VecDeque<Msg>>,
+    /// Channel data that arrived before the local reader asked, per
+    /// channel: over MPI, or as a local SPE writer's eager payload.
+    pub pending_mpi: HashMap<usize, VecDeque<Vec<u8>>>,
     /// Whether the node's scripted Co-Pilot stall has already been served
     /// (a stall fires once per node, not once per service incarnation).
     pub stall_done: bool,
