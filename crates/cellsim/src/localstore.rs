@@ -192,30 +192,71 @@ impl LocalStore {
 
     /// Read `len` bytes at `addr`.
     pub fn read(&self, addr: LsAddr, len: usize) -> Result<Vec<u8>, LsError> {
-        let st = self.inner.lock();
-        if addr + len > LS_SIZE {
-            return Err(LsError::OutOfBounds { addr, len });
-        }
-        let backed_end = (addr + len).min(st.data.len());
-        let mut out = st.data.get(addr..backed_end).unwrap_or(&[]).to_vec();
-        out.resize(len, 0);
-        Ok(out)
+        self.read_with(addr, len, <[u8]>::to_vec)
     }
 
     /// Write `bytes` at `addr`.
     pub fn write(&self, addr: LsAddr, bytes: &[u8]) -> Result<(), LsError> {
-        let mut st = self.inner.lock();
-        if addr + bytes.len() > LS_SIZE {
-            return Err(LsError::OutOfBounds {
-                addr,
-                len: bytes.len(),
-            });
+        self.write_with(addr, bytes.len(), |to| to.copy_from_slice(bytes))
+    }
+
+    /// `Ok` if `[addr, addr + len)` lies within the store.
+    pub(crate) fn check(&self, addr: LsAddr, len: usize) -> Result<(), LsError> {
+        match addr.checked_add(len) {
+            Some(end) if end <= LS_SIZE => Ok(()),
+            _ => Err(LsError::OutOfBounds { addr, len }),
         }
-        let end = addr + bytes.len();
+    }
+
+    /// Lend `f` the `len` bytes at `addr`, under the store's lock, and
+    /// return what it returns. `f` must not touch this store.
+    pub fn read_with<R>(
+        &self,
+        addr: LsAddr,
+        len: usize,
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> Result<R, LsError> {
+        self.check(addr, len)?;
+        let st = self.inner.lock();
+        Ok(match st.data.get(addr..addr + len) {
+            Some(bytes) => f(bytes),
+            // The range reaches past the written prefix.
+            None => {
+                let mut bytes = st.data.get(addr..).unwrap_or(&[]).to_vec();
+                bytes.resize(len, 0);
+                f(&bytes)
+            }
+        })
+    }
+
+    /// Lend `f` the `len` bytes at `addr` to fill, under the store's lock,
+    /// and return what it returns. `f` must not touch this store.
+    pub fn write_with<R>(
+        &self,
+        addr: LsAddr,
+        len: usize,
+        f: impl FnOnce(&mut [u8]) -> R,
+    ) -> Result<R, LsError> {
+        self.check(addr, len)?;
+        let mut st = self.inner.lock();
+        let end = addr + len;
         if st.data.len() < end {
             st.data.resize(end, 0);
         }
-        st.data[addr..end].copy_from_slice(bytes);
+        Ok(f(&mut st.data[addr..end]))
+    }
+
+    /// Copy `len` bytes from `src` to `dst` within the store; the two
+    /// ranges may overlap.
+    pub(crate) fn copy_within(&self, dst: LsAddr, src: LsAddr, len: usize) -> Result<(), LsError> {
+        self.check(src, len)?;
+        self.check(dst, len)?;
+        let mut st = self.inner.lock();
+        let end = src.max(dst) + len;
+        if st.data.len() < end {
+            st.data.resize(end, 0);
+        }
+        st.data.copy_within(src..src + len, dst);
         Ok(())
     }
 

@@ -169,34 +169,53 @@ impl MainMemory {
 
     /// Read `len` bytes at main-memory offset `off`.
     pub fn read(&self, off: usize, len: usize) -> Result<Vec<u8>, MemError> {
-        let mut inner = self.inner.lock();
-        let end = off + len;
-        if end > self.capacity {
-            return Err(MemError::OutOfBounds {
-                ea: Ea(off as u64),
-                len,
-            });
-        }
-        if inner.data.len() < end {
-            inner.data.resize(end, 0);
-        }
-        Ok(inner.data[off..end].to_vec())
+        self.with_range(off, len, |bytes| bytes.to_vec())
     }
 
     /// Write `bytes` at main-memory offset `off`.
     pub fn write(&self, off: usize, bytes: &[u8]) -> Result<(), MemError> {
-        let mut inner = self.inner.lock();
-        let end = off + bytes.len();
-        if end > self.capacity {
-            return Err(MemError::OutOfBounds {
+        self.with_range(off, bytes.len(), |to| to.copy_from_slice(bytes))
+    }
+
+    /// `Ok` if `[off, off + len)` lies within the capacity.
+    pub(crate) fn check(&self, off: usize, len: usize) -> Result<(), MemError> {
+        match off.checked_add(len) {
+            Some(end) if end <= self.capacity => Ok(()),
+            _ => Err(MemError::OutOfBounds {
                 ea: Ea(off as u64),
-                len: bytes.len(),
-            });
+                len,
+            }),
         }
+    }
+
+    /// Lend `f` the `len` bytes at offset `off`, under main memory's lock,
+    /// and return what it returns. `f` must not touch main memory.
+    pub(crate) fn with_range<R>(
+        &self,
+        off: usize,
+        len: usize,
+        f: impl FnOnce(&mut [u8]) -> R,
+    ) -> Result<R, MemError> {
+        self.check(off, len)?;
+        let mut inner = self.inner.lock();
+        let end = off + len;
         if inner.data.len() < end {
             inner.data.resize(end, 0);
         }
-        inner.data[off..end].copy_from_slice(bytes);
+        Ok(f(&mut inner.data[off..end]))
+    }
+
+    /// Copy `len` bytes from offset `src` to offset `dst`; the two ranges
+    /// may overlap.
+    pub(crate) fn copy_within(&self, dst: usize, src: usize, len: usize) -> Result<(), MemError> {
+        self.check(src, len)?;
+        self.check(dst, len)?;
+        let mut inner = self.inner.lock();
+        let end = src.max(dst) + len;
+        if inner.data.len() < end {
+            inner.data.resize(end, 0);
+        }
+        inner.data.copy_within(src..src + len, dst);
         Ok(())
     }
 }

@@ -19,10 +19,11 @@ use crate::tables::CoEvent;
 use cp_cellsim::LsAddr;
 use cp_des::{IncidentCategory, ProcCtx, SimDuration, Step};
 use cp_pilot::{
+    check_write,
     fmt::{parse_format, Conversion, CountSpec},
-    pack_checked, unpack_checked,
+    pack_message, pack_message_into, packed_len, unpack_checked,
     value::payload_bytes,
-    Packed, PiScalar, PiValue, PilotError,
+    PiScalar, PiValue, PilotError,
 };
 use cp_simnet::{NodeId, ParkedReader};
 use cp_trace::{Measure, Op};
@@ -364,8 +365,8 @@ impl SpeCtx {
                 other => self.replay_diverged(&other, &format!("write on channel {}", chan.0)),
             }
         }
-        let Packed { data, payload } = pack_checked(format, values)?;
-        let len = data.len();
+        check_write(format, values)?;
+        let (len, payload) = (packed_len(values), payload_bytes(values));
         let t0 = self.ctx.now();
         // Flow control: consume a send credit before the message enters
         // the pipeline (a replayed write above skipped this — its credit
@@ -388,7 +389,8 @@ impl SpeCtx {
                 addr: 0,
                 len: len as u32,
             };
-            self.transact(req, Some(data)).map(|(n, _)| n)
+            self.transact(req, Some(pack_message(values)))
+                .map(|(n, _)| n)
         } else {
             let buf = match ls.alloc(len.max(1), 16) {
                 Ok(buf) => buf,
@@ -399,7 +401,11 @@ impl SpeCtx {
                     return Err(e.into());
                 }
             };
-            if let Err(e) = cell.ls_write_traced(&self.ctx, self.hw, buf, &data) {
+            // Pack straight into the staging buffer.
+            let staged = cell.ls_write_traced(&self.ctx, self.hw, buf, len, |to| {
+                pack_message_into(values, to)
+            });
+            if let Err(e) = staged {
                 let _ = ls.free(buf);
                 self.shared.release_credit(chan.0);
                 return Err(e.into());
@@ -414,6 +420,7 @@ impl SpeCtx {
                 let setup =
                     (!eager_inline).then(|| SimDuration::from_micros_f64(cell.costs.dma_setup_us));
                 let who = self.proc_name();
+                let data = ls.read(buf, len).expect("staged buffer within the store");
                 self.shared
                     .one_sided_put(&self.ctx, who, chan.0, self.node, data, setup)
                     .map_err(|cap| {
@@ -517,13 +524,20 @@ impl SpeCtx {
             })
         };
         let result = got.and_then(|n| {
-            let bytes = cell.ls_read_traced(&self.ctx, self.hw, buf, n)?;
-            let values = unpack_checked(chan.0, &conv, &bytes)?;
+            // Unpack straight out of the buffer; a copy of the bytes only
+            // for the supervision journal.
+            let journaled = self.shared.supervision.is_some();
+            let (values, bytes) = cell.ls_read_traced(&self.ctx, self.hw, buf, n, |raw| {
+                let values = unpack_checked(chan.0, &conv, raw)?;
+                Ok::<_, PilotError>((values, journaled.then(|| raw.to_vec())))
+            })??;
             self.charge(payload_bytes(&values));
-            self.journal(JournalEntry::Read {
-                chan: chan.0,
-                bytes,
-            });
+            if let Some(bytes) = bytes {
+                self.journal(JournalEntry::Read {
+                    chan: chan.0,
+                    bytes,
+                });
+            }
             self.shared.recorder.record_op(
                 self.ctx.now().0,
                 self.proc_name(),
@@ -651,7 +665,8 @@ impl SpeCtx {
                 ns.cell.costs.dma_transfer_us(n),
             ))
             .await;
-            ns.cell.ls_write_traced(&ctx, hw, buf, &landed.bytes)?;
+            ns.cell
+                .ls_write_traced(&ctx, hw, buf, n, |to| to.copy_from_slice(&landed.bytes))?;
             let get = Measure::OneSided {
                 put: false,
                 t0_ns: t0.0,

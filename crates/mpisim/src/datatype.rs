@@ -83,8 +83,9 @@ impl fmt::Display for Datatype {
 pub trait MpiScalar: Copy + PartialEq + fmt::Debug + Send + 'static {
     /// The matching [`Datatype`].
     const DATATYPE: Datatype;
-    /// Append this value's canonical wire bytes.
-    fn encode(&self, out: &mut Vec<u8>);
+    /// Write this value's canonical wire bytes into `out`, which is
+    /// exactly one element's wire size long.
+    fn encode(&self, out: &mut [u8]);
     /// Decode one value from its canonical wire bytes.
     fn decode(bytes: &[u8]) -> Self;
 }
@@ -93,8 +94,8 @@ macro_rules! scalar_impl {
     ($t:ty, $dt:expr) => {
         impl MpiScalar for $t {
             const DATATYPE: Datatype = $dt;
-            fn encode(&self, out: &mut Vec<u8>) {
-                out.extend_from_slice(&self.to_be_bytes());
+            fn encode(&self, out: &mut [u8]) {
+                out.copy_from_slice(&self.to_be_bytes());
             }
             fn decode(bytes: &[u8]) -> Self {
                 Self::from_be_bytes(bytes.try_into().expect("wire size"))
@@ -119,11 +120,12 @@ pub struct LongDouble(pub f64);
 
 impl MpiScalar for LongDouble {
     const DATATYPE: Datatype = Datatype::LongDouble;
-    fn encode(&self, out: &mut Vec<u8>) {
+    fn encode(&self, out: &mut [u8]) {
         // IBM long double is head+tail doubles; we canonicalize as the head
         // double followed by a zero tail.
-        out.extend_from_slice(&self.0.to_be_bytes());
-        out.extend_from_slice(&[0u8; 8]);
+        let (head, tail) = out.split_at_mut(8);
+        head.copy_from_slice(&self.0.to_be_bytes());
+        tail.fill(0);
     }
     fn decode(bytes: &[u8]) -> Self {
         LongDouble(f64::from_be_bytes(
@@ -134,11 +136,25 @@ impl MpiScalar for LongDouble {
 
 /// Encode a slice of scalars into canonical wire bytes.
 pub fn encode_slice<T: MpiScalar>(vals: &[T]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(vals.len() * T::DATATYPE.wire_size());
-    for v in vals {
-        v.encode(&mut out);
-    }
+    let mut out = vec![0; vals.len() * T::DATATYPE.wire_size()];
+    encode_slice_into(vals, &mut out);
     out
+}
+
+/// Encode a slice of scalars into `out`, which is exactly their wire size
+/// long. Panics otherwise.
+pub fn encode_slice_into<T: MpiScalar>(vals: &[T], out: &mut [u8]) {
+    let sz = T::DATATYPE.wire_size();
+    assert_eq!(
+        out.len(),
+        vals.len() * sz,
+        "wire size of {} {}",
+        vals.len(),
+        T::DATATYPE
+    );
+    for (v, bytes) in vals.iter().zip(out.chunks_exact_mut(sz)) {
+        v.encode(bytes);
+    }
 }
 
 /// Decode canonical wire bytes into scalars. Panics if `bytes` is not a

@@ -38,7 +38,9 @@ pub use collect::{
     TAG_BCAST, TAG_GATHER, TAG_REDUCE, TAG_SCAN, TAG_SCATTER,
 };
 pub use costs::MpiCosts;
-pub use datatype::{decode_slice, encode_slice, Datatype, LongDouble, MpiScalar};
+pub use datatype::{
+    decode_slice, encode_slice, encode_slice_into, Datatype, LongDouble, MpiScalar,
+};
 pub use group::{Color, SubComm};
 pub use message::{Envelope, MailStore, Payload, Rank, Recv, SrcSel, StorePoll, Tag, TagSel};
 pub use world::{mpirun, Comm, MpiFault, MpiWorld, Msg};

@@ -52,7 +52,7 @@ pub mod value;
 pub use config::{PilotConfig, PilotOpts};
 pub use cp_des::Backend;
 pub use endpoint::{
-    finishers, pack_checked, unpack_checked, Packed, PilotCosts, RankEndpoint, Route,
+    check_write, finishers, pack_checked, unpack_checked, Packed, PilotCosts, RankEndpoint, Route,
 };
 pub use error::PilotError;
 pub use fmt::{parse_format, Conversion, CountSpec, FmtError};
@@ -65,4 +65,7 @@ pub use table::{
     BundleDecl, BundleUsage, ChannelDecl, DeclTable, PiBundle, PiChannel, PiProcess, Tables,
     PI_MAIN,
 };
-pub use value::{pack_message, payload_bytes, unpack_message, MatchError, PiScalar, PiValue};
+pub use value::{
+    pack_message, pack_message_into, packed_len, payload_bytes, unpack_message, MatchError,
+    PiScalar, PiValue,
+};

@@ -9,7 +9,7 @@
 //! of corrupted data.
 
 use crate::fmt::{Conversion, CountSpec};
-use cp_mpisim::{decode_slice, encode_slice, Datatype, LongDouble};
+use cp_mpisim::{decode_slice, encode_slice_into, Datatype, LongDouble};
 use std::fmt;
 
 /// One typed argument passed to a write, or returned from a read.
@@ -71,17 +71,23 @@ impl PiValue {
         self.len() == 0
     }
 
-    /// Canonical wire bytes of the elements.
-    pub fn encode(&self) -> Vec<u8> {
+    /// Bytes the elements occupy on the wire.
+    fn wire_len(&self) -> usize {
+        self.len() * self.dtype().wire_size()
+    }
+
+    /// Write the elements' canonical wire bytes into `out`, which is
+    /// exactly [`PiValue::wire_len`] long.
+    fn encode_into(&self, out: &mut [u8]) {
         match self {
-            PiValue::Byte(v) | PiValue::Char(v) => v.clone(),
-            PiValue::Int16(v) => encode_slice(v),
-            PiValue::Int32(v) => encode_slice(v),
-            PiValue::UInt32(v) => encode_slice(v),
-            PiValue::Int64(v) => encode_slice(v),
-            PiValue::Float32(v) => encode_slice(v),
-            PiValue::Float64(v) => encode_slice(v),
-            PiValue::LongDouble(v) => encode_slice(v),
+            PiValue::Byte(v) | PiValue::Char(v) => out.copy_from_slice(v),
+            PiValue::Int16(v) => encode_slice_into(v, out),
+            PiValue::Int32(v) => encode_slice_into(v, out),
+            PiValue::UInt32(v) => encode_slice_into(v, out),
+            PiValue::Int64(v) => encode_slice_into(v, out),
+            PiValue::Float32(v) => encode_slice_into(v, out),
+            PiValue::Float64(v) => encode_slice_into(v, out),
+            PiValue::LongDouble(v) => encode_slice_into(v, out),
         }
     }
 
@@ -218,37 +224,14 @@ impl fmt::Display for MatchError {
 
 impl std::error::Error for MatchError {}
 
-/// Check that `values` satisfy the parsed `conversions` (a write-side
-/// check; `%*` conversions accept any length).
+/// Check that `values` satisfy the parsed `conversions`: a writer's
+/// values, or those a reader unpacked (`%*` conversions accept any
+/// length).
 pub fn check_against_format(
     conversions: &[Conversion],
     values: &[PiValue],
 ) -> Result<(), MatchError> {
-    if conversions.len() != values.len() {
-        return Err(MatchError::ArgCount {
-            expected: conversions.len(),
-            got: values.len(),
-        });
-    }
-    for (index, (c, v)) in conversions.iter().zip(values).enumerate() {
-        if c.dtype != v.dtype() {
-            return Err(MatchError::TypeMismatch {
-                index,
-                expected: c.dtype,
-                got: v.dtype(),
-            });
-        }
-        if let CountSpec::Fixed(n) = c.count {
-            if v.len() != n {
-                return Err(MatchError::CountMismatch {
-                    index,
-                    expected: n,
-                    got: v.len(),
-                });
-            }
-        }
-    }
-    Ok(())
+    check_segments(conversions, values.iter().map(|v| (v.dtype(), v.len())))
 }
 
 /// Check that an incoming message's segments satisfy the *reader's*
@@ -257,13 +240,22 @@ pub fn check_read_format(
     conversions: &[Conversion],
     segments: &[(Datatype, usize)],
 ) -> Result<(), MatchError> {
+    check_segments(conversions, segments.iter().copied())
+}
+
+/// Check `(datatype, count)` segments against `conversions`: the same
+/// number, each of the conversion's type, and of its count if fixed.
+fn check_segments(
+    conversions: &[Conversion],
+    segments: impl ExactSizeIterator<Item = (Datatype, usize)>,
+) -> Result<(), MatchError> {
     if conversions.len() != segments.len() {
         return Err(MatchError::ArgCount {
             expected: conversions.len(),
             got: segments.len(),
         });
     }
-    for (index, (c, &(dtype, count))) in conversions.iter().zip(segments).enumerate() {
+    for (index, (c, (dtype, count))) in conversions.iter().zip(segments).enumerate() {
         if c.dtype != dtype {
             return Err(MatchError::TypeMismatch {
                 index,
@@ -315,16 +307,34 @@ fn code_dtype(c: u8) -> Option<Datatype> {
     })
 }
 
+/// Bytes one channel message of `values` occupies: the segment count,
+/// then per segment a 5-byte header and the elements.
+pub fn packed_len(values: &[PiValue]) -> usize {
+    4 + values.iter().map(|v| 5 + v.wire_len()).sum::<usize>()
+}
+
 /// Serialize values into one channel message.
 pub fn pack_message(values: &[PiValue]) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(&(values.len() as u32).to_be_bytes());
-    for v in values {
-        out.push(dtype_code(v.dtype()));
-        out.extend_from_slice(&(v.len() as u32).to_be_bytes());
-        out.extend_from_slice(&v.encode());
-    }
+    let mut out = vec![0; packed_len(values)];
+    pack_message_into(values, &mut out);
     out
+}
+
+/// Serialize values into one channel message in place: `out` is exactly
+/// [`packed_len`] bytes long (panics otherwise), and every byte of it is
+/// written.
+pub fn pack_message_into(values: &[PiValue], out: &mut [u8]) {
+    assert_eq!(out.len(), packed_len(values), "buffer of the packed length");
+    let (count, mut rest) = out.split_at_mut(4);
+    count.copy_from_slice(&(values.len() as u32).to_be_bytes());
+    for v in values {
+        let (header, tail) = rest.split_at_mut(5);
+        header[0] = dtype_code(v.dtype());
+        header[1..].copy_from_slice(&(v.len() as u32).to_be_bytes());
+        let (elements, tail) = tail.split_at_mut(v.wire_len());
+        v.encode_into(elements);
+        rest = tail;
+    }
 }
 
 /// Deserialize a channel message into its values. Returns `None` on a
@@ -359,7 +369,7 @@ pub fn unpack_message(bytes: &[u8]) -> Option<Vec<PiValue>> {
 /// Total payload bytes the values occupy on the wire (excluding headers) —
 /// the quantity the latency model charges for.
 pub fn payload_bytes(values: &[PiValue]) -> usize {
-    values.iter().map(|v| v.len() * v.dtype().wire_size()).sum()
+    values.iter().map(PiValue::wire_len).sum()
 }
 
 #[cfg(test)]

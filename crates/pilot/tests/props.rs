@@ -1,9 +1,10 @@
 //! Property tests for the Pilot data layer: format parsing, message
 //! packing, and format/value agreement.
 
-use cp_mpisim::{Datatype, LongDouble};
+use cp_mpisim::{encode_slice, Datatype, LongDouble};
 use cp_pilot::value::{
-    check_against_format, check_read_format, pack_message, payload_bytes, unpack_message,
+    check_against_format, check_read_format, pack_message, pack_message_into, packed_len,
+    payload_bytes, unpack_message,
 };
 use cp_pilot::{parse_format, CountSpec, PiValue};
 use proptest::prelude::*;
@@ -38,14 +39,46 @@ fn conv_letter(d: Datatype) -> &'static str {
     }
 }
 
+/// The wire format written out longhand: the segment count, then per
+/// segment its datatype code (the datatype's place in `Datatype::ALL`),
+/// its element count and its elements, all big-endian.
+fn reference_pack(values: &[PiValue]) -> Vec<u8> {
+    let mut out = (values.len() as u32).to_be_bytes().to_vec();
+    for v in values {
+        let code = Datatype::ALL.iter().position(|&d| d == v.dtype()).unwrap();
+        out.push(code as u8);
+        out.extend_from_slice(&(v.len() as u32).to_be_bytes());
+        out.extend(match v {
+            PiValue::Byte(e) | PiValue::Char(e) => e.clone(),
+            PiValue::Int16(e) => encode_slice(e),
+            PiValue::Int32(e) => encode_slice(e),
+            PiValue::UInt32(e) => encode_slice(e),
+            PiValue::Int64(e) => encode_slice(e),
+            PiValue::Float32(e) => encode_slice(e),
+            PiValue::Float64(e) => encode_slice(e),
+            PiValue::LongDouble(e) => encode_slice(e),
+        });
+    }
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// pack → unpack is the identity for any value list.
+    /// pack → unpack is the identity for any value list, and both packers
+    /// write the wire format byte for byte: `pack_message`, and
+    /// `pack_message_into` over a buffer of `packed_len` bytes whatever it
+    /// held before.
     #[test]
-    fn pack_unpack_roundtrip(values in proptest::collection::vec(arb_value(), 0..8)) {
-        // NaN breaks PartialEq; compare on the wire instead.
+    fn pack_unpack_roundtrip(values in proptest::collection::vec(arb_value(), 0..8),
+                             fill in any::<u8>()) {
         let bytes = pack_message(&values);
+        prop_assert_eq!(&bytes, &reference_pack(&values));
+        prop_assert_eq!(packed_len(&values), bytes.len());
+        let mut in_place = vec![fill; packed_len(&values)];
+        pack_message_into(&values, &mut in_place);
+        prop_assert_eq!(&in_place, &bytes);
+        // NaN breaks PartialEq; compare on the wire instead.
         let back = unpack_message(&bytes).expect("own wire format parses");
         prop_assert_eq!(pack_message(&back), bytes);
         prop_assert_eq!(back.len(), values.len());
