@@ -419,12 +419,10 @@ fn deliver(env: &CoEnv, chan: usize, data: Vec<u8>, r: PendingReq, out: &mut Vec
         return out.push(complete(r.hw, completion_err(CompletionError::Overflow)));
     }
     if inline {
-        // A copy, as the host ledger pins (moving saves an allocation).
-        let (word, inline) = (completion_ok_inline(n), Some(data.to_vec()));
         out.push(Effect::MailboxWrite {
             hw: r.hw,
-            word,
-            inline,
+            word: completion_ok_inline(n),
+            inline: Some(data),
         });
     } else {
         out.push(Effect::LsStore { buf: r, data });
