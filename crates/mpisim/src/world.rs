@@ -822,11 +822,19 @@ fn user_match(src: SrcSel, tag: TagSel) -> impl Fn(&Envelope) -> bool {
 
 /// A blocked receive as deadlock reports show it.
 fn recv_what(src: SrcSel, tag: TagSel, extra: &str) -> String {
-    format!(
-        "MPI_Recv(src={}, tag={}{extra})",
-        src.map_or("ANY".into(), |s| s.to_string()),
-        tag.map_or("ANY".into(), |t| t.to_string())
-    )
+    format!("MPI_Recv(src={}, tag={}{extra})", Sel(src), Sel(tag))
+}
+
+/// A receive selector as text: the value, or `ANY` for a wildcard.
+struct Sel<T>(Option<T>);
+
+impl<T: fmt::Display> fmt::Display for Sel<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match &self.0 {
+            Some(v) => v.fmt(f),
+            None => f.write_str("ANY"),
+        }
+    }
 }
 
 /// Outcome of one transmission attempt ([`Comm::put_attempt`]).
